@@ -1,8 +1,8 @@
 # Tier-1 gate: everything a PR must keep green (see ROADMAP.md).
-.PHONY: check fmt vet build test bench bench-micro bench-json bench-delta \
+.PHONY: check fmt vet build test test-tracerbench bench bench-micro bench-json bench-delta \
 	bench-history chaos fuzz smoke-server chaos-server
 
-check: fmt vet build test
+check: fmt vet build test test-tracerbench
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -16,6 +16,11 @@ build:
 
 test:
 	go test -race ./...
+
+# cmd/tracerbench is its own module (it builds against this one through a
+# replace directive), so ./... above skips it.
+test-tracerbench:
+	cd cmd/tracerbench && go vet . && go test -race .
 
 # Fault-injection suite: the deterministic chaos tests (panic isolation,
 # budget trips, worker-count determinism, and the seeded sweep) under -race,

@@ -215,18 +215,11 @@ func run() error {
 func runFuzz(seed int64, n int, meta bool) error {
 	opts := oracle.FuzzOptions{Seed: seed, N: n, Meta: meta}
 	var total int
-	for _, client := range []struct {
-		name string
-		run  func(oracle.FuzzOptions) []oracle.Discrepancy
-	}{
-		{"typestate", oracle.FuzzTypestate},
-		{"escape", oracle.FuzzEscape},
-		{"nullness", oracle.FuzzNullness},
-	} {
+	for _, f := range oracle.Fuzzers {
 		start := time.Now()
-		ds := client.run(opts)
+		ds := f.Fuzz(opts)
 		fmt.Printf("fuzz %-9s  %d cases, seed %d, meta=%v: %d discrepancies  [%v]\n",
-			client.name, n, seed, meta, len(ds), time.Since(start).Round(time.Millisecond))
+			f.Client, n, seed, meta, len(ds), time.Since(start).Round(time.Millisecond))
 		for _, d := range ds {
 			fmt.Println(d)
 		}
@@ -338,119 +331,88 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			printResult(q, res, paramName, time.Since(start))
 			return nil
 		}
-		tsSess := session(warm.Typestate)
-		for _, q := range prog.TypestateQueries() {
-			job := prog.TypestateJob(q, k)
-			if err := solveWarm(q.ID, q.Key, tsSess, job, job.ParamName); err != nil {
-				return err
+		// Per-query jobs come from each client's batch problem, so they share
+		// its literal universe and WP caches.
+		for _, spec := range driver.Clients() {
+			sess := session(warm.Client(spec.Name))
+			queries := spec.Queries(prog)
+			bp := spec.Batch(prog, indices(len(queries)), k)
+			paramName := paramNamer(spec.ParamNames(prog))
+			for i, q := range queries {
+				if err := solveWarm(q.ID, q.Key, sess, bp.Job(i, false), paramName); err != nil {
+					return err
+				}
 			}
-		}
-		if tsSess != nil {
-			if err := tsSess.Save(); err != nil {
-				return err
-			}
-		}
-		escSess := session(warm.Escape)
-		for _, q := range prog.EscapeQueries() {
-			job := prog.EscapeJob(q, k)
-			if err := solveWarm(q.ID, q.Key, escSess, job, job.ParamName); err != nil {
-				return err
-			}
-		}
-		if escSess != nil {
-			if err := escSess.Save(); err != nil {
-				return err
-			}
-		}
-		nullSess := session(warm.Nullness)
-		for _, q := range prog.NullnessQueries() {
-			job := prog.NullnessJob(q, k)
-			if err := solveWarm(q.ID, q.Key, nullSess, job, job.ParamName); err != nil {
-				return err
-			}
-		}
-		if nullSess != nil {
-			if err := nullSess.Save(); err != nil {
-				return err
+			if sess != nil {
+				if err := sess.Save(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
+// indices returns 0..n-1.
+func indices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// paramNamer names parameters from a client's parameter universe.
+func paramNamer(names []string) func(i int) string {
+	return func(i int) string { return names[i] }
+}
+
 // runBatch resolves the generated queries through the grouped multi-query
 // solver of §6: queries with identical learned-clause sets share forward
 // runs, and opts.Workers schedules independent groups in parallel.
 func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, session func(warm.Client) *warm.Session) error {
-	tsQueries := prog.TypestateQueries()
-	escQueries := prog.EscapeQueries()
-	type batchCase struct {
-		ids, keys []string
-		paramName func(i int) string
-		problem   core.BatchProblem
-		sess      *warm.Session
-	}
-	cases := []batchCase{}
-	if len(tsQueries) > 0 {
-		ids := make([]string, len(tsQueries))
-		keys := make([]string, len(tsQueries))
-		for i, q := range tsQueries {
-			ids[i], keys[i] = q.ID, q.Key
+	for _, spec := range driver.Clients() {
+		queries := spec.Queries(prog)
+		if len(queries) == 0 {
+			continue
 		}
-		job := prog.TypestateJob(tsQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewTypestateBatch(prog, tsQueries, k), session(warm.Typestate)})
-	}
-	if len(escQueries) > 0 {
-		ids := make([]string, len(escQueries))
-		keys := make([]string, len(escQueries))
-		for i, q := range escQueries {
-			ids[i], keys[i] = q.ID, q.Key
+		keys := make([]string, len(queries))
+		for i, q := range queries {
+			keys[i] = q.Key
 		}
-		job := prog.EscapeJob(escQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewEscapeBatch(prog, escQueries, k), session(warm.Escape)})
-	}
-	if nullQueries := prog.NullnessQueries(); len(nullQueries) > 0 {
-		ids := make([]string, len(nullQueries))
-		keys := make([]string, len(nullQueries))
-		for i, q := range nullQueries {
-			ids[i], keys[i] = q.ID, q.Key
-		}
-		job := prog.NullnessJob(nullQueries[0], k)
-		cases = append(cases, batchCase{ids, keys, job.ParamName, driver.NewNullnessBatch(prog, nullQueries, k), session(warm.Nullness)})
-	}
-	for _, c := range cases {
+		sess := session(warm.Client(spec.Name))
+		paramName := paramNamer(spec.ParamNames(prog))
 		bopts := opts
 		bopts.Recorder = rec
 		if bopts.Timeout > 0 {
-			bopts.Timeout *= time.Duration(len(c.ids)) // opts.Timeout is per query
+			bopts.Timeout *= time.Duration(len(queries)) // opts.Timeout is per query
 		}
-		if c.sess != nil {
-			sess, keys := c.sess, c.keys
+		if sess != nil {
 			bopts.SeedBatch = func(q int) []core.ParamCube { return sess.SeedFor(keys[q]) }
 			bopts.OnLearn = func(q int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
 				sess.RecordLearn(keys[q], t, cubes)
 			}
 		}
 		start := time.Now()
-		res, err := core.SolveBatch(c.problem, bopts)
+		res, err := core.SolveBatch(spec.Batch(prog, indices(len(queries)), k), bopts)
 		if err != nil {
 			return err
 		}
 		wall := time.Since(start)
 		for i, r := range res.Results {
-			printResult(c.ids[i], r, c.paramName, wall/time.Duration(len(res.Results)))
+			printResult(queries[i].ID, r, paramName, wall/time.Duration(len(res.Results)))
 		}
-		if c.sess != nil {
+		if sess != nil {
 			// Exhausted verdicts from a batch are measured against the shared
 			// batch budget, not a per-query one; persisting them would make
 			// them look replayable to a later per-query run. Verdict-bearing
 			// statuses only.
 			for i, r := range res.Results {
 				if r.Status == core.Proved || r.Status == core.Impossible {
-					c.sess.RecordResult(c.keys[i], r)
+					sess.RecordResult(keys[i], r)
 				}
 			}
-			if err := c.sess.Save(); err != nil {
+			if err := sess.Save(); err != nil {
 				return err
 			}
 		}
@@ -482,13 +444,12 @@ func runRHS(src string, prop *typestate.Property, k int, opts core.Options, rec 
 		qopts := opts
 		qopts.Recorder = obs.Tag(rec, "query "+name)
 		paramName := func(i int) string { return fmt.Sprintf("p%d", i) }
-		switch j := job.(type) {
-		case *driver.RHSEscapeJob:
+		if j, ok := job.(interface {
+			ParamName(i int) string
+			Observe(rec obs.Recorder)
+		}); ok {
 			paramName = j.ParamName
-			j.Rec = qopts.Recorder
-		case *driver.RHSTypestateJob:
-			paramName = j.ParamName
-			j.Rec = qopts.Recorder
+			j.Observe(qopts.Recorder)
 		}
 		start := time.Now()
 		res, err := core.Solve(job, qopts)

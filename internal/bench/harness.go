@@ -8,13 +8,8 @@ import (
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
-	"tracer/internal/escape"
-	"tracer/internal/formula"
 	"tracer/internal/lang"
-	"tracer/internal/meta"
-	"tracer/internal/nullness"
 	"tracer/internal/obs"
-	"tracer/internal/typestate"
 	"tracer/internal/uset"
 	"tracer/internal/warm"
 )
@@ -137,22 +132,22 @@ func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
 		runMu.Unlock()
 	}
 
-	var runFn func(*Benchmark, RunOptions, *ClientResult, *warm.Session) error
-	switch client {
-	case Typestate:
-		runFn = runTypestate
-	case Escape:
-		runFn = runEscape
-	case Nullness:
-		runFn = runNullness
-	default:
+	spec := specOf(client)
+	if spec == nil {
 		return nil, fmt.Errorf("bench: unknown client %q", client)
 	}
 
 	res := &ClientResult{Benchmark: b.Config.Name, Client: client, K: opts.K}
 	start := time.Now()
-	sess := warmSession(b, client, opts)
-	if err := runFn(b, opts, res, sess); err != nil {
+	sess := warmSession(b, spec, opts)
+	// Per-query jobs come from the client's batch problem, so they share its
+	// literal universe and WP caches by the client's policy: the per-query
+	// loop otherwise re-derives every interned literal and WP DNF from
+	// scratch for each query on the same program.
+	queries, bp := clientBatch(b, spec, opts)
+	if err := runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
+		return queries[i].ID, queries[i].Key, bp.Job(i, opts.NoDelta)
+	}); err != nil {
 		return nil, err
 	}
 	if sess != nil {
@@ -184,26 +179,36 @@ func coreOpts(opts RunOptions) core.Options {
 	}
 }
 
-// warmClient maps the bench client name onto the warm store's. The mapping
-// is exhaustive: an unknown bench client must not silently alias another
-// client's warm snapshots, so it panics (Run/RunBatch reject unknown
-// clients before any warm session is opened).
-func warmClient(client Client) warm.Client {
-	switch client {
-	case Typestate:
-		return warm.Typestate
-	case Escape:
-		return warm.Escape
-	case Nullness:
-		return warm.Nullness
+// specOf resolves a bench display name through the driver registry, or nil
+// when unknown.
+func specOf(client Client) *driver.ClientSpec {
+	for _, spec := range driver.Clients() {
+		if Client(spec.BenchName) == client {
+			return spec
+		}
 	}
-	panic(fmt.Sprintf("bench: no warm client for %q", client))
+	return nil
+}
+
+// clientBatch builds the client's batch problem over the run's queries (the
+// first MaxQueries when capped).
+func clientBatch(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) ([]driver.GenQuery, driver.Batch) {
+	queries := spec.Queries(b.Prog)
+	if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
+		queries = queries[:opts.MaxQueries]
+	}
+	idx := make([]int, len(queries))
+	for i := range idx {
+		idx[i] = i
+	}
+	return queries, spec.Batch(b.Prog, idx, opts.K)
 }
 
 // warmSession opens the warm-start session for one run, or nil when WarmDir
-// is unset. The config carries the *effective* budget (core's defaults
-// applied) so Exhausted replay compares like with like.
-func warmSession(b *Benchmark, client Client, opts RunOptions) *warm.Session {
+// is unset. The warm store's client names are the registry's wire names.
+// The config carries the *effective* budget (core's defaults applied) so
+// Exhausted replay compares like with like.
+func warmSession(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) *warm.Session {
 	if opts.WarmDir == "" {
 		return nil
 	}
@@ -213,71 +218,10 @@ func warmSession(b *Benchmark, client Client, opts RunOptions) *warm.Session {
 	}
 	st := warm.Open(opts.WarmDir, opts.Recorder)
 	return st.Session(b.Prog, warm.Config{
-		Client:   warmClient(client),
+		Client:   warm.Client(spec.Name),
 		K:        opts.K,
 		MaxIters: maxIters,
 		Timeout:  opts.Timeout,
-	})
-}
-
-func runTypestate(b *Benchmark, opts RunOptions, res *ClientResult, sess *warm.Session) error {
-	queries := b.Prog.TypestateQueries()
-	if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-		queries = queries[:opts.MaxQueries]
-	}
-	// Share the literal universe run-wide and the WP cache per tracked
-	// site, exactly as the batch driver does (the type-state WP depends on
-	// the analysis's site and may-point set, so only same-site jobs compute
-	// identical preconditions; both structures are concurrency-safe). The
-	// per-query loop otherwise re-derives every interned literal and WP DNF
-	// from scratch for each query on the same program.
-	uni := formula.NewUniverse(typestate.Theory{})
-	siteWPC := map[string]*meta.WPCache{}
-	for _, q := range queries {
-		if siteWPC[q.Site] == nil {
-			siteWPC[q.Site] = meta.NewWPCache()
-		}
-	}
-	return runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
-		job := b.Prog.TypestateJob(queries[i], opts.K)
-		job.Uni, job.WPC = uni, siteWPC[queries[i].Site]
-		job.NoDelta = opts.NoDelta
-		return queries[i].ID, queries[i].Key, job
-	})
-}
-
-func runEscape(b *Benchmark, opts RunOptions, res *ClientResult, sess *warm.Session) error {
-	queries := b.Prog.EscapeQueries()
-	if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-		queries = queries[:opts.MaxQueries]
-	}
-	// Share one literal universe and one WP cache across all queries of the
-	// run, as the batch driver does: the escape WP depends only on the atom
-	// and primitive, never on the query or the abstraction.
-	uni := formula.NewUniverse(escape.Theory{})
-	wpc := meta.NewWPCache()
-	return runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
-		job := b.Prog.EscapeJob(queries[i], opts.K)
-		job.Uni, job.WPC = uni, wpc
-		job.NoDelta = opts.NoDelta
-		return queries[i].ID, queries[i].Key, job
-	})
-}
-
-func runNullness(b *Benchmark, opts RunOptions, res *ClientResult, sess *warm.Session) error {
-	queries := b.Prog.NullnessQueries()
-	if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-		queries = queries[:opts.MaxQueries]
-	}
-	// As for escape: one literal universe and one WP cache run-wide — the
-	// nullness WP depends only on the atom and primitive.
-	uni := formula.NewUniverse(nullness.Theory{})
-	wpc := meta.NewWPCache()
-	return runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
-		job := b.Prog.NullnessJob(queries[i], opts.K)
-		job.Uni, job.WPC = uni, wpc
-		job.NoDelta = opts.NoDelta
-		return queries[i].ID, queries[i].Key, job
 	})
 }
 
@@ -370,40 +314,16 @@ func solveOne(id, key string, job core.Problem, opts RunOptions, sess *warm.Sess
 // across queries, so a per-query "exhausted under budget B" claim measured
 // inside a batch would not be comparable to any later run.
 func RunBatch(b *Benchmark, client Client, opts RunOptions) (*core.BatchResult, error) {
-	var bp core.BatchProblem
-	var keys []string
-	switch client {
-	case Typestate:
-		queries := b.Prog.TypestateQueries()
-		if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-			queries = queries[:opts.MaxQueries]
-		}
-		for _, q := range queries {
-			keys = append(keys, q.Key)
-		}
-		bp = driver.NewTypestateBatch(b.Prog, queries, opts.K)
-	case Escape:
-		queries := b.Prog.EscapeQueries()
-		if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-			queries = queries[:opts.MaxQueries]
-		}
-		for _, q := range queries {
-			keys = append(keys, q.Key)
-		}
-		bp = driver.NewEscapeBatch(b.Prog, queries, opts.K)
-	case Nullness:
-		queries := b.Prog.NullnessQueries()
-		if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
-			queries = queries[:opts.MaxQueries]
-		}
-		for _, q := range queries {
-			keys = append(keys, q.Key)
-		}
-		bp = driver.NewNullnessBatch(b.Prog, queries, opts.K)
-	default:
+	spec := specOf(client)
+	if spec == nil {
 		return nil, fmt.Errorf("bench: unknown client %q", client)
 	}
-	sess := warmSession(b, client, opts)
+	queries, bp := clientBatch(b, spec, opts)
+	keys := make([]string, len(queries))
+	for i, q := range queries {
+		keys[i] = q.Key
+	}
+	sess := warmSession(b, spec, opts)
 	copts := coreOpts(opts)
 	if sess != nil {
 		copts.SeedBatch = func(q int) []core.ParamCube { return sess.SeedFor(keys[q]) }

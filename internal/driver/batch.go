@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
@@ -16,228 +17,39 @@ import (
 	"tracer/internal/uset"
 )
 
-// EscapeBatch runs all generated thread-escape queries of a program through
-// core.SolveBatch. The thread-escape analysis is query-independent, so a
-// group's queries genuinely share one forward run.
-//
-// The batch is safe for the concurrent access pattern of the parallel
-// scheduler: every forward run and every query's backward job owns a fresh
-// analysis instance (interned state IDs are only meaningful within one
-// instance, and interning mutates the instance), while the parameter
-// universe is the program's site list, identical across instances. The
-// formula kernel's literal universe and the weakest-precondition cache are
-// the exception: the escape WP depends only on the atom and primitive, so
-// all backward jobs share one concurrency-safe formula.Universe and
-// meta.WPCache, letting workers reuse interned IDs, memoized theory bits,
-// and WP DNFs instead of re-deriving them per query.
-type EscapeBatch struct {
-	P       *Program
-	Queries []EscQuery
-	K       int
-
-	jobs []*escape.Job
-	uni  *formula.Universe
-	wpc  *meta.WPCache
+// Batch is one client's batch problem over a list of generated queries. Its
+// constructor states the client's cache-sharing policy once: the literal
+// universe is shared batch-wide, and the weakest-precondition cache among
+// the queries whose WP coincides (all of them for a query-independent
+// client, the queries tracking one site for type-state). Job hands out
+// standalone single-query problems under the same policy, so a per-query
+// run over the same queries shares exactly what the batch shares.
+type Batch interface {
+	core.BatchProblem
+	// Job builds a fresh single-query problem for query q; noDelta selects
+	// the cold forward executor.
+	Job(q int, noDelta bool) core.Problem
 }
 
-var _ core.BatchProblem = (*EscapeBatch)(nil)
-var _ core.ObsFlusher = (*EscapeBatch)(nil)
-
-// NewEscapeBatch builds the batch problem over the given queries.
-func NewEscapeBatch(p *Program, queries []EscQuery, k int) *EscapeBatch {
-	b := &EscapeBatch{P: p, Queries: queries, K: k,
-		uni: formula.NewUniverse(escape.Theory{}), wpc: meta.NewWPCache()}
-	for _, q := range queries {
-		b.jobs = append(b.jobs, &escape.Job{
-			A:   p.FreshEscapeAnalysis(),
-			G:   p.Low.G,
-			Q:   escape.Query{Nodes: q.Nodes, V: q.Var},
-			K:   k,
-			Uni: b.uni,
-			WPC: b.wpc,
-		})
+// escapeBatch builds the thread-escape batch over the given queries. The
+// escape analysis is query-independent, so a group's queries share one
+// forward run (see client.Batch).
+func escapeBatch(p *Program, queries []AccessQuery, k int) Batch {
+	qs := make([]escape.Query, len(queries))
+	for i, q := range queries {
+		qs[i] = escape.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	return b
+	return client.NewBatch(p.Low.G, p.FreshEscapeAnalysis, qs, k)
 }
 
-// FlushObs implements core.ObsFlusher for the shared literal universe.
-func (b *EscapeBatch) FlushObs(rec obs.Recorder) { meta.FlushUniverseObs(rec, b.uni) }
-
-func (b *EscapeBatch) NumParams() int  { return len(b.P.Sites) }
-func (b *EscapeBatch) NumQueries() int { return len(b.Queries) }
-
-// RunForward solves the whole program once under p. The run carries the
-// analysis instance that produced it: checks must resolve interned state
-// IDs against that instance. On a budget trip the run holds a partial
-// fixpoint; the scheduler discards that round's outcomes.
-//
-// Runs solve through a dataflow.Chain so they retain resumable state: the
-// scheduler may later hand the run back as a donor (RunForwardFrom), turning
-// the forward memo into a second-level cache over resumable executions.
-func (b *EscapeBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := b.P.FreshEscapeAnalysis()
-	ch := dataflow.NewChain[escape.State](b.P.Low.G)
-	r := &escapeRun{b: b, a: a, ch: ch}
-	r.res = ch.Solve(p, a.Initial(), a.TransferDep(p), bud)
-	r.resumes, r.reused, r.invalid = chainStats(ch)
-	return r
-}
-
-var _ core.DeltaBatchProblem = (*EscapeBatch)(nil)
-
-// RunForwardFrom solves under p by resuming the donor's retained execution
-// against the parameter flip. The donor is consumed: its chain (and analysis
-// instance, whose intern table the chain's memo is bound to) move to the new
-// run, and its result is dead.
-func (b *EscapeBatch) RunForwardFrom(bud *budget.Budget, p uset.Set, donor core.BatchRun, donorP uset.Set) core.BatchRun {
-	d, ok := donor.(*escapeRun)
-	if !ok || d.ch == nil {
-		return b.RunForward(bud, p)
+// nullnessBatch builds the null-dereference batch over the given queries;
+// like escape, the nullness analysis is query-independent.
+func nullnessBatch(p *Program, queries []AccessQuery, k int) Batch {
+	qs := make([]nullness.Query, len(queries))
+	for i, q := range queries {
+		qs[i] = nullness.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	r := &escapeRun{b: b, a: d.a, ch: d.ch}
-	d.ch, d.res = nil, nil
-	r.res = r.ch.Solve(p, r.a.Initial(), r.a.TransferDep(p), bud)
-	r.resumes, r.reused, r.invalid = chainStats(r.ch)
-	return r
-}
-
-// chainStats flattens a chain's last-solve accounting into counters.
-func chainStats[D comparable](ch *dataflow.Chain[D]) (resumes, reused, invalid int) {
-	resumed, ru, inv := ch.Stats()
-	if resumed {
-		resumes = 1
-	}
-	return resumes, ru, inv
-}
-
-type escapeRun struct {
-	b   *EscapeBatch
-	a   *escape.Analysis
-	ch  *dataflow.Chain[escape.State]
-	res *dataflow.Result[escape.State]
-
-	resumes, reused, invalid int
-}
-
-// DeltaStats implements core.DeltaRun; the counts are final at construction.
-func (r *escapeRun) DeltaStats() (int, int, int) { return r.resumes, r.reused, r.invalid }
-
-// Check is safe for concurrent calls: the solved result and its analysis
-// are read-only once RunForward returns.
-func (r *escapeRun) Check(q int) (bool, lang.Trace) {
-	job := r.b.jobs[q]
-	node, bad, found := escape.FindFailure(r.a, r.res, job.Q)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *escapeRun) Steps() int { return r.res.Steps }
-
-// Backward delegates to the per-query job; distinct queries may run
-// concurrently because each job owns its analysis instance, while the
-// shared literal universe and WP cache are concurrency-safe by design
-// (read-mostly lock plus copy-on-write snapshots; see formula.Universe).
-func (b *EscapeBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	return b.jobs[q].Backward(bud, p, t)
-}
-
-// NullnessBatch runs all generated null-dereference queries of a program
-// through core.SolveBatch. Like the escape client, the nullness analysis is
-// query-independent, so a group's queries genuinely share one forward run;
-// the same concurrency contract applies (fresh analysis instance per run and
-// per backward job, shared concurrency-safe literal universe and WP cache).
-type NullnessBatch struct {
-	P       *Program
-	Queries []NullQuery
-	K       int
-
-	jobs []*nullness.Job
-	uni  *formula.Universe
-	wpc  *meta.WPCache
-}
-
-var _ core.BatchProblem = (*NullnessBatch)(nil)
-var _ core.ObsFlusher = (*NullnessBatch)(nil)
-
-// NewNullnessBatch builds the batch problem over the given queries.
-func NewNullnessBatch(p *Program, queries []NullQuery, k int) *NullnessBatch {
-	b := &NullnessBatch{P: p, Queries: queries, K: k,
-		uni: formula.NewUniverse(nullness.Theory{}), wpc: meta.NewWPCache()}
-	for _, q := range queries {
-		b.jobs = append(b.jobs, &nullness.Job{
-			A:   p.FreshNullnessAnalysis(),
-			G:   p.Low.G,
-			Q:   nullness.Query{Nodes: q.Nodes, V: q.Var},
-			K:   k,
-			Uni: b.uni,
-			WPC: b.wpc,
-		})
-	}
-	return b
-}
-
-// FlushObs implements core.ObsFlusher for the shared literal universe.
-func (b *NullnessBatch) FlushObs(rec obs.Recorder) { meta.FlushUniverseObs(rec, b.uni) }
-
-func (b *NullnessBatch) NumParams() int  { return len(b.P.Locals) + len(b.P.Fields) }
-func (b *NullnessBatch) NumQueries() int { return len(b.Queries) }
-
-// RunForward solves the whole program once under p (see EscapeBatch).
-func (b *NullnessBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := b.P.FreshNullnessAnalysis()
-	ch := dataflow.NewChain[nullness.State](b.P.Low.G)
-	r := &nullnessRun{b: b, a: a, ch: ch}
-	r.res = ch.Solve(p, a.Initial(), a.TransferDep(p), bud)
-	r.resumes, r.reused, r.invalid = chainStats(ch)
-	return r
-}
-
-var _ core.DeltaBatchProblem = (*NullnessBatch)(nil)
-
-// RunForwardFrom solves under p by resuming the donor's retained execution
-// against the parameter flip. The donor is consumed.
-func (b *NullnessBatch) RunForwardFrom(bud *budget.Budget, p uset.Set, donor core.BatchRun, donorP uset.Set) core.BatchRun {
-	d, ok := donor.(*nullnessRun)
-	if !ok || d.ch == nil {
-		return b.RunForward(bud, p)
-	}
-	r := &nullnessRun{b: b, a: d.a, ch: d.ch}
-	d.ch, d.res = nil, nil
-	r.res = r.ch.Solve(p, r.a.Initial(), r.a.TransferDep(p), bud)
-	r.resumes, r.reused, r.invalid = chainStats(r.ch)
-	return r
-}
-
-type nullnessRun struct {
-	b   *NullnessBatch
-	a   *nullness.Analysis
-	ch  *dataflow.Chain[nullness.State]
-	res *dataflow.Result[nullness.State]
-
-	resumes, reused, invalid int
-}
-
-// DeltaStats implements core.DeltaRun; the counts are final at construction.
-func (r *nullnessRun) DeltaStats() (int, int, int) { return r.resumes, r.reused, r.invalid }
-
-// Check is safe for concurrent calls: the solved result and its analysis
-// are read-only once RunForward returns.
-func (r *nullnessRun) Check(q int) (bool, lang.Trace) {
-	job := r.b.jobs[q]
-	node, bad, found := nullness.FindFailure(r.a, r.res, job.Q)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *nullnessRun) Steps() int { return r.res.Steps }
-
-// Backward delegates to the per-query job (see EscapeBatch.Backward).
-func (b *NullnessBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	return b.jobs[q].Backward(bud, p, t)
+	return client.NewBatch(p.Low.G, p.FreshNullnessAnalysis, qs, k)
 }
 
 // TypestateBatch runs all generated type-state queries through
@@ -246,7 +58,7 @@ func (b *NullnessBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.T
 // paper's implementation tracks a separate abstract object per site within
 // one tabulation run; per-site solves over the same graph are equivalent).
 //
-// Like EscapeBatch, every run and every backward job owns fresh analysis
+// As in client.Batch, every run and every backward job owns fresh analysis
 // instances so the parallel scheduler's concurrent Check/Backward calls
 // never share an intern table. The formula kernel's literal universe is
 // shared batch-wide (the theory is stateless, so memoized theory bits are
@@ -258,38 +70,51 @@ type TypestateBatch struct {
 	Queries []TSQuery
 	K       int
 
-	prop *typestate.Property
+	prop    *typestate.Property
+	want    uset.Bits
+	uni     *formula.Universe
+	siteWPC map[string]*meta.WPCache
+
+	mu   sync.Mutex // guards jobs
 	jobs []*typestate.Job
-	uni  *formula.Universe
 }
 
-var _ core.BatchProblem = (*TypestateBatch)(nil)
+var _ Batch = (*TypestateBatch)(nil)
+var _ core.DeltaBatchProblem = (*TypestateBatch)(nil)
 var _ core.ObsFlusher = (*TypestateBatch)(nil)
 
 // NewTypestateBatch builds the batch problem over the given queries.
 func NewTypestateBatch(p *Program, queries []TSQuery, k int) *TypestateBatch {
-	b := &TypestateBatch{P: p, Queries: queries, K: k,
-		uni: formula.NewUniverse(typestate.Theory{})}
-	b.prop = typestate.StressProperty(p.stressMethods)
-	siteWPC := map[string]*meta.WPCache{}
+	prop := typestate.StressProperty(p.stressMethods)
+	b := &TypestateBatch{P: p, Queries: queries, K: k, prop: prop,
+		want:    uset.Bits(0).Add(prop.Init),
+		uni:     formula.NewUniverse(typestate.Theory{}),
+		siteWPC: map[string]*meta.WPCache{},
+		jobs:    make([]*typestate.Job, len(queries)),
+	}
 	for _, q := range queries {
-		a := typestate.New(b.prop, q.Site, p.Vars)
-		a.MayPoint = p.MayPoint(q.Site)
-		wpc := siteWPC[q.Site]
-		if wpc == nil {
-			wpc = meta.NewWPCache()
-			siteWPC[q.Site] = wpc
+		if b.siteWPC[q.Site] == nil {
+			b.siteWPC[q.Site] = meta.NewWPCache()
 		}
-		b.jobs = append(b.jobs, &typestate.Job{
-			A:   a,
-			G:   p.Low.G,
-			Q:   typestate.Query{Nodes: q.Nodes, Want: uset.Bits(0).Add(b.prop.Init)},
-			K:   k,
-			Uni: b.uni,
-			WPC: wpc,
-		})
 	}
 	return b
+}
+
+// Job builds a standalone problem for query q sharing the batch's universe
+// and its site's WP cache.
+func (b *TypestateBatch) Job(q int, noDelta bool) core.Problem { return b.newJob(q, noDelta) }
+
+func (b *TypestateBatch) newJob(q int, noDelta bool) *typestate.Job {
+	site := b.Queries[q].Site
+	return &typestate.Job{
+		A:       b.P.siteAnalysis(b.prop, site),
+		G:       b.P.Low.G,
+		Q:       typestate.Query{Nodes: b.Queries[q].Nodes, Want: b.want},
+		K:       b.K,
+		NoDelta: noDelta,
+		Uni:     b.uni,
+		WPC:     b.siteWPC[site],
+	}
 }
 
 // FlushObs implements core.ObsFlusher for the shared literal universe.
@@ -304,8 +129,6 @@ func (b *TypestateBatch) NumQueries() int { return len(b.Queries) }
 func (b *TypestateBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
 	return &typestateRun{b: b, bud: bud, p: p, perSite: map[string]*siteCell{}}
 }
-
-var _ core.DeltaBatchProblem = (*TypestateBatch)(nil)
 
 // RunForwardFrom returns a run seeded with the donor's per-site chains: each
 // site the new run is asked to solve resumes the donor's retained execution
@@ -370,12 +193,11 @@ func (r *typestateRun) solve(site string) *siteCell {
 			c.a, c.ch = dc.a, dc.ch
 			dc.ch, dc.res = nil, nil
 		} else {
-			c.a = typestate.New(r.b.prop, site, r.b.P.Vars)
-			c.a.MayPoint = r.b.P.MayPoint(site)
+			c.a = r.b.P.siteAnalysis(r.b.prop, site)
 			c.ch = dataflow.NewChain[typestate.State](r.b.P.Low.G)
 		}
 		c.res = c.ch.Solve(r.p, c.a.Initial(), c.a.TransferDep(r.p), r.bud)
-		resumes, reused, invalid := chainStats(c.ch)
+		resumes, reused, invalid := client.ChainStats(c.ch)
 		r.mu.Lock()
 		r.steps += c.res.Steps
 		r.resumes += resumes
@@ -397,9 +219,9 @@ func (r *typestateRun) DeltaStats() (int, int, int) {
 // Check is safe for concurrent calls with distinct queries; same-site
 // queries share one solve through the cell's once gate.
 func (r *typestateRun) Check(q int) (bool, lang.Trace) {
-	job := r.b.jobs[q]
-	c := r.solve(r.b.Queries[q].Site)
-	node, bad, found := typestate.FindFailure(c.a, c.res, job.Q)
+	query := r.b.Queries[q]
+	c := r.solve(query.Site)
+	node, bad, found := client.FindFailure(c.a, c.res, typestate.Query{Nodes: query.Nodes, Want: r.b.want})
 	if !found {
 		return true, nil
 	}
@@ -412,9 +234,16 @@ func (r *typestateRun) Steps() int {
 	return r.steps
 }
 
-// Backward delegates to the per-query job; distinct queries may run
-// concurrently because each job owns its analysis instance, while the
-// shared literal universe and per-site WP caches are concurrency-safe.
+// Backward delegates to the per-query job, built on first use and kept
+// across rounds; distinct queries may run concurrently because each job
+// owns its analysis instance, while the shared literal universe and
+// per-site WP caches are concurrency-safe.
 func (b *TypestateBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	return b.jobs[q].Backward(bud, p, t)
+	b.mu.Lock()
+	if b.jobs[q] == nil {
+		b.jobs[q] = b.newJob(q, false)
+	}
+	job := b.jobs[q]
+	b.mu.Unlock()
+	return job.Backward(bud, p, t)
 }

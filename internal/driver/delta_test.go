@@ -79,47 +79,59 @@ func checkDeltaPair(t *testing.T, label string, cold, delta core.Problem) {
 
 // TestDeltaMatchesColdInlining covers every registered client on the inlining
 // pipeline: the CEGAR loop's abstraction flips drive dataflow.Chain, and
-// the resolution must match a cold solve of every query exactly.
+// the resolution must match a cold solve of every query exactly. Each
+// instance comes from its own one-query batch, so the two share no cache.
 func TestDeltaMatchesColdInlining(t *testing.T) {
 	p := load(t)
-	for _, q := range p.TypestateQueries() {
-		cold := p.TypestateJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "typestate "+q.ID, cold, p.TypestateJob(q, 1))
-	}
-	for _, q := range p.EscapeQueries() {
-		cold := p.EscapeJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "escape "+q.ID, cold, p.EscapeJob(q, 1))
-	}
-	for _, q := range p.NullnessQueries() {
-		cold := p.NullnessJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "nullness "+q.ID, cold, p.NullnessJob(q, 1))
+	for _, spec := range Clients() {
+		for i, q := range spec.Queries(p) {
+			cold := spec.Batch(p, []int{i}, 1).Job(0, true)
+			delta := spec.Batch(p, []int{i}, 1).Job(0, false)
+			checkDeltaPair(t, spec.Name+" "+q.ID, cold, delta)
+		}
 	}
 }
 
-// TestDeltaMatchesColdRHS covers every registered client on the tabulation pipeline
+// rhsClient is one client's query generator and job constructor on the
+// tabulation pipeline.
+type rhsClient struct {
+	name    string
+	queries []RHSQuery
+	job     func(q RHSQuery, noDelta bool) core.Problem
+}
+
+// rhsClients lists every client on the tabulation pipeline.
+func rhsClients(p *RHSProgram) []rhsClient {
+	return []rhsClient{
+		{"typestate", p.TypestateQueries(), func(q RHSQuery, noDelta bool) core.Problem {
+			j := p.TypestateJob(q, 1)
+			j.NoDelta = noDelta
+			return j
+		}},
+		{"escape", p.EscapeQueries(), func(q RHSQuery, noDelta bool) core.Problem {
+			j := p.EscapeJob(q, 1)
+			j.NoDelta = noDelta
+			return j
+		}},
+		{"nullness", p.NullnessQueries(), func(q RHSQuery, noDelta bool) core.Problem {
+			j := p.NullnessJob(q, 1)
+			j.NoDelta = noDelta
+			return j
+		}},
+	}
+}
+
+// TestDeltaMatchesColdRHS covers every client on the tabulation pipeline
 // (rhs.Chain) over the recursive fixture the inliner rejects.
 func TestDeltaMatchesColdRHS(t *testing.T) {
 	p, err := LoadRHS(recursiveSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range p.TypestateQueries() {
-		cold := p.TypestateJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs typestate "+q.ID, cold, p.TypestateJob(q, 1))
-	}
-	for _, q := range p.EscapeQueries() {
-		cold := p.EscapeJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs escape "+q.ID, cold, p.EscapeJob(q, 1))
-	}
-	for _, q := range p.NullnessQueries() {
-		cold := p.NullnessJob(q, 1)
-		cold.NoDelta = true
-		checkDeltaPair(t, "rhs nullness "+q.ID, cold, p.NullnessJob(q, 1))
+	for _, c := range rhsClients(p) {
+		for _, q := range c.queries {
+			checkDeltaPair(t, "rhs "+c.name+" "+q.ID, c.job(q, true), c.job(q, false))
+		}
 	}
 }
 
@@ -148,21 +160,14 @@ func resolutions(rs []core.Result) []resolution {
 // shifts between forward runs without changing any verdict).
 func TestDeltaMatchesColdBatch(t *testing.T) {
 	p := load(t)
-	mk := map[string]func() core.BatchProblem{
-		"escape": func() core.BatchProblem {
-			return NewEscapeBatch(p, p.EscapeQueries(), 1)
-		},
-		"typestate": func() core.BatchProblem {
-			return NewTypestateBatch(p, p.TypestateQueries(), 1)
-		},
-		"nullness": func() core.BatchProblem {
-			return NewNullnessBatch(p, p.NullnessQueries(), 1)
-		},
-	}
-	for client, build := range mk {
+	for _, spec := range Clients() {
+		all := make([]int, len(spec.Queries(p)))
+		for i := range all {
+			all[i] = i
+		}
 		run := func(workers int, noDelta bool) ([]resolution, []obs.Event) {
 			cap := obs.NewCapture()
-			res, err := core.SolveBatch(build(), core.Options{
+			res, err := core.SolveBatch(spec.Batch(p, all, 1), core.Options{
 				Workers: workers, NoDelta: noDelta, Recorder: cap,
 			})
 			if err != nil {
@@ -173,7 +178,7 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 		wantRes, wantEvs := run(1, true)
 		for _, workers := range []int{1, 2, 4} {
 			for _, noDelta := range []bool{false, true} {
-				label := fmt.Sprintf("%s workers=%d nodelta=%t", client, workers, noDelta)
+				label := fmt.Sprintf("%s workers=%d nodelta=%t", spec.Name, workers, noDelta)
 				gotRes, gotEvs := run(workers, noDelta)
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("%s: resolutions %+v, reference %+v", label, gotRes, wantRes)

@@ -14,6 +14,7 @@ import (
 
 	"tracer/internal/escape"
 	"tracer/internal/ir"
+	"tracer/internal/lang"
 	"tracer/internal/nullness"
 	"tracer/internal/pointsto"
 	"tracer/internal/typestate"
@@ -24,23 +25,55 @@ import (
 // analyzed, mirroring how the paper poses no queries inside the JDK.
 const LibPrefix = "Lib"
 
-// Program is a loaded, lowered, and points-to-analyzed program.
-type Program struct {
-	IR  *ir.Program
-	PT  *pointsto.Result
-	Low *ir.Lowered
+// base is what both pipelines derive from the parsed program, its
+// points-to result, and the atoms of its lowered form.
+type base struct {
+	IR *ir.Program
+	PT *pointsto.Result
 
 	// Vars is the type-state parameter universe: the qualified pointer
 	// variables appearing in the lowered program, sorted.
 	Vars []string
-	// Locals, Fields, Sites are the thread-escape universes.
+	// Locals, Fields, Sites are the thread-escape universes; nullness cells
+	// are Locals and Fields.
 	Locals, Fields, Sites []string
 
 	// varPts maps qualified variable names to their may-point-to site sets.
 	varPts map[string]uset.Set
+	// stressMethods are the method names called from application code,
+	// sorted.
+	stressMethods []string
+}
+
+// newBase collects the universes from the lowered program's atoms; called
+// holds the method names of its application call sites.
+func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[string]bool) base {
+	b := base{IR: prog, PT: pt, varPts: map[string]uset.Set{}}
+	b.Vars = typestate.CollectVars(atoms)
+	b.Locals, b.Fields, b.Sites = escape.Universe(atoms)
+	for _, m := range pt.ReachableMethods() {
+		if m.Native {
+			continue
+		}
+		vars := append([]string{"this"}, m.Params...)
+		vars = append(vars, m.Locals...)
+		for _, v := range vars {
+			b.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
+		}
+	}
+	for name := range called {
+		b.stressMethods = append(b.stressMethods, name)
+	}
+	sort.Strings(b.stressMethods)
+	return b
+}
+
+// Program is a loaded, lowered, and points-to-analyzed program.
+type Program struct {
+	base
+	Low *ir.Lowered
 
 	escapeAnalysis *escape.Analysis
-	stressMethods  []string
 
 	// stmtKeysMemo and siteOwnerMemo back StmtKey/SiteOwner; both are
 	// built on first use (not thread-safe, like escapeAnalysis).
@@ -67,30 +100,13 @@ func Prepare(prog *ir.Program) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{IR: prog, PT: pt, Low: low, varPts: map[string]uset.Set{}}
-	p.Vars = typestate.CollectVars(low.G)
-	p.Locals, p.Fields, p.Sites = escape.Universe(low.G)
-	for _, m := range pt.ReachableMethods() {
-		if m.Native {
-			continue
-		}
-		vars := append([]string{"this"}, m.Params...)
-		vars = append(vars, m.Locals...)
-		for _, v := range vars {
-			p.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
-		}
-	}
-	methodSet := map[string]bool{}
+	called := map[string]bool{}
 	for _, cs := range low.Calls {
-		if p.IsApp(cs.Method) {
-			methodSet[cs.Stmt.Method] = true
+		if !isLib(cs.Method) {
+			called[cs.Stmt.Method] = true
 		}
 	}
-	for name := range methodSet {
-		p.stressMethods = append(p.stressMethods, name)
-	}
-	sort.Strings(p.stressMethods)
-	return p, nil
+	return &Program{base: newBase(prog, pt, low.G, called), Low: low}, nil
 }
 
 // StressMethods lists the application method names driving the generated
@@ -170,57 +186,47 @@ func (p *Program) EnvHash(methods []string) uint64 {
 }
 
 // IsApp reports whether a method belongs to application code.
-func (p *Program) IsApp(m *ir.Method) bool {
-	return !strings.HasPrefix(m.Class.Name, LibPrefix)
-}
+func (p *Program) IsApp(m *ir.Method) bool { return !isLib(m) }
 
-// isAppSite reports whether allocation site h occurs in application code.
-func (p *Program) isAppSite(h string) bool {
-	found := false
-	for _, m := range p.IR.Methods() {
-		if !p.IsApp(m) {
+func isLib(m *ir.Method) bool { return strings.HasPrefix(m.Class.Name, LibPrefix) }
+
+// appSites returns the allocation sites occurring in application code,
+// collected in one walk over the program.
+func appSites(prog *ir.Program) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range prog.Methods() {
+		if isLib(m) {
 			continue
 		}
-		walkStmts(m.Body, func(s ir.Stmt) {
-			if n, ok := s.(*ir.NewStmt); ok && n.Site == h {
-				found = true
+		ir.WalkStmts(m.Body, func(s ir.Stmt) {
+			if n, ok := s.(*ir.NewStmt); ok {
+				out[n.Site] = true
 			}
 		})
 	}
-	return found
-}
-
-func walkStmts(body []ir.Stmt, f func(ir.Stmt)) {
-	for _, s := range body {
-		f(s)
-		switch s := s.(type) {
-		case *ir.IfStmt:
-			walkStmts(s.Then, f)
-			walkStmts(s.Else, f)
-		case *ir.LoopStmt:
-			walkStmts(s.Body, f)
-		}
-	}
+	return out
 }
 
 // MayPoint returns the oracle "may qualified variable qv point to site h".
-func (p *Program) MayPoint(h string) func(qv string) bool {
-	id, ok := p.PT.Sites.Lookup(h)
+func (b *base) MayPoint(h string) func(qv string) bool {
+	id, ok := b.PT.Sites.Lookup(h)
 	if !ok {
 		return func(string) bool { return false }
 	}
-	return func(qv string) bool { return p.varPts[qv].Has(id) }
+	return func(qv string) bool { return b.varPts[qv].Has(id) }
 }
+
+// gen returns the client-independent view of a generated query; the typed
+// queries embed GenQuery and inherit it.
+func (q GenQuery) gen() GenQuery { return q }
 
 // TSQuery is a generated type-state query: at source call site Stmt, is
 // every object allocated at Site that the receiver may denote still in the
-// automaton's initial state?
+// automaton's initial state? Its Key is the position-independent identity
+// used by the warm-start store: unlike ID (which embeds line:col), it
+// survives reformatting and edits to other methods.
 type TSQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store: unlike ID (which embeds line:col), it survives reformatting
-	// and edits to other methods.
-	Key   string
+	GenQuery
 	Site  string
 	Stmt  *ir.CallStmt
 	Nodes []int
@@ -236,11 +242,7 @@ func (p *Program) TypestateQueries() []TSQuery {
 	}
 	nodes := map[key][]int{}
 	meta := map[key]ir.CallSite{}
-	appSite := map[string]bool{}
-	for i := 0; i < p.PT.Sites.Len(); i++ {
-		h := p.PT.Sites.Value(i)
-		appSite[h] = p.isAppSite(h)
-	}
+	appSite := appSites(p.IR)
 	for _, cs := range p.Low.Calls {
 		if !p.IsApp(cs.Method) {
 			continue
@@ -260,8 +262,10 @@ func (p *Program) TypestateQueries() []TSQuery {
 	for k, ns := range nodes {
 		sort.Ints(ns)
 		out = append(out, TSQuery{
-			ID:    fmt.Sprintf("ts:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.site),
-			Key:   "ts:" + p.StmtKey(k.stmt) + ":" + k.site,
+			GenQuery: GenQuery{
+				ID:  fmt.Sprintf("ts:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.site),
+				Key: "ts:" + p.StmtKey(k.stmt) + ":" + k.site,
+			},
 			Site:  k.site,
 			Stmt:  k.stmt,
 			Nodes: ns,
@@ -271,26 +275,30 @@ func (p *Program) TypestateQueries() []TSQuery {
 	return out
 }
 
+// siteAnalysis builds the type-state analysis of property prop tracking
+// site h.
+func (b *base) siteAnalysis(prop *typestate.Property, h string) *typestate.Analysis {
+	a := typestate.New(prop, h, b.Vars)
+	a.MayPoint = b.MayPoint(h)
+	return a
+}
+
 // TypestateJob builds the core.Problem for a generated stress query.
 func (p *Program) TypestateJob(q TSQuery, k int) *typestate.Job {
 	prop := typestate.StressProperty(p.stressMethods)
-	a := typestate.New(prop, q.Site, p.Vars)
-	a.MayPoint = p.MayPoint(q.Site)
 	return &typestate.Job{
-		A: a,
+		A: p.siteAnalysis(prop, q.Site),
 		G: p.Low.G,
 		Q: typestate.Query{Nodes: q.Nodes, Want: uset.Bits(0).Add(prop.Init)},
 		K: k,
 	}
 }
 
-// EscQuery is a generated thread-escape query: at source field access Stmt,
-// is the base pointer thread-local?
-type EscQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store (see TSQuery.Key).
-	Key   string
+// AccessQuery is a generated query at a source field access Stmt about its
+// base pointer: the escape client asks whether it is thread-local, the
+// nullness client whether it is definitely non-nil.
+type AccessQuery struct {
+	GenQuery
 	Var   string // qualified base variable
 	Stmt  ir.Stmt
 	Nodes []int
@@ -298,52 +306,14 @@ type EscQuery struct {
 
 // EscapeQueries generates one query per application field access, as §6
 // does for the datarace client.
-func (p *Program) EscapeQueries() []EscQuery {
-	type key struct {
-		stmt ir.Stmt
-		base string
-	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.FieldAccess{}
-	for _, fa := range p.Low.Accesses {
-		if !p.IsApp(fa.Method) {
-			continue
-		}
-		k := key{fa.Stmt, fa.Base}
-		nodes[k] = append(nodes[k], fa.Node)
-		meta[k] = fa
-	}
-	var out []EscQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, EscQuery{
-			ID:    fmt.Sprintf("esc:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.base),
-			Key:   "esc:" + p.StmtKey(k.stmt) + ":" + k.base,
-			Var:   k.base,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// NullQuery is a generated null-dereference query: at source field access
-// Stmt, is the base pointer definitely non-nil?
-type NullQuery struct {
-	ID string
-	// Key is the position-independent identity used by the warm-start
-	// store (see TSQuery.Key).
-	Key   string
-	Var   string // qualified base variable
-	Stmt  ir.Stmt
-	Nodes []int
-}
+func (p *Program) EscapeQueries() []AccessQuery { return p.accessQueries("esc") }
 
 // NullnessQueries generates one query per application field access — the
 // same dereference points the escape client guards, asked the null-safety
 // question instead.
-func (p *Program) NullnessQueries() []NullQuery {
+func (p *Program) NullnessQueries() []AccessQuery { return p.accessQueries("null") }
+
+func (p *Program) accessQueries(prefix string) []AccessQuery {
 	type key struct {
 		stmt ir.Stmt
 		base string
@@ -358,12 +328,14 @@ func (p *Program) NullnessQueries() []NullQuery {
 		nodes[k] = append(nodes[k], fa.Node)
 		meta[k] = fa
 	}
-	var out []NullQuery
+	var out []AccessQuery
 	for k, ns := range nodes {
 		sort.Ints(ns)
-		out = append(out, NullQuery{
-			ID:    fmt.Sprintf("null:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.base),
-			Key:   "null:" + p.StmtKey(k.stmt) + ":" + k.base,
+		out = append(out, AccessQuery{
+			GenQuery: GenQuery{
+				ID:  fmt.Sprintf("%s:%s:%s:%s", prefix, meta[k].Method.QualName(), k.stmt.Position(), k.base),
+				Key: prefix + ":" + p.StmtKey(k.stmt) + ":" + k.base,
+			},
 			Var:   k.base,
 			Stmt:  k.stmt,
 			Nodes: ns,
@@ -382,7 +354,7 @@ func (p *Program) FreshNullnessAnalysis() *nullness.Analysis {
 
 // NullnessJob builds the core.Problem for a generated nullness query. Each
 // job gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) NullnessJob(q NullQuery, k int) *nullness.Job {
+func (p *Program) NullnessJob(q AccessQuery, k int) *nullness.Job {
 	return &nullness.Job{
 		A: p.FreshNullnessAnalysis(),
 		G: p.Low.G,
@@ -410,7 +382,7 @@ func (p *Program) FreshEscapeAnalysis() *escape.Analysis {
 
 // EscapeJob builds the core.Problem for a generated escape query. Each job
 // gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) EscapeJob(q EscQuery, k int) *escape.Job {
+func (p *Program) EscapeJob(q AccessQuery, k int) *escape.Job {
 	return &escape.Job{
 		A: p.FreshEscapeAnalysis(),
 		G: p.Low.G,
@@ -429,7 +401,7 @@ func (p *Program) ExplicitEscapeJobs(k int) map[string]*escape.Job {
 		}
 		job := out[q.Name]
 		if job == nil {
-			job = p.EscapeJob(EscQuery{Var: q.Var}, k)
+			job = p.EscapeJob(AccessQuery{Var: q.Var}, k)
 			out[q.Name] = job
 		}
 		job.Q.Nodes = append(job.Q.Nodes, q.Node)
@@ -446,33 +418,41 @@ func (p *Program) ExplicitTypestateJobs(prop *typestate.Property, k int) (map[st
 		if q.Kind != ir.QueryTypestate {
 			continue
 		}
-		var want uset.Bits
-		for _, s := range q.States {
-			found := false
-			for i, name := range prop.States {
-				if name == s {
-					want = want.Add(i)
-					found = true
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("driver: query %s: unknown automaton state %q", q.Name, s)
-			}
+		want, err := wantStates(prop, q.Name, q.States)
+		if err != nil {
+			return nil, err
 		}
 		for _, hid := range p.varPts[q.Var].Elems() {
 			h := p.PT.Sites.Value(hid)
 			keyName := q.Name + "@" + h
 			job := out[keyName]
 			if job == nil {
-				a := typestate.New(prop, h, p.Vars)
-				a.MayPoint = p.MayPoint(h)
-				job = &typestate.Job{A: a, G: p.Low.G, Q: typestate.Query{Want: want}, K: k}
+				job = &typestate.Job{A: p.siteAnalysis(prop, h), G: p.Low.G, Q: typestate.Query{Want: want}, K: k}
 				out[keyName] = job
 			}
 			job.Q.Nodes = append(job.Q.Nodes, q.Node)
 		}
 	}
 	return out, nil
+}
+
+// wantStates resolves an explicit type-state query's state names against
+// the property's automaton.
+func wantStates(prop *typestate.Property, query string, states []string) (uset.Bits, error) {
+	var want uset.Bits
+	for _, s := range states {
+		found := false
+		for i, name := range prop.States {
+			if name == s {
+				want = want.Add(i)
+				found = true
+			}
+		}
+		if !found {
+			return 0, fmt.Errorf("driver: query %s: unknown automaton state %q", query, s)
+		}
+	}
+	return want, nil
 }
 
 // Stats summarizes program size for Table 1.

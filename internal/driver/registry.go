@@ -19,10 +19,8 @@ type GenQuery struct {
 }
 
 // ClientSpec describes one parametric analysis client to every layer above
-// the driver. The registry replaces the hard-coded two-way client switches
-// that had calcified across the stack; adding a client means implementing
-// the client contract (Theory, TransferDep with signed dependency literals,
-// WP atoms, FindFailure) and appending one entry here.
+// the driver. Adding a client means implementing the client.Analysis
+// contract and appending one entry here.
 type ClientSpec struct {
 	// Name is the wire name of the client ("typestate", "escape",
 	// "nullness"); the warm store's Client values coincide with it.
@@ -36,7 +34,7 @@ type ClientSpec struct {
 	// Job builds the core.Problem for query index i (into Queries' order).
 	Job func(p *Program, i, k int) core.Problem
 	// Batch builds the batch problem over the query indices idx.
-	Batch func(p *Program, idx []int, k int) core.BatchProblem
+	Batch func(p *Program, idx []int, k int) Batch
 	// ParamNames lists the client's parameter universe in parameter-index
 	// order; the warm store names stored clauses with it.
 	ParamNames func(p *Program) []string
@@ -46,30 +44,46 @@ type ClientSpec struct {
 	WarmConfExtra func(p *Program) string
 }
 
+// typed holds the constructors of one client over its typed queries Qy,
+// from which spec derives the index-addressed registry entry.
+type typed[Qy interface{ gen() GenQuery }] struct {
+	queries func(*Program) []Qy
+	job     func(*Program, Qy, int) core.Problem
+	batch   func(*Program, []Qy, int) Batch
+}
+
+func (t typed[Qy]) spec(s ClientSpec) *ClientSpec {
+	s.Queries = func(p *Program) []GenQuery {
+		qs := t.queries(p)
+		out := make([]GenQuery, len(qs))
+		for i, q := range qs {
+			out[i] = q.gen()
+		}
+		return out
+	}
+	s.Job = func(p *Program, i, k int) core.Problem { return t.job(p, t.queries(p)[i], k) }
+	s.Batch = func(p *Program, idx []int, k int) Batch {
+		all := t.queries(p)
+		qs := make([]Qy, 0, len(idx))
+		for _, i := range idx {
+			qs = append(qs, all[i])
+		}
+		return t.batch(p, qs, k)
+	}
+	return &s
+}
+
+func noConfExtra(*Program) string { return "" }
+
 // clientSpecs is the registry, in stable presentation order.
 var clientSpecs = []*ClientSpec{
-	{
-		Name:      "typestate",
-		BenchName: "type-state",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.TypestateQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
-			}
-			return out
-		},
-		Job: func(p *Program, i, k int) core.Problem {
-			return p.TypestateJob(p.TypestateQueries()[i], k)
-		},
-		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.TypestateQueries()
-			qs := make([]TSQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
-			}
-			return NewTypestateBatch(p, qs, k)
-		},
+	typed[TSQuery]{
+		queries: (*Program).TypestateQueries,
+		job:     func(p *Program, q TSQuery, k int) core.Problem { return p.TypestateJob(q, k) },
+		batch:   func(p *Program, qs []TSQuery, k int) Batch { return NewTypestateBatch(p, qs, k) },
+	}.spec(ClientSpec{
+		Name:       "typestate",
+		BenchName:  "type-state",
 		ParamNames: func(p *Program) []string { return p.Vars },
 		// The stress property's method list is whole-program state for the
 		// type-state client: an edit that introduces a new called method name
@@ -77,54 +91,24 @@ var clientSpecs = []*ClientSpec{
 		WarmConfExtra: func(p *Program) string {
 			return fmt.Sprintf("|stress=%08x", fnv32String(strings.Join(p.StressMethods(), ",")))
 		},
-	},
-	{
-		Name:      "escape",
-		BenchName: "thread-escape",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.EscapeQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
-			}
-			return out
-		},
-		Job: func(p *Program, i, k int) core.Problem {
-			return p.EscapeJob(p.EscapeQueries()[i], k)
-		},
-		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.EscapeQueries()
-			qs := make([]EscQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
-			}
-			return NewEscapeBatch(p, qs, k)
-		},
+	}),
+	typed[AccessQuery]{
+		queries: (*Program).EscapeQueries,
+		job:     func(p *Program, q AccessQuery, k int) core.Problem { return p.EscapeJob(q, k) },
+		batch:   escapeBatch,
+	}.spec(ClientSpec{
+		Name:          "escape",
+		BenchName:     "thread-escape",
 		ParamNames:    func(p *Program) []string { return p.Sites },
-		WarmConfExtra: func(p *Program) string { return "" },
-	},
-	{
+		WarmConfExtra: noConfExtra,
+	}),
+	typed[AccessQuery]{
+		queries: (*Program).NullnessQueries,
+		job:     func(p *Program, q AccessQuery, k int) core.Problem { return p.NullnessJob(q, k) },
+		batch:   nullnessBatch,
+	}.spec(ClientSpec{
 		Name:      "nullness",
 		BenchName: "null-deref",
-		Queries: func(p *Program) []GenQuery {
-			qs := p.NullnessQueries()
-			out := make([]GenQuery, len(qs))
-			for i, q := range qs {
-				out[i] = GenQuery{ID: q.ID, Key: q.Key}
-			}
-			return out
-		},
-		Job: func(p *Program, i, k int) core.Problem {
-			return p.NullnessJob(p.NullnessQueries()[i], k)
-		},
-		Batch: func(p *Program, idx []int, k int) core.BatchProblem {
-			all := p.NullnessQueries()
-			qs := make([]NullQuery, 0, len(idx))
-			for _, i := range idx {
-				qs = append(qs, all[i])
-			}
-			return NewNullnessBatch(p, qs, k)
-		},
 		// Cell order matches nullness.Analysis parameter indices: locals
 		// first (sorted), then field cells with the "." prefix.
 		ParamNames: func(p *Program) []string {
@@ -135,8 +119,8 @@ var clientSpecs = []*ClientSpec{
 			}
 			return out
 		},
-		WarmConfExtra: func(p *Program) string { return "" },
-	},
+		WarmConfExtra: noConfExtra,
+	}),
 }
 
 // Clients returns the registered client specs in stable order. The slice is

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
-	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
 	"tracer/internal/lang"
@@ -25,15 +25,8 @@ import (
 // and TRACER — is shared with the inlining pipeline, since both produce
 // flat counterexample traces over the same atoms.
 type RHSProgram struct {
-	IR *ir.Program
-	PT *pointsto.Result
+	base
 	SP *rhs.Program
-
-	Vars                  []string
-	Locals, Fields, Sites []string
-
-	varPts        map[string]uset.Set
-	stressMethods []string
 }
 
 // LoadRHS parses src and prepares the tabulation pipeline.
@@ -50,269 +43,32 @@ func LoadRHS(src string) (*RHSProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &RHSProgram{IR: prog, PT: pt, SP: sp, varPts: map[string]uset.Set{}}
-	flat := sp.G.AtomsCFG()
-	p.Vars = typestate.CollectVars(flat)
-	p.Locals, p.Fields, p.Sites = escape.Universe(flat)
-	for _, m := range pt.ReachableMethods() {
-		if m.Native {
-			continue
-		}
-		vars := append([]string{"this"}, m.Params...)
-		vars = append(vars, m.Locals...)
-		for _, v := range vars {
-			p.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
-		}
-	}
-	methodSet := map[string]bool{}
+	called := map[string]bool{}
 	for _, cs := range sp.Calls {
 		if !isLib(cs.Method) {
-			methodSet[cs.Stmt.Method] = true
+			called[cs.Stmt.Method] = true
 		}
 	}
-	for name := range methodSet {
-		p.stressMethods = append(p.stressMethods, name)
-	}
-	sort.Strings(p.stressMethods)
-	return p, nil
+	return &RHSProgram{base: newBase(prog, pt, sp.G.AtomsCFG(), called), SP: sp}, nil
 }
 
-func isLib(m *ir.Method) bool {
-	return len(m.Class.Name) >= len(LibPrefix) && m.Class.Name[:len(LibPrefix)] == LibPrefix
-}
-
-// mayPoint builds the per-site oracle.
-func (p *RHSProgram) mayPoint(h string) func(qv string) bool {
-	id, ok := p.PT.Sites.Lookup(h)
-	if !ok {
-		return func(string) bool { return false }
-	}
-	return func(qv string) bool { return p.varPts[qv].Has(id) }
-}
-
-// rhsForward is the shared forward runner: solve the supergraph and scan
-// the query points for a violating fact, picking the first one in
-// tabulation (discovery) order — a pure function of the supergraph and the
-// abstraction, independent of the analysis instance's intern history, so
-// the choice is stable between cold and delta-incremental solves. A budget
-// trip mid-tabulation yields an unproved partial outcome (a partial
-// tabulation's "no failure found" is not a proof).
-func rhsForward[D comparable](
-	g *rhs.Graph, dI D, tr dataflow.Transfer[D],
-	points []rhs.Point,
-	holds func(d D) bool,
-	rec obs.Recorder,
-	bud *budget.Budget,
-) core.Outcome {
-	return rhsScan(rhs.SolveBudget(g, dI, tr, rec, bud), points, holds, bud)
-}
-
-// rhsScan is the query-point scan shared by the cold and delta forward
-// paths: first violating fact in tabulation order, as for rhsForward.
-func rhsScan[D comparable](res *rhs.Result[D], points []rhs.Point, holds func(d D) bool, bud *budget.Budget) core.Outcome {
-	if bud.Tripped() {
-		return core.Outcome{Steps: res.Steps}
-	}
-	for _, pt := range points {
-		for _, d := range res.States(pt.Method, pt.Node) {
-			if !holds(d) {
-				return core.Outcome{Trace: res.Witness(pt.Method, pt.Node, d), Steps: res.Steps}
-			}
-		}
-	}
-	return core.Outcome{Proved: true, Steps: 0}
-}
-
-// RHSEscapeJob poses one thread-escape query against the tabulation
-// backend. The backward meta-analysis is delegated to the standard job:
-// both backends produce flat traces of the same atoms.
-type RHSEscapeJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	V      string
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[escape.State]]
-	inner *escape.Job
-}
-
-var _ core.Problem = (*RHSEscapeJob)(nil)
-
-// NewRHSEscapeJob builds a query job for variable v at the given points.
-func (p *RHSProgram) NewRHSEscapeJob(v string, points []rhs.Point, k int) *RHSEscapeJob {
-	a := escape.New(p.Locals, p.Fields, p.Sites)
-	return &RHSEscapeJob{
-		P: p, Points: points, V: v, K: k,
-		inner: &escape.Job{A: a, Q: escape.Query{V: v}, K: k},
-	}
-}
-
-func (j *RHSEscapeJob) NumParams() int         { return j.inner.A.Sites.Len() }
-func (j *RHSEscapeJob) ParamName(i int) string { return j.inner.A.Sites.Value(i) }
-
-// Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set. The
-// chain is checked out for the duration of the solve (a panic abandons it;
-// the next iteration starts a fresh one).
-func (j *RHSEscapeJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d escape.State) bool { return a.Holds(j.inner.Q, d) }
-	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
-	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = rhs.NewChain[escape.State](j.P.SP.G)
-	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
-	j.chain.Store(ch)
-	return out
-}
-
-// Backward delegates to the standard escape job.
-func (j *RHSEscapeJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSNullnessJob poses one null-dereference query against the tabulation
-// backend. As for escape, the backward meta-analysis is delegated to the
-// standard job: both backends produce flat traces of the same atoms.
-type RHSNullnessJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	V      string
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[nullness.State]]
-	inner *nullness.Job
-}
-
-var _ core.Problem = (*RHSNullnessJob)(nil)
-
-// NewRHSNullnessJob builds a query job for variable v at the given points.
-func (p *RHSProgram) NewRHSNullnessJob(v string, points []rhs.Point, k int) *RHSNullnessJob {
-	a := nullness.New(p.Locals, p.Fields)
-	return &RHSNullnessJob{
-		P: p, Points: points, V: v, K: k,
-		inner: &nullness.Job{A: a, Q: nullness.Query{V: v}, K: k},
-	}
-}
-
-func (j *RHSNullnessJob) NumParams() int         { return j.inner.A.NumParams() }
-func (j *RHSNullnessJob) ParamName(i int) string { return j.inner.A.CellName(i) }
-
-// Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set.
-func (j *RHSNullnessJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d nullness.State) bool { return a.Holds(j.inner.Q, d) }
-	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
-	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = rhs.NewChain[nullness.State](j.P.SP.G)
-	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
-	j.chain.Store(ch)
-	return out
-}
-
-// Backward delegates to the standard nullness job.
-func (j *RHSNullnessJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSTypestateJob poses one type-state query against the tabulation
-// backend.
-type RHSTypestateJob struct {
-	P      *RHSProgram
-	Points []rhs.Point
-	K      int
-	// Rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
-	Rec obs.Recorder
-	// NoDelta disables the delta-incremental tabulation chain; every forward
-	// solve then runs cold.
-	NoDelta bool
-
-	chain atomic.Pointer[rhs.Chain[typestate.State]]
-	inner *typestate.Job
-}
-
-var _ core.Problem = (*RHSTypestateJob)(nil)
-
-// NewRHSTypestateJob builds a job for the given property, tracked site, and
-// wanted automaton states.
-func (p *RHSProgram) NewRHSTypestateJob(prop *typestate.Property, site string, want uset.Bits, points []rhs.Point, k int) *RHSTypestateJob {
-	a := typestate.New(prop, site, p.Vars)
-	a.MayPoint = p.mayPoint(site)
-	return &RHSTypestateJob{
-		P: p, Points: points, K: k,
-		inner: &typestate.Job{A: a, Q: typestate.Query{Want: want}, K: k},
-	}
-}
-
-func (j *RHSTypestateJob) NumParams() int         { return j.inner.A.Vars.Len() }
-func (j *RHSTypestateJob) ParamName(i int) string { return j.inner.A.Vars.Value(i) }
-
-// Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set.
-func (j *RHSTypestateJob) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	a := j.inner.A
-	holds := func(d typestate.State) bool { return j.inner.Q.Holds(d) }
-	if j.NoDelta {
-		return rhsForward(j.P.SP.G, a.Initial(), a.Transfer(p), j.Points, holds, j.Rec, b)
-	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = rhs.NewChain[typestate.State](j.P.SP.G)
-	}
-	res := ch.Solve(p, a.Initial(), a.TransferDep(p), j.Rec, b)
-	out := rhsScan(res, j.Points, holds, b)
-	j.chain.Store(ch)
-	return out
-}
-
-// Backward delegates to the standard type-state job.
-func (j *RHSTypestateJob) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	return j.inner.Backward(b, p, t)
-}
-
-// RHSTSQuery is a generated type-state query for the tabulation backend.
-type RHSTSQuery struct {
+// RHSQuery is a generated query for the tabulation backend: Site is the
+// tracked site of a type-state query, Var the base variable of an escape or
+// nullness query. With the supergraph, each source statement has exactly
+// one point.
+type RHSQuery struct {
 	ID     string
 	Site   string
-	Stmt   *ir.CallStmt
+	Var    string
+	Stmt   ir.Stmt
 	Points []rhs.Point
 }
 
 // TypestateQueries generates the §6 stress queries: one per (application
-// call site, application site the receiver may reach). With the
-// supergraph, each source call statement has exactly one point.
-func (p *RHSProgram) TypestateQueries() []RHSTSQuery {
-	appSite := map[string]bool{}
-	for _, m := range p.IR.Methods() {
-		if isLib(m) {
-			continue
-		}
-		collectSites(m.Body, appSite)
-	}
-	var out []RHSTSQuery
+// call site, application site the receiver may reach).
+func (p *RHSProgram) TypestateQueries() []RHSQuery {
+	appSite := appSites(p.IR)
+	var out []RHSQuery
 	for _, cs := range p.SP.Calls {
 		if isLib(cs.Method) {
 			continue
@@ -322,7 +78,7 @@ func (p *RHSProgram) TypestateQueries() []RHSTSQuery {
 			if !appSite[h] {
 				continue
 			}
-			out = append(out, RHSTSQuery{
+			out = append(out, RHSQuery{
 				ID:     fmt.Sprintf("ts:%s:%s:%s", cs.Method.QualName(), cs.Stmt.Position(), h),
 				Site:   h,
 				Stmt:   cs.Stmt,
@@ -334,77 +90,21 @@ func (p *RHSProgram) TypestateQueries() []RHSTSQuery {
 	return out
 }
 
-func collectSites(body []ir.Stmt, out map[string]bool) {
-	for _, s := range body {
-		switch s := s.(type) {
-		case *ir.NewStmt:
-			out[s.Site] = true
-		case *ir.IfStmt:
-			collectSites(s.Then, out)
-			collectSites(s.Else, out)
-		case *ir.LoopStmt:
-			collectSites(s.Body, out)
-		}
-	}
-}
-
-// TypestateJob builds the tabulation job for a generated stress query.
-func (p *RHSProgram) TypestateJob(q RHSTSQuery, k int) *RHSTypestateJob {
-	prop := typestate.StressProperty(p.stressMethods)
-	return p.NewRHSTypestateJob(prop, q.Site, uset.Bits(0).Add(prop.Init), q.Points, k)
-}
-
-// RHSEscQuery is a generated thread-escape query for the tabulation
-// backend.
-type RHSEscQuery struct {
-	ID     string
-	Var    string
-	Stmt   ir.Stmt
-	Points []rhs.Point
-}
-
 // EscapeQueries generates one query per application field access.
-func (p *RHSProgram) EscapeQueries() []RHSEscQuery {
-	var out []RHSEscQuery
-	for _, fa := range p.SP.Accesses {
-		if isLib(fa.Method) {
-			continue
-		}
-		out = append(out, RHSEscQuery{
-			ID:     fmt.Sprintf("esc:%s:%s:%s", fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
-			Var:    fa.Base,
-			Stmt:   fa.Stmt,
-			Points: []rhs.Point{fa.At},
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// EscapeJob builds the tabulation job for a generated escape query.
-func (p *RHSProgram) EscapeJob(q RHSEscQuery, k int) *RHSEscapeJob {
-	return p.NewRHSEscapeJob(q.Var, q.Points, k)
-}
-
-// RHSNullQuery is a generated null-dereference query for the tabulation
-// backend.
-type RHSNullQuery struct {
-	ID     string
-	Var    string
-	Stmt   ir.Stmt
-	Points []rhs.Point
-}
+func (p *RHSProgram) EscapeQueries() []RHSQuery { return p.accessQueries("esc") }
 
 // NullnessQueries generates one query per application field access: the
 // dereferenced base must be non-nil at the access point.
-func (p *RHSProgram) NullnessQueries() []RHSNullQuery {
-	var out []RHSNullQuery
+func (p *RHSProgram) NullnessQueries() []RHSQuery { return p.accessQueries("null") }
+
+func (p *RHSProgram) accessQueries(prefix string) []RHSQuery {
+	var out []RHSQuery
 	for _, fa := range p.SP.Accesses {
 		if isLib(fa.Method) {
 			continue
 		}
-		out = append(out, RHSNullQuery{
-			ID:     fmt.Sprintf("null:%s:%s:%s", fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
+		out = append(out, RHSQuery{
+			ID:     fmt.Sprintf("%s:%s:%s:%s", prefix, fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
 			Var:    fa.Base,
 			Stmt:   fa.Stmt,
 			Points: []rhs.Point{fa.At},
@@ -414,9 +114,107 @@ func (p *RHSProgram) NullnessQueries() []RHSNullQuery {
 	return out
 }
 
+// RHSJob poses one query against the summary-based tabulation backend,
+// which also handles recursive call graphs. The backward meta-analysis is
+// the inlining job's: both backends produce flat counterexample traces of
+// the same atoms, so Inner needs no CFG.
+type RHSJob[D comparable, Q client.Query, A client.Analysis[D, Q]] struct {
+	G      *rhs.Graph
+	Points []rhs.Point
+	Inner  *client.Job[D, Q, A]
+	// NoDelta disables the delta-incremental tabulation chain; every forward
+	// solve then runs cold.
+	NoDelta bool
+
+	// rec, when set, receives the tabulation solver's per-run counters and
+	// timings (see rhs.SolveObs).
+	rec   obs.Recorder
+	chain atomic.Pointer[rhs.Chain[D]]
+}
+
+func (j *RHSJob[D, Q, A]) NumParams() int         { return j.Inner.NumParams() }
+func (j *RHSJob[D, Q, A]) ParamName(i int) string { return j.Inner.ParamName(i) }
+
+// Observe routes the tabulation solver's telemetry to rec.
+func (j *RHSJob[D, Q, A]) Observe(rec obs.Recorder) { j.rec = rec }
+
+// Forward solves the supergraph under abstraction p, resuming the job's
+// retained tabulation across CEGAR iterations unless NoDelta is set. The
+// chain is checked out for the duration of the solve (a panic abandons it;
+// the next iteration starts a fresh one).
+func (j *RHSJob[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
+	a := j.Inner.A
+	if j.NoDelta {
+		return j.scan(rhs.SolveBudget(j.G, a.Initial(), a.Transfer(p), j.rec, b), b)
+	}
+	ch := j.chain.Swap(nil)
+	if ch == nil {
+		ch = rhs.NewChain[D](j.G)
+	}
+	out := j.scan(ch.Solve(p, a.Initial(), a.TransferDep(p), j.rec, b), b)
+	if resumed, reused, _ := ch.Stats(); resumed {
+		out.Reused = reused
+	}
+	j.chain.Store(ch)
+	return out
+}
+
+// scan checks the query points of a tabulation, picking the first violating
+// fact in tabulation (discovery) order — a pure function of the supergraph
+// and the abstraction, independent of the analysis instance's intern
+// history, so the choice is stable between cold and delta-incremental
+// solves. A budget trip mid-tabulation yields an unproved partial outcome
+// (a partial tabulation's "no failure found" is not a proof).
+func (j *RHSJob[D, Q, A]) scan(res *rhs.Result[D], b *budget.Budget) core.Outcome {
+	if b.Tripped() {
+		return core.Outcome{Steps: res.Steps}
+	}
+	a, q := j.Inner.A, j.Inner.Q
+	for _, pt := range j.Points {
+		for _, d := range res.States(pt.Method, pt.Node) {
+			if !a.Holds(q, d) {
+				return core.Outcome{Trace: res.Witness(pt.Method, pt.Node, d), Steps: res.Steps}
+			}
+		}
+	}
+	return core.Outcome{Proved: true, Steps: res.Steps}
+}
+
+// Backward delegates to the inlining job.
+func (j *RHSJob[D, Q, A]) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
+	return j.Inner.Backward(b, p, t)
+}
+
+// newRHSJob poses inner's query at points of the program's supergraph.
+func newRHSJob[D comparable, Q client.Query, A client.Analysis[D, Q]](p *RHSProgram, points []rhs.Point, inner *client.Job[D, Q, A]) *RHSJob[D, Q, A] {
+	return &RHSJob[D, Q, A]{G: p.SP.G, Points: points, Inner: inner}
+}
+
+// typestateJob builds a tabulation job for the given property, tracked
+// site, and wanted automaton states.
+func (p *RHSProgram) typestateJob(prop *typestate.Property, site string, want uset.Bits, points []rhs.Point, k int) *RHSJob[typestate.State, typestate.Query, *typestate.Analysis] {
+	return newRHSJob(p, points, &typestate.Job{A: p.siteAnalysis(prop, site), Q: typestate.Query{Want: want}, K: k})
+}
+
+// escapeJob builds a tabulation job asking whether v is thread-local.
+func (p *RHSProgram) escapeJob(v string, points []rhs.Point, k int) *RHSJob[escape.State, escape.Query, *escape.Analysis] {
+	return newRHSJob(p, points, &escape.Job{A: escape.New(p.Locals, p.Fields, p.Sites), Q: escape.Query{V: v}, K: k})
+}
+
+// TypestateJob builds the tabulation job for a generated stress query.
+func (p *RHSProgram) TypestateJob(q RHSQuery, k int) *RHSJob[typestate.State, typestate.Query, *typestate.Analysis] {
+	prop := typestate.StressProperty(p.stressMethods)
+	return p.typestateJob(prop, q.Site, uset.Bits(0).Add(prop.Init), q.Points, k)
+}
+
+// EscapeJob builds the tabulation job for a generated escape query.
+func (p *RHSProgram) EscapeJob(q RHSQuery, k int) *RHSJob[escape.State, escape.Query, *escape.Analysis] {
+	return p.escapeJob(q.Var, q.Points, k)
+}
+
 // NullnessJob builds the tabulation job for a generated nullness query.
-func (p *RHSProgram) NullnessJob(q RHSNullQuery, k int) *RHSNullnessJob {
-	return p.NewRHSNullnessJob(q.Var, q.Points, k)
+func (p *RHSProgram) NullnessJob(q RHSQuery, k int) *RHSJob[nullness.State, nullness.Query, *nullness.Analysis] {
+	return newRHSJob(p, q.Points, &nullness.Job{A: nullness.New(p.Locals, p.Fields), Q: nullness.Query{V: q.Var}, K: k})
 }
 
 // ExplicitJobs builds jobs for the program's explicit query statements:
@@ -432,25 +230,16 @@ func (p *RHSProgram) ExplicitJobs(prop *typestate.Property, k int) (map[string]c
 			escPoints[q.Name] = append(escPoints[q.Name], q.At)
 			escVar[q.Name] = q.Var
 		case ir.QueryTypestate:
-			var want uset.Bits
-			for _, s := range q.States {
-				found := false
-				for i, name := range prop.States {
-					if name == s {
-						want = want.Add(i)
-						found = true
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("driver: query %s: unknown automaton state %q", q.Name, s)
-				}
+			want, err := wantStates(prop, q.Name, q.States)
+			if err != nil {
+				return nil, err
 			}
 			for _, hid := range p.varPts[q.Var].Elems() {
 				h := p.PT.Sites.Value(hid)
 				key := q.Name + "@" + h
-				job, ok := out[key].(*RHSTypestateJob)
+				job, ok := out[key].(*RHSJob[typestate.State, typestate.Query, *typestate.Analysis])
 				if !ok {
-					job = p.NewRHSTypestateJob(prop, h, want, nil, k)
+					job = p.typestateJob(prop, h, want, nil, k)
 					out[key] = job
 				}
 				job.Points = append(job.Points, q.At)
@@ -458,7 +247,7 @@ func (p *RHSProgram) ExplicitJobs(prop *typestate.Property, k int) (map[string]c
 		}
 	}
 	for name, points := range escPoints {
-		out[name] = p.NewRHSEscapeJob(escVar[name], points, k)
+		out[name] = p.escapeJob(escVar[name], points, k)
 	}
 	return out, nil
 }

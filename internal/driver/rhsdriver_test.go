@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"tracer/internal/budget"
 	"tracer/internal/core"
 	"tracer/internal/typestate"
+	"tracer/internal/uset"
 )
 
 // recursiveSrc builds a linked structure through recursion — the inlining
@@ -145,5 +147,48 @@ func TestRHSMatchesInlinerOutcomes(t *testing.T) {
 		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
 			t.Errorf("%s: rhs |p|=%d vs inliner %d", name, got.Abstraction.Len(), want.Abstraction.Len())
 		}
+	}
+}
+
+// lastForward records the outcome of a problem's most recent forward run.
+type lastForward struct {
+	core.Problem
+	last core.Outcome
+}
+
+func (l *lastForward) Forward(b *budget.Budget, p uset.Set) core.Outcome {
+	l.last = l.Problem.Forward(b, p)
+	return l.last
+}
+
+// TestRHSProvedCountsFinalForwardSteps: a proved query's ForwardSteps must
+// include the tabulation that proved it, on the cold and the delta path.
+func TestRHSProvedCountsFinalForwardSteps(t *testing.T) {
+	p, err := LoadRHS(recursiveSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proved := 0
+	for _, c := range rhsClients(p) {
+		for _, q := range c.queries {
+			for _, noDelta := range []bool{true, false} {
+				job := &lastForward{Problem: c.job(q, noDelta)}
+				res, err := core.Solve(job, core.Options{MaxIters: 200})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Status != core.Proved {
+					continue
+				}
+				proved++
+				if job.last.Steps == 0 || res.ForwardSteps < job.last.Steps {
+					t.Errorf("rhs %s %s (nodelta=%t): proved in %d iterations with ForwardSteps=%d, final forward run %d steps",
+						c.name, q.ID, noDelta, res.Iterations, res.ForwardSteps, job.last.Steps)
+				}
+			}
+		}
+	}
+	if proved == 0 {
+		t.Fatal("no RHS query proved on the recursive fixture")
 	}
 }

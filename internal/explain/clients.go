@@ -5,19 +5,24 @@ import (
 	"io"
 	"strings"
 
+	"tracer/internal/client"
 	"tracer/internal/escape"
 	"tracer/internal/typestate"
 	"tracer/internal/uset"
 )
 
+// forJob narrates a client job: the forward and backward hooks come from
+// the job, the renderings from h.
+func forJob[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], w io.Writer, h Hooks[D]) *Problem[D] {
+	h.Initial, h.Transfer, h.Client = job.A.Initial(), job.A.Transfer, job.Client
+	h.Post, h.Cubes = job.A.NotQ(job.Q), job.Cubes
+	return New[D](job, w, h)
+}
+
 // ForTypestate narrates a type-state job.
 func ForTypestate(job *typestate.Job, w io.Writer) *Problem[typestate.State] {
 	a := job.A
-	return New[typestate.State](job, w, Hooks[typestate.State]{
-		Initial:     a.Initial(),
-		Transfer:    a.Transfer,
-		Client:      job.Client,
-		Post:        a.NotQ(job.Q),
+	return forJob(job, w, Hooks[typestate.State]{
 		FormatState: a.Format,
 		FormatAbstraction: func(p uset.Set) string {
 			names := make([]string, 0, p.Len())
@@ -26,7 +31,6 @@ func ForTypestate(job *typestate.Job, w io.Writer) *Problem[typestate.State] {
 			}
 			return "{" + strings.Join(names, ", ") + "}"
 		},
-		Cubes: job.Cubes,
 		DescribeCube: func(c coreCube) string {
 			out := "every p"
 			for _, v := range c.Pos.Elems() {
@@ -43,11 +47,7 @@ func ForTypestate(job *typestate.Job, w io.Writer) *Problem[typestate.State] {
 // ForEscape narrates a thread-escape job.
 func ForEscape(job *escape.Job, w io.Writer) *Problem[escape.State] {
 	a := job.A
-	return New[escape.State](job, w, Hooks[escape.State]{
-		Initial:     a.Initial(),
-		Transfer:    a.Transfer,
-		Client:      job.Client,
-		Post:        a.NotQ(job.Q),
+	return forJob(job, w, Hooks[escape.State]{
 		FormatState: a.Format,
 		FormatAbstraction: func(p uset.Set) string {
 			parts := make([]string, 0, a.Sites.Len())
@@ -60,7 +60,6 @@ func ForEscape(job *escape.Job, w io.Writer) *Problem[escape.State] {
 			}
 			return "[" + strings.Join(parts, ", ") + "]"
 		},
-		Cubes: job.Cubes,
 		DescribeCube: func(c coreCube) string {
 			out := "every p"
 			for _, h := range c.Pos.Elems() {

@@ -1,212 +1,28 @@
 package nullness
 
 import (
-	"sync/atomic"
-
-	"tracer/internal/budget"
-	"tracer/internal/core"
-	"tracer/internal/dataflow"
+	"tracer/internal/client"
 	"tracer/internal/formula"
-	"tracer/internal/lang"
-	"tracer/internal/meta"
-	"tracer/internal/obs"
-	"tracer/internal/uset"
 )
 
-// Job poses one null-dereference query on one program as a core.Problem.
-// K is the beam width of the meta-analysis (k in §4.1); K ≤ 0 disables
-// under-approximation.
-type Job struct {
-	A *Analysis
-	G *lang.CFG
-	Q Query
-	K int
+// Job poses one null-dereference query on one program as a core.Problem
+// (see client.Job).
+type Job = client.Job[State, Query, *Analysis]
 
-	// NoDelta disables the delta-incremental forward path (dataflow.Chain),
-	// forcing every CEGAR iteration to solve cold from the reusable scratch.
-	// The differential suite uses it as the reference executor.
-	NoDelta bool
+// At lists the CFG nodes where the query is checked.
+func (q Query) At() []int { return q.Nodes }
 
-	// Uni and WPC, when set, are the interned literal universe and the
-	// weakest-precondition cache shared across every client of the same
-	// analysis instance — across CEGAR iterations and, in the batch driver,
-	// across the backward jobs of all queries on that instance (both are
-	// concurrency-safe). Client fills them lazily when nil.
-	Uni *formula.Universe
-	WPC *meta.WPCache
+// Theory returns the literal theory of the nullness meta-analysis.
+func (a *Analysis) Theory() formula.Theory { return Theory{} }
 
-	// chain is the resumable forward solver retained across CEGAR
-	// iterations, checked out like fwdScratch. It is stored back only after
-	// a solve returns normally (a trip poisons its retained run internally;
-	// a panic abandons the chain entirely, so the next solve starts cold).
-	chain atomic.Pointer[dataflow.Chain[State]]
-
-	// Delta accounting since the last FlushObs, mirroring the chain's Stats.
-	deltaResumes, deltaReused, deltaInvalid atomic.Int64
-
-	// fwdHint carries the discovery count of the previous Forward solve as
-	// the next solve's map-capacity hint; consecutive CEGAR iterations
-	// re-solve the same CFG and discover similar state counts. Atomic so a
-	// job probed from a worker pool stays race-free.
-	fwdHint atomic.Int64
-	// fwdScratch is the reusable solver state handed to consecutive Forward
-	// solves. It is checked out with an atomic swap for the duration of a
-	// solve, so concurrent Forward calls on one job simply fall back to
-	// fresh allocation instead of racing.
-	fwdScratch atomic.Pointer[dataflow.Scratch[State]]
-}
-
-var _ core.Problem = (*Job)(nil)
-
-// NumParams returns the number of cells (the family is 2^cells).
-func (j *Job) NumParams() int { return j.A.NumParams() }
-
-// ParamName names parameter i (the cell it tracks when on).
-func (j *Job) ParamName(i int) string { return j.A.CellName(i) }
-
-// Forward runs the forward analysis under abstraction p and checks the
-// query at every node it covers. A budget trip mid-solve yields an
-// unproved partial outcome (a partial fixpoint's "no failure found" is
-// not a proof).
-func (j *Job) Forward(b *budget.Budget, p uset.Set) core.Outcome {
-	if j.NoDelta {
-		sc := j.fwdScratch.Swap(nil)
-		if sc == nil {
-			sc = &dataflow.Scratch[State]{}
-		}
-		// The scratch is returned only after the outcome (including any
-		// witness walk over the result) is fully extracted.
-		defer j.fwdScratch.Store(sc)
-		res := dataflow.SolveScratch(j.G, j.A.Initial(), j.A.Transfer(p), b, int(j.fwdHint.Load()), sc)
-		j.fwdHint.Store(int64(res.Steps))
-		return j.outcome(b, res)
+// ParamLit maps a track literal to the cell it tracks, asked on or off as
+// the literal says.
+func (a *Analysis) ParamLit(pr formula.Prim) (int, bool, bool) {
+	switch pr := pr.(type) {
+	case PTrackVar:
+		return a.localSlot(pr.V), pr.On, true
+	case PTrackField:
+		return a.fieldSlot(pr.F), pr.On, true
 	}
-	ch := j.chain.Swap(nil)
-	if ch == nil {
-		ch = dataflow.NewChain[State](j.G)
-	}
-	res := ch.Solve(p, j.A.Initial(), j.A.TransferDep(p), b)
-	if resumed, reused, invalid := ch.Stats(); resumed {
-		j.deltaResumes.Add(1)
-		j.deltaReused.Add(int64(reused))
-		j.deltaInvalid.Add(int64(invalid))
-	}
-	out := j.outcome(b, res)
-	if resumed, reused, _ := ch.Stats(); resumed {
-		out.Reused = reused
-	}
-	j.chain.Store(ch)
-	return out
-}
-
-// outcome checks the query against a forward result and extracts a witness.
-func (j *Job) outcome(b *budget.Budget, res *dataflow.Result[State]) core.Outcome {
-	if b.Tripped() {
-		return core.Outcome{Steps: res.Steps}
-	}
-	node, bad, ok := FindFailure(j.A, res, j.Q)
-	if !ok {
-		return core.Outcome{Proved: true, Steps: res.Steps}
-	}
-	return core.Outcome{Trace: res.Witness(node, bad), Steps: res.Steps}
-}
-
-// FindFailure scans the query's nodes in a solved result for a violating
-// state, returning the first one in discovery order. Discovery order is a
-// pure function of the CFG, the abstraction, and the initial state —
-// independent of the analysis instance's intern history — so the choice
-// is stable between a fresh cold run and a delta resume on a retained
-// analysis. It is shared with the batch driver, which reuses one forward
-// run across many queries.
-func FindFailure(a *Analysis, res *dataflow.Result[State], q Query) (node int, bad State, ok bool) {
-	for _, n := range q.Nodes {
-		for _, d := range res.States(n) {
-			if !a.Holds(q, d) {
-				return n, d, true
-			}
-		}
-	}
-	return 0, State(0), false
-}
-
-// Client builds the meta-analysis client for abstraction p. Weakest
-// preconditions do not depend on p, so all clients of this job share one
-// memoization cache (and one literal universe).
-func (j *Job) Client(p uset.Set) *meta.Client[State] {
-	if j.Uni == nil {
-		j.Uni = formula.NewUniverse(Theory{})
-	}
-	if j.WPC == nil {
-		j.WPC = meta.NewWPCache()
-	}
-	return &meta.Client[State]{
-		WP:    j.A.WP,
-		U:     j.Uni,
-		Eval:  func(l formula.Lit, d State) bool { return j.A.EvalLit(l, p, d) },
-		K:     j.K,
-		Cache: j.WPC,
-	}
-}
-
-// FlushObs implements core.ObsFlusher: it reports the formula.* counters
-// of the job's literal universe, the meta.* counters of its WP cache, and
-// the rhs.* delta counters of the incremental forward chain.
-func (j *Job) FlushObs(rec obs.Recorder) {
-	meta.FlushUniverseObs(rec, j.Uni)
-	meta.FlushWPObs(rec, j.WPC)
-	obs.FlushDelta(rec, &j.deltaResumes, &j.deltaReused, &j.deltaInvalid)
-}
-
-// Backward runs the meta-analysis over the counterexample trace and
-// extracts the parameter cubes of abstractions guaranteed to fail. A
-// budget trip mid-walk yields nil (a truncated condition is not sound).
-func (j *Job) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
-	dI := j.A.Initial()
-	states := dataflow.StatesAlong(t, dI, j.A.Transfer(p))
-	c := j.Client(p)
-	c.Budget = b
-	dnf := meta.Run(c, t, states, j.A.NotQ(j.Q))
-	if b.Tripped() {
-		return nil
-	}
-	return j.Cubes(dnf, dI)
-}
-
-// Cubes projects a failure-condition DNF onto parameter cubes. A track
-// literal puts its cell in Pos; a coarse literal puts it in Neg; state
-// literals are evaluated at dI.
-func (j *Job) Cubes(dnf formula.DNF, dI State) []core.ParamCube {
-	var out []core.ParamCube
-	for _, conj := range dnf {
-		var pos, neg uset.Set
-		ok := true
-		for _, l := range conj.Lits() {
-			id, on, isTrack := -1, false, false
-			switch pr := l.P.(type) {
-			case PTrackVar:
-				id, on, isTrack = j.A.localSlot(pr.V), pr.On, true
-			case PTrackField:
-				id, on, isTrack = j.A.fieldSlot(pr.F), pr.On, true
-			}
-			if isTrack {
-				if l.Neg {
-					on = !on
-				}
-				if on {
-					pos = pos.Add(id)
-				} else {
-					neg = neg.Add(id)
-				}
-				continue
-			}
-			if !j.A.EvalLit(l, nil, dI) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, core.ParamCube{Pos: pos, Neg: neg})
-		}
-	}
-	return out
+	return 0, false, false
 }

@@ -121,7 +121,7 @@ func TestUntrackedNeverPrecise(t *testing.T) {
 					}
 					if a.get(d2, i) != U {
 						t.Fatalf("%s updated untracked cell %s to %s in %s",
-							atom, a.CellName(i), a.get(d2, i), a.Format(d2))
+							atom, a.ParamName(i), a.get(d2, i), a.Format(d2))
 					}
 				}
 			}

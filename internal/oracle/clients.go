@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
-	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
 	"tracer/internal/nullness"
@@ -83,12 +82,46 @@ func (c TSCase) vars() []string {
 // not be shared between a truth enumeration and a solve).
 func (c TSCase) Job() *typestate.Job {
 	g := lang.BuildCFG(c.Prog)
-	a := typestate.New(tsProp(c.Prop), tsTracked, c.vars())
 	return &typestate.Job{
-		A: a, G: g,
+		A: c.analysis(), G: g,
 		Q: typestate.Query{Nodes: []int{g.Exit}, Want: c.Want},
 		K: c.K,
 	}
+}
+
+func (c TSCase) analysis() *typestate.Analysis {
+	return typestate.New(tsProp(c.Prop), tsTracked, c.vars())
+}
+
+func (c TSCase) problem(noDelta bool) core.Problem {
+	j := c.Job()
+	j.NoDelta = noDelta
+	return j
+}
+
+func (c TSCase) prog() lang.Prog           { return c.Prog }
+func (c TSCase) withProg(p lang.Prog) Case { c.Prog = p; return c }
+
+func (c TSCase) padded() Case { c.Pad = 2; return c }
+
+// renamed consistently renames the variables; the minimum cost |p| is
+// permutation-invariant.
+func (c TSCase) renamed() (Case, string) {
+	c.Prog = gen.Rename(c.Prog, rotation(tsVars), nil)
+	return c, "variable permutation"
+}
+
+// variants asks for three Want sets over the one tracked site, so one
+// forward solve per run genuinely serves every query.
+func (c TSCase) variants() ([]core.Problem, core.BatchProblem) {
+	prop := tsProp(c.Prop)
+	full := uset.Bits(1<<len(prop.States) - 1)
+	j := c.Job()
+	var qs []typestate.Query
+	for _, w := range []uset.Bits{c.Want, full, uset.Bits(0).Add(prop.Init)} {
+		qs = append(qs, typestate.Query{Nodes: j.Q.Nodes, Want: w})
+	}
+	return variants(j, c.analysis, qs)
 }
 
 // TSPool returns the atom pool the type-state cases draw from.
@@ -147,12 +180,43 @@ func (c EscCase) sites() []string {
 // Job builds a fresh core.Problem for the case (see TSCase.Job).
 func (c EscCase) Job() *escape.Job {
 	g := lang.BuildCFG(c.Prog)
-	a := escape.New(escLocals, escFields, c.sites())
 	return &escape.Job{
-		A: a, G: g,
+		A: c.analysis(), G: g,
 		Q: escape.Query{Nodes: []int{g.Exit}, V: c.V},
 		K: c.K,
 	}
+}
+
+func (c EscCase) analysis() *escape.Analysis { return escape.New(escLocals, escFields, c.sites()) }
+
+func (c EscCase) problem(noDelta bool) core.Problem {
+	j := c.Job()
+	j.NoDelta = noDelta
+	return j
+}
+
+func (c EscCase) prog() lang.Prog           { return c.Prog }
+func (c EscCase) withProg(p lang.Prog) Case { c.Prog = p; return c }
+
+func (c EscCase) padded() Case { c.Pad = 2; return c }
+
+// renamed permutes both name spaces: locals and sites.
+func (c EscCase) renamed() (Case, string) {
+	vperm, hperm := rotation(escLocals), rotation(escSites)
+	c.Prog = gen.Rename(c.Prog, vperm, hperm)
+	c.V = vperm[c.V]
+	return c, "local/site permutation"
+}
+
+// variants asks one query per local; the escape analysis is
+// query-independent, so one forward solve serves them all.
+func (c EscCase) variants() ([]core.Problem, core.BatchProblem) {
+	j := c.Job()
+	qs := make([]escape.Query, len(escLocals))
+	for i, v := range escLocals {
+		qs[i] = escape.Query{Nodes: j.Q.Nodes, V: v}
+	}
+	return variants(j, c.analysis, qs)
 }
 
 // EscPool returns the atom pool the thread-escape cases draw from.
@@ -201,12 +265,43 @@ func (c NullCase) locals() []string {
 // Job builds a fresh core.Problem for the case (see TSCase.Job).
 func (c NullCase) Job() *nullness.Job {
 	g := lang.BuildCFG(c.Prog)
-	a := nullness.New(c.locals(), escFields)
 	return &nullness.Job{
-		A: a, G: g,
+		A: c.analysis(), G: g,
 		Q: nullness.Query{Nodes: []int{g.Exit}, V: c.V},
 		K: c.K,
 	}
+}
+
+func (c NullCase) analysis() *nullness.Analysis { return nullness.New(c.locals(), escFields) }
+
+func (c NullCase) problem(noDelta bool) core.Problem {
+	j := c.Job()
+	j.NoDelta = noDelta
+	return j
+}
+
+func (c NullCase) prog() lang.Prog           { return c.Prog }
+func (c NullCase) withProg(p lang.Prog) Case { c.Prog = p; return c }
+
+func (c NullCase) padded() Case { c.Pad = 2; return c }
+
+// renamed permutes both name spaces the generator renames: locals (the
+// tracked cells) and allocation sites (nullness-neutral).
+func (c NullCase) renamed() (Case, string) {
+	vperm, hperm := rotation(escLocals), rotation(escSites)
+	c.Prog = gen.Rename(c.Prog, vperm, hperm)
+	c.V = vperm[c.V]
+	return c, "local/site permutation"
+}
+
+// variants asks one query per local, like the escape case.
+func (c NullCase) variants() ([]core.Problem, core.BatchProblem) {
+	j := c.Job()
+	qs := make([]nullness.Query, len(escLocals))
+	for i, v := range escLocals {
+		qs[i] = nullness.Query{Nodes: j.Q.Nodes, V: v}
+	}
+	return variants(j, c.analysis, qs)
 }
 
 // NullPool returns the atom pool the nullness cases draw from — the escape
@@ -223,149 +318,12 @@ func RandomNullCase(rng *rand.Rand) NullCase {
 	}
 }
 
-// tsBatch poses several Want variants of one type-state case as a
-// core.BatchProblem: all queries track the same site, so one forward solve
-// per run genuinely serves every query — the same sharing shape as the
-// driver's TypestateBatch, without the IR plumbing.
-type tsBatch struct {
-	c     TSCase
-	g     *lang.CFG
-	wants []uset.Bits
-}
-
-var _ core.BatchProblem = (*tsBatch)(nil)
-
-// NewTSBatch builds the batch problem; query i asks for wants[i].
-func NewTSBatch(c TSCase, wants []uset.Bits) core.BatchProblem {
-	return &tsBatch{c: c, g: lang.BuildCFG(c.Prog), wants: wants}
-}
-
-func (b *tsBatch) NumParams() int  { return len(b.c.vars()) }
-func (b *tsBatch) NumQueries() int { return len(b.wants) }
-
-func (b *tsBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := typestate.New(tsProp(b.c.Prop), tsTracked, b.c.vars())
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &tsBatchRun{b: b, a: a, res: res}
-}
-
-type tsBatchRun struct {
-	b   *tsBatch
-	a   *typestate.Analysis
-	res *dataflow.Result[typestate.State]
-}
-
-func (r *tsBatchRun) Check(q int) (bool, lang.Trace) {
-	query := typestate.Query{Nodes: []int{r.b.g.Exit}, Want: r.b.wants[q]}
-	node, bad, found := typestate.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
+// variants poses the queries qs on job's CFG twice: as solo problems, and
+// as one client.Batch whose query i is solo problem i.
+func variants[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], fresh func() A, qs []Q) ([]core.Problem, core.BatchProblem) {
+	solo := make([]core.Problem, len(qs))
+	for i, q := range qs {
+		solo[i] = &client.Job[D, Q, A]{A: fresh(), G: job.G, Q: q, K: job.K}
 	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *tsBatchRun) Steps() int { return r.res.Steps }
-
-// Backward builds a fresh per-call job: concurrent backward units must not
-// share an intern table.
-func (b *tsBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.Want = b.wants[q]
-	return j.Backward(bud, p, t)
-}
-
-// escBatch poses one escape query per local of one generated program. The
-// escape analysis is query-independent: one forward solve serves all
-// queries, as in the driver's EscapeBatch.
-type escBatch struct {
-	c  EscCase
-	g  *lang.CFG
-	vs []string
-}
-
-var _ core.BatchProblem = (*escBatch)(nil)
-
-// NewEscBatch builds the batch problem; query i asks about local vs[i].
-func NewEscBatch(c EscCase, vs []string) core.BatchProblem {
-	return &escBatch{c: c, g: lang.BuildCFG(c.Prog), vs: vs}
-}
-
-func (b *escBatch) NumParams() int  { return len(b.c.sites()) }
-func (b *escBatch) NumQueries() int { return len(b.vs) }
-
-func (b *escBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := escape.New(escLocals, escFields, b.c.sites())
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &escBatchRun{b: b, a: a, res: res}
-}
-
-type escBatchRun struct {
-	b   *escBatch
-	a   *escape.Analysis
-	res *dataflow.Result[escape.State]
-}
-
-func (r *escBatchRun) Check(q int) (bool, lang.Trace) {
-	query := escape.Query{Nodes: []int{r.b.g.Exit}, V: r.b.vs[q]}
-	node, bad, found := escape.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *escBatchRun) Steps() int { return r.res.Steps }
-
-func (b *escBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.V = b.vs[q]
-	return j.Backward(bud, p, t)
-}
-
-// nullBatch poses one nullness query per local of one generated program.
-// Like escape, the nullness analysis is query-independent: one forward
-// solve serves all queries, as in the driver's NullnessBatch.
-type nullBatch struct {
-	c  NullCase
-	g  *lang.CFG
-	vs []string
-}
-
-var _ core.BatchProblem = (*nullBatch)(nil)
-
-// NewNullBatch builds the batch problem; query i asks about local vs[i].
-func NewNullBatch(c NullCase, vs []string) core.BatchProblem {
-	return &nullBatch{c: c, g: lang.BuildCFG(c.Prog), vs: vs}
-}
-
-func (b *nullBatch) NumParams() int  { return len(b.c.locals()) + len(escFields) }
-func (b *nullBatch) NumQueries() int { return len(b.vs) }
-
-func (b *nullBatch) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
-	a := nullness.New(b.c.locals(), escFields)
-	res := dataflow.SolveBudget(b.g, a.Initial(), a.Transfer(p), bud)
-	return &nullBatchRun{b: b, a: a, res: res}
-}
-
-type nullBatchRun struct {
-	b   *nullBatch
-	a   *nullness.Analysis
-	res *dataflow.Result[nullness.State]
-}
-
-func (r *nullBatchRun) Check(q int) (bool, lang.Trace) {
-	query := nullness.Query{Nodes: []int{r.b.g.Exit}, V: r.b.vs[q]}
-	node, bad, found := nullness.FindFailure(r.a, r.res, query)
-	if !found {
-		return true, nil
-	}
-	return false, r.res.Witness(node, bad)
-}
-
-func (r *nullBatchRun) Steps() int { return r.res.Steps }
-
-func (b *nullBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []core.ParamCube {
-	j := b.c.Job()
-	j.Q.V = b.vs[q]
-	return j.Backward(bud, p, t)
+	return solo, client.NewBatch(job.G, fresh, qs, job.K)
 }

@@ -1,7 +1,7 @@
 // Package oracle is the differential testing harness for the TRACER loop:
 // a brute-force ground-truth engine plus a seeded metamorphic fuzzer that
 // cross-check core.Solve and core.SolveBatch on randomly generated small
-// programs for both clients (type-state and thread-escape).
+// programs for every registered client (see Fuzzers).
 //
 // The oracle enumerates all 2^n abstractions of a problem (n ≤ ~14), runs
 // the forward analysis under each, and checks three properties of TRACER's

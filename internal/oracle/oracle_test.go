@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tracer/internal/core"
+	"tracer/internal/driver"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
 	"tracer/internal/typestate"
@@ -137,43 +138,52 @@ func TestTruthHelpers(t *testing.T) {
 	}
 }
 
-// TestFuzzTypestateProperties is the tier-1 fixed-seed sweep of the three
-// oracle properties for the type-state client. A 12 000-case run with the
-// same generator found no discrepancies; this keeps a broad slice of that
-// sweep in every CI run.
-func TestFuzzTypestateProperties(t *testing.T) {
-	if ds := FuzzTypestate(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
-		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+// TestFuzzProperties is the tier-1 fixed-seed sweep of the three oracle
+// properties (minimality, impossibility, cube soundness), 2000 cases per
+// client. A 12 000-case type-state run with the same generator found no
+// discrepancies; this keeps a broad slice of that sweep in every CI run.
+func TestFuzzProperties(t *testing.T) {
+	for _, f := range Fuzzers {
+		t.Run(f.Client, func(t *testing.T) {
+			if ds := f.Fuzz(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
+				t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+			}
+		})
 	}
 }
 
-// TestFuzzEscapeProperties is the escape-client twin of the sweep above.
-func TestFuzzEscapeProperties(t *testing.T) {
-	if ds := FuzzEscape(FuzzOptions{Seed: 1, N: 2000}); len(ds) != 0 {
-		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+// TestFuzzMetamorphic runs the metamorphic suite (permutation, padding,
+// delta-vs-cold, batch worker/cache invariance, warm seeding) on fixed-seed
+// cases of every client.
+func TestFuzzMetamorphic(t *testing.T) {
+	for _, f := range Fuzzers {
+		t.Run(f.Client, func(t *testing.T) {
+			if ds := f.Fuzz(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
+				t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+			}
+		})
 	}
 }
 
-// TestFuzzTypestateMetamorphic runs the metamorphic suite (permutation,
-// padding, batch worker/cache invariance) on fixed-seed type-state cases.
-func TestFuzzTypestateMetamorphic(t *testing.T) {
-	if ds := FuzzTypestate(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
-		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+// TestFuzzCoversEveryClient fails when a registered client has no fuzzer,
+// so a new client cannot skip the oracle.
+func TestFuzzCoversEveryClient(t *testing.T) {
+	have := map[string]bool{}
+	for _, f := range Fuzzers {
+		have[f.Client] = true
 	}
-}
-
-// TestFuzzEscapeMetamorphic is the escape-client metamorphic sweep.
-func TestFuzzEscapeMetamorphic(t *testing.T) {
-	if ds := FuzzEscape(FuzzOptions{Seed: 42, N: 300, Meta: true}); len(ds) != 0 {
-		t.Fatalf("%d discrepancies, first:\n%s", len(ds), ds[0])
+	for _, spec := range driver.Clients() {
+		if !have[spec.Name] {
+			t.Errorf("client %s has no oracle fuzzer", spec.Name)
+		}
 	}
 }
 
 // TestFuzzDeterministic: the same options must reproduce byte-identical
 // reports — the property every replay instruction in a Discrepancy rests on.
 func TestFuzzDeterministic(t *testing.T) {
-	a := FuzzTypestate(FuzzOptions{Seed: 7, N: 50, Meta: true})
-	b := FuzzTypestate(FuzzOptions{Seed: 7, N: 50, Meta: true})
+	a := Fuzzers[0].Fuzz(FuzzOptions{Seed: 7, N: 50, Meta: true})
+	b := Fuzzers[0].Fuzz(FuzzOptions{Seed: 7, N: 50, Meta: true})
 	if len(a) != len(b) {
 		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
 	}

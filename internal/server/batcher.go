@@ -309,18 +309,16 @@ func (s *Server) runBatch(reqs []*request) {
 	}
 }
 
-// warmClient maps the wire client onto the warm store's. The mapping is
-// exhaustive: an unknown kind returns false instead of silently landing on
-// some other client's warm store — cross-client clause reuse would poison
-// the cache the moment the mapping fell through.
+// warmClient maps the wire client onto the warm store's, whose client
+// names are the registry's wire names. The mapping is exhaustive: an
+// unregistered kind returns false instead of silently landing on some other
+// client's warm store — cross-client clause reuse would poison the cache
+// the moment the mapping fell through.
 func warmClient(c clientKind) (warm.Client, bool) {
-	switch c {
-	case clientTypestate:
-		return warm.Typestate, true
-	case clientEscape:
-		return warm.Escape, true
-	case clientNullness:
-		return warm.Nullness, true
+	for _, spec := range driver.Clients() {
+		if spec.Name == string(c) {
+			return warm.Client(spec.Name), true
+		}
 	}
 	return "", false
 }

@@ -97,15 +97,8 @@ type ErrorResponse struct {
 
 // clientKind is a validated SolveRequest.Client: a driver registry wire
 // name (driver.ClientByName(string(kind)) != nil for every admitted
-// request). The named constants exist for tests and readability; dispatch
-// goes through the registry, not through enumerating them.
+// request). Dispatch goes through the registry.
 type clientKind string
-
-const (
-	clientTypestate clientKind = "typestate"
-	clientEscape    clientKind = "escape"
-	clientNullness  clientKind = "nullness"
-)
 
 // kMax bounds the accepted beam width; larger values are a resource-abuse
 // vector (the meta-analysis is exponential in k), not a legitimate request.

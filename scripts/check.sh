@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 gate (same as `make check`): format, vet, build, race-enabled tests.
+# Tier-1 gate (same as `make check`): format, vet, build, race-enabled tests,
+# and vet + race tests of the cmd/tracerbench module.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -12,4 +13,6 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# cmd/tracerbench is its own module, so ./... above skips it.
+(cd cmd/tracerbench && go vet . && go test -race .)
 echo "check: OK"
