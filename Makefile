@@ -61,11 +61,13 @@ bench:
 	go test -bench=. -benchmem -run xxx .
 
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
-# interned DNF kernel's hot paths (Approx, WpDNF, Simplify) and the
-# incremental minimum-model solver's warm/fresh resolve loop.
+# interned DNF kernel's hot paths (Approx, WpDNF, Simplify), the
+# incremental minimum-model solver's warm/fresh resolve loop, and opening a
+# warm-start session on a full store.
 bench-micro:
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
 	go test -run=NONE -bench 'MinimumIncremental' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'SessionOpen' -benchmem ./internal/warm/...
 
 # Regenerate the checked-in perf-trajectory series (github-action-benchmark
 # shape). Scaled-down budget so it finishes in a couple of minutes.

@@ -9,6 +9,7 @@ package driver
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,6 +41,9 @@ type base struct {
 
 	// varPts maps qualified variable names to their may-point-to site sets.
 	varPts map[string]uset.Set
+	// methodVars groups varPts' keys by owning method (the QualName before
+	// "::"), for EnvHash.
+	methodVars map[string][]string
 	// stressMethods are the method names called from application code,
 	// sorted.
 	stressMethods []string
@@ -59,6 +63,12 @@ func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[
 		vars = append(vars, m.Locals...)
 		for _, v := range vars {
 			b.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
+		}
+	}
+	b.methodVars = map[string][]string{}
+	for qv := range b.varPts {
+		if i := strings.Index(qv, "::"); i >= 0 {
+			b.methodVars[qv[:i]] = append(b.methodVars[qv[:i]], qv)
 		}
 	}
 	for name := range called {
@@ -155,14 +165,10 @@ func (p *Program) SiteOwner(h string) string {
 // these points-to sets. Labels (not interned IDs) are hashed so the result
 // is comparable across separately-loaded programs.
 func (p *Program) EnvHash(methods []string) uint64 {
-	want := make(map[string]bool, len(methods))
-	for _, m := range methods {
-		want[m] = true
-	}
 	var qvs []string
-	for qv := range p.varPts {
-		if i := strings.Index(qv, "::"); i >= 0 && want[qv[:i]] {
-			qvs = append(qvs, qv)
+	for i, m := range methods {
+		if !slices.Contains(methods[:i], m) {
+			qvs = append(qvs, p.methodVars[m]...)
 		}
 	}
 	sort.Strings(qvs)

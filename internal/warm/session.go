@@ -99,32 +99,69 @@ func (st *Store) Session(p *driver.Program, conf Config) *Session {
 // program (replay-eligible).
 func (s *Session) Exact() bool { return s.exact }
 
-// load picks the nearest compatible snapshot and installs its surviving
-// entries.
+// load installs the surviving entries of the nearest compatible snapshot.
+// Only that snapshot's queries are decoded; when they turn out corrupt the
+// next-nearest candidate is tried.
 func (s *Session) load() {
 	if !s.st.Enabled() {
 		return
 	}
-	var best *snapshotFile
-	var bestTouched map[string]bool
-	snaps := s.readCandidates()
-	s.st.count(obs.WarmSnapshots, int64(len(snaps)))
-	for _, sf := range snaps {
-		if sf.Whole == hex64(s.fp.Whole) {
-			best, bestTouched, s.exact = sf, nil, true
-			break
+	cands := s.candidates()
+	s.st.count(obs.WarmSnapshots, int64(len(cands)))
+	for _, c := range cands {
+		queries, ok := readQueries(c.name)
+		if !ok {
+			s.st.count(obs.WarmEntriesCorrupt, 1)
+			continue
 		}
-		touched := s.touchedMethods(sf)
-		if best == nil || len(touched) < len(bestTouched) {
-			best, bestTouched = sf, touched
-		}
-	}
-	if best == nil {
+		s.exact = c.touched == nil
+		s.install(queries, c.touched)
 		return
 	}
+}
+
+// candidate is a snapshot file whose header this session may reuse.
+type candidate struct {
+	name    string
+	touched map[string]bool // nil on a byte-exact Whole match
+}
+
+// candidates reads the headers of this client and configuration's snapshot
+// files and returns the reusable ones — same client, same config signature,
+// same declaration shape (soundness conditions 1 and 4) — nearest first: an
+// exact Whole match, then fewest touched methods, then name order.
+func (s *Session) candidates() []candidate {
+	var out []candidate
+	for _, name := range s.st.listSnapshots(string(s.conf.Client), s.confSig) {
+		h, ok := readHeader(name)
+		if !ok {
+			s.st.count(obs.WarmEntriesCorrupt, 1)
+			continue
+		}
+		if h.Client != string(s.conf.Client) || h.Conf != s.confSig || h.Shape != hex64(s.fp.Shape) {
+			continue
+		}
+		c := candidate{name: name}
+		if h.Whole != hex64(s.fp.Whole) {
+			c.touched = s.touchedMethods(h)
+		}
+		out = append(out, c)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if ei, ej := out[i].touched == nil, out[j].touched == nil; ei != ej {
+			return ei
+		}
+		return len(out[i].touched) < len(out[j].touched)
+	})
+	return out
+}
+
+// install filters a snapshot's entries through the delta rules and keeps
+// the survivors.
+func (s *Session) install(queries map[string]*queryEntry, touched map[string]bool) {
 	var loaded, invalidated int64
-	for key, e := range best.Queries {
-		kept := s.surviveEntry(e, bestTouched)
+	for key, e := range queries {
+		kept := s.surviveEntry(e, touched)
 		loaded += int64(len(kept.Clauses))
 		invalidated += int64(len(e.Clauses) - len(kept.Clauses))
 		if kept.Status == "" && len(kept.Clauses) == 0 {
@@ -141,30 +178,16 @@ func (s *Session) load() {
 	s.st.count(obs.WarmClausesInvalidated, invalidated)
 }
 
-// readCandidates returns the stored snapshots this session may reuse: same
-// client, same config signature, same declaration shape (soundness
-// conditions 1 and 4).
-func (s *Session) readCandidates() []*snapshotFile {
-	var out []*snapshotFile
-	for _, sf := range s.st.readSnapshots() {
-		if sf.Client == string(s.conf.Client) && sf.Conf == s.confSig &&
-			sf.Shape == hex64(s.fp.Shape) {
-			out = append(out, sf)
-		}
-	}
-	return out
-}
-
 // touchedMethods lists the methods whose stored body fingerprint differs
 // from the current program's.
-func (s *Session) touchedMethods(sf *snapshotFile) map[string]bool {
+func (s *Session) touchedMethods(h *snapshotHeader) map[string]bool {
 	touched := map[string]bool{}
 	for name, fp := range s.fp.Methods {
-		if sf.Methods[name] != hex64(fp) {
+		if h.Methods[name] != hex64(fp) {
 			touched[name] = true
 		}
 	}
-	for name := range sf.Methods {
+	for name := range h.Methods {
 		if _, ok := s.fp.Methods[name]; !ok {
 			touched[name] = true
 		}
@@ -388,16 +411,14 @@ func (s *Session) Save() error {
 	for name, fp := range s.fp.Methods {
 		methods[name] = hex64(fp)
 	}
-	sf := &snapshotFile{
+	return s.st.writeSnapshot(&snapshotHeader{
 		Version: Version,
 		Whole:   hex64(s.fp.Whole),
 		Shape:   hex64(s.fp.Shape),
 		Methods: methods,
 		Client:  string(s.conf.Client),
 		Conf:    s.confSig,
-		Queries: s.entries,
-	}
-	return s.st.writeSnapshot(sf)
+	}, s.entries)
 }
 
 // supportMethods extracts the QualNames of the methods supporting a trace:

@@ -5,7 +5,10 @@
 // process re-solving the same — or a slightly edited — program opens a
 // Session, which finds the nearest snapshot by IR fingerprint, invalidates
 // exactly the clauses the edit could have broken, and seeds the survivors
-// into the solver before iteration 1.
+// into the solver before iteration 1. A file holds a small header (the
+// fingerprints, client and configuration) followed by the queries, so the
+// session chooses by reading only its own client and configuration's
+// headers and then decodes the queries of the one snapshot it uses.
 //
 // # Soundness
 //
@@ -49,6 +52,7 @@ package warm
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,8 +62,9 @@ import (
 )
 
 // Version is the snapshot schema version; files with any other version are
-// ignored (cold fallback), never migrated.
-const Version = 1
+// ignored (cold fallback), never migrated. Version 2 stores the header and
+// the queries as two JSON values, so a session chooses from headers alone.
+const Version = 2
 
 // Store is a handle on a warm-start directory. The zero value (and any Open
 // failure) is a disabled store whose Sessions are all-cold no-ops.
@@ -92,8 +97,11 @@ func (st *Store) count(name string, n int64) {
 	}
 }
 
-// snapshotFile is the on-disk schema: one solved program × client × config.
-type snapshotFile struct {
+// snapshotHeader is the first JSON value of a snapshot file — one solved
+// program × client × config — and everything the nearest-snapshot choice
+// reads. The second value maps each position-independent query key to its
+// queryEntry.
+type snapshotHeader struct {
 	Version int    `json:"version"`
 	Whole   string `json:"whole"` // hex ir.ProgramFP.Whole
 	Shape   string `json:"shape"` // hex ir.ProgramFP.Shape
@@ -101,8 +109,6 @@ type snapshotFile struct {
 	Methods map[string]string `json:"methods"`
 	Client  string            `json:"client"`
 	Conf    string            `json:"conf"` // client config signature
-	// Queries maps the position-independent query key → entry.
-	Queries map[string]*queryEntry `json:"queries"`
 }
 
 // queryEntry is one query's persisted outcome.
@@ -138,10 +144,24 @@ func (c storedClause) cubeKey() string {
 
 func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
 
-// snapshotPath names the file for one (program, client, conf) snapshot.
-func (st *Store) snapshotPath(whole uint64, client, conf string) string {
-	h := fnvString(conf)
-	return filepath.Join(st.dir, fmt.Sprintf("%s-%s-%08x.json", hex64(whole), client, h))
+// snapshotPath names the file for one (program, client, conf) snapshot;
+// whole is the hex program fingerprint, or "*" to glob every program's.
+func (st *Store) snapshotPath(whole, client, conf string) string {
+	return filepath.Join(st.dir, fmt.Sprintf("%s-%s-%08x.json", whole, client, fnvString(conf)))
+}
+
+// listSnapshots returns the snapshot files of one client+conf in name order;
+// other clients' and configurations' files are never opened.
+func (st *Store) listSnapshots(client, conf string) []string {
+	if !st.Enabled() {
+		return nil
+	}
+	names, err := filepath.Glob(st.snapshotPath("*", client, conf))
+	if err != nil {
+		return nil
+	}
+	sort.Strings(names)
+	return names
 }
 
 func fnvString(s string) uint32 {
@@ -154,46 +174,62 @@ func fnvString(s string) uint32 {
 	return h
 }
 
-// readSnapshots parses every snapshot file of the directory, silently
-// skipping (and counting) anything unreadable or mismatched in version.
-func (st *Store) readSnapshots() []*snapshotFile {
-	if !st.Enabled() {
-		return nil
-	}
-	names, err := filepath.Glob(filepath.Join(st.dir, "*.json"))
+// readHeader decodes only the header of a snapshot file. It fails on an
+// unreadable file, a malformed header, or another schema version (a v1 file
+// is one object, so its header never carries the current version).
+func readHeader(name string) (*snapshotHeader, bool) {
+	f, err := os.Open(name)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	sort.Strings(names)
-	var out []*snapshotFile
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			st.count(obs.WarmEntriesCorrupt, 1)
-			continue
-		}
-		var sf snapshotFile
-		if err := json.Unmarshal(data, &sf); err != nil || sf.Version != Version {
-			st.count(obs.WarmEntriesCorrupt, 1)
-			continue
-		}
-		out = append(out, &sf)
+	defer f.Close()
+	var h snapshotHeader
+	if err := json.NewDecoder(f).Decode(&h); err != nil || h.Version != Version {
+		return nil, false
 	}
-	return out
+	return &h, true
 }
 
-// writeSnapshot atomically persists sf and prunes stale snapshots of the
-// same client+conf beyond a small budget (oldest fingerprints first by
-// modification time), so edit chains do not grow the directory unboundedly.
-func (st *Store) writeSnapshot(sf *snapshotFile) error {
+// readQueries decodes the queries of a snapshot file, skipping its header.
+// It fails when they are malformed or followed by anything else.
+func readQueries(name string) (map[string]*queryEntry, bool) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	var header json.RawMessage
+	var queries map[string]*queryEntry
+	if dec.Decode(&header) != nil || dec.Decode(&queries) != nil {
+		return nil, false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, false
+	}
+	return queries, true
+}
+
+// writeSnapshot atomically persists a snapshot and prunes stale snapshots
+// of the same client+conf beyond a small budget (oldest fingerprints first
+// by modification time), so edit chains do not grow the directory
+// unboundedly.
+func (st *Store) writeSnapshot(h *snapshotHeader, queries map[string]*queryEntry) error {
 	if !st.Enabled() {
 		return nil
 	}
-	data, err := json.MarshalIndent(sf, "", " ")
+	header, err := json.MarshalIndent(h, "", " ")
 	if err != nil {
 		return err
 	}
-	path := st.snapshotPath(mustHex(sf.Whole), sf.Client, sf.Conf)
+	body, err := json.Marshal(queries)
+	if err != nil {
+		return err
+	}
+	data := make([]byte, 0, len(header)+len(body)+2)
+	data = append(append(data, header...), '\n')
+	data = append(append(data, body...), '\n')
+	path := st.snapshotPath(h.Whole, h.Client, h.Conf)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -201,7 +237,7 @@ func (st *Store) writeSnapshot(sf *snapshotFile) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	st.prune(sf.Client, sf.Conf, path)
+	st.prune(h.Client, h.Conf, path)
 	return nil
 }
 
@@ -209,9 +245,8 @@ func (st *Store) writeSnapshot(sf *snapshotFile) error {
 const maxSnapshots = 16
 
 func (st *Store) prune(client, conf string, keep string) {
-	pattern := filepath.Join(st.dir, fmt.Sprintf("*-%s-%08x.json", client, fnvString(conf)))
-	names, err := filepath.Glob(pattern)
-	if err != nil || len(names) <= maxSnapshots {
+	names := st.listSnapshots(client, conf)
+	if len(names) <= maxSnapshots {
 		return
 	}
 	type aged struct {
@@ -238,10 +273,4 @@ func (st *Store) prune(client, conf string, keep string) {
 	for i := 0; i+maxSnapshots <= len(files); i++ {
 		os.Remove(files[i].name)
 	}
-}
-
-func mustHex(s string) uint64 {
-	var v uint64
-	fmt.Sscanf(s, "%x", &v)
-	return v
 }

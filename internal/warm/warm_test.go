@@ -1,6 +1,8 @@
 package warm
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +10,9 @@ import (
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
+	"tracer/internal/ir"
 	"tracer/internal/lang"
+	"tracer/internal/obs"
 	"tracer/internal/uset"
 )
 
@@ -400,11 +404,160 @@ func TestWarmCorruptionFallsBackCold(t *testing.T) {
 
 	// Version mismatch: valid JSON, wrong schema version.
 	corrupt(files[0], func([]byte) []byte {
-		return []byte(strings.Replace(string(orig), `"version": 1`, `"version": 99`, 1))
+		return []byte(strings.Replace(string(orig), fmt.Sprintf(`"version": %d`, Version), `"version": 99`, 1))
 	})
 	s4 := Open(dir, nil).Session(load(t, progBase), conf)
 	if s4.Exact() || len(s4.entries) != 0 {
 		t.Fatal("version-mismatched snapshot was trusted")
+	}
+}
+
+// saveOne solves progBase cold into a fresh store and returns the store
+// directory, the cold results, and the one snapshot file written.
+func saveOne(t *testing.T, conf Config) (string, map[string]core.Result, string) {
+	t.Helper()
+	dir := t.TempDir()
+	p := load(t, progBase)
+	s := Open(dir, nil).Session(p, conf)
+	cold := solveTS(t, p, s, conf)
+	if err := s.Save(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 1 {
+		t.Fatalf("want 1 snapshot, got %d", len(files))
+	}
+	return dir, cold, files[0]
+}
+
+// headerLen returns the byte length of a snapshot file's header value.
+func headerLen(t *testing.T, name string) int {
+	t.Helper()
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	var h snapshotHeader
+	if err := dec.Decode(&h); err != nil {
+		t.Fatalf("header: %v", err)
+	}
+	return int(dec.InputOffset())
+}
+
+func TestWarmCorruptBodyFallsBackToNextNearest(t *testing.T) {
+	conf := tsConf(50)
+	dir, cold, exactFile := saveOne(t, conf)
+
+	// A second snapshot of the same program under another Whole fingerprint:
+	// a non-exact candidate with no touched method, so its clauses survive.
+	h, ok := readHeader(exactFile)
+	if !ok {
+		t.Fatal("saved header unreadable")
+	}
+	queries, ok := readQueries(exactFile)
+	if !ok {
+		t.Fatal("saved queries unreadable")
+	}
+	near := *h
+	near.Whole = hex64(ir.Fingerprint(load(t, progBase).IR).Whole ^ 1)
+	if err := Open(dir, nil).writeSnapshot(&near, queries); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	agg := obs.NewAgg()
+	if s := Open(dir, agg).Session(load(t, progBase), conf); !s.Exact() {
+		t.Fatal("intact exact snapshot not chosen")
+	}
+	if n := agg.Counter(obs.WarmSnapshots); n != 2 {
+		t.Fatalf("warm.snapshots = %d, want 2", n)
+	}
+
+	// Truncate the exact snapshot's body but not its header.
+	data, err := os.ReadFile(exactFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := headerLen(t, exactFile)
+	if err := os.WriteFile(exactFile, data[:hl+(len(data)-hl)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	agg = obs.NewAgg()
+	s := Open(dir, agg).Session(load(t, progBase), conf)
+	if s.Exact() {
+		t.Fatal("truncated exact snapshot was trusted")
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
+		t.Fatalf("warm.entries_corrupt = %d, want 1", n)
+	}
+	if len(s.entries) == 0 || agg.Counter(obs.WarmClausesLoaded) == 0 {
+		t.Fatal("next-nearest snapshot was not loaded")
+	}
+	warm := solveTS(t, load(t, progBase), s, conf)
+	wantSame(t, cold, warm, "fallback to next-nearest")
+}
+
+func TestWarmOtherClientsFilesNeverOpened(t *testing.T) {
+	conf := tsConf(50)
+	dir, _, _ := saveOne(t, conf)
+	p := load(t, progBase)
+	whole := hex64(ir.Fingerprint(p.IR).Whole)
+	st := Open(dir, nil)
+	other := Config{Client: Typestate, K: 3, MaxIters: 50}
+	for _, name := range []string{
+		st.snapshotPath(whole, string(Escape), confSignature(p, Config{Client: Escape, K: 2})),
+		st.snapshotPath(whole, string(Nullness), confSignature(p, Config{Client: Nullness, K: 2})),
+		st.snapshotPath(whole, string(Typestate), confSignature(p, other)),
+	} {
+		if err := os.WriteFile(name, []byte(`{"whole"`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agg := obs.NewAgg()
+	s := Open(dir, agg).Session(p, conf)
+	if !s.Exact() {
+		t.Fatal("own snapshot not loaded")
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 0 {
+		t.Fatalf("warm.entries_corrupt = %d, want 0: another client's file was opened", n)
+	}
+	if n := agg.Counter(obs.WarmSnapshots); n != 1 {
+		t.Fatalf("warm.snapshots = %d, want 1", n)
+	}
+}
+
+func TestWarmV1SnapshotIgnored(t *testing.T) {
+	conf := tsConf(50)
+	dir, _, file := saveOne(t, conf)
+	h, ok := readHeader(file)
+	if !ok {
+		t.Fatal("saved header unreadable")
+	}
+	queries, ok := readQueries(file)
+	if !ok {
+		t.Fatal("saved queries unreadable")
+	}
+	// The version-1 layout: one object holding the header fields and the
+	// queries.
+	v1 := map[string]any{
+		"version": 1, "whole": h.Whole, "shape": h.Shape, "methods": h.Methods,
+		"client": h.Client, "conf": h.Conf, "queries": queries,
+	}
+	data, err := json.MarshalIndent(v1, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	agg := obs.NewAgg()
+	s := Open(dir, agg).Session(load(t, progBase), conf)
+	if s.Exact() || len(s.entries) != 0 {
+		t.Fatalf("v1 snapshot was trusted: exact=%v entries=%d", s.Exact(), len(s.entries))
+	}
+	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
+		t.Fatalf("warm.entries_corrupt = %d, want 1", n)
 	}
 }
 
