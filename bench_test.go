@@ -400,28 +400,3 @@ func BenchmarkSolveBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSolveBatchCache isolates the forward-run memo: the same batch
-// with the memo disabled re-executes every forward phase.
-func BenchmarkSolveBatchCache(b *testing.B) {
-	bm := bench.MustLoad(bench.Suite()[0]) // tsp
-	for _, tc := range []struct {
-		name string
-		size int
-	}{{"memo", 0}, {"nomemo", -1}} {
-		b.Run(tc.name, func(b *testing.B) {
-			opts := batchOpts(1)
-			opts.FwdCacheSize = tc.size
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunBatch(bm, bench.Escape, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.Stats.FwdCacheHits), "memo-hits")
-					b.ReportMetric(float64(res.Stats.FwdCacheMisses), "memo-misses")
-				}
-			}
-		})
-	}
-}

@@ -26,7 +26,6 @@
 //	-tenant-rps 0          per-tenant sustained requests/second (0 = off)
 //	-tenant-burst 10       per-tenant burst size
 //	-workers N             solver workers per batch round
-//	-fwd-cache N           cross-round forward-run memo entries per round
 //	-prog-cache 32         loaded-program LRU entries
 //	-warm-dir DIR          mount a persistent warm-start store
 //	-access-log FILE       NDJSON access log: per-request event streams, each
@@ -79,7 +78,6 @@ func run() error {
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant requests/second (0 = quotas off)")
 	tenantBurst := flag.Int("tenant-burst", 10, "per-tenant burst")
 	workers := flag.Int("workers", 0, "solver workers per batch round (0 = sequential)")
-	fwdCache := flag.Int("fwd-cache", 0, "cross-round forward memo entries (0 = default)")
 	progCache := flag.Int("prog-cache", 32, "loaded-program cache entries")
 	warmDir := flag.String("warm-dir", "", "persistent warm-start store directory")
 	accessLog := flag.String("access-log", "", "write the NDJSON access log to this file")
@@ -127,7 +125,6 @@ func run() error {
 		TenantRPS:            *tenantRPS,
 		TenantBurst:          *tenantBurst,
 		Workers:              *workers,
-		FwdCacheSize:         *fwdCache,
 		ProgCacheSize:        *progCache,
 		WarmDir:              *warmDir,
 		Recorder:             obs.Multi(sinks...),

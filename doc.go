@@ -34,17 +34,18 @@
 //     minsat.incremental_reuse for the incremental min-cost solver,
 //     formula.subsumption_checks / formula.sig_filtered / formula.sig_skips
 //     for the signature-screened kernel scans, and
-//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo;
-//     README.md has the full reference table and a guide to reading the
-//     bench JSON these land in
+//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo, and
+//     forward.delta_resumes/_reused/_invalidated for the delta-incremental
+//     forward engines; README.md has the full reference table
 //
 // Three commands sit on top. cmd/tracer answers the queries of one
 // mini-IR program (-engine inline|rhs, -auto, -explain, plus -trace for
 // an NDJSON event transcript, -metrics for aggregate counters, and
 // -cpuprofile/-memprofile for pprof capture). cmd/paperbench regenerates
-// every table and figure of the paper's evaluation and writes the repo's
-// perf trajectory as github-action-benchmark BENCH_*.json data
-// (-bench-json). cmd/benchgen emits the synthetic suite as .tir files.
+// every table and figure of the paper's evaluation. cmd/benchgen emits
+// the synthetic suite as .tir files. The repository's benchmark,
+// cmd/tracerbench, is a module of its own: it measures four workloads
+// under a step quota and checks every verdict against a golden table.
 //
 // See README.md for a tour, ARCHITECTURE.md for the package map and the
 // data flow of Algorithm 1, DESIGN.md for the system inventory, and

@@ -20,64 +20,48 @@ func TestEnginesAgreeOnSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{MaxIters: 300}
 
-	// Type-state client.
-	inlTS := b.Prog.TypestateQueries()
-	rhsTS := rhsProg.TypestateQueries()
-	if len(inlTS) != len(rhsTS) {
-		t.Fatalf("type-state query counts differ: inline %d vs rhs %d", len(inlTS), len(rhsTS))
+	inlTS, rhsTS := b.Prog.TypestateQueries(), rhsProg.TypestateQueries()
+	enginesAgree(t, "type-state", len(inlTS), len(rhsTS), func(i int) (string, string, core.Problem, core.Problem) {
+		return inlTS[i].ID, rhsTS[i].ID, b.Prog.TypestateJob(inlTS[i], 5), rhsProg.TypestateJob(rhsTS[i], 5)
+	})
+	inlEsc, rhsEsc := b.Prog.EscapeQueries(), rhsProg.EscapeQueries()
+	enginesAgree(t, "escape", len(inlEsc), len(rhsEsc), func(i int) (string, string, core.Problem, core.Problem) {
+		return inlEsc[i].ID, rhsEsc[i].ID, b.Prog.EscapeJob(inlEsc[i], 5), rhsProg.EscapeJob(rhsEsc[i], 5)
+	})
+	inlNull, rhsNull := b.Prog.NullnessQueries(), rhsProg.NullnessQueries()
+	enginesAgree(t, "nullness", len(inlNull), len(rhsNull), func(i int) (string, string, core.Problem, core.Problem) {
+		return inlNull[i].ID, rhsNull[i].ID, b.Prog.NullnessJob(inlNull[i], 5), rhsProg.NullnessJob(rhsNull[i], 5)
+	})
+}
+
+// enginesAgree solves the first 15 of one client's n queries on both
+// engines. pair returns query i's inline and RHS IDs and problems.
+func enginesAgree(t *testing.T, client string, n, rhsN int, pair func(i int) (id, rhsID string, inline, rhs core.Problem)) {
+	t.Helper()
+	if n != rhsN {
+		t.Fatalf("%s query counts differ: inline %d vs rhs %d", client, n, rhsN)
 	}
 	const cap = 15
-	for i := range inlTS {
-		if i >= cap {
-			break
+	opts := core.Options{MaxIters: 300}
+	for i := 0; i < min(n, cap); i++ {
+		id, rhsID, inline, rhs := pair(i)
+		if id != rhsID {
+			t.Fatalf("%s query %d: ids differ: %s vs %s", client, i, id, rhsID)
 		}
-		if inlTS[i].ID != rhsTS[i].ID {
-			t.Fatalf("query %d: ids differ: %s vs %s", i, inlTS[i].ID, rhsTS[i].ID)
-		}
-		want, err := core.Solve(b.Prog.TypestateJob(inlTS[i], 5), opts)
+		want, err := core.Solve(inline, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.Solve(rhsProg.TypestateJob(rhsTS[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != want.Status {
-			t.Errorf("%s: rhs %v vs inline %v", inlTS[i].ID, got.Status, want.Status)
-		}
-		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
-			t.Errorf("%s: rhs |p|=%d vs inline %d", inlTS[i].ID, got.Abstraction.Len(), want.Abstraction.Len())
-		}
-	}
-
-	// Thread-escape client.
-	inlEsc := b.Prog.EscapeQueries()
-	rhsEsc := rhsProg.EscapeQueries()
-	if len(inlEsc) != len(rhsEsc) {
-		t.Fatalf("escape query counts differ: inline %d vs rhs %d", len(inlEsc), len(rhsEsc))
-	}
-	for i := range inlEsc {
-		if i >= cap {
-			break
-		}
-		if inlEsc[i].ID != rhsEsc[i].ID {
-			t.Fatalf("query %d: ids differ: %s vs %s", i, inlEsc[i].ID, rhsEsc[i].ID)
-		}
-		want, err := core.Solve(b.Prog.EscapeJob(inlEsc[i], 5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.Solve(rhsProg.EscapeJob(rhsEsc[i], 5), opts)
+		got, err := core.Solve(rhs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Status != want.Status {
-			t.Errorf("%s: rhs %v vs inline %v", inlEsc[i].ID, got.Status, want.Status)
+			t.Errorf("%s: rhs %v vs inline %v", id, got.Status, want.Status)
 		}
 		if want.Status == core.Proved && got.Abstraction.Len() != want.Abstraction.Len() {
-			t.Errorf("%s: rhs |p|=%d vs inline %d", inlEsc[i].ID, got.Abstraction.Len(), want.Abstraction.Len())
+			t.Errorf("%s: rhs |p|=%d vs inline %d", id, got.Abstraction.Len(), want.Abstraction.Len())
 		}
 	}
 }

@@ -50,24 +50,16 @@ type RunOptions struct {
 	// groups and per-query meta-analyses across it. Results are identical
 	// for every value.
 	BatchWorkers int
-	// FwdCacheSize is RunBatch's forward-run memo size
-	// (core.Options.FwdCacheSize): 0 = default, negative disables.
-	FwdCacheSize int
 	// Context, when non-nil, cancels in-flight solves cooperatively
 	// (core.Options.Context); unresolved queries report Exhausted with
 	// partial stats. paperbench wires a signal.NotifyContext here so SIGINT
-	// still flushes the bench JSON.
+	// still flushes the NDJSON trace and metrics.
 	Context context.Context
 	// Recorder receives the TRACER loop's structured telemetry, tagged with
 	// each query's ID (see internal/obs). It must be safe for concurrent
 	// use when Workers > 1. Note the run cache: cached results replay no
 	// events — set Fresh to re-record a previously computed run.
 	Recorder obs.Recorder
-	// NoDelta disables the delta-incremental forward engine: per-query jobs
-	// solve cold every CEGAR iteration and the batch scheduler never resumes
-	// a cached run across an abstraction flip. The differential suite uses
-	// it to obtain the reference (cold) executor.
-	NoDelta bool
 	// WarmDir, when non-empty, names a warm-start store directory
 	// (internal/warm): Run and RunBatch seed each query with its surviving
 	// stored clauses before iteration 1 and persist what this run learned
@@ -122,7 +114,7 @@ func (r *ClientResult) count(s core.Status) int {
 // through TRACER, mirroring the paper's per-query resolution. Results are
 // cached per (benchmark, client, k, query cap).
 func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
-	key := fmt.Sprintf("%s/%s/k=%d/max=%d/cap=%d/to=%s/warm=%s/nodelta=%t", b.Config.Name, client, opts.K, opts.MaxIters, opts.MaxQueries, opts.Timeout, opts.WarmDir, opts.NoDelta)
+	key := fmt.Sprintf("%s/%s/k=%d/max=%d/cap=%d/to=%s/warm=%s", b.Config.Name, client, opts.K, opts.MaxIters, opts.MaxQueries, opts.Timeout, opts.WarmDir)
 	if !opts.Fresh {
 		runMu.Lock()
 		if r, ok := runCache[key]; ok {
@@ -146,7 +138,7 @@ func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
 	// scratch for each query on the same program.
 	queries, bp := clientBatch(b, spec, opts)
 	if err := runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
-		return queries[i].ID, queries[i].Key, bp.Job(i, opts.NoDelta)
+		return queries[i].ID, queries[i].Key, bp.Job(i, false)
 	}); err != nil {
 		return nil, err
 	}
@@ -174,8 +166,7 @@ func coreOpts(opts RunOptions) core.Options {
 	return core.Options{
 		MaxIters: opts.MaxIters, Timeout: opts.Timeout, Context: opts.Context,
 		Recorder: opts.Recorder,
-		Workers:  opts.BatchWorkers, FwdCacheSize: opts.FwdCacheSize,
-		NoDelta: opts.NoDelta,
+		Workers:  opts.BatchWorkers,
 	}
 }
 

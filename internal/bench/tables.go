@@ -511,7 +511,7 @@ type BatchRow struct {
 }
 
 // BatchTable runs the grouped solver for every registered client over the
-// whole suite, honoring opts.BatchWorkers and opts.FwdCacheSize.
+// whole suite, honoring opts.BatchWorkers.
 // opts.Timeout is the per-query budget of the individual runs; SolveBatch
 // enforces a whole-batch cap, so the batch gets query-count times that
 // budget.

@@ -76,8 +76,8 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	K int
 
 	// NoDelta disables the delta-incremental forward path (dataflow.Chain),
-	// forcing every CEGAR iteration to solve cold from the reusable scratch.
-	// The differential suite uses it as the reference executor.
+	// so every CEGAR iteration solves cold through dataflow.SolveBudget. The
+	// differential suite and the oracle use it as the reference executor.
 	NoDelta bool
 
 	// Uni and WPC, when set, are the interned literal universe and the
@@ -89,24 +89,15 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	WPC *meta.WPCache
 
 	// chain is the resumable forward solver retained across CEGAR
-	// iterations, checked out like fwdScratch. It is stored back only after
-	// a solve returns normally (a trip poisons its retained run internally;
-	// a panic abandons the chain entirely, so the next solve starts cold).
+	// iterations. It is checked out with an atomic swap for the duration of
+	// a solve, so concurrent Forward calls on one job fall back to a fresh
+	// chain instead of racing, and stored back only after a solve returns
+	// normally (a trip poisons its retained run internally; a panic abandons
+	// the chain entirely, so the next solve starts cold).
 	chain atomic.Pointer[dataflow.Chain[D]]
 
 	// Delta accounting since the last FlushObs, mirroring the chain's Stats.
 	deltaResumes, deltaReused, deltaInvalid atomic.Int64
-
-	// fwdHint carries the discovery count of the previous Forward solve as
-	// the next solve's map-capacity hint; consecutive CEGAR iterations
-	// re-solve the same CFG and discover similar state counts. Atomic so a
-	// job probed from a worker pool stays race-free.
-	fwdHint atomic.Int64
-	// fwdScratch is the reusable solver state handed to consecutive Forward
-	// solves. It is checked out with an atomic swap for the duration of a
-	// solve, so concurrent Forward calls on one job simply fall back to
-	// fresh allocation instead of racing.
-	fwdScratch atomic.Pointer[dataflow.Scratch[D]]
 }
 
 // NumParams returns the size N of the abstraction family 2^N.
@@ -122,16 +113,7 @@ func (j *Job[D, Q, A]) ParamName(i int) string { return j.A.ParamName(i) }
 // its "no failure found" cannot be trusted as a proof).
 func (j *Job[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	if j.NoDelta {
-		sc := j.fwdScratch.Swap(nil)
-		if sc == nil {
-			sc = &dataflow.Scratch[D]{}
-		}
-		// The scratch is returned only after the outcome (including any
-		// witness walk over the result) is fully extracted.
-		defer j.fwdScratch.Store(sc)
-		res := dataflow.SolveScratch(j.G, j.A.Initial(), j.A.Transfer(p), b, int(j.fwdHint.Load()), sc)
-		j.fwdHint.Store(int64(res.Steps))
-		return j.outcome(b, res)
+		return j.outcome(b, dataflow.SolveBudget(j.G, j.A.Initial(), j.A.Transfer(p), b))
 	}
 	ch := j.chain.Swap(nil)
 	if ch == nil {

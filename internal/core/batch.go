@@ -100,8 +100,8 @@ type BatchStats struct {
 	// revalidation or were served from the expansion memo without a transfer
 	// call; PEInvalidated counts path edges rolled back by a parameter flip.
 	// The totals reconcile with the forward_done events: PEReused equals the
-	// sum of their Reused fields, and with the rhs.* counters recorded per
-	// forward-run phase.
+	// sum of their Reused fields, and with the forward.delta_* counters
+	// recorded per forward-run phase.
 	DeltaResumes  int
 	PEReused      int
 	PEInvalidated int
@@ -309,7 +309,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		}
 		addTo(s, q)
 	}
-	cache := newFwdCache(opts.fwdCacheSize())
+	cache := newFwdCache(fwdCacheCap)
 	ordinal := 0 // global group-iteration counter
 	// Donor-seeded resumption: on a memo miss, a DeltaBatchProblem's fresh
 	// run may resume a consumed memo entry whose abstraction is within
@@ -556,13 +556,13 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 					AbsSize: t.p.Len(), Steps: t.stepDelta, Queries: t.queries,
 					Reused: du, WallNS: t.execNS + t.checkNS})
 				if dr > 0 {
-					rec.Count(obs.RhsDeltaResumes, int64(dr))
+					rec.Count(obs.ForwardDeltaResumes, int64(dr))
 				}
 				if du > 0 {
-					rec.Count(obs.RhsPEReused, int64(du))
+					rec.Count(obs.ForwardDeltaReused, int64(du))
 				}
 				if di > 0 {
-					rec.Count(obs.RhsPEInvalidated, int64(di))
+					rec.Count(obs.ForwardDeltaInvalidated, int64(di))
 				}
 			}
 			// A partial (tripped) run must not poison later rounds or a

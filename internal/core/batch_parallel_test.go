@@ -216,20 +216,4 @@ func TestSolveBatchForwardCache(t *testing.T) {
 		t.Errorf("obs counters hit/miss = %d/%d, want 1/3",
 			agg.Counter(obs.BatchFwdCacheHit), agg.Counter(obs.BatchFwdCacheMiss))
 	}
-
-	// With the memo disabled the last phase re-executes.
-	b2 := &hitBatch{}
-	res2, err := SolveBatch(b2, Options{FwdCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.runs != 4 {
-		t.Errorf("executions with memo disabled = %d, want 4", b2.runs)
-	}
-	if res2.Stats.FwdCacheHits != 0 {
-		t.Errorf("hits with memo disabled = %d, want 0", res2.Stats.FwdCacheHits)
-	}
-	if res2.Stats.TotalSteps != 4 {
-		t.Errorf("TotalSteps with memo disabled = %d, want 4", res2.Stats.TotalSteps)
-	}
 }

@@ -78,6 +78,12 @@ type fwdEntry struct {
 	prev, next *fwdEntry
 }
 
+// fwdCacheCap bounds SolveBatch's LRU memo of forward runs: groups converging
+// on the same minimum abstraction reuse one whole-program solve. 64 was picked
+// by a {16,64,256} paperbench sweep: it nearly doubles the 16-entry hit rate at
+// indistinguishable wall time, while 256 keeps gaining hits but costs wall.
+const fwdCacheCap = 64
+
 // fwdCache is an LRU memo of forward runs keyed by the canonical abstraction
 // key. Recency is an intrusive circular doubly-linked list through the
 // entries (root.next = least recent, root.prev = most recent). It is only
@@ -98,9 +104,6 @@ func newFwdCache(cap int) *fwdCache {
 
 // get returns the entry for key (refreshing its recency) or nil.
 func (c *fwdCache) get(key string) *fwdEntry {
-	if c.cap <= 0 {
-		return nil
-	}
 	e := c.entries[key]
 	if e != nil {
 		c.unlink(e)
@@ -111,9 +114,6 @@ func (c *fwdCache) get(key string) *fwdEntry {
 
 // put inserts an entry, evicting the least recently used one on overflow.
 func (c *fwdCache) put(key string, e *fwdEntry) {
-	if c.cap <= 0 {
-		return
-	}
 	if old, ok := c.entries[key]; ok {
 		c.unlink(old)
 	}
@@ -135,9 +135,6 @@ func (c *fwdCache) put(key string, e *fwdEntry) {
 // the donor's result, so it must never serve another Check. Called only from
 // the scheduler's sequential pass, so the choice is deterministic.
 func (c *fwdCache) takeDonor(p uset.Set, wanted map[string]bool, maxFlip int) *fwdEntry {
-	if c.cap <= 0 {
-		return nil
-	}
 	var best *fwdEntry
 	bestFlip := maxFlip + 1
 	for e := c.root.prev; e != &c.root; e = e.prev {

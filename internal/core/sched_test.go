@@ -45,11 +45,3 @@ func TestFwdCacheLRU(t *testing.T) {
 		}
 	}
 }
-
-func TestFwdCacheDisabled(t *testing.T) {
-	c := newFwdCache(0)
-	c.put("a", &fwdEntry{})
-	if c.get("a") != nil {
-		t.Fatal("disabled cache stored an entry")
-	}
-}

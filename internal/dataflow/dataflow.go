@@ -112,8 +112,6 @@ type nodeState[D comparable] struct {
 // of their allocation on empty buckets — plus a per-node slice for O(states
 // at n) enumeration.
 type Result[D comparable] struct {
-	g      *lang.CFG
-	tr     Transfer[D]
 	seen   map[nodeState[D]]origin[D]
 	byNode [][]D
 	// Steps counts (node, state) discoveries, a machine-independent cost
@@ -125,6 +123,13 @@ type Result[D comparable] struct {
 // The slice is shared with the result and must not be mutated.
 func (r *Result[D]) States(n int) []D {
 	return r.byNode[n]
+}
+
+// newResult returns an empty result over g. The discovery map's capacity is
+// a bounded guess from the CFG size.
+func newResult[D comparable](g *lang.CFG) *Result[D] {
+	hint := max(min(g.Nodes, 1024), 64)
+	return &Result[D]{seen: make(map[nodeState[D]]origin[D], hint), byNode: make([][]D, g.Nodes)}
 }
 
 // Has reports whether state d reaches node n.
@@ -172,60 +177,11 @@ func Solve[D comparable](g *lang.CFG, init D, tr Transfer[D]) *Result[D] {
 // reachable states, so callers must check b.Tripped() before trusting a
 // "no failing state found" scan of it. A nil budget never trips.
 func SolveBudget[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.Budget) *Result[D] {
-	return SolveBudgetHint(g, init, tr, b, 0)
-}
-
-// SolveBudgetHint is SolveBudget with a capacity hint for the discovery map:
-// the expected number of (node, state) discoveries, typically the Steps
-// count of a previous solve of the same CFG (CEGAR re-solves one CFG dozens
-// of times, and consecutive iterations discover similar state counts — the
-// exact hint avoids both rehash doublings and a mostly-empty table).
-// hint <= 0 falls back to a bounded guess from the CFG size.
-func SolveBudgetHint[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.Budget, hint int) *Result[D] {
-	return SolveScratch(g, init, tr, b, hint, nil)
-}
-
-// Scratch is reusable solver state for repeated solves over the same (or a
-// same-sized) CFG — the CEGAR loop re-solves one CFG dozens of times, and
-// re-allocating the discovery map, the per-node slices, and the worklist
-// each iteration dominates the solver's allocation. A Scratch is owned by
-// one solve at a time: reusing it invalidates the Result of the previous
-// SolveScratch call that used it.
-type Scratch[D comparable] struct {
-	seen   map[nodeState[D]]origin[D]
-	byNode [][]D
-	work   []nodeState[D]
-}
-
-// SolveScratch is SolveBudgetHint with optional state reuse; sc may be nil.
-func SolveScratch[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.Budget, hint int, sc *Scratch[D]) *Result[D] {
-	r := &Result[D]{g: g, tr: tr}
-	var work []nodeState[D]
-	if sc != nil && sc.seen != nil && len(sc.byNode) >= g.Nodes {
-		clear(sc.seen)
-		byNode := sc.byNode[:g.Nodes]
-		for i := range byNode {
-			byNode[i] = byNode[i][:0]
-		}
-		r.seen, r.byNode = sc.seen, byNode
-		work = sc.work[:0]
-	} else {
-		if hint <= 0 {
-			hint = g.Nodes
-			if hint > 1024 {
-				hint = 1024
-			}
-		}
-		if hint < 64 {
-			hint = 64
-		}
-		r.seen = make(map[nodeState[D]]origin[D], hint)
-		r.byNode = make([][]D, g.Nodes)
-	}
+	r := newResult[D](g)
 	r.seen[nodeState[D]{g.Entry, init}] = origin[D]{root: true}
 	r.byNode[g.Entry] = append(r.byNode[g.Entry], init)
 	r.Steps++
-	work = append(work, nodeState[D]{g.Entry, init})
+	work := []nodeState[D]{{g.Entry, init}}
 	for len(work) > 0 {
 		if !b.Poll() {
 			break
@@ -246,13 +202,6 @@ func SolveScratch[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.B
 			r.byNode[e.To] = append(r.byNode[e.To], next)
 			r.Steps++
 			work = append(work, key)
-		}
-	}
-	if sc != nil {
-		sc.seen, sc.work = r.seen, work[:0]
-		// Keep the longer per-node table when the scratch outgrew this CFG.
-		if len(sc.byNode) < len(r.byNode) {
-			sc.byNode = r.byNode
 		}
 	}
 	return r

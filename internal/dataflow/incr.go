@@ -9,7 +9,7 @@
 // retained execution against the flip and resumes from the first divergent
 // dequeue instead of starting cold.
 //
-// Determinism argument. The chaotic iteration in SolveScratch is a pure
+// Determinism argument. The chaotic iteration in SolveBudget is a pure
 // function of (CFG, abstraction, initial state): the worklist is LIFO, edges
 // are expanded in CFG order, and discovery dedup is semantic equality. A
 // Chain replays that exact function: a memo record is served only when its
@@ -56,10 +56,9 @@ func DepLit(p uset.Set, param int) int32 {
 // them through a different instance (different intern tables) is unsound —
 // retain the Chain and its analysis together, and drop both together.
 //
-// Ownership follows Scratch: each Solve returns a Result backed by the
-// chain's retained maps, and the next Solve on the same chain invalidates
-// every previously returned Result. A Chain is owned by one solve at a time
-// and is not safe for concurrent use.
+// Each Solve returns a Result backed by the chain's retained maps, and the
+// next Solve on the same chain invalidates every previously returned Result.
+// A Chain is owned by one solve at a time and is not safe for concurrent use.
 type Chain[D comparable] struct {
 	g *lang.CFG
 
@@ -150,14 +149,7 @@ func (c *Chain[D]) cold(pw uset.Words, init D, tr DepTransfer[D], b *budget.Budg
 	c.complete = false
 	c.init = init
 	if c.res == nil {
-		hint := g.Nodes
-		if hint > 1024 {
-			hint = 1024
-		}
-		if hint < 64 {
-			hint = 64
-		}
-		c.res = &Result[D]{g: g, seen: make(map[nodeState[D]]origin[D], hint), byNode: make([][]D, g.Nodes)}
+		c.res = newResult[D](g)
 	} else {
 		clear(c.res.seen)
 		for i := range c.res.byNode {
@@ -288,7 +280,7 @@ func (c *Chain[D]) finish(pw uset.Words, tr DepTransfer[D], b *budget.Budget) *R
 	return c.res
 }
 
-// propagate records a successor discovery, mirroring SolveScratch exactly.
+// propagate records a successor discovery, mirroring SolveBudget exactly.
 func (c *Chain[D]) propagate(to int, next D, from nodeState[D], atom lang.Atom) {
 	key := nodeState[D]{to, next}
 	if _, seen := c.res.seen[key]; seen {

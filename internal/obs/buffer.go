@@ -6,19 +6,19 @@ import (
 )
 
 // Counter names for the delta-incremental forward engines (dataflow.Chain
-// and rhs.Chain). RhsDeltaResumes counts forward solves served by the delta
-// path — a retained previous run was validated against the flipped
+// and rhs.Chain). ForwardDeltaResumes counts forward solves served by the
+// delta path — a retained previous run was validated against the flipped
 // parameters instead of solving cold (whether or not anything had to be
-// recomputed). RhsPEReused counts path edges (discoveries) that survived
-// validation or were served from the expansion memo without re-evaluating a
-// transfer function; RhsPEInvalidated counts path edges rolled back because
-// a transfer application on the retained run had consulted a flipped
-// parameter. The names are rhs.* for both engines: the counters describe
-// path-edge reuse regardless of which tabulation produced the edges.
+// recomputed). ForwardDeltaReused counts discoveries (path edges, for the
+// tabulation engine) that survived validation or were served from the
+// expansion memo without re-evaluating a transfer function;
+// ForwardDeltaInvalidated counts discoveries rolled back because a transfer
+// application on the retained run had consulted a flipped parameter. Both
+// engines feed the same names, so the counters do not say which one ran.
 const (
-	RhsDeltaResumes  = "rhs.delta_resumes"
-	RhsPEReused      = "rhs.pe_reused"
-	RhsPEInvalidated = "rhs.pe_invalidated"
+	ForwardDeltaResumes     = "forward.delta_resumes"
+	ForwardDeltaReused      = "forward.delta_reused"
+	ForwardDeltaInvalidated = "forward.delta_invalidated"
 )
 
 // FlushDelta drains the delta counters a problem accumulated since its last
@@ -27,13 +27,13 @@ const (
 // point as the formula.* and meta.* counters.
 func FlushDelta(rec Recorder, resumes, reused, invalidated *atomic.Int64) {
 	if n := resumes.Swap(0); n > 0 {
-		rec.Count(RhsDeltaResumes, n)
+		rec.Count(ForwardDeltaResumes, n)
 	}
 	if n := reused.Swap(0); n > 0 {
-		rec.Count(RhsPEReused, n)
+		rec.Count(ForwardDeltaReused, n)
 	}
 	if n := invalidated.Swap(0); n > 0 {
-		rec.Count(RhsPEInvalidated, n)
+		rec.Count(ForwardDeltaInvalidated, n)
 	}
 }
 

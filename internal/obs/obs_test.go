@@ -177,21 +177,3 @@ func TestMulti(t *testing.T) {
 		t.Error("Multi(nil, Nop) should be disabled")
 	}
 }
-
-// TestBenchEntries: aggregate export produces the github-action-benchmark
-// {name, value, unit} shape deterministically.
-func TestBenchEntries(t *testing.T) {
-	a := NewAgg()
-	a.Timing("solve", 250*time.Millisecond)
-	a.Count("steps", 42)
-	a.Gauge("peak", 9)
-	got := a.BenchEntries("pfx/")
-	want := []BenchEntry{
-		{Name: "pfx/solve", Value: 250, Unit: "ms", Extra: "n=1 mean=250ms"},
-		{Name: "pfx/steps", Value: 42, Unit: "count"},
-		{Name: "pfx/peak", Value: 9, Unit: "max"},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BenchEntries:\ngot  %+v\nwant %+v", got, want)
-	}
-}

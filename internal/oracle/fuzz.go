@@ -225,18 +225,16 @@ func compareDelta(base core.Result, cold core.Problem) string {
 	return ""
 }
 
-// batchVariants is the worker-count × forward-cache × delta-engine grid
-// every batch metamorphic check sweeps. -1 disables the cross-round memo;
-// NoDelta forces every forward run to solve cold.
+// batchVariants is the worker-count × delta-engine grid every batch
+// metamorphic check sweeps. NoDelta forces every forward run to solve cold.
 var batchVariants = []core.Options{
 	{Workers: 1},
 	{Workers: 4},
-	{Workers: 4, FwdCacheSize: -1},
 	{Workers: 4, NoDelta: true},
 }
 
 // checkBatch cross-checks SolveBatch against per-query Solve on the case's
-// query variants, across the worker/cache grid.
+// query variants, across the worker/delta grid.
 func checkBatch(c Case) []string {
 	solo, _ := c.variants()
 	want := make([]core.Result, len(solo))
@@ -248,7 +246,7 @@ func checkBatch(c Case) []string {
 		_, bp := c.variants()
 		res, err := core.SolveBatch(bp, opts)
 		if err != nil {
-			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) failed: %v", opts.Workers, opts.FwdCacheSize, err))
+			v = append(v, fmt.Sprintf("batch (workers=%d nodelta=%t) failed: %v", opts.Workers, opts.NoDelta, err))
 			continue
 		}
 		v = append(v, compareBatch(want, res, opts)...)
@@ -264,8 +262,8 @@ func compareBatch(solo []core.Result, batch *core.BatchResult, opts core.Options
 	for q, want := range solo {
 		got := batch.Results[q]
 		if got.Status != want.Status || !got.Abstraction.Equal(want.Abstraction) {
-			v = append(v, fmt.Sprintf("batch (workers=%d cache=%d) query %d resolved %s/%s, solo %s/%s",
-				opts.Workers, opts.FwdCacheSize, q,
+			v = append(v, fmt.Sprintf("batch (workers=%d nodelta=%t) query %d resolved %s/%s, solo %s/%s",
+				opts.Workers, opts.NoDelta, q,
 				got.Status, got.Abstraction, want.Status, want.Abstraction))
 		}
 	}

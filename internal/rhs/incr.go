@@ -84,9 +84,9 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 	if c.complete && dI == c.dI && c.allClean(pw) {
 		c.lastResumed, c.lastReused, c.lastInvalid = true, c.res.Steps, 0
 		if recording {
-			rec.Count(obs.RhsDeltaResumes, 1)
+			rec.Count(obs.ForwardDeltaResumes, 1)
 			if c.lastReused > 0 {
-				rec.Count(obs.RhsPEReused, int64(c.lastReused))
+				rec.Count(obs.ForwardDeltaReused, int64(c.lastReused))
 			}
 		}
 		return c.res
@@ -119,13 +119,13 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 	}
 	if recording {
 		if resumed {
-			rec.Count(obs.RhsDeltaResumes, 1)
+			rec.Count(obs.ForwardDeltaResumes, 1)
 		}
 		if c.lastReused > 0 {
-			rec.Count(obs.RhsPEReused, int64(c.lastReused))
+			rec.Count(obs.ForwardDeltaReused, int64(c.lastReused))
 		}
 		if c.lastInvalid > 0 {
-			rec.Count(obs.RhsPEInvalidated, int64(c.lastInvalid))
+			rec.Count(obs.ForwardDeltaInvalidated, int64(c.lastInvalid))
 		}
 	}
 	return res

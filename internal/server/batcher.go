@@ -226,12 +226,11 @@ func (s *Server) runBatch(reqs []*request) {
 		return
 	}
 	opts := core.Options{
-		MaxIters:     first.maxIter,
-		Timeout:      minDeadline.Sub(start),
-		Context:      s.baseCtx,
-		Workers:      s.cfg.Workers,
-		FwdCacheSize: s.cfg.FwdCacheSize,
-		Inject:       s.inj,
+		MaxIters: first.maxIter,
+		Timeout:  minDeadline.Sub(start),
+		Context:  s.baseCtx,
+		Workers:  s.cfg.Workers,
+		Inject:   s.inj,
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = time.Millisecond

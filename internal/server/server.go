@@ -65,9 +65,8 @@ type Config struct {
 	// disables quotas.
 	TenantRPS   float64
 	TenantBurst int
-	// Workers and FwdCacheSize pass through to core.Options.
-	Workers      int
-	FwdCacheSize int
+	// Workers passes through to core.Options.
+	Workers int
 	// ProgCacheSize bounds the content-addressed loaded-program cache
 	// (default 32).
 	ProgCacheSize int
