@@ -175,9 +175,10 @@ func BenchmarkAblationUnderApprox(b *testing.B) {
 	}
 	// Pick the failing query with the longest counterexample trace so the
 	// backward pass has room to blow up.
+	esc := driver.ClientByName("escape")
 	best, bestLen := -1, 0
-	for i, q := range queries {
-		out := bm.Prog.EscapeJob(q, 5).Forward(nil, nil)
+	for i := range queries {
+		out := esc.Job(bm.Prog, i, 5).Forward(nil, nil)
 		if !out.Proved && len(out.Trace) > bestLen {
 			best, bestLen = i, len(out.Trace)
 		}
@@ -190,7 +191,7 @@ func BenchmarkAblationUnderApprox(b *testing.B) {
 		k    int
 	}{{"k=1", 1}, {"k=5", 5}, {"off", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			job := bm.Prog.EscapeJob(queries[best], cfg.k)
+			job := esc.Job(bm.Prog, best, cfg.k).(*escape.Job)
 			out := job.Forward(nil, nil)
 			// The un-approximated backward pass blows up doubly
 			// exponentially on full traces (the paper reports timeouts on
@@ -225,8 +226,7 @@ func BenchmarkAblationUnderApprox(b *testing.B) {
 // largest benchmark's supergraph.
 func BenchmarkForwardTypestate(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[5]) // avrora
-	queries := bm.Prog.TypestateQueries()
-	job := bm.Prog.TypestateJob(queries[0], 5)
+	job := driver.ClientByName("typestate").Job(bm.Prog, 0, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job.Forward(nil, nil)
@@ -237,8 +237,7 @@ func BenchmarkForwardTypestate(b *testing.B) {
 // the empty abstraction, every site mapped to E).
 func BenchmarkForwardEscape(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[5]) // avrora
-	queries := bm.Prog.EscapeQueries()
-	job := bm.Prog.EscapeJob(queries[0], 5)
+	job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job.Forward(nil, nil)
@@ -249,8 +248,7 @@ func BenchmarkForwardEscape(b *testing.B) {
 // counterexample trace (k = 5).
 func BenchmarkBackwardMeta(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[3]) // weblech
-	queries := bm.Prog.EscapeQueries()
-	job := bm.Prog.EscapeJob(queries[0], 5)
+	job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
 	out := job.Forward(nil, nil)
 	if out.Proved {
 		b.Skip("query proven under the empty abstraction")
@@ -271,8 +269,7 @@ func BenchmarkEngines(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("inline", func(b *testing.B) {
-		queries := bm.Prog.EscapeQueries()
-		job := bm.Prog.EscapeJob(queries[0], 5)
+		job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			job.Forward(nil, nil)
@@ -311,7 +308,7 @@ func BenchmarkMinSAT(b *testing.B) {
 // precondition, the largest single formula in either theory.
 func BenchmarkFormulaToDNF(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[0])
-	a := bm.Prog.EscapeAnalysis()
+	a := escape.New(bm.Prog.Locals, bm.Prog.Fields, bm.Prog.Sites)
 	var store lang.Atom
 	for _, e := range bm.Prog.Low.G.Edges {
 		if s, ok := e.A.(lang.Store); ok {
@@ -348,10 +345,11 @@ func BenchmarkLowering(b *testing.B) {
 // BenchmarkSingleQuery measures one full TRACER resolution end to end.
 func BenchmarkSingleQuery(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[2]) // hedc
-	queries := bm.Prog.TypestateQueries()
+	ts := driver.ClientByName("typestate")
+	n := len(bm.Prog.TypestateQueries())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		job := bm.Prog.TypestateJob(queries[i%len(queries)], 5)
+		job := ts.Job(bm.Prog, i%n, 5)
 		if _, err := core.Solve(job, core.Options{MaxIters: 100, Timeout: time.Second}); err != nil {
 			b.Fatal(err)
 		}

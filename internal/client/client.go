@@ -3,7 +3,9 @@
 // the abstraction and a backward meta-analysis of weakest preconditions
 // (§3.2, §4) — and writes the solver plumbing once against it: the
 // single-query problem on the inlined CFG (Job) and the multi-query problem
-// of a query-independent analysis (Batch); the tabulation twin of Job is
+// of §6 (Batch), in which each query names the part of the program its
+// analysis tracks (the allocation site for type-state, one shared part for
+// a query-independent analysis); the tabulation twin of Job is
 // driver.RHSJob. A client package supplies its analysis, theory and WP, plus
 // the few adapter methods of Analysis; the hot loops stay in dataflow, rhs,
 // meta and formula, so the generic layer costs one indirect call per CEGAR

@@ -78,17 +78,17 @@ func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[
 	return b
 }
 
-// Program is a loaded, lowered, and points-to-analyzed program.
+// Program is a loaded, lowered, and points-to-analyzed program. Prepare
+// builds every table derived from it, so a Program is read-only afterwards
+// and safe to share between goroutines.
 type Program struct {
 	base
 	Low *ir.Lowered
 
-	escapeAnalysis *escape.Analysis
-
-	// stmtKeysMemo and siteOwnerMemo back StmtKey/SiteOwner; both are
-	// built on first use (not thread-safe, like escapeAnalysis).
-	stmtKeysMemo  map[ir.Stmt]string
-	siteOwnerMemo map[string]string
+	stmtKeys                map[ir.Stmt]string
+	siteOwner               map[string]string
+	tsQueries               []TSQuery
+	escQueries, nullQueries []AccessQuery
 }
 
 // Load parses src and prepares all analyses.
@@ -100,7 +100,8 @@ func Load(src string) (*Program, error) {
 	return Prepare(prog)
 }
 
-// Prepare runs points-to and lowering on an already-parsed program.
+// Prepare runs points-to and lowering on an already-parsed program, and
+// generates every client's queries.
 func Prepare(prog *ir.Program) (*Program, error) {
 	pt, err := pointsto.Analyze(prog)
 	if err != nil {
@@ -116,7 +117,12 @@ func Prepare(prog *ir.Program) (*Program, error) {
 			called[cs.Stmt.Method] = true
 		}
 	}
-	return &Program{base: newBase(prog, pt, low.G, called), Low: low}, nil
+	p := &Program{base: newBase(prog, pt, low.G, called), Low: low,
+		stmtKeys: ir.StmtKeys(prog), siteOwner: siteOwners(prog)}
+	p.tsQueries = p.typestateQueries()
+	p.escQueries = p.accessQueries("esc")
+	p.nullQueries = p.accessQueries("null")
+	return p, nil
 }
 
 // StressMethods lists the application method names driving the generated
@@ -128,33 +134,29 @@ func (p *Program) StressMethods() []string { return p.stressMethods }
 
 // StmtKey returns a stable, position-independent identity for a source
 // statement ("Class.method#<ordinal>#<rendering>"); queries keyed by it keep
-// their identity across reformatting and across edits to other methods. The
-// table is built on first use.
-func (p *Program) StmtKey(s ir.Stmt) string {
-	if p.stmtKeysMemo == nil {
-		p.stmtKeysMemo = ir.StmtKeys(p.IR)
-	}
-	return p.stmtKeysMemo[s]
-}
+// their identity across reformatting and across edits to other methods.
+func (p *Program) StmtKey(s ir.Stmt) string { return p.stmtKeys[s] }
 
 // SiteOwner returns the QualName of the method whose body allocates at site
 // h, or "" when h is unknown. The warm-start layer treats the owner as a
 // supporting method of any counterexample trace mentioning h.
-func (p *Program) SiteOwner(h string) string {
-	if p.siteOwnerMemo == nil {
-		p.siteOwnerMemo = map[string]string{}
-		for _, m := range p.IR.Methods() {
-			qual := m.QualName()
-			ir.WalkStmts(m.Body, func(s ir.Stmt) {
-				if n, ok := s.(*ir.NewStmt); ok {
-					if _, dup := p.siteOwnerMemo[n.Site]; !dup {
-						p.siteOwnerMemo[n.Site] = qual
-					}
+func (p *Program) SiteOwner(h string) string { return p.siteOwner[h] }
+
+// siteOwners maps each allocation site to the QualName of the first method
+// whose body allocates at it.
+func siteOwners(prog *ir.Program) map[string]string {
+	out := map[string]string{}
+	for _, m := range prog.Methods() {
+		qual := m.QualName()
+		ir.WalkStmts(m.Body, func(s ir.Stmt) {
+			if n, ok := s.(*ir.NewStmt); ok {
+				if _, dup := out[n.Site]; !dup {
+					out[n.Site] = qual
 				}
-			})
-		}
+			}
+		})
 	}
-	return p.siteOwnerMemo[h]
+	return out
 }
 
 // EnvHash digests the points-to environment restricted to the given methods
@@ -238,10 +240,13 @@ type TSQuery struct {
 	Nodes []int
 }
 
-// TypestateQueries generates one query per (application call site, tracked
+// TypestateQueries lists one query per (application call site, tracked
 // application site h) pair with the receiver possibly pointing to h,
-// mirroring §6. Results are deterministically ordered.
-func (p *Program) TypestateQueries() []TSQuery {
+// mirroring §6, in a deterministic order. Callers must not modify the
+// returned slice.
+func (p *Program) TypestateQueries() []TSQuery { return p.tsQueries }
+
+func (p *Program) typestateQueries() []TSQuery {
 	type key struct {
 		stmt *ir.CallStmt
 		site string
@@ -289,15 +294,19 @@ func (b *base) siteAnalysis(prop *typestate.Property, h string) *typestate.Analy
 	return a
 }
 
-// TypestateJob builds the core.Problem for a generated stress query.
-func (p *Program) TypestateJob(q TSQuery, k int) *typestate.Job {
-	prop := typestate.StressProperty(p.stressMethods)
-	return &typestate.Job{
-		A: p.siteAnalysis(prop, q.Site),
-		G: p.Low.G,
-		Q: typestate.Query{Nodes: q.Nodes, Want: uset.Bits(0).Add(prop.Init)},
-		K: k,
-	}
+// escapeAnalysis builds a fresh thread-escape analysis over the program's
+// universes. The analysis is query-independent, so it tracks no part of
+// the program and ignores the part name (see client.NewBatch).
+func (b *base) escapeAnalysis(string) *escape.Analysis {
+	return escape.New(b.Locals, b.Fields, b.Sites)
+}
+
+// nullnessAnalysis builds a fresh nullness analysis over the program's cell
+// universes (nullness shares the escape client's locals and fields, which
+// cover every name the CFG's atoms mention); like escape, it ignores the
+// part name.
+func (b *base) nullnessAnalysis(string) *nullness.Analysis {
+	return nullness.New(b.Locals, b.Fields)
 }
 
 // AccessQuery is a generated query at a source field access Stmt about its
@@ -310,14 +319,14 @@ type AccessQuery struct {
 	Nodes []int
 }
 
-// EscapeQueries generates one query per application field access, as §6
-// does for the datarace client.
-func (p *Program) EscapeQueries() []AccessQuery { return p.accessQueries("esc") }
+// EscapeQueries lists one query per application field access, as §6 does
+// for the datarace client. Callers must not modify the returned slice.
+func (p *Program) EscapeQueries() []AccessQuery { return p.escQueries }
 
-// NullnessQueries generates one query per application field access — the
-// same dereference points the escape client guards, asked the null-safety
-// question instead.
-func (p *Program) NullnessQueries() []AccessQuery { return p.accessQueries("null") }
+// NullnessQueries lists one query per application field access — the same
+// dereference points the escape client guards, asked the null-safety
+// question instead. Callers must not modify the returned slice.
+func (p *Program) NullnessQueries() []AccessQuery { return p.nullQueries }
 
 func (p *Program) accessQueries(prefix string) []AccessQuery {
 	type key struct {
@@ -351,52 +360,6 @@ func (p *Program) accessQueries(prefix string) []AccessQuery {
 	return out
 }
 
-// FreshNullnessAnalysis builds an independent nullness analysis over the
-// program's cell universes (nullness shares the escape client's locals and
-// fields, which cover every name the CFG's atoms mention).
-func (p *Program) FreshNullnessAnalysis() *nullness.Analysis {
-	return nullness.New(p.Locals, p.Fields)
-}
-
-// NullnessJob builds the core.Problem for a generated nullness query. Each
-// job gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) NullnessJob(q AccessQuery, k int) *nullness.Job {
-	return &nullness.Job{
-		A: p.FreshNullnessAnalysis(),
-		G: p.Low.G,
-		Q: nullness.Query{Nodes: q.Nodes, V: q.Var},
-		K: k,
-	}
-}
-
-// EscapeAnalysis returns a (query-independent) thread-escape analysis for
-// the program, built once. Analyses intern abstract states and are
-// therefore not safe for concurrent use; callers resolving queries in
-// parallel must use FreshEscapeAnalysis per goroutine.
-func (p *Program) EscapeAnalysis() *escape.Analysis {
-	if p.escapeAnalysis == nil {
-		p.escapeAnalysis = p.FreshEscapeAnalysis()
-	}
-	return p.escapeAnalysis
-}
-
-// FreshEscapeAnalysis builds an independent analysis instance over the
-// program's universes.
-func (p *Program) FreshEscapeAnalysis() *escape.Analysis {
-	return escape.New(p.Locals, p.Fields, p.Sites)
-}
-
-// EscapeJob builds the core.Problem for a generated escape query. Each job
-// gets its own analysis instance so jobs can be solved concurrently.
-func (p *Program) EscapeJob(q AccessQuery, k int) *escape.Job {
-	return &escape.Job{
-		A: p.FreshEscapeAnalysis(),
-		G: p.Low.G,
-		Q: escape.Query{Nodes: q.Nodes, V: q.Var},
-		K: k,
-	}
-}
-
 // ExplicitEscapeJobs builds jobs for the program's explicit
 // "query name local(v)" statements.
 func (p *Program) ExplicitEscapeJobs(k int) map[string]*escape.Job {
@@ -407,7 +370,7 @@ func (p *Program) ExplicitEscapeJobs(k int) map[string]*escape.Job {
 		}
 		job := out[q.Name]
 		if job == nil {
-			job = p.EscapeJob(AccessQuery{Var: q.Var}, k)
+			job = &escape.Job{A: p.escapeAnalysis(""), G: p.Low.G, Q: escape.Query{V: q.Var}, K: k}
 			out[q.Name] = job
 		}
 		job.Q.Nodes = append(job.Q.Nodes, q.Node)

@@ -181,8 +181,8 @@ func keys[V any](m map[string]*V) []string {
 // both clients and requires a definite outcome.
 func TestGeneratedQueriesResolve(t *testing.T) {
 	p := load(t)
-	for _, q := range p.TypestateQueries() {
-		res, err := core.Solve(p.TypestateJob(q, 5), core.Options{MaxIters: 100})
+	for i, q := range p.TypestateQueries() {
+		res, err := core.Solve(ClientByName("typestate").Job(p, i, 5), core.Options{MaxIters: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
@@ -190,8 +190,8 @@ func TestGeneratedQueriesResolve(t *testing.T) {
 			t.Errorf("%s: exhausted", q.ID)
 		}
 	}
-	for _, q := range p.EscapeQueries() {
-		res, err := core.Solve(p.EscapeJob(q, 5), core.Options{MaxIters: 100})
+	for i, q := range p.EscapeQueries() {
+		res, err := core.Solve(ClientByName("escape").Job(p, i, 5), core.Options{MaxIters: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}

@@ -31,7 +31,9 @@ type ClientSpec struct {
 	// Queries lists the client's generated queries for a program, in the
 	// same deterministic order as the typed query generators.
 	Queries func(p *Program) []GenQuery
-	// Job builds the core.Problem for query index i (into Queries' order).
+	// Job builds the core.Problem for query index i (into Queries' order):
+	// the job of a one-query batch, with a fresh literal universe and WP
+	// cache.
 	Job func(p *Program, i, k int) core.Problem
 	// Batch builds the batch problem over the query indices idx.
 	Batch func(p *Program, idx []int, k int) Batch
@@ -48,7 +50,6 @@ type ClientSpec struct {
 // from which spec derives the index-addressed registry entry.
 type typed[Qy interface{ gen() GenQuery }] struct {
 	queries func(*Program) []Qy
-	job     func(*Program, Qy, int) core.Problem
 	batch   func(*Program, []Qy, int) Batch
 }
 
@@ -61,8 +62,7 @@ func (t typed[Qy]) spec(s ClientSpec) *ClientSpec {
 		}
 		return out
 	}
-	s.Job = func(p *Program, i, k int) core.Problem { return t.job(p, t.queries(p)[i], k) }
-	s.Batch = func(p *Program, idx []int, k int) Batch {
+	batch := func(p *Program, idx []int, k int) Batch {
 		all := t.queries(p)
 		qs := make([]Qy, 0, len(idx))
 		for _, i := range idx {
@@ -70,6 +70,8 @@ func (t typed[Qy]) spec(s ClientSpec) *ClientSpec {
 		}
 		return t.batch(p, qs, k)
 	}
+	s.Batch = batch
+	s.Job = func(p *Program, i, k int) core.Problem { return batch(p, []int{i}, k).Job(0, false) }
 	return &s
 }
 
@@ -79,8 +81,7 @@ func noConfExtra(*Program) string { return "" }
 var clientSpecs = []*ClientSpec{
 	typed[TSQuery]{
 		queries: (*Program).TypestateQueries,
-		job:     func(p *Program, q TSQuery, k int) core.Problem { return p.TypestateJob(q, k) },
-		batch:   func(p *Program, qs []TSQuery, k int) Batch { return NewTypestateBatch(p, qs, k) },
+		batch:   typestateBatch,
 	}.spec(ClientSpec{
 		Name:       "typestate",
 		BenchName:  "type-state",
@@ -94,7 +95,6 @@ var clientSpecs = []*ClientSpec{
 	}),
 	typed[AccessQuery]{
 		queries: (*Program).EscapeQueries,
-		job:     func(p *Program, q AccessQuery, k int) core.Problem { return p.EscapeJob(q, k) },
 		batch:   escapeBatch,
 	}.spec(ClientSpec{
 		Name:          "escape",
@@ -104,7 +104,6 @@ var clientSpecs = []*ClientSpec{
 	}),
 	typed[AccessQuery]{
 		queries: (*Program).NullnessQueries,
-		job:     func(p *Program, q AccessQuery, k int) core.Problem { return p.NullnessJob(q, k) },
 		batch:   nullnessBatch,
 	}.spec(ClientSpec{
 		Name:      "nullness",

@@ -198,7 +198,7 @@ func (p *RHSProgram) typestateJob(prop *typestate.Property, site string, want us
 
 // escapeJob builds a tabulation job asking whether v is thread-local.
 func (p *RHSProgram) escapeJob(v string, points []rhs.Point, k int) *RHSJob[escape.State, escape.Query, *escape.Analysis] {
-	return newRHSJob(p, points, &escape.Job{A: escape.New(p.Locals, p.Fields, p.Sites), Q: escape.Query{V: v}, K: k})
+	return newRHSJob(p, points, &escape.Job{A: p.escapeAnalysis(""), Q: escape.Query{V: v}, K: k})
 }
 
 // TypestateJob builds the tabulation job for a generated stress query.
@@ -214,7 +214,7 @@ func (p *RHSProgram) EscapeJob(q RHSQuery, k int) *RHSJob[escape.State, escape.Q
 
 // NullnessJob builds the tabulation job for a generated nullness query.
 func (p *RHSProgram) NullnessJob(q RHSQuery, k int) *RHSJob[nullness.State, nullness.Query, *nullness.Analysis] {
-	return newRHSJob(p, q.Points, &nullness.Job{A: nullness.New(p.Locals, p.Fields), Q: nullness.Query{V: q.Var}, K: k})
+	return newRHSJob(p, q.Points, &nullness.Job{A: p.nullnessAnalysis(""), Q: nullness.Query{V: q.Var}, K: k})
 }
 
 // ExplicitJobs builds jobs for the program's explicit query statements:

@@ -111,17 +111,23 @@ func (c TSCase) renamed() (Case, string) {
 	return c, "variable permutation"
 }
 
-// variants asks for three Want sets over the one tracked site, so one
-// forward solve per run genuinely serves every query.
+// variants asks for three Want sets over each site of the vocabulary: the
+// queries tracking one site share a forward solve, and a run of the batch
+// solves each site on the first check that needs it.
 func (c TSCase) variants() ([]core.Problem, core.BatchProblem) {
 	prop := tsProp(c.Prop)
 	full := uset.Bits(1<<len(prop.States) - 1)
 	j := c.Job()
 	var qs []typestate.Query
-	for _, w := range []uset.Bits{c.Want, full, uset.Bits(0).Add(prop.Init)} {
-		qs = append(qs, typestate.Query{Nodes: j.Q.Nodes, Want: w})
+	var sites []string
+	for _, h := range tsSites {
+		for _, w := range []uset.Bits{c.Want, full, uset.Bits(0).Add(prop.Init)} {
+			qs = append(qs, typestate.Query{Nodes: j.Q.Nodes, Want: w})
+			sites = append(sites, h)
+		}
 	}
-	return variants(j, c.analysis, qs)
+	fresh := func(site string) *typestate.Analysis { return typestate.New(prop, site, c.vars()) }
+	return variants(j, fresh, qs, sites)
 }
 
 // TSPool returns the atom pool the type-state cases draw from.
@@ -216,7 +222,7 @@ func (c EscCase) variants() ([]core.Problem, core.BatchProblem) {
 	for i, v := range escLocals {
 		qs[i] = escape.Query{Nodes: j.Q.Nodes, V: v}
 	}
-	return variants(j, c.analysis, qs)
+	return variants(j, func(string) *escape.Analysis { return c.analysis() }, qs, nil)
 }
 
 // EscPool returns the atom pool the thread-escape cases draw from.
@@ -301,7 +307,7 @@ func (c NullCase) variants() ([]core.Problem, core.BatchProblem) {
 	for i, v := range escLocals {
 		qs[i] = nullness.Query{Nodes: j.Q.Nodes, V: v}
 	}
-	return variants(j, c.analysis, qs)
+	return variants(j, func(string) *nullness.Analysis { return c.analysis() }, qs, nil)
 }
 
 // NullPool returns the atom pool the nullness cases draw from — the escape
@@ -318,12 +324,17 @@ func RandomNullCase(rng *rand.Rand) NullCase {
 	}
 }
 
-// variants poses the queries qs on job's CFG twice: as solo problems, and
-// as one client.Batch whose query i is solo problem i.
-func variants[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], fresh func() A, qs []Q) ([]core.Problem, core.BatchProblem) {
+// variants poses the queries qs, tracking parts (nil: one part), on job's
+// CFG twice: as solo problems, and as one client.Batch whose query i is
+// solo problem i.
+func variants[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], fresh func(part string) A, qs []Q, parts []string) ([]core.Problem, core.BatchProblem) {
 	solo := make([]core.Problem, len(qs))
 	for i, q := range qs {
-		solo[i] = &client.Job[D, Q, A]{A: fresh(), G: job.G, Q: q, K: job.K}
+		part := ""
+		if parts != nil {
+			part = parts[i]
+		}
+		solo[i] = &client.Job[D, Q, A]{A: fresh(part), G: job.G, Q: q, K: job.K}
 	}
-	return solo, client.NewBatch(job.G, fresh, qs, job.K)
+	return solo, client.NewBatch(job.G, fresh, qs, parts, job.K)
 }

@@ -220,8 +220,7 @@ func (s *Server) runBatch(reqs []*request) {
 	// query key is resolved or any warm-store session can be opened against
 	// the wrong client's snapshots.
 	spec := driver.ClientByName(string(first.client))
-	wc, wcOK := warmClient(first.client)
-	if spec == nil || !wcOK {
+	if spec == nil {
 		failAll(fmt.Sprintf("invalid client %q", first.client))
 		return
 	}
@@ -263,7 +262,7 @@ func (s *Server) runBatch(reqs []*request) {
 	if s.warm.Enabled() && !hookBud.Tripped() {
 		s.warmMu.Lock()
 		sess = s.warm.Session(first.lp.prog, warm.Config{
-			Client:   wc,
+			Client:   warm.Client(spec.Name),
 			K:        first.k,
 			MaxIters: first.maxIter,
 			Timeout:  first.timeout,
@@ -306,20 +305,6 @@ func (s *Server) runBatch(reqs []*request) {
 	for i, r := range live {
 		s.respond(r, s.resultResponse(r, res.Results[i], bi, start, solveNS))
 	}
-}
-
-// warmClient maps the wire client onto the warm store's, whose client
-// names are the registry's wire names. The mapping is exhaustive: an
-// unregistered kind returns false instead of silently landing on some other
-// client's warm store — cross-client clause reuse would poison the cache
-// the moment the mapping fell through.
-func warmClient(c clientKind) (warm.Client, bool) {
-	for _, spec := range driver.Clients() {
-		if spec.Name == string(c) {
-			return warm.Client(spec.Name), true
-		}
-	}
-	return "", false
 }
 
 // resultResponse converts one solver Result into the wire response.

@@ -33,15 +33,15 @@ func TestChaosSoak(t *testing.T) {
 	nts, nesc := len(prog.TypestateQueries()), len(prog.EscapeQueries())
 
 	truth := map[string]core.Result{}
-	for i, q := range prog.TypestateQueries() {
-		r, err := core.Solve(prog.TypestateJob(q, 5), core.Options{})
+	for i := range prog.TypestateQueries() {
+		r, err := core.Solve(driver.ClientByName("typestate").Job(prog, i, 5), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		truth[fmt.Sprintf("typestate#%d", i)] = r
 	}
-	for i, q := range prog.EscapeQueries() {
-		r, err := core.Solve(prog.EscapeJob(q, 5), core.Options{})
+	for i := range prog.EscapeQueries() {
+		r, err := core.Solve(driver.ClientByName("escape").Job(prog, i, 5), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"tracer/internal/bench"
 	"tracer/internal/core"
+	"tracer/internal/driver"
 )
 
 // TestServerPathMatchesSolve is the metamorphic server-path oracle: for a
@@ -43,13 +44,7 @@ func TestServerPathMatchesSolve(t *testing.T) {
 
 	truth := make([]core.Result, len(queries))
 	for i, qq := range queries {
-		var job core.Problem
-		if qq.client == "typestate" {
-			job = b.Prog.TypestateJob(b.Prog.TypestateQueries()[qq.ix], 5)
-		} else {
-			job = b.Prog.EscapeJob(b.Prog.EscapeQueries()[qq.ix], 5)
-		}
-		r, err := core.Solve(job, core.Options{})
+		r, err := core.Solve(driver.ClientByName(qq.client).Job(b.Prog, qq.ix, 5), core.Options{})
 		if err != nil {
 			t.Fatalf("truth %s: %v", qq.id, err)
 		}

@@ -13,12 +13,13 @@ import (
 	"tracer/internal/driver"
 )
 
-// TestBogusClientFailsRoundWithoutWarmSession is the warmClient regression
-// test: a request whose client kind is not registered must fail its round
-// with "invalid client" and must never open a warm-store session. Before the
-// fix, runBatch's dispatch fell through to the escape batch and warmClient
-// mapped any unknown kind onto warm.Escape, so a forged client silently
-// solved against — and wrote snapshots into — the escape warm store.
+// TestBogusClientFailsRoundWithoutWarmSession is the warm-store misrouting
+// regression test: a request whose client kind is not registered must fail
+// its round with "invalid client" and must never open a warm-store session.
+// Before the fix, runBatch's dispatch fell through to the escape batch and
+// its wire-to-warm client mapping sent any unknown kind to warm.Escape, so a
+// forged client silently solved against — and wrote snapshots into — the
+// escape warm store.
 func TestBogusClientFailsRoundWithoutWarmSession(t *testing.T) {
 	warmDir := t.TempDir()
 	s := newDecodeServer2(t, Config{WarmDir: warmDir})

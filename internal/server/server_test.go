@@ -117,15 +117,15 @@ func localTruth(t *testing.T, src string, k int) map[string]core.Result {
 		t.Fatal(err)
 	}
 	truth := map[string]core.Result{}
-	for _, q := range prog.TypestateQueries() {
-		r, err := core.Solve(prog.TypestateJob(q, k), core.Options{})
+	for i, q := range prog.TypestateQueries() {
+		r, err := core.Solve(driver.ClientByName("typestate").Job(prog, i, k), core.Options{})
 		if err != nil {
 			t.Fatalf("truth %s: %v", q.ID, err)
 		}
 		truth["typestate/"+q.ID] = r
 	}
-	for _, q := range prog.EscapeQueries() {
-		r, err := core.Solve(prog.EscapeJob(q, k), core.Options{})
+	for i, q := range prog.EscapeQueries() {
+		r, err := core.Solve(driver.ClientByName("escape").Job(prog, i, k), core.Options{})
 		if err != nil {
 			t.Fatalf("truth %s: %v", q.ID, err)
 		}

@@ -288,6 +288,5 @@ func loadProgram(key, src string) (lp *loadedProgram, err error) {
 		}
 		lp.byClient[clientKind(spec.Name)] = cq
 	}
-	prog.SiteOwner("") // force the site-owner memo (used by warm sessions)
 	return lp, nil
 }

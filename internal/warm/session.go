@@ -88,9 +88,6 @@ func (st *Store) Session(p *driver.Program, conf Config) *Session {
 	for i, n := range s.names {
 		s.nameIdx[n] = i
 	}
-	// Pre-build the program's lazily-constructed site-owner table here, on
-	// one goroutine: RecordLearn may fire concurrently from batch workers.
-	p.SiteOwner("")
 	s.load()
 	return s
 }

@@ -131,13 +131,13 @@ func load(t *testing.T, src string) *driver.Program {
 func solveTS(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
 	t.Helper()
 	out := map[string]core.Result{}
-	for _, q := range p.TypestateQueries() {
+	for i, q := range p.TypestateQueries() {
 		q := q
 		if r, ok := sess.Replay(q.Key); ok {
 			out[q.Key] = r
 			continue
 		}
-		r, err := core.Solve(p.TypestateJob(q, conf.K), core.Options{
+		r, err := core.Solve(driver.ClientByName("typestate").Job(p, i, conf.K), core.Options{
 			MaxIters: conf.MaxIters,
 			Seed:     sess.SeedFor(q.Key),
 			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
@@ -156,13 +156,13 @@ func solveTS(t *testing.T, p *driver.Program, sess *Session, conf Config) map[st
 func solveEsc(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
 	t.Helper()
 	out := map[string]core.Result{}
-	for _, q := range p.EscapeQueries() {
+	for i, q := range p.EscapeQueries() {
 		q := q
 		if r, ok := sess.Replay(q.Key); ok {
 			out[q.Key] = r
 			continue
 		}
-		r, err := core.Solve(p.EscapeJob(q, conf.K), core.Options{
+		r, err := core.Solve(driver.ClientByName("escape").Job(p, i, conf.K), core.Options{
 			MaxIters: conf.MaxIters,
 			Seed:     sess.SeedFor(q.Key),
 			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
