@@ -1,8 +1,9 @@
 // Command traceload is the load generator for tracerd: it replays queries
 // from the internal/bench corpora against a running daemon at configurable
 // concurrency and request rate, retries shed requests (429/503) with capped
-// exponential backoff and seeded jitter, and reports per-status counts and
-// latency percentiles. With -verify it computes local ground truth for every
+// exponential backoff and seeded jitter, and reports per-status counts,
+// latency percentiles, throughput, and the batch rounds the daemon ran the
+// answered requests in. With -verify it computes local ground truth for every
 // replayed query and fails when the daemon returns a wrong verdict — the
 // check the chaos harness relies on: under fault injection a request may
 // degrade to failed/exhausted or be shed, but a proved/impossible answer
@@ -86,6 +87,7 @@ type options struct {
 type outcome struct {
 	httpStatus   int    // 0 = transport failure after retries
 	solverStatus string // for 200s
+	batch        server.BatchInfo
 	wrongVerdict bool
 	latency      time.Duration // arrival-to-final-answer, retries included
 	retries      int
@@ -145,8 +147,9 @@ func run() error {
 
 	fmt.Fprintf(os.Stderr, "traceload: %d requests, %d queries of %s/%s, concurrency %d\n",
 		o.n, nq, o.benchName, o.client, o.concurrency)
+	start := time.Now()
 	outcomes := fire(b, o, nq, truths)
-	return report(o, outcomes)
+	return report(o, outcomes, time.Since(start))
 }
 
 func findBench(name string) (bench.Config, error) {
@@ -237,6 +240,7 @@ func (o options) one(client *http.Client, rng *rand.Rand, b *bench.Benchmark, qi
 		switch {
 		case err == nil && status == http.StatusOK:
 			out.solverStatus = resp.Status
+			out.batch = resp.Batch
 			if truths != nil && (resp.Status == "proved" || resp.Status == "impossible") {
 				t := truths[qix]
 				if resp.Status != t.status || (resp.Status == "proved" && resp.Cost != t.cost) {
@@ -301,17 +305,25 @@ func (o options) post(client *http.Client, body []byte) (int, *server.SolveRespo
 	return hr.StatusCode, nil, eresp.RetryAfterMS, nil
 }
 
-// report prints the final per-status and latency summary and decides the
-// exit status.
-func report(o options, outcomes []outcome) error {
+// report prints the final per-status, latency, throughput and round-size
+// summary and decides the exit status. Round sizes are averaged over the
+// HTTP 200 responses, as each reports the size of the round it ran in.
+func report(o options, outcomes []outcome, wall time.Duration) error {
 	httpCounts := map[int]int{}
 	solverCounts := map[string]int{}
 	var lat []time.Duration
 	retries, wrong := 0, 0
+	roundSizes, coalesced := 0, 0
 	for _, out := range outcomes {
 		httpCounts[out.httpStatus]++
 		if out.solverStatus != "" {
 			solverCounts[out.solverStatus]++
+		}
+		if out.httpStatus == http.StatusOK {
+			roundSizes += out.batch.Size
+			if out.batch.Coalesced {
+				coalesced++
+			}
 		}
 		lat = append(lat, out.latency)
 		retries += out.retries
@@ -352,6 +364,12 @@ func report(o options, outcomes []outcome) error {
 	fmt.Printf("  latency p50 %v  p90 %v  p99 %v  max %v\n",
 		pct(0.50).Round(time.Millisecond), pct(0.90).Round(time.Millisecond),
 		pct(0.99).Round(time.Millisecond), pct(1.0).Round(time.Millisecond))
+	fmt.Printf("  throughput %.1f req/s over %v\n",
+		float64(len(outcomes))/wall.Seconds(), wall.Round(time.Millisecond))
+	if ok := httpCounts[http.StatusOK]; ok > 0 {
+		fmt.Printf("  rounds mean size %.2f, coalesced %.1f%% of %d answered\n",
+			float64(roundSizes)/float64(ok), 100*float64(coalesced)/float64(ok), ok)
+	}
 	if wrong > 0 {
 		return fmt.Errorf("%d wrong verdicts", wrong)
 	}

@@ -1,8 +1,9 @@
 // Command tracerd is the hardened solver daemon: an HTTP service that
 // accepts solve requests (a serialized mini-IR program, a query, a budget),
-// coalesces compatible requests into shared batch rounds, and survives
-// overload, malformed input, and injected faults by degrading per-request
-// instead of dying.
+// starts a request's batch round as soon as an executor is idle, coalesces
+// compatible requests into shared rounds while every executor is busy, and
+// survives overload, malformed input, and injected faults by degrading
+// per-request instead of dying.
 //
 // Endpoints:
 //
@@ -15,10 +16,11 @@
 //	-addr :8791            listen address (use :0 for an ephemeral port; the
 //	                       bound address is printed as "tracerd: listening on
 //	                       <addr>", which scripts parse)
-//	-batch-size 8          coalescing group size that fires a round
-//	-max-wait 15ms         max wait before a partial group fires anyway
+//	-batch-size 8          max requests per batch round (1 = no coalescing)
 //	-queue-limit 256       accept-queue bound; beyond it requests get 429
-//	-max-batches 4         concurrent batch rounds (executor pool size)
+//	-max-batches 4         concurrent batch rounds (executor pool size); the
+//	                       dispatcher holds at most one full round per
+//	                       executor while all are busy
 //	-max-request-bytes N   request body cap (default 1MiB); larger bodies 400
 //	-default-timeout 5s    per-request budget when the request names none
 //	-max-timeout 60s       cap on any request's timeout_ms
@@ -67,8 +69,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8791", "listen address")
-	batchSize := flag.Int("batch-size", 8, "coalescing group size that fires a batch round")
-	maxWait := flag.Duration("max-wait", 15*time.Millisecond, "max wait before a partial group fires")
+	batchSize := flag.Int("batch-size", 8, "max requests per batch round (1 = no coalescing)")
 	queueLimit := flag.Int("queue-limit", 256, "accept-queue bound (beyond it: 429)")
 	maxBatches := flag.Int("max-batches", 4, "concurrent batch rounds")
 	maxReqBytes := flag.Int64("max-request-bytes", 1<<20, "request body size cap")
@@ -115,7 +116,6 @@ func run() error {
 
 	srv := server.New(server.Config{
 		BatchSize:            *batchSize,
-		MaxWait:              *maxWait,
 		QueueLimit:           *queueLimit,
 		MaxConcurrentBatches: *maxBatches,
 		MaxRequestBytes:      *maxReqBytes,

@@ -140,6 +140,12 @@ type Result struct {
 	Iterations   int      // forward analysis runs
 	Clauses      int      // blocking clauses learned
 	ForwardSteps int      // cumulative forward solver steps
+	// Tripped reports that Solve resolved Exhausted because its budget
+	// tripped (deadline, context cancellation, step quota, or an injected
+	// trip) rather than by reaching MaxIters. Such a verdict depends on the
+	// budget (and, under a deadline, on the host), not only on the query.
+	// SolveBatch leaves it false.
+	Tripped bool
 	// Failure describes why Status == Failed (the recovered panic value or
 	// the no-progress error); empty otherwise.
 	Failure string
@@ -386,6 +392,7 @@ func Solve(pr Problem, opts Options) (res Result, err error) {
 		return res
 	}
 	tripped := func() Result {
+		res.Tripped = true
 		if recording {
 			rec.Record(obs.Event{Kind: obs.BudgetTrip, Iter: res.Iterations,
 				Name: bud.Cause().String(), WallNS: int64(time.Since(start))})

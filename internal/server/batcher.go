@@ -15,95 +15,90 @@ import (
 	"tracer/internal/warm"
 )
 
-// The batcher turns the admitted request stream into coalesced
-// core.SolveBatch rounds. A single dispatcher goroutine groups requests by
-// their compatibility key (program content hash, client, k, iteration cap,
-// timeout) and fires a group as one batch when it reaches BatchSize or its
-// oldest member has waited MaxWait; a small executor pool runs the fired
-// batches. Backpressure is a chain of bounded stages: executors busy → the
-// exec channel fills → the dispatcher blocks → the accept queue fills → the
-// handler sheds load with 429s. Nothing in the chain blocks unboundedly with
-// a request's response channel unserved: every admitted request receives
-// exactly one SolveResponse, whatever degrades along the way.
+// The batcher turns the admitted request stream into core.SolveBatch rounds.
+// A single dispatcher goroutine groups requests by their compatibility key
+// (program content hash, client, k, iteration cap, timeout) and offers the
+// oldest group to the executor pool on an unbuffered channel, so the offer
+// succeeds the moment an executor is idle. Before each offer the dispatcher
+// takes every request already waiting in the accept queue, so requests that
+// arrive together share a round, but it never waits for one that has not
+// arrived: requests coalesce only while every executor is busy, up to
+// BatchSize per round. Backpressure is a chain of bounded stages: executors
+// busy → the dispatcher holds one full round per executor (BatchSize ×
+// MaxConcurrentBatches requests) and stops reading the accept queue → the
+// accept queue fills → the handler sheds load with 429s. Nothing in the
+// chain blocks unboundedly with a request's response channel unserved: every
+// admitted request receives exactly one SolveResponse, whatever degrades
+// along the way.
 
-// pendingBatch accumulates compatible requests awaiting a fire trigger.
-type pendingBatch struct {
-	reqs   []*request
-	oldest time.Time
-}
-
-// dispatch is the batcher's single grouping goroutine.
+// dispatch is the batcher's single grouping goroutine. Pending groups are
+// first-in first-out by first arrival. Only the newest group of a
+// compatibility key can have room, so a request joins the first group of its
+// key that is not full, or opens a new one.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
-	pending := map[string]*pendingBatch{}
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	type group struct {
+		compat string
+		reqs   []*request
+	}
+	var queue []*group
+	held, hold := 0, s.cfg.BatchSize*s.cfg.MaxConcurrentBatches
+	take := func(req *request) {
+		s.queued.Add(-1)
+		held++
+		for _, g := range queue {
+			if g.compat == req.compat && len(g.reqs) < s.cfg.BatchSize {
+				g.reqs = append(g.reqs, req)
+				return
+			}
+		}
+		queue = append(queue, &group{compat: req.compat, reqs: []*request{req}})
+	}
+	pop := func() []*request {
+		g := queue[0]
+		queue = queue[1:]
+		held -= len(g.reqs)
+		return g.reqs
 	}
 	for {
-		var timerC <-chan time.Time
-		if len(pending) > 0 {
-			next := time.Duration(1<<63 - 1)
-			for _, pb := range pending {
-				if d := time.Until(pb.oldest.Add(s.cfg.MaxWait)); d < next {
-					next = d
-				}
+	arrived:
+		for held < hold {
+			select {
+			case req := <-s.in:
+				take(req)
+			default:
+				break arrived
 			}
-			if next < 0 {
-				next = 0
-			}
-			timer.Reset(next)
-			timerC = timer.C
+		}
+		// A nil channel disables its case: in while the hold is full, exec
+		// while no group is pending.
+		var in <-chan *request
+		if held < hold {
+			in = s.in
+		}
+		var exec chan<- []*request
+		var oldest []*request
+		if len(queue) > 0 {
+			exec, oldest = s.execCh, queue[0].reqs
 		}
 		select {
-		case req := <-s.in:
-			s.queued.Add(-1)
-			s.addPending(pending, req)
-		case <-timerC:
-			now := time.Now()
-			for key, pb := range pending {
-				if now.Sub(pb.oldest) >= s.cfg.MaxWait {
-					delete(pending, key)
-					s.execCh <- pb.reqs
-				}
-			}
+		case req := <-in:
+			take(req)
+		case exec <- oldest:
+			pop()
 		case <-s.quiesce:
 			// Graceful drain: absorb every request already admitted (the
 			// accept gate is closed, so queued only decreases), fire all
 			// pending groups, and let the executors finish.
 			for s.queued.Load() > 0 {
-				req := <-s.in
-				s.queued.Add(-1)
-				s.addPending(pending, req)
+				take(<-s.in)
 			}
-			for key, pb := range pending {
-				delete(pending, key)
-				s.execCh <- pb.reqs
+			for len(queue) > 0 {
+				s.execCh <- pop()
 			}
 			close(s.execCh)
 			return
 		}
-		if timerC != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-}
-
-// addPending files one request under its compatibility key, firing the group
-// when it fills.
-func (s *Server) addPending(pending map[string]*pendingBatch, req *request) {
-	pb := pending[req.compat]
-	if pb == nil {
-		pb = &pendingBatch{oldest: time.Now()}
-		pending[req.compat] = pb
-	}
-	pb.reqs = append(pb.reqs, req)
-	if len(pb.reqs) >= s.cfg.BatchSize || s.cfg.MaxWait <= 0 {
-		delete(pending, req.compat)
-		s.execCh <- pb.reqs
 	}
 }
 

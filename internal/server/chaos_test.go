@@ -54,7 +54,6 @@ func TestChaosSoak(t *testing.T) {
 			capture := obs.NewCapture()
 			s := New(Config{
 				BatchSize:  3,
-				MaxWait:    3 * time.Millisecond,
 				QueueLimit: 16,
 				Workers:    2,
 				Inject:     faultinject.Seeded(seed, 0.08),

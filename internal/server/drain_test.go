@@ -23,7 +23,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Drain must also survive its own chaos site.
 	inj.PanicAt(faultinject.SiteServerDrain, "drain")
 	capture := obs.NewCapture()
-	s := New(Config{MaxWait: -1, Inject: inj, Recorder: capture})
+	s := New(Config{Inject: inj, Recorder: capture})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -117,7 +117,7 @@ func TestShutdownDeadlineForcesTrip(t *testing.T) {
 	// is mid-batch and the forced-cancel path is actually exercised.
 	inj := faultinject.New()
 	inj.DelayAt(faultinject.SiteServerBatch, "b0", 300*time.Millisecond)
-	s := New(Config{MaxWait: -1, Inject: inj})
+	s := New(Config{Inject: inj})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"tracer/internal/bench"
 	"tracer/internal/core"
@@ -56,8 +55,8 @@ func TestServerPathMatchesSolve(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"coalesced", Config{BatchSize: 6, MaxWait: 50 * time.Millisecond, Workers: 2}},
-		{"uncoalesced", Config{MaxWait: -1}},
+		{"coalesced", Config{BatchSize: 6, MaxConcurrentBatches: 1, Workers: 2}},
+		{"uncoalesced", Config{BatchSize: 1}},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {

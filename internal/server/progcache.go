@@ -40,10 +40,11 @@ func (c *progCache) get(src string) (*loadedProgram, error) {
 	if e == nil {
 		e = &progEntry{}
 		c.entries[key] = e
-		c.evictLocked()
 	}
+	// Stamp before evicting, so a new entry is the most recently used one.
 	c.tick++
 	e.used = c.tick
+	c.evictLocked()
 	c.mu.Unlock()
 	e.once.Do(func() {
 		e.lp, e.err = loadProgram(key, src)

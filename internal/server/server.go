@@ -1,7 +1,8 @@
 // Package server implements tracerd's hardened solve service: an HTTP front
-// end that admits solve requests under explicit resource bounds, coalesces
-// compatible requests into shared core.SolveBatch rounds, and degrades —
-// never dies — when overloaded, fed garbage, or fault-injected.
+// end that admits solve requests under explicit resource bounds, starts a
+// request's core.SolveBatch round as soon as an executor is idle, coalesces
+// compatible requests into shared rounds while every executor is busy, and
+// degrades — never dies — when overloaded, fed garbage, or fault-injected.
 //
 // The survivability contract, end to end:
 //
@@ -39,17 +40,17 @@ import (
 // Config carries the daemon's admission and solving knobs. Zero values get
 // production defaults from New.
 type Config struct {
-	// BatchSize fires a coalescing group when it reaches this many requests
-	// (default 8).
+	// BatchSize caps the requests of one round (default 8). Compatible
+	// requests coalesce only while every executor is busy; 1 disables
+	// coalescing.
 	BatchSize int
-	// MaxWait bounds how long the oldest request of a group waits before the
-	// group fires anyway (zero takes the 15ms default). Negative disables
-	// coalescing: every request fires its own round immediately.
-	MaxWait time.Duration
 	// QueueLimit bounds the accept queue; arrivals beyond it get 429
 	// (default 256).
 	QueueLimit int
-	// MaxConcurrentBatches bounds the executor pool (default 4).
+	// MaxConcurrentBatches bounds the executor pool (default 4). While every
+	// executor is busy the dispatcher holds at most one full round per
+	// executor, BatchSize × MaxConcurrentBatches requests, and leaves the
+	// rest in the accept queue.
 	MaxConcurrentBatches int
 	// MaxRequestBytes bounds the request body (default 1<<20). Larger bodies
 	// are structured 400s.
@@ -82,9 +83,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 15 * time.Millisecond
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 256
@@ -194,7 +192,7 @@ func New(cfg Config) *Server {
 		warm:           warm.Open(cfg.WarmDir, cfg.Recorder),
 		in:             make(chan *request, cfg.QueueLimit),
 		quiesce:        make(chan struct{}),
-		execCh:         make(chan []*request, 1),
+		execCh:         make(chan []*request),
 		dispatcherDone: make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -379,9 +377,6 @@ func rejectCounter(reason string) string {
 // sane range.
 func (s *Server) retryAfterMS() int64 {
 	base := s.ewmaBatchNS.Load()
-	if min := int64(s.cfg.MaxWait); base < min {
-		base = min
-	}
 	factor := s.queued.Load()/int64(s.cfg.BatchSize) + s.inflight.Load() + 1
 	ms := base * factor / int64(time.Millisecond)
 	if ms < 100 {

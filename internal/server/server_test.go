@@ -181,9 +181,27 @@ func TestQuerySelectors(t *testing.T) {
 	}
 }
 
-// TestCoalescing: compatible concurrent requests share one batch round.
+// TestCoalescing: compatible requests that arrive while every executor is
+// busy share one batch round.
 func TestCoalescing(t *testing.T) {
-	_, hs := newTestServer(t, Config{BatchSize: 4, MaxWait: 200 * time.Millisecond})
+	inj := faultinject.New()
+	inj.DelayAt(faultinject.SiteServerBatch, "b0", 300*time.Millisecond)
+	s, hs := newTestServer(t, Config{BatchSize: 4, MaxConcurrentBatches: 1, Inject: inj})
+
+	// A blocker request occupies the only executor in the delayed round b0.
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		solve(t, hs.URL, SolveRequest{Program: fixtureSrc, Client: "escape", Query: "#0"})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Snapshot().InflightBatches == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never reached a batch round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	var wg sync.WaitGroup
 	resps := make([]SolveResponse, 4)
 	for i := 0; i < 4; i++ {
@@ -198,11 +216,13 @@ func TestCoalescing(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	<-blocked
 	batches := map[string]int{}
 	for _, r := range resps {
 		batches[r.Batch.ID]++
 	}
-	// All four arrive well inside MaxWait, so they fire as one full batch.
+	// All four arrive while b0 holds the executor, so they wait as one full
+	// group and run as the next round.
 	if len(batches) != 1 {
 		t.Fatalf("requests spread over %d batches (%v), want 1", len(batches), batches)
 	}
@@ -210,6 +230,22 @@ func TestCoalescing(t *testing.T) {
 		if !r.Batch.Coalesced || r.Batch.Size != 4 {
 			t.Errorf("batch info %+v, want coalesced size 4", r.Batch)
 		}
+	}
+}
+
+// TestIdleServerDoesNotWait: a lone request on an idle default server starts
+// its round at once instead of waiting for compatible company.
+func TestIdleServerDoesNotWait(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	req := SolveRequest{Program: fixtureSrc, Client: "escape", Query: "#0"}
+	solve(t, hs.URL, req) // loads the program into the cache
+	resp := solve(t, hs.URL, req)
+	// QueueNS runs from arrival to the round's start and includes decoding.
+	if wait := time.Duration(resp.Timing.QueueNS - resp.Timing.DecodeNS); wait >= 15*time.Millisecond {
+		t.Errorf("lone request waited %v between decode and its round, want under 15ms", wait)
+	}
+	if resp.Batch.Size != 1 || resp.Batch.Coalesced {
+		t.Errorf("batch info %+v, want an uncoalesced round of 1", resp.Batch)
 	}
 }
 
@@ -222,7 +258,7 @@ func TestQueueFullSheds(t *testing.T) {
 		inj.DelayAt(faultinject.SiteServerBatch, fmt.Sprintf("b%d", i), 300*time.Millisecond)
 	}
 	_, hs := newTestServer(t, Config{
-		MaxWait:              -1, // fire every request immediately
+		BatchSize:            1, // one request per round
 		QueueLimit:           1,
 		MaxConcurrentBatches: 1,
 		Inject:               inj,

@@ -301,8 +301,9 @@ func (s *Session) replayable(e *queryEntry) bool {
 }
 
 // Replay returns a stored verdict that may stand in for a fresh solve.
-// Policy: only Exhausted verdicts, only on a byte-exact program match under
-// the identical iteration cap and timeout. Proved and Impossible verdicts
+// Policy: only Exhausted verdicts that reached the iteration cap (tripped
+// ones are never recorded), only on a byte-exact program match under the
+// identical iteration cap and timeout. Proved and Impossible verdicts
 // are never replayed — the solver re-establishes them from the seeded
 // clauses in at most one forward run, which keeps the brute-force oracle
 // applicable to every warm answer.
@@ -358,10 +359,12 @@ func (s *Session) RecordLearn(queryKey string, t lang.Trace, cubes []core.ParamC
 }
 
 // RecordResult persists a query's final verdict. Failed results are not
-// stored (they describe this process's misbehavior, not the program), and
-// Exhausted results remember the budget they were measured under.
+// stored (they describe this process's misbehavior, not the program), nor
+// are tripped ones (a cancelled context, step quota or deadline cut the
+// solve short, so the verdict says nothing about the iteration cap).
+// Exhausted results remember the iteration cap they were measured under.
 func (s *Session) RecordResult(queryKey string, r core.Result) {
-	if !s.st.Enabled() || r.Status == core.Failed {
+	if !s.st.Enabled() || r.Status == core.Failed || r.Tripped {
 		return
 	}
 	s.mu.Lock()

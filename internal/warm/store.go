@@ -40,8 +40,10 @@
 // match, Proved/Impossible verdicts are still re-established by the solver
 // (the seeded clause set makes that 1 and 0 forward runs respectively);
 // only Exhausted verdicts are replayed without solving, and only when the
-// stored iteration cap and timeout equal the current ones — re-burning a
-// full timeout per already-known-hopeless query would erase the warm win.
+// stored iteration cap and timeout equal the current ones — re-running a
+// full iteration cap per already-known-hopeless query would erase the warm
+// win. A solve whose budget tripped is never stored as Exhausted: the
+// trip says nothing about the iteration cap.
 //
 // Everything read from disk is untrusted: unparseable files, version
 // mismatches, unknown statuses, and unknown parameter names degrade to a

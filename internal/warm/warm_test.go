@@ -1,6 +1,7 @@
 package warm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -355,6 +356,55 @@ func TestWarmExhaustedReplay(t *testing.T) {
 	s3 := Open(dir, nil).Session(load(t, progBase), tsConf(2))
 	if _, ok := s3.Replay(load(t, progBase).TypestateQueries()[0].Key); ok {
 		t.Fatal("replayed across a budget change")
+	}
+}
+
+// TestWarmTripNotReplayed: a solve cut short by its budget, by a cancelled
+// context or by a step quota, is not stored as Exhausted. A later session
+// over the same program solves the query again and gets the cold verdict.
+func TestWarmTripNotReplayed(t *testing.T) {
+	conf := tsConf(50)
+	p := load(t, progBase)
+	q := p.TypestateQueries()[0]
+	job := func() core.Problem { return driver.ClientByName("typestate").Job(p, 0, conf.K) }
+	cold, err := core.Solve(job(), core.Options{MaxIters: conf.MaxIters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != core.Proved {
+		t.Fatalf("test premise broken: cold solve of %s is %v, want proved", q.ID, cold.Status)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, opts := range map[string]core.Options{
+		"cancelled context": {MaxIters: conf.MaxIters, Context: cancelled},
+		"step quota":        {MaxIters: conf.MaxIters, MaxSteps: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := Open(dir, nil).Session(p, conf)
+			r, err := core.Solve(job(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Status != core.Exhausted {
+				t.Fatalf("test premise broken: tripped solve is %v, want exhausted", r.Status)
+			}
+			s1.RecordResult(q.Key, r)
+			if err := s1.Save(); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+
+			p2 := load(t, progBase)
+			s2 := Open(dir, nil).Session(p2, conf)
+			if r, ok := s2.Replay(q.Key); ok {
+				t.Fatalf("replayed %v from a tripped solve", r.Status)
+			}
+			if w := solveTS(t, p2, s2, conf)[q.Key]; w.Status != cold.Status {
+				t.Fatalf("warm solve of %s is %v, want the cold %v", q.ID, w.Status, cold.Status)
+			}
+		})
 	}
 }
 

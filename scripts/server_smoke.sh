@@ -1,8 +1,8 @@
 #!/bin/sh
 # Daemon smoke gate: boot tracerd on an ephemeral port, replay a small
-# corpus through traceload with verdict verification, require 100% success,
-# then SIGTERM and require a clean (exit 0) graceful drain — all inside a
-# wall budget.
+# corpus of every client through traceload with verdict verification,
+# require 100% success, then SIGTERM and require a clean (exit 0) graceful
+# drain — all inside a wall budget.
 #
 # Usage: scripts/server_smoke.sh [requests] [concurrency]
 set -e
@@ -13,7 +13,9 @@ conc=${2:-8}
 bin=$(mktemp -d /tmp/tracerd_smoke.XXXXXX)
 log="$bin/tracerd.log"
 access="$bin/access.ndjson"
-trap 'kill "$pid" 2>/dev/null; rm -rf "$bin"' EXIT
+# The daemon has usually exited by now; a failed kill must not turn a
+# passing run into exit 1 under set -e.
+trap 'kill "$pid" 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/tracerd" ./cmd/tracerd
 go build -o "$bin/traceload" ./cmd/traceload
@@ -35,6 +37,8 @@ done
 	-n "$n" -concurrency "$conc" -verify -require-success
 "$bin/traceload" -addr "$addr" -bench tsp -client escape \
 	-n "$n" -concurrency "$conc" -verify -require-success
+"$bin/traceload" -addr "$addr" -bench tsp -client nullness \
+	-n "$n" -concurrency "$conc" -verify -require-success
 
 # Graceful drain: SIGTERM must produce a clean exit within the wall budget.
 kill -TERM "$pid"
@@ -54,4 +58,4 @@ if [ "$status" -ne 0 ]; then
 fi
 grep -q '"kind":"query_resolved"' "$access" || {
 	echo "access log has no query_resolved events"; exit 1; }
-echo "server_smoke: OK ($((n * 2)) requests, clean drain)"
+echo "server_smoke: OK ($((n * 3)) requests, clean drain)"
