@@ -7,15 +7,12 @@
 //
 // Without -only it runs everything, in the paper's order. Results that share
 // the same (benchmark, client, k) run are computed once and cached.
-//
-// Beyond the paper's artifacts, two warm-start experiments measure the
-// persistent clause store (internal/warm): fig12warm re-solves the whole
-// Figure 12 workload against a freshly populated store, and editchain
-// replays -editchain-steps single-statement edits of -editchain-bench,
-// cold vs warm. -warm-dir warm-starts the paper tables themselves.
+// -warm-dir warm-starts the tables from a persistent clause store
+// (internal/warm).
 //
 // The walls it prints are single-shot timings under a wall-clock budget;
-// the repository's performance record is cmd/tracerbench.
+// the repository's performance record is cmd/tracerbench, whose batch and
+// edit workloads measure the grouped solver and the warm store.
 //
 // Observability (see internal/obs and ARCHITECTURE.md):
 //
@@ -53,11 +50,8 @@ func run() error {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-query wall-clock budget")
 	iters := flag.Int("iters", 200, "per-query CEGAR iteration cap")
 	workers := flag.Int("workers", 1, "concurrent query resolutions (0/1 = sequential)")
-	batchWorkers := flag.Int("batch-workers", 1, "worker pool of the grouped batch solver; results are identical for every value")
-	only := flag.String("only", "", "comma-separated subset: table1,fig12,fig13,table2,table3,table4,fig14,nullness,batch,fig12warm,editchain")
-	warmDir := flag.String("warm-dir", "", "warm-start store directory for the table/figure runs (\"\" = cold); fig12warm and editchain always use their own store")
-	editBench := flag.String("editchain-bench", "hedc", "benchmark the editchain experiment edits")
-	editSteps := flag.Int("editchain-steps", 6, "number of single-statement edits in the editchain experiment")
+	only := flag.String("only", "", "comma-separated subset: table1,fig12,fig13,table2,table3,table4,fig14,nullness")
+	warmDir := flag.String("warm-dir", "", "warm-start store directory for the table/figure runs (\"\" = cold)")
 	tracePath := flag.String("trace", "", "write NDJSON events of every CEGAR iteration to this file")
 	metrics := flag.Bool("metrics", false, "print aggregated counters/gauges/timers at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -127,8 +121,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	opts := bench.RunOptions{K: *k, MaxIters: *iters, Timeout: *timeout, Workers: *workers,
-		BatchWorkers: *batchWorkers, Recorder: obs.Multi(sinks...), Context: ctx,
-		WarmDir: *warmDir}
+		Recorder: obs.Multi(sinks...), Context: ctx, WarmDir: *warmDir}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, s := range strings.Split(*only, ",") {
@@ -200,48 +193,6 @@ func run() error {
 				return "", err
 			}
 			return bench.RenderFigure14(rows), nil
-		}},
-		{"batch", func() (string, error) {
-			rows, err := bench.BatchTable(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderBatchTable(rows, *batchWorkers), nil
-		}},
-		{"fig12warm", func() (string, error) {
-			dir, err := os.MkdirTemp("", "paperbench-warm-")
-			if err != nil {
-				return "", err
-			}
-			defer os.RemoveAll(dir)
-			rows, err := bench.WarmTable(opts, dir)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderWarmTable(rows), nil
-		}},
-		{"editchain", func() (string, error) {
-			var cfg *bench.Config
-			for _, c := range bench.Suite() {
-				if c.Name == *editBench {
-					cc := c
-					cfg = &cc
-					break
-				}
-			}
-			if cfg == nil {
-				return "", fmt.Errorf("editchain: unknown benchmark %q", *editBench)
-			}
-			dir, err := os.MkdirTemp("", "paperbench-editchain-")
-			if err != nil {
-				return "", err
-			}
-			defer os.RemoveAll(dir)
-			rows, err := bench.EditChainTable(*cfg, *editSteps, opts, dir)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderEditChainTable(cfg.Name, rows), nil
 		}},
 	}
 

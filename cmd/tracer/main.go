@@ -76,11 +76,9 @@ import (
 	"tracer/internal/driver"
 	"tracer/internal/explain"
 	"tracer/internal/faultinject"
-	"tracer/internal/lang"
 	"tracer/internal/obs"
 	"tracer/internal/oracle"
 	"tracer/internal/typestate"
-	"tracer/internal/uset"
 	"tracer/internal/warm"
 )
 
@@ -238,11 +236,13 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 		return err
 	}
 
-	report := func(name string, job core.Problem, paramName func(i int) string) error {
+	// report solves one query through sess (nil solves cold) under its
+	// position-independent key and prints the result.
+	report := func(sess *warm.Session, name, key string, job core.Problem, paramName func(i int) string) error {
 		qopts := opts
 		qopts.Recorder = obs.Tag(rec, name)
 		start := time.Now()
-		res, err := core.Solve(job, qopts)
+		res, err := sess.Solve(key, job, qopts)
 		if err != nil {
 			return err
 		}
@@ -265,7 +265,7 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			fmt.Println()
 			continue
 		}
-		if err := report("query "+name, job, job.ParamName); err != nil {
+		if err := report(nil, "query "+name, "", job, job.ParamName); err != nil {
 			return err
 		}
 	}
@@ -280,7 +280,7 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			fmt.Println()
 			continue
 		}
-		if err := report("query "+name, job, job.ParamName); err != nil {
+		if err := report(nil, "query "+name, "", job, job.ParamName); err != nil {
 			return err
 		}
 	}
@@ -290,46 +290,16 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 		fmt.Printf("\nGenerated queries (N_ts=%d variables, N_esc=%d sites, N_null=%d cells):\n",
 			stats.TypestateParams, stats.EscapeParams, stats.NullnessParams)
 		// The warm store applies to the generated queries only: explicit
-		// queries have no position-independent key. Sessions are created
-		// lazily per client so a typestate-only program writes no escape
-		// snapshot.
+		// queries have no position-independent key.
 		store := warm.Open(warmDir, rec)
 		session := func(cl warm.Client) *warm.Session {
 			if !store.Enabled() {
 				return nil
 			}
-			return store.Session(prog, warm.Config{
-				Client: cl, K: k, MaxIters: opts.MaxIters, Timeout: opts.Timeout,
-			})
+			return store.Session(prog, warm.Config{Client: cl, K: k, MaxIters: opts.MaxIters})
 		}
 		if batch {
 			return runBatch(prog, k, opts, rec, session)
-		}
-		solveWarm := func(q string, key string, sess *warm.Session, job core.Problem, paramName func(i int) string) error {
-			if sess != nil {
-				if r, ok := sess.Replay(key); ok {
-					printResult(q, r, paramName, 0)
-					return nil
-				}
-			}
-			qopts := opts
-			qopts.Recorder = obs.Tag(rec, q)
-			if sess != nil {
-				qopts.Seed = sess.SeedFor(key)
-				qopts.OnLearn = func(_ int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
-					sess.RecordLearn(key, t, cubes)
-				}
-			}
-			start := time.Now()
-			res, err := core.Solve(job, qopts)
-			if err != nil {
-				return err
-			}
-			if sess != nil {
-				sess.RecordResult(key, res)
-			}
-			printResult(q, res, paramName, time.Since(start))
-			return nil
 		}
 		// Per-query jobs come from each client's batch problem, so they share
 		// its literal universe and WP caches.
@@ -339,14 +309,12 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 			bp := spec.Batch(prog, indices(len(queries)), k)
 			paramName := paramNamer(spec.ParamNames(prog))
 			for i, q := range queries {
-				if err := solveWarm(q.ID, q.Key, sess, bp.Job(i, false), paramName); err != nil {
+				if err := report(sess, q.ID, q.Key, bp.Job(i, false), paramName); err != nil {
 					return err
 				}
 			}
-			if sess != nil {
-				if err := sess.Save(); err != nil {
-					return err
-				}
+			if err := sess.Save(); err != nil {
+				return err
 			}
 		}
 	}
@@ -387,14 +355,8 @@ func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, 
 		if bopts.Timeout > 0 {
 			bopts.Timeout *= time.Duration(len(queries)) // opts.Timeout is per query
 		}
-		if sess != nil {
-			bopts.SeedBatch = func(q int) []core.ParamCube { return sess.SeedFor(keys[q]) }
-			bopts.OnLearn = func(q int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
-				sess.RecordLearn(keys[q], t, cubes)
-			}
-		}
 		start := time.Now()
-		res, err := core.SolveBatch(spec.Batch(prog, indices(len(queries)), k), bopts)
+		res, err := sess.SolveBatch(keys, spec.Batch(prog, indices(len(queries)), k), bopts)
 		if err != nil {
 			return err
 		}
@@ -402,19 +364,8 @@ func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, 
 		for i, r := range res.Results {
 			printResult(queries[i].ID, r, paramName, wall/time.Duration(len(res.Results)))
 		}
-		if sess != nil {
-			// Exhausted verdicts from a batch are measured against the shared
-			// batch budget, not a per-query one; persisting them would make
-			// them look replayable to a later per-query run. Verdict-bearing
-			// statuses only.
-			for i, r := range res.Results {
-				if r.Status == core.Proved || r.Status == core.Impossible {
-					sess.RecordResult(keys[i], r)
-				}
-			}
-			if err := sess.Save(); err != nil {
-				return err
-			}
+		if err := sess.Save(); err != nil {
+			return err
 		}
 		fmt.Printf("[batch: %d queries, %d forward phases (%d memo hits), %d groups, %d rounds, %v]\n",
 			len(res.Results), res.Stats.ForwardRuns, res.Stats.FwdCacheHits,

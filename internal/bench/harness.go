@@ -8,9 +8,7 @@ import (
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
-	"tracer/internal/lang"
 	"tracer/internal/obs"
-	"tracer/internal/uset"
 	"tracer/internal/warm"
 )
 
@@ -61,12 +59,9 @@ type RunOptions struct {
 	// events — set Fresh to re-record a previously computed run.
 	Recorder obs.Recorder
 	// WarmDir, when non-empty, names a warm-start store directory
-	// (internal/warm): Run and RunBatch seed each query with its surviving
-	// stored clauses before iteration 1 and persist what this run learned
-	// on completion. Run additionally replays stored Exhausted verdicts on
-	// a byte-exact program match under the identical budget; RunBatch never
-	// replays (its budget is batch-wide, so per-query Exhausted verdicts
-	// are not comparable across runs).
+	// (internal/warm): Run solves each query through warm.Session.Solve and
+	// RunBatch through warm.Session.SolveBatch, which decide what is
+	// replayed, seeded and stored, and both save the session on completion.
 	WarmDir string
 }
 
@@ -142,10 +137,8 @@ func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if sess != nil {
-		if werr := sess.Save(); werr != nil {
-			return nil, fmt.Errorf("bench: saving warm snapshot: %w", werr)
-		}
+	if err := sess.Save(); err != nil {
+		return nil, fmt.Errorf("bench: saving warm snapshot: %w", err)
 	}
 	res.WallMilli = float64(time.Since(start).Microseconds()) / 1000
 
@@ -197,8 +190,8 @@ func clientBatch(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) ([]driv
 
 // warmSession opens the warm-start session for one run, or nil when WarmDir
 // is unset. The warm store's client names are the registry's wire names.
-// The config carries the *effective* budget (core's defaults applied) so
-// Exhausted replay compares like with like.
+// The config carries the *effective* iteration cap (core's default applied)
+// so Exhausted replay compares like with like.
 func warmSession(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) *warm.Session {
 	if opts.WarmDir == "" {
 		return nil
@@ -212,7 +205,6 @@ func warmSession(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) *warm.S
 		Client:   warm.Client(spec.Name),
 		K:        opts.K,
 		MaxIters: maxIters,
-		Timeout:  opts.Timeout,
 	})
 }
 
@@ -258,30 +250,11 @@ func runAll(n int, opts RunOptions, res *ClientResult, sess *warm.Session, job f
 
 func solveOne(id, key string, job core.Problem, opts RunOptions, sess *warm.Session) (QueryOutcome, error) {
 	start := time.Now()
-	if sess != nil {
-		if r, ok := sess.Replay(key); ok {
-			return QueryOutcome{
-				ID:         id,
-				Status:     r.Status,
-				Iterations: r.Iterations,
-				Millis:     float64(time.Since(start).Microseconds()) / 1000,
-			}, nil
-		}
-	}
 	copts := coreOpts(opts)
 	copts.Recorder = obs.Tag(opts.Recorder, id)
-	if sess != nil {
-		copts.Seed = sess.SeedFor(key)
-		copts.OnLearn = func(_ int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
-			sess.RecordLearn(key, t, cubes)
-		}
-	}
-	r, err := core.Solve(job, copts)
+	r, err := sess.Solve(key, job, copts)
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("query %s: %w", id, err)
-	}
-	if sess != nil {
-		sess.RecordResult(key, r)
 	}
 	o := QueryOutcome{
 		ID:         id,
@@ -298,12 +271,9 @@ func solveOne(id, key string, job core.Problem, opts RunOptions, sess *warm.Sess
 }
 
 // RunBatch resolves the same queries through the grouped multi-query driver
-// of §6, for the grouping ablation. With WarmDir set it seeds each query's
-// surviving clauses (seeded queries start in their own solver group) and
-// records what the batch learns; it never replays stored verdicts, and it
-// does not persist Exhausted verdicts either — the batch budget is shared
-// across queries, so a per-query "exhausted under budget B" claim measured
-// inside a batch would not be comparable to any later run.
+// of §6, for the grouping ablation. With WarmDir set it solves through
+// warm.Session.SolveBatch (seeded queries start in their own solver group)
+// and saves the session.
 func RunBatch(b *Benchmark, client Client, opts RunOptions) (*core.BatchResult, error) {
 	spec := specOf(client)
 	if spec == nil {
@@ -315,26 +285,12 @@ func RunBatch(b *Benchmark, client Client, opts RunOptions) (*core.BatchResult, 
 		keys[i] = q.Key
 	}
 	sess := warmSession(b, spec, opts)
-	copts := coreOpts(opts)
-	if sess != nil {
-		copts.SeedBatch = func(q int) []core.ParamCube { return sess.SeedFor(keys[q]) }
-		copts.OnLearn = func(q int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
-			sess.RecordLearn(keys[q], t, cubes)
-		}
-	}
-	res, err := core.SolveBatch(bp, copts)
+	res, err := sess.SolveBatch(keys, bp, coreOpts(opts))
 	if err != nil {
 		return nil, err
 	}
-	if sess != nil {
-		for q, r := range res.Results {
-			if r.Status == core.Proved || r.Status == core.Impossible {
-				sess.RecordResult(keys[q], r)
-			}
-		}
-		if werr := sess.Save(); werr != nil {
-			return nil, fmt.Errorf("bench: saving warm snapshot: %w", werr)
-		}
+	if err := sess.Save(); err != nil {
+		return nil, fmt.Errorf("bench: saving warm snapshot: %w", err)
 	}
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tracer/internal/core"
-	"tracer/internal/driver"
 )
 
 // This file regenerates every table and figure of §6. Each experiment
@@ -492,77 +491,6 @@ func RenderFigure14(rows []Figure14Row) string {
 		for _, s := range sizes {
 			fmt.Fprintf(&b, "  %3d L-mapped site(s): %4d queries  %s\n", s, r.Hist[s], strings.Repeat("#", r.Hist[s]))
 		}
-	}
-	return b.String()
-}
-
-// ---------- Batch scheduler: grouped multi-query solving (§6) ----------
-
-// BatchRow summarizes one (benchmark, client) run of the grouped
-// multi-query solver: how far group sharing and the forward-run memo
-// compress the per-query iteration total into whole-program forward phases.
-type BatchRow struct {
-	Name      string
-	Client    Client
-	Queries   int
-	TotalIter int // sum of per-query CEGAR iterations
-	Stats     core.BatchStats
-	WallMilli float64
-}
-
-// BatchTable runs the grouped solver for every registered client over the
-// whole suite, honoring opts.BatchWorkers.
-// opts.Timeout is the per-query budget of the individual runs; SolveBatch
-// enforces a whole-batch cap, so the batch gets query-count times that
-// budget.
-func BatchTable(opts RunOptions) ([]BatchRow, error) {
-	var rows []BatchRow
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range driver.Clients() {
-			cl := Client(spec.BenchName)
-			bopts := opts
-			if bopts.Timeout > 0 {
-				n := len(spec.Queries(b.Prog))
-				if bopts.MaxQueries > 0 && n > bopts.MaxQueries {
-					n = bopts.MaxQueries
-				}
-				bopts.Timeout *= time.Duration(n)
-			}
-			start := time.Now()
-			res, err := RunBatch(b, cl, bopts)
-			if err != nil {
-				return nil, err
-			}
-			row := BatchRow{
-				Name: cfg.Name, Client: cl, Queries: len(res.Results),
-				Stats:     res.Stats,
-				WallMilli: float64(time.Since(start).Microseconds()) / 1000,
-			}
-			for _, r := range res.Results {
-				row.TotalIter += r.Iterations
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// RenderBatchTable renders the grouped-solver statistics.
-func RenderBatchTable(rows []BatchRow, workers int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Batch scheduler (§6 grouping, %d worker(s)): forward phases vs per-query iterations.\n", workers)
-	fmt.Fprintf(&b, "%-9s %-13s | %7s %7s | %7s %7s | %5s %5s | %6s %6s | %8s\n",
-		"", "client", "queries", "iters", "fwdruns", "rounds", "hits", "miss", "groups", "peak", "wall")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %-13s | %7d %7d | %7d %7d | %5d %5d | %6d %6d | %8s\n",
-			r.Name, r.Client, r.Queries, r.TotalIter,
-			r.Stats.ForwardRuns, r.Stats.Rounds,
-			r.Stats.FwdCacheHits, r.Stats.FwdCacheMisses,
-			r.Stats.TotalGroups, r.Stats.PeakGroups, fmtMs(r.WallMilli))
 	}
 	return b.String()
 }

@@ -85,27 +85,3 @@ func TestRunBatchWarmMatchesCold(t *testing.T) {
 		}
 	}
 }
-
-// An edit-chain experiment over a couple of steps must run end to end and
-// keep warm answers identical to cold ones step by step (the table only
-// reports walls; correctness is Run's warm-vs-cold contract, checked above —
-// here we check the chain plumbing: distinct fingerprints, persisted store).
-func TestEditChainTableRuns(t *testing.T) {
-	opts := warmTestOpts()
-	opts.MaxQueries = 15
-	rows, err := EditChainTable(Suite()[0], 2, opts, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	for _, r := range rows[1:] {
-		if r.Kind == "" || r.Kind == "none" {
-			t.Errorf("step %d: missing edit kind", r.Step)
-		}
-		if r.ColdMilli <= 0 || r.WarmMilli <= 0 {
-			t.Errorf("step %d: non-positive walls %v/%v", r.Step, r.ColdMilli, r.WarmMilli)
-		}
-	}
-}

@@ -9,9 +9,7 @@ import (
 	"tracer/internal/core"
 	"tracer/internal/driver"
 	"tracer/internal/faultinject"
-	"tracer/internal/lang"
 	"tracer/internal/obs"
-	"tracer/internal/uset"
 	"tracer/internal/warm"
 )
 
@@ -248,28 +246,18 @@ func (s *Server) runBatch(reqs []*request) {
 	}
 	bp := spec.Batch(first.lp.prog, idx, first.k)
 
-	// Warm-start: seed each request's surviving stored clauses and persist
-	// what the round learns. Sessions for one program race only on Save
-	// (tmp+rename, last wins); warmMu serializes open/save so concurrent
-	// rounds never interleave snapshot writes. Skipped for rounds already
-	// degraded by an injected trip — their partial learning is worthless.
+	// Warm-start through a session per round, skipped for rounds already
+	// degraded by an injected trip: their partial learning is worthless.
 	var sess *warm.Session
 	if s.warm.Enabled() && !hookBud.Tripped() {
-		s.warmMu.Lock()
 		sess = s.warm.Session(first.lp.prog, warm.Config{
 			Client:   warm.Client(spec.Name),
 			K:        first.k,
 			MaxIters: first.maxIter,
-			Timeout:  first.timeout,
 		})
-		s.warmMu.Unlock()
-		opts.SeedBatch = func(q int) []core.ParamCube { return sess.SeedFor(keys[q]) }
-		opts.OnLearn = func(q int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
-			sess.RecordLearn(keys[q], t, cubes)
-		}
 	}
 
-	res, err := core.SolveBatch(bp, opts)
+	res, err := sess.SolveBatch(keys, bp, opts)
 	solveNS := int64(time.Since(start))
 	s.observeBatchWall(solveNS)
 	if s.recording {
@@ -279,21 +267,8 @@ func (s *Server) runBatch(reqs []*request) {
 		failAll("batch solve error: " + err.Error())
 		return
 	}
-
-	if sess != nil {
-		// Proved/Impossible only: a batch Exhausted verdict is measured
-		// against the shared round budget and is not replay-comparable.
-		for i, r := range res.Results {
-			if r.Status == core.Proved || r.Status == core.Impossible {
-				sess.RecordResult(keys[i], r)
-			}
-		}
-		s.warmMu.Lock()
-		serr := sess.Save()
-		s.warmMu.Unlock()
-		if serr != nil {
-			s.stats.warmSaveErrs.Add(1)
-		}
+	if err := sess.Save(); err != nil {
+		s.stats.warmSaveErrs.Add(1)
 	}
 
 	bi := BatchInfo{ID: bid, Size: len(reqs), Rounds: res.Stats.Rounds, Coalesced: len(live) > 1}

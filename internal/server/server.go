@@ -122,7 +122,6 @@ type Server struct {
 	progs  *progCache
 	quotas *quotas
 	warm   *warm.Store
-	warmMu sync.Mutex
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc

@@ -97,16 +97,37 @@ func postJSON(t *testing.T, url string, body []byte) (int, []byte) {
 // solve posts a SolveRequest and decodes the 200 response.
 func solve(t *testing.T, url string, sr SolveRequest) SolveResponse {
 	t.Helper()
-	body, _ := json.Marshal(sr)
-	status, data := postJSON(t, url, body)
-	if status != http.StatusOK {
-		t.Fatalf("POST /solve = %d, want 200; body %s", status, data)
+	out, err := trySolve(url, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// trySolve is solve for goroutines other than the test's own: it returns
+// what went wrong instead of failing the test.
+func trySolve(url string, sr SolveRequest) (SolveResponse, error) {
+	body, err := json.Marshal(sr)
+	if err != nil {
+		return SolveResponse{}, err
+	}
+	resp, err := http.Post(url+"/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return SolveResponse{}, fmt.Errorf("POST /solve: %v", err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return SolveResponse{}, fmt.Errorf("read body: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return SolveResponse{}, fmt.Errorf("POST /solve = %d, want 200; body %s", resp.StatusCode, data)
 	}
 	var out SolveResponse
 	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("bad response %s: %v", data, err)
+		return SolveResponse{}, fmt.Errorf("bad response %s: %v", data, err)
 	}
-	return out
+	return out, nil
 }
 
 // localTruth solves every fixture query directly through core.Solve.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
@@ -26,18 +25,20 @@ const (
 
 // Config identifies the solving configuration of a session. K participates
 // in the snapshot's config signature (clauses learned at one k are not
-// reused at another); MaxIters and Timeout only gate Exhausted replay.
+// reused at another); MaxIters only gates Exhausted replay.
 type Config struct {
 	Client   Client
 	K        int
 	MaxIters int // effective iteration cap of the solve
-	Timeout  time.Duration
 }
 
 // Session is the warm-start view of one program under one configuration:
 // entries surviving the IR delta against the nearest stored snapshot, plus
-// everything recorded during the current solve. Record methods are safe for
-// concurrent use (core.Options.OnLearn fires from parallel workers).
+// everything recorded during the current solve. Solve and SolveBatch are the
+// warm-solve path. The Replay, SeedFor and Record methods they are built
+// from stay exported for a caller that times each step apart; they are safe
+// for concurrent use (core.Options.OnLearn fires from parallel workers). A
+// nil *Session solves cold and saves nothing.
 type Session struct {
 	st      *Store
 	prog    *driver.Program
@@ -96,6 +97,55 @@ func (st *Store) Session(p *driver.Program, conf Config) *Session {
 // program (replay-eligible).
 func (s *Session) Exact() bool { return s.exact }
 
+// Solve answers one query, named by its position-independent key: a
+// replayable stored verdict if there is one, else core.Solve seeded with the
+// query's surviving clauses, recording every accepted cube and the verdict.
+// It sets opts.Seed and opts.OnLearn.
+func (s *Session) Solve(key string, pr core.Problem, opts core.Options) (core.Result, error) {
+	if s == nil {
+		return core.Solve(pr, opts)
+	}
+	if r, ok := s.Replay(key); ok {
+		return r, nil
+	}
+	opts.Seed = s.SeedFor(key)
+	opts.OnLearn = func(_ int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
+		s.RecordLearn(key, t, cubes)
+	}
+	r, err := core.Solve(pr, opts)
+	if err != nil {
+		return r, err
+	}
+	s.RecordResult(key, r)
+	return r, nil
+}
+
+// SolveBatch solves a batch problem whose query q has the key keys[q],
+// seeding each query with its surviving clauses and recording every
+// accepted cube. It never replays, and it stores only Proved and Impossible
+// verdicts: the batch shares one budget across its queries, so an Exhausted
+// verdict measured inside it is not comparable with any later solve. It
+// sets opts.SeedBatch and opts.OnLearn.
+func (s *Session) SolveBatch(keys []string, bp core.BatchProblem, opts core.Options) (*core.BatchResult, error) {
+	if s == nil {
+		return core.SolveBatch(bp, opts)
+	}
+	opts.SeedBatch = func(q int) []core.ParamCube { return s.SeedFor(keys[q]) }
+	opts.OnLearn = func(q int, _ uset.Set, t lang.Trace, cubes []core.ParamCube) {
+		s.RecordLearn(keys[q], t, cubes)
+	}
+	res, err := core.SolveBatch(bp, opts)
+	if err != nil {
+		return nil, err
+	}
+	for q, r := range res.Results {
+		if r.Status == core.Proved || r.Status == core.Impossible {
+			s.RecordResult(keys[q], r)
+		}
+	}
+	return res, nil
+}
+
 // load installs the surviving entries of the nearest compatible snapshot.
 // Only that snapshot's queries are decoded; when they turn out corrupt the
 // next-nearest candidate is tried.
@@ -103,6 +153,8 @@ func (s *Session) load() {
 	if !s.st.Enabled() {
 		return
 	}
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	cands := s.candidates()
 	s.st.count(obs.WarmSnapshots, int64(len(cands)))
 	for _, c := range cands {
@@ -203,7 +255,6 @@ func (s *Session) surviveEntry(e *queryEntry, touched map[string]bool) *queryEnt
 		Status:     e.Status,
 		Iterations: e.Iterations,
 		MaxIters:   e.MaxIters,
-		TimeoutMS:  e.TimeoutMS,
 		Abs:        e.Abs,
 	}
 	if !s.validStatus(e.Status) || touched != nil {
@@ -296,14 +347,13 @@ func (s *Session) cubeOf(c storedClause) (core.ParamCube, bool) {
 
 func (s *Session) replayable(e *queryEntry) bool {
 	return s.exact && e.Status == core.Exhausted.String() &&
-		e.MaxIters == s.conf.MaxIters &&
-		e.TimeoutMS == s.conf.Timeout.Milliseconds()
+		e.MaxIters == s.conf.MaxIters
 }
 
 // Replay returns a stored verdict that may stand in for a fresh solve.
 // Policy: only Exhausted verdicts that reached the iteration cap (tripped
 // ones are never recorded), only on a byte-exact program match under the
-// identical iteration cap and timeout. Proved and Impossible verdicts
+// identical iteration cap. Proved and Impossible verdicts
 // are never replayed — the solver re-establishes them from the seeded
 // clauses in at most one forward run, which keeps the brute-force oracle
 // applicable to every warm answer.
@@ -377,7 +427,6 @@ func (s *Session) RecordResult(queryKey string, r core.Result) {
 	e.Status = r.Status.String()
 	e.Iterations = r.Iterations
 	e.MaxIters = s.conf.MaxIters
-	e.TimeoutMS = s.conf.Timeout.Milliseconds()
 	e.Abs = s.namesOf(r.Abstraction)
 }
 
@@ -396,10 +445,12 @@ func (s *Session) namesOf(set uset.Set) []string {
 }
 
 // Save writes the session's entries as the snapshot for the current program
-// fingerprint. Surviving-but-unsolved entries are saved too (their clauses
-// stay reusable; their verdicts were already cleared unless byte-exact).
+// fingerprint, merged with what other sessions saved there meanwhile (see
+// Store.writeSnapshot). Surviving-but-unsolved entries are saved too (their
+// clauses stay reusable; their verdicts were already cleared unless
+// byte-exact).
 func (s *Session) Save() error {
-	if !s.st.Enabled() {
+	if s == nil || !s.st.Enabled() {
 		return nil
 	}
 	s.mu.Lock()

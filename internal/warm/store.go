@@ -39,11 +39,25 @@
 // Verdicts are never trusted across an edit. On a byte-exact fingerprint
 // match, Proved/Impossible verdicts are still re-established by the solver
 // (the seeded clause set makes that 1 and 0 forward runs respectively);
-// only Exhausted verdicts are replayed without solving, and only when the
-// stored iteration cap and timeout equal the current ones — re-running a
-// full iteration cap per already-known-hopeless query would erase the warm
-// win. A solve whose budget tripped is never stored as Exhausted: the
-// trip says nothing about the iteration cap.
+// only Exhausted verdicts are replayed without solving, and only under the
+// identical iteration cap — re-running a full iteration cap per
+// already-known-hopeless query would erase the warm win. A solve whose
+// budget tripped (cancelled context, step quota, deadline) is never stored
+// as Exhausted, so every stored Exhausted verdict is one the iteration cap
+// decided, and a fresh solve under any deadline would return it too.
+//
+// # Sessions
+//
+// Session.Solve and Session.SolveBatch are the one warm-solve path: they
+// replay, seed, record learned clauses and choose which verdicts are stored.
+// Callers open a session per program and client, solve through it, and Save
+// it. Sessions over one program may run concurrently: Save merges the
+// snapshot already on disk for the same program and configuration into its
+// own entries (other queries' entries are kept, clauses are unioned, the
+// saving session's verdict wins), and a Store serializes session loading
+// and snapshot writes within one process. Across processes the merge is not
+// atomic: a snapshot written between another process's read and its rename
+// is lost.
 //
 // Everything read from disk is untrusted: unparseable files, version
 // mismatches, unknown statuses, and unknown parameter names degrade to a
@@ -59,20 +73,27 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"tracer/internal/obs"
 )
 
 // Version is the snapshot schema version; files with any other version are
-// ignored (cold fallback), never migrated. Version 2 stores the header and
-// the queries as two JSON values, so a session chooses from headers alone.
-const Version = 2
+// ignored (cold fallback), never migrated. Since version 2 a file stores the
+// header and the queries as two JSON values, so a session chooses from
+// headers alone. Version 3 drops the timeout a verdict was solved under:
+// version 2 files may hold Exhausted verdicts that a deadline decided.
+const Version = 3
 
 // Store is a handle on a warm-start directory. The zero value (and any Open
 // failure) is a disabled store whose Sessions are all-cold no-ops.
 type Store struct {
 	dir string
 	rec obs.Recorder
+	// mu serializes session loading and snapshot writes within the
+	// process: a save's read-merge-write of one snapshot never interleaves
+	// with another's, and a load never races a prune.
+	mu sync.Mutex
 }
 
 // Open returns a store rooted at dir, creating it if needed. Open never
@@ -119,10 +140,9 @@ type queryEntry struct {
 	// never persisted).
 	Status     string `json:"status"`
 	Iterations int    `json:"iters"`
-	// MaxIters/TimeoutMS record the budget the entry was solved under;
-	// Exhausted entries are only replayed under the identical budget.
-	MaxIters  int   `json:"maxIters"`
-	TimeoutMS int64 `json:"timeoutMS"`
+	// MaxIters records the iteration cap the entry was solved under;
+	// Exhausted entries are only replayed under the identical cap.
+	MaxIters int `json:"maxIters"`
 	// Abs is the proving abstraction by parameter name (diagnostic only —
 	// warm solves re-derive it from the seeded clauses).
 	Abs     []string       `json:"abs,omitempty"`
@@ -212,26 +232,28 @@ func readQueries(name string) (map[string]*queryEntry, bool) {
 	return queries, true
 }
 
-// writeSnapshot atomically persists a snapshot and prunes stale snapshots
-// of the same client+conf beyond a small budget (oldest fingerprints first
-// by modification time), so edit chains do not grow the directory
-// unboundedly.
+// writeSnapshot atomically persists a snapshot, merged with the one
+// already at its path, and prunes stale snapshots of the same client+conf
+// beyond a small budget (oldest fingerprints first by modification time), so
+// edit chains do not grow the directory unboundedly.
 func (st *Store) writeSnapshot(h *snapshotHeader, queries map[string]*queryEntry) error {
 	if !st.Enabled() {
 		return nil
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	path := st.snapshotPath(h.Whole, h.Client, h.Conf)
 	header, err := json.MarshalIndent(h, "", " ")
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(queries)
+	body, err := json.Marshal(mergeStored(path, h, queries))
 	if err != nil {
 		return err
 	}
 	data := make([]byte, 0, len(header)+len(body)+2)
 	data = append(append(data, header...), '\n')
 	data = append(append(data, body...), '\n')
-	path := st.snapshotPath(h.Whole, h.Client, h.Conf)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -241,6 +263,47 @@ func (st *Store) writeSnapshot(h *snapshotHeader, queries map[string]*queryEntry
 	}
 	st.prune(h.Client, h.Conf, path)
 	return nil
+}
+
+// mergeStored returns queries merged with the snapshot stored at path when
+// that file's header names the same program (whole and shape fingerprints),
+// client and conf: the stored entries of other queries are carried over,
+// each query's clauses are the union of both sides by cubeKey, and the
+// verdict of queries wins when it has one. Otherwise it returns queries.
+// It never modifies queries or their entries.
+func mergeStored(path string, h *snapshotHeader, queries map[string]*queryEntry) map[string]*queryEntry {
+	old, ok := readHeader(path)
+	if !ok || old.Whole != h.Whole || old.Shape != h.Shape || old.Client != h.Client || old.Conf != h.Conf {
+		return queries
+	}
+	stored, ok := readQueries(path)
+	if !ok {
+		return queries
+	}
+	for key, e := range queries {
+		prev := stored[key]
+		if prev == nil {
+			stored[key] = e
+			continue
+		}
+		merged := *e
+		if merged.Status == "" {
+			merged.Status, merged.Iterations, merged.MaxIters, merged.Abs = prev.Status, prev.Iterations, prev.MaxIters, prev.Abs
+		}
+		merged.Clauses = append([]storedClause(nil), e.Clauses...)
+		have := make(map[string]bool, len(e.Clauses))
+		for _, c := range e.Clauses {
+			have[c.cubeKey()] = true
+		}
+		for _, c := range prev.Clauses {
+			if !have[c.cubeKey()] {
+				have[c.cubeKey()] = true
+				merged.Clauses = append(merged.Clauses, c)
+			}
+		}
+		stored[key] = &merged
+	}
+	return stored
 }
 
 // maxSnapshots bounds how many snapshots one client+conf keeps on disk.

@@ -12,9 +12,7 @@ import (
 	"tracer/internal/core"
 	"tracer/internal/driver"
 	"tracer/internal/ir"
-	"tracer/internal/lang"
 	"tracer/internal/obs"
-	"tracer/internal/uset"
 )
 
 const progBase = `
@@ -126,54 +124,17 @@ func load(t *testing.T, src string) *driver.Program {
 	return p
 }
 
-// solveTS resolves every generated type-state query through the session,
-// mirroring the bench harness wiring: replay, then seeded solve, then
-// record. Returns results keyed by the stable query key.
-func solveTS(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
+// solveAll resolves every generated query of conf's client through
+// Session.Solve and returns the results keyed by the stable query key.
+func solveAll(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
 	t.Helper()
+	spec := driver.ClientByName(string(conf.Client))
 	out := map[string]core.Result{}
-	for i, q := range p.TypestateQueries() {
-		q := q
-		if r, ok := sess.Replay(q.Key); ok {
-			out[q.Key] = r
-			continue
-		}
-		r, err := core.Solve(driver.ClientByName("typestate").Job(p, i, conf.K), core.Options{
-			MaxIters: conf.MaxIters,
-			Seed:     sess.SeedFor(q.Key),
-			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
-				sess.RecordLearn(q.Key, tr, cubes)
-			},
-		})
+	for i, q := range spec.Queries(p) {
+		r, err := sess.Solve(q.Key, spec.Job(p, i, conf.K), core.Options{MaxIters: conf.MaxIters})
 		if err != nil {
 			t.Fatalf("query %s: %v", q.ID, err)
 		}
-		sess.RecordResult(q.Key, r)
-		out[q.Key] = r
-	}
-	return out
-}
-
-func solveEsc(t *testing.T, p *driver.Program, sess *Session, conf Config) map[string]core.Result {
-	t.Helper()
-	out := map[string]core.Result{}
-	for i, q := range p.EscapeQueries() {
-		q := q
-		if r, ok := sess.Replay(q.Key); ok {
-			out[q.Key] = r
-			continue
-		}
-		r, err := core.Solve(driver.ClientByName("escape").Job(p, i, conf.K), core.Options{
-			MaxIters: conf.MaxIters,
-			Seed:     sess.SeedFor(q.Key),
-			OnLearn: func(_ int, _ uset.Set, tr lang.Trace, cubes []core.ParamCube) {
-				sess.RecordLearn(q.Key, tr, cubes)
-			},
-		})
-		if err != nil {
-			t.Fatalf("query %s: %v", q.ID, err)
-		}
-		sess.RecordResult(q.Key, r)
 		out[q.Key] = r
 	}
 	return out
@@ -210,7 +171,7 @@ func TestWarmRoundTrip(t *testing.T) {
 	if s1.Exact() {
 		t.Fatal("fresh store claims exact match")
 	}
-	cold := solveTS(t, p1, s1, conf)
+	cold := solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -221,7 +182,7 @@ func TestWarmRoundTrip(t *testing.T) {
 	if !s2.Exact() {
 		t.Fatal("identical program did not match exactly")
 	}
-	warm := solveTS(t, p2, s2, conf)
+	warm := solveAll(t, p2, s2, conf)
 	wantSame(t, cold, warm, "round-trip")
 	for k, w := range warm {
 		if w.Iterations > 2 {
@@ -235,13 +196,13 @@ func TestWarmRoundTripEscape(t *testing.T) {
 	conf := Config{Client: Escape, K: 2, MaxIters: 50}
 	p1 := load(t, progBase)
 	s1 := Open(dir, nil).Session(p1, conf)
-	cold := solveEsc(t, p1, s1, conf)
+	cold := solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	p2 := load(t, progBase)
 	s2 := Open(dir, nil).Session(p2, conf)
-	warm := solveEsc(t, p2, s2, conf)
+	warm := solveAll(t, p2, s2, conf)
 	wantSame(t, cold, warm, "escape round-trip")
 	for k, w := range warm {
 		if w.Iterations > 2 {
@@ -255,7 +216,7 @@ func TestWarmDeltaInvalidation(t *testing.T) {
 	conf := tsConf(50)
 	p1 := load(t, progBase)
 	s1 := Open(dir, nil).Session(p1, conf)
-	solveTS(t, p1, s1, conf)
+	solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -268,11 +229,11 @@ func TestWarmDeltaInvalidation(t *testing.T) {
 	if sWarm.Exact() {
 		t.Fatal("edited program matched exactly")
 	}
-	warm := solveTS(t, pEdit, sWarm, conf)
+	warm := solveAll(t, pEdit, sWarm, conf)
 
 	pEditCold := load(t, progEditNeutral)
 	sCold := Open(t.TempDir(), nil).Session(pEditCold, conf)
-	cold := solveTS(t, pEditCold, sCold, conf)
+	cold := solveAll(t, pEditCold, sCold, conf)
 	wantSame(t, cold, warm, "delta edit")
 
 	// The pts-neutral edit kills only clauses supported by Helper.work;
@@ -291,7 +252,7 @@ func TestWarmShapeChangeGoesCold(t *testing.T) {
 	conf := tsConf(50)
 	p1 := load(t, progBase)
 	s1 := Open(dir, nil).Session(p1, conf)
-	solveTS(t, p1, s1, conf)
+	solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -307,7 +268,7 @@ func TestWarmConfigMismatchGoesCold(t *testing.T) {
 	p1 := load(t, progBase)
 	conf := Config{Client: Typestate, K: 2, MaxIters: 50}
 	s1 := Open(dir, nil).Session(p1, conf)
-	solveTS(t, p1, s1, conf)
+	solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -324,7 +285,7 @@ func TestWarmExhaustedReplay(t *testing.T) {
 	conf := tsConf(1)
 	p1 := load(t, progBase)
 	s1 := Open(dir, nil).Session(p1, conf)
-	cold := solveTS(t, p1, s1, conf)
+	cold := solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -401,10 +362,42 @@ func TestWarmTripNotReplayed(t *testing.T) {
 			if r, ok := s2.Replay(q.Key); ok {
 				t.Fatalf("replayed %v from a tripped solve", r.Status)
 			}
-			if w := solveTS(t, p2, s2, conf)[q.Key]; w.Status != cold.Status {
+			if w := solveAll(t, p2, s2, conf)[q.Key]; w.Status != cold.Status {
 				t.Fatalf("warm solve of %s is %v, want the cold %v", q.ID, w.Status, cold.Status)
 			}
 		})
+	}
+}
+
+// TestWarmConcurrentSessionsMerge: two sessions over one program, both
+// opened before either saves, each solve a different query. The second Save
+// must keep the first one's entry.
+func TestWarmConcurrentSessionsMerge(t *testing.T) {
+	dir := t.TempDir()
+	conf := tsConf(50)
+	p := load(t, progBase)
+	spec := driver.ClientByName(string(conf.Client))
+	queries := spec.Queries(p)
+	if len(queries) < 2 {
+		t.Fatalf("test premise broken: %d type-state queries, want 2", len(queries))
+	}
+	st := Open(dir, nil)
+	sessions := []*Session{st.Session(p, conf), st.Session(p, conf)}
+	for i, s := range sessions {
+		if _, err := s.Solve(queries[i].Key, spec.Job(p, i, conf.K), core.Options{MaxIters: conf.MaxIters}); err != nil {
+			t.Fatalf("query %s: %v", queries[i].ID, err)
+		}
+	}
+	for _, s := range sessions {
+		if err := s.Save(); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+	}
+	s3 := Open(dir, nil).Session(p, conf)
+	for _, q := range queries[:2] {
+		if e := s3.entries[q.Key]; e == nil || e.Status == "" {
+			t.Fatalf("query %s lost from the store", q.Key)
+		}
 	}
 }
 
@@ -413,7 +406,7 @@ func TestWarmCorruptionFallsBackCold(t *testing.T) {
 	conf := tsConf(50)
 	p1 := load(t, progBase)
 	s1 := Open(dir, nil).Session(p1, conf)
-	cold := solveTS(t, p1, s1, conf)
+	cold := solveAll(t, p1, s1, conf)
 	if err := s1.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -439,7 +432,7 @@ func TestWarmCorruptionFallsBackCold(t *testing.T) {
 	if s2.Exact() || len(s2.entries) != 0 {
 		t.Fatal("truncated snapshot was trusted")
 	}
-	warm := solveTS(t, load(t, progBase), s2, conf)
+	warm := solveAll(t, load(t, progBase), s2, conf)
 	wantSame(t, cold, warm, "truncated store")
 
 	// Bit flip inside the JSON body.
@@ -449,7 +442,7 @@ func TestWarmCorruptionFallsBackCold(t *testing.T) {
 		return b
 	})
 	s3 := Open(dir, nil).Session(load(t, progBase), conf)
-	warm3 := solveTS(t, load(t, progBase), s3, conf)
+	warm3 := solveAll(t, load(t, progBase), s3, conf)
 	wantSame(t, cold, warm3, "bit-flipped store")
 
 	// Version mismatch: valid JSON, wrong schema version.
@@ -469,7 +462,7 @@ func saveOne(t *testing.T, conf Config) (string, map[string]core.Result, string)
 	dir := t.TempDir()
 	p := load(t, progBase)
 	s := Open(dir, nil).Session(p, conf)
-	cold := solveTS(t, p, s, conf)
+	cold := solveAll(t, p, s, conf)
 	if err := s.Save(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
@@ -544,7 +537,7 @@ func TestWarmCorruptBodyFallsBackToNextNearest(t *testing.T) {
 	if len(s.entries) == 0 || agg.Counter(obs.WarmClausesLoaded) == 0 {
 		t.Fatal("next-nearest snapshot was not loaded")
 	}
-	warm := solveTS(t, load(t, progBase), s, conf)
+	warm := solveAll(t, load(t, progBase), s, conf)
 	wantSame(t, cold, warm, "fallback to next-nearest")
 }
 
@@ -577,37 +570,74 @@ func TestWarmOtherClientsFilesNeverOpened(t *testing.T) {
 	}
 }
 
+// TestWarmV1SnapshotIgnored: a snapshot of an older schema is never
+// trusted, neither the one-object version-1 layout nor a version-2 file,
+// whose Exhausted verdicts a deadline may have decided.
 func TestWarmV1SnapshotIgnored(t *testing.T) {
-	conf := tsConf(50)
-	dir, _, file := saveOne(t, conf)
-	h, ok := readHeader(file)
-	if !ok {
-		t.Fatal("saved header unreadable")
+	cases := []struct {
+		name      string
+		conf      Config
+		exhausted bool // the snapshot must hold an Exhausted verdict
+		encode    func(h *snapshotHeader, queries map[string]*queryEntry) ([]byte, error)
+	}{
+		{"v1 layout", tsConf(50), false, func(h *snapshotHeader, queries map[string]*queryEntry) ([]byte, error) {
+			// One object holding the header fields and the queries.
+			return json.MarshalIndent(map[string]any{
+				"version": 1, "whole": h.Whole, "shape": h.Shape, "methods": h.Methods,
+				"client": h.Client, "conf": h.Conf, "queries": queries,
+			}, "", " ")
+		}},
+		// MaxIters 1 exhausts every query needing refinement.
+		{"v2 exhausted verdict", tsConf(1), true, func(h *snapshotHeader, queries map[string]*queryEntry) ([]byte, error) {
+			v2 := *h
+			v2.Version = 2
+			header, err := json.Marshal(v2)
+			if err != nil {
+				return nil, err
+			}
+			body, err := json.Marshal(queries)
+			return append(append(header, '\n'), body...), err
+		}},
 	}
-	queries, ok := readQueries(file)
-	if !ok {
-		t.Fatal("saved queries unreadable")
-	}
-	// The version-1 layout: one object holding the header fields and the
-	// queries.
-	v1 := map[string]any{
-		"version": 1, "whole": h.Whole, "shape": h.Shape, "methods": h.Methods,
-		"client": h.Client, "conf": h.Conf, "queries": queries,
-	}
-	data, err := json.MarshalIndent(v1, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(file, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	agg := obs.NewAgg()
-	s := Open(dir, agg).Session(load(t, progBase), conf)
-	if s.Exact() || len(s.entries) != 0 {
-		t.Fatalf("v1 snapshot was trusted: exact=%v entries=%d", s.Exact(), len(s.entries))
-	}
-	if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
-		t.Fatalf("warm.entries_corrupt = %d, want 1", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, cold, file := saveOne(t, tc.conf)
+			exhausted := false
+			for _, r := range cold {
+				exhausted = exhausted || r.Status == core.Exhausted
+			}
+			if tc.exhausted && !exhausted {
+				t.Fatal("test premise broken: nothing exhausted")
+			}
+			h, ok := readHeader(file)
+			if !ok {
+				t.Fatal("saved header unreadable")
+			}
+			queries, ok := readQueries(file)
+			if !ok {
+				t.Fatal("saved queries unreadable")
+			}
+			data, err := tc.encode(h, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			agg := obs.NewAgg()
+			s := Open(dir, agg).Session(load(t, progBase), tc.conf)
+			if s.Exact() || len(s.entries) != 0 {
+				t.Fatalf("old snapshot was trusted: exact=%v entries=%d", s.Exact(), len(s.entries))
+			}
+			if n := agg.Counter(obs.WarmEntriesCorrupt); n != 1 {
+				t.Fatalf("warm.entries_corrupt = %d, want 1", n)
+			}
+			for key, r := range cold {
+				if _, ok := s.Replay(key); ok {
+					t.Fatalf("replayed the stored %v verdict of %s", r.Status, key)
+				}
+			}
+		})
 	}
 }
 
@@ -615,7 +645,7 @@ func TestWarmDisabledStore(t *testing.T) {
 	conf := tsConf(50)
 	p := load(t, progBase)
 	s := Open("", nil).Session(p, conf)
-	cold := solveTS(t, p, s, conf)
+	cold := solveAll(t, p, s, conf)
 	if err := s.Save(); err != nil {
 		t.Fatalf("disabled save: %v", err)
 	}
