@@ -24,11 +24,16 @@ test-tracerbench:
 
 # Fault-injection suite: the deterministic chaos tests (panic isolation,
 # budget trips, worker-count determinism, and the seeded sweep) under -race,
-# plus a seeded chaos run of the tracer CLI on a real program.
+# the shared-Program tests repeated under -race (a loaded program's solver
+# caches are filled from every goroutine that holds it), plus a seeded chaos
+# run of the tracer CLI on a real program.
 chaos:
 	go test -race -count=1 -run 'Chaos|PanicIsolation|DeadlineMidPhase|PartialStats' \
 		./internal/core/ -v
 	go test -race -count=1 ./internal/faultinject/ ./internal/budget/ -v
+	go test -race -count=10 \
+		-run 'TestProgramIsSharable|TestJobsShareProgramCaches|TestProgramCachesOrderIndependent' \
+		./internal/driver/
 	go run ./cmd/benchgen -dir /tmp -name tsp
 	go run ./cmd/tracer -chaos-seed 7 -chaos-rate 0.2 -auto -batch -batch-workers 4 /tmp/tsp.tir
 
@@ -61,7 +66,8 @@ bench:
 	go test -bench=. -benchmem -run xxx .
 
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
-# interned DNF kernel's hot paths (Approx, WpDNF, Simplify), the
+# interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
+# cache, Simplify), the
 # incremental minimum-model solver's warm/fresh resolve loop, and opening a
 # warm-start session on a full store.
 bench-micro:

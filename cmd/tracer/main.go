@@ -301,15 +301,11 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 		if batch {
 			return runBatch(prog, k, opts, rec, session)
 		}
-		// Per-query jobs come from each client's batch problem, so they share
-		// its literal universe and WP caches.
 		for _, spec := range driver.Clients() {
 			sess := session(warm.Client(spec.Name))
-			queries := spec.Queries(prog)
-			bp := spec.Batch(prog, indices(len(queries)), k)
 			paramName := paramNamer(spec.ParamNames(prog))
-			for i, q := range queries {
-				if err := report(sess, q.ID, q.Key, bp.Job(i, false), paramName); err != nil {
+			for i, q := range spec.Queries(prog) {
+				if err := report(sess, q.ID, q.Key, spec.Job(prog, i, k), paramName); err != nil {
 					return err
 				}
 			}

@@ -16,9 +16,13 @@ import (
 func TestDeltaCountersReconcile(t *testing.T) {
 	b := MustLoad(Suite()[0]) // tsp
 	for _, spec := range driver.Clients() {
-		queries, bp := clientBatch(b, spec, RunOptions{K: 5})
+		queries := spec.Queries(b.Prog)
+		idx := make([]int, len(queries))
+		for i := range idx {
+			idx[i] = i
+		}
 		agg := obs.NewAgg()
-		res, err := core.SolveBatch(bp, core.Options{MaxIters: 100, Recorder: agg})
+		res, err := core.SolveBatch(spec.Batch(b.Prog, idx, 5), core.Options{MaxIters: 100, Recorder: agg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,13 +127,9 @@ func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
 	res := &ClientResult{Benchmark: b.Config.Name, Client: client, K: opts.K}
 	start := time.Now()
 	sess := warmSession(b, spec, opts)
-	// Per-query jobs come from the client's batch problem, so they share its
-	// literal universe and WP caches by the client's policy: the per-query
-	// loop otherwise re-derives every interned literal and WP DNF from
-	// scratch for each query on the same program.
-	queries, bp := clientBatch(b, spec, opts)
+	queries := clientQueries(b, spec, opts)
 	if err := runAll(len(queries), opts, res, sess, func(i int) (string, string, core.Problem) {
-		return queries[i].ID, queries[i].Key, bp.Job(i, false)
+		return queries[i].ID, queries[i].Key, spec.Job(b.Prog, i, opts.K)
 	}); err != nil {
 		return nil, err
 	}
@@ -174,18 +170,14 @@ func specOf(client Client) *driver.ClientSpec {
 	return nil
 }
 
-// clientBatch builds the client's batch problem over the run's queries (the
-// first MaxQueries when capped).
-func clientBatch(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) ([]driver.GenQuery, driver.Batch) {
+// clientQueries returns the client's generated queries on b (the first
+// MaxQueries when capped).
+func clientQueries(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) []driver.GenQuery {
 	queries := spec.Queries(b.Prog)
 	if opts.MaxQueries > 0 && len(queries) > opts.MaxQueries {
 		queries = queries[:opts.MaxQueries]
 	}
-	idx := make([]int, len(queries))
-	for i := range idx {
-		idx[i] = i
-	}
-	return queries, spec.Batch(b.Prog, idx, opts.K)
+	return queries
 }
 
 // warmSession opens the warm-start session for one run, or nil when WarmDir
@@ -279,13 +271,15 @@ func RunBatch(b *Benchmark, client Client, opts RunOptions) (*core.BatchResult, 
 	if spec == nil {
 		return nil, fmt.Errorf("bench: unknown client %q", client)
 	}
-	queries, bp := clientBatch(b, spec, opts)
+	queries := clientQueries(b, spec, opts)
 	keys := make([]string, len(queries))
+	idx := make([]int, len(queries))
 	for i, q := range queries {
 		keys[i] = q.Key
+		idx[i] = i
 	}
 	sess := warmSession(b, spec, opts)
-	res, err := sess.SolveBatch(keys, bp, coreOpts(opts))
+	res, err := sess.SolveBatch(keys, spec.Batch(b.Prog, idx, opts.K), coreOpts(opts))
 	if err != nil {
 		return nil, err
 	}

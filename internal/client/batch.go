@@ -14,6 +14,40 @@ import (
 	"tracer/internal/uset"
 )
 
+// Caches holds what every backward job of one client on one program
+// shares: the interned literal universe, and one weakest-precondition cache
+// per part of the program (a WP depends on the atom, the primitive and the
+// part the analysis tracks; see Batch). Both are concurrency-safe and their
+// entries never go stale, so a driver program keeps one Caches per client
+// for its whole lifetime and hands it to every batch and job it builds.
+// Only problems of one analysis configuration may share it: a type-state
+// WP also reads the analysis's property, so queries against another
+// property need Caches of their own.
+type Caches struct {
+	uni *formula.Universe
+
+	mu  sync.Mutex // guards wpc
+	wpc map[string]*meta.WPCache
+}
+
+// NewCaches returns empty caches over the client's literal theory.
+func NewCaches(th formula.Theory) *Caches {
+	return &Caches{uni: formula.NewUniverse(th), wpc: map[string]*meta.WPCache{}}
+}
+
+// Part returns the shared literal universe and part's WP cache, creating
+// the cache on first use.
+func (c *Caches) Part(part string) (*formula.Universe, *meta.WPCache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.wpc[part]
+	if w == nil {
+		w = meta.NewWPCache()
+		c.wpc[part] = w
+	}
+	return c.uni, w
+}
+
 // Batch poses many queries on one CFG through core.SolveBatch. Each query
 // names the part of the program its analysis tracks: the allocation site
 // for type-state, one part shared by every query for thread-escape and
@@ -29,12 +63,11 @@ import (
 // meaningful within one instance, and interning mutates the instance),
 // while the parameter universe is identical across instances. The formula
 // kernel's literal universe and the weakest-precondition caches are the
-// exception. The literal universe is shared batch-wide (the theory is
-// stateless, so memoized theory bits are valid across parts), and the WP
-// cache per part (a WP depends on the atom, the primitive and the part the
-// analysis tracks). Both are concurrency-safe, so workers reuse interned
-// IDs, memoized theory bits and WP DNFs instead of re-deriving them per
-// query.
+// exception: they come from the Caches the batch is built with, so they
+// are shared batch-wide (the universe) and per part (the WP caches) with
+// every other batch and job built from the same Caches. Workers reuse
+// interned IDs, memoized theory bits and WP DNFs instead of re-deriving
+// them per query.
 type Batch[D comparable, Q Query, A Analysis[D, Q]] struct {
 	g       *lang.CFG
 	fresh   func(part string) A
@@ -57,11 +90,12 @@ type Batch[D comparable, Q Query, A Analysis[D, Q]] struct {
 
 // NewBatch builds the batch problem over queries on g. parts names each
 // query's part (nil: one part for all queries); fresh returns a new
-// analysis instance tracking a part per call, and k is the beam width of
-// every query's meta-analysis.
-func NewBatch[D comparable, Q Query, A Analysis[D, Q]](g *lang.CFG, fresh func(part string) A, queries []Q, parts []string, k int) *Batch[D, Q, A] {
+// analysis instance tracking a part per call, k is the beam width of every
+// query's meta-analysis, and c supplies the literal universe and the
+// per-part WP caches.
+func NewBatch[D comparable, Q Query, A Analysis[D, Q]](g *lang.CFG, fresh func(part string) A, queries []Q, parts []string, k int, c *Caches) *Batch[D, Q, A] {
 	b := &Batch[D, Q, A]{
-		g: g, fresh: fresh, queries: queries, k: k,
+		g: g, fresh: fresh, queries: queries, k: k, uni: c.uni,
 		part: make([]int, len(queries)),
 		jobs: make([]*Job[D, Q, A], len(queries)),
 	}
@@ -82,11 +116,10 @@ func NewBatch[D comparable, Q Query, A Analysis[D, Q]](g *lang.CFG, fresh func(p
 	}
 	a := fresh(b.parts[0])
 	b.n = a.NumParams()
-	b.uni = formula.NewUniverse(a.Theory())
 	b.spare.Store(&a)
 	b.wpc = make([]*meta.WPCache, len(b.parts))
-	for i := range b.wpc {
-		b.wpc[i] = meta.NewWPCache()
+	for i, part := range b.parts {
+		_, b.wpc[i] = c.Part(part)
 	}
 	return b
 }
@@ -103,8 +136,7 @@ func (b *Batch[D, Q, A]) analysis(i int) A {
 
 // Job builds a standalone single-query problem for query q on a fresh
 // analysis instance, sharing the batch's literal universe and its part's WP
-// cache: a per-query run over the same queries shares exactly what the
-// batch does.
+// cache.
 func (b *Batch[D, Q, A]) Job(q int, noDelta bool) core.Problem { return b.newJob(q, noDelta) }
 
 func (b *Batch[D, Q, A]) newJob(q int, noDelta bool) *Job[D, Q, A] {

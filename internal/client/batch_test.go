@@ -29,7 +29,7 @@ func TestRunForwardFromHandsOverUnusedParts(t *testing.T) {
 	fresh := func(site string) *typestate.Analysis { return typestate.New(prop, site, vars) }
 	closed := uset.Bits(0).Add(prop.MustState("closed"))
 	qs := []typestate.Query{{Nodes: []int{g.Exit}, Want: closed}, {Nodes: []int{g.Exit}, Want: closed}}
-	b := client.NewBatch(g, fresh, qs, []string{"h", "g"}, 1)
+	b := client.NewBatch(g, fresh, qs, []string{"h", "g"}, 1, client.NewCaches(typestate.Theory{}))
 	const qh, qg = 0, 1
 
 	p0, p1, p2 := uset.New(), uset.New(1), uset.New(1, 2)

@@ -83,10 +83,11 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	NoDelta bool
 
 	// Uni and WPC, when set, are the interned literal universe and the
-	// weakest-precondition cache shared across every client of the same
-	// analysis instance — across CEGAR iterations and, in the batch driver,
-	// across the backward jobs of all queries on that instance (both are
-	// concurrency-safe). Client fills them lazily when nil.
+	// weakest-precondition cache the job shares with other problems: a
+	// Batch sets them from its Caches, so every job of one program's client
+	// and part fills the same ones (both are concurrency-safe). Client fills
+	// them lazily when nil, and they then serve this job's CEGAR iterations
+	// only.
 	Uni *formula.Universe
 	WPC *meta.WPCache
 
@@ -167,8 +168,8 @@ func FindFailure[D comparable, Q Query, A Analysis[D, Q]](a A, res *dataflow.Res
 }
 
 // Client builds the meta-analysis client for abstraction p. Weakest
-// preconditions do not depend on p, so all clients of this job share one
-// memoization cache (and one literal universe).
+// preconditions do not depend on p, so all clients of this job share its
+// memoization cache (and literal universe).
 func (j *Job[D, Q, A]) Client(p uset.Set) *meta.Client[D] {
 	if j.Uni == nil {
 		j.Uni = formula.NewUniverse(j.A.Theory())

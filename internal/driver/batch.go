@@ -12,11 +12,12 @@ import (
 // Batch is one client's batch problem over a list of generated queries. Its
 // constructor names the part of the program each query's analysis tracks,
 // which states the client's cache-sharing policy once (see client.Batch):
-// the literal universe is shared batch-wide, and the weakest-precondition
+// the literal universe is shared client-wide, and the weakest-precondition
 // cache among the queries of one part (all of them for a query-independent
-// client, the queries tracking one site for type-state). Job hands out
-// standalone single-query problems under the same policy, so a per-query
-// run over the same queries shares exactly what the batch shares.
+// client, the queries tracking one site for type-state). The caches are the
+// program's, so every batch and job built from one Program shares them
+// under that policy, and Job's standalone single-query problems share
+// exactly what the batch shares.
 type Batch interface {
 	core.BatchProblem
 	// Job builds a fresh single-query problem for query q; noDelta selects
@@ -37,7 +38,7 @@ func typestateBatch(p *Program, queries []TSQuery, k int) Batch {
 		sites[i] = q.Site
 	}
 	fresh := func(site string) *typestate.Analysis { return p.siteAnalysis(prop, site) }
-	return client.NewBatch(p.Low.G, fresh, qs, sites, k)
+	return client.NewBatch(p.Low.G, fresh, qs, sites, k, p.tsCaches)
 }
 
 // escapeBatch builds the thread-escape batch over the given queries. The
@@ -48,7 +49,7 @@ func escapeBatch(p *Program, queries []AccessQuery, k int) Batch {
 	for i, q := range queries {
 		qs[i] = escape.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	return client.NewBatch(p.Low.G, p.escapeAnalysis, qs, nil, k)
+	return client.NewBatch(p.Low.G, p.escapeAnalysis, qs, nil, k, p.escCaches)
 }
 
 // nullnessBatch builds the null-dereference batch over the given queries;
@@ -58,5 +59,5 @@ func nullnessBatch(p *Program, queries []AccessQuery, k int) Batch {
 	for i, q := range queries {
 		qs[i] = nullness.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	return client.NewBatch(p.Low.G, p.nullnessAnalysis, qs, nil, k)
+	return client.NewBatch(p.Low.G, p.nullnessAnalysis, qs, nil, k, p.nullCaches)
 }

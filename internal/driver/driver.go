@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"tracer/internal/client"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
 	"tracer/internal/lang"
@@ -47,12 +48,21 @@ type base struct {
 	// stressMethods are the method names called from application code,
 	// sorted.
 	stressMethods []string
+
+	// tsCaches, escCaches and nullCaches are each client's literal universe
+	// and per-part WP caches, shared by every problem built for the
+	// program's generated queries (see client.Caches). Problems for explicit
+	// query statements keep caches of their own.
+	tsCaches, escCaches, nullCaches *client.Caches
 }
 
 // newBase collects the universes from the lowered program's atoms; called
 // holds the method names of its application call sites.
 func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[string]bool) base {
-	b := base{IR: prog, PT: pt, varPts: map[string]uset.Set{}}
+	b := base{IR: prog, PT: pt, varPts: map[string]uset.Set{},
+		tsCaches:   client.NewCaches(typestate.Theory{}),
+		escCaches:  client.NewCaches(escape.Theory{}),
+		nullCaches: client.NewCaches(nullness.Theory{})}
 	b.Vars = typestate.CollectVars(atoms)
 	b.Locals, b.Fields, b.Sites = escape.Universe(atoms)
 	for _, m := range pt.ReachableMethods() {
@@ -78,9 +88,14 @@ func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[
 	return b
 }
 
-// Program is a loaded, lowered, and points-to-analyzed program. Prepare
-// builds every table derived from it, so a Program is read-only afterwards
-// and safe to share between goroutines.
+// Program is a loaded, lowered, and points-to-analyzed program, safe to
+// share between goroutines. Prepare builds every table derived from it, and
+// those stay read-only afterwards. The one exception is each client's
+// solver caches (literal universe and WP caches), which the program keeps
+// for its lifetime and every problem built from it fills. They are
+// concurrency-safe, and a solve's verdict and work counts do not depend on
+// what they already hold, unless a step quota trips: a memo hit charges
+// none of the budget polls its miss would.
 type Program struct {
 	base
 	Low *ir.Lowered

@@ -32,8 +32,8 @@ type ClientSpec struct {
 	// same deterministic order as the typed query generators.
 	Queries func(p *Program) []GenQuery
 	// Job builds the core.Problem for query index i (into Queries' order):
-	// the job of a one-query batch, with a fresh literal universe and WP
-	// cache.
+	// the job of a one-query batch. Like every problem built from p, it
+	// shares the program's literal universe and WP caches for the client.
 	Job func(p *Program, i, k int) core.Problem
 	// Batch builds the batch problem over the query indices idx.
 	Batch func(p *Program, idx []int, k int) Batch

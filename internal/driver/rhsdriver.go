@@ -201,25 +201,36 @@ func (p *RHSProgram) escapeJob(v string, points []rhs.Point, k int) *RHSJob[esca
 	return newRHSJob(p, points, &escape.Job{A: p.escapeAnalysis(""), Q: escape.Query{V: v}, K: k})
 }
 
-// TypestateJob builds the tabulation job for a generated stress query.
+// TypestateJob builds the tabulation job for a generated stress query. Like
+// the inlining driver's generated queries, it shares the program's
+// type-state caches of its tracked site.
 func (p *RHSProgram) TypestateJob(q RHSQuery, k int) *RHSJob[typestate.State, typestate.Query, *typestate.Analysis] {
 	prop := typestate.StressProperty(p.stressMethods)
-	return p.typestateJob(prop, q.Site, uset.Bits(0).Add(prop.Init), q.Points, k)
+	j := p.typestateJob(prop, q.Site, uset.Bits(0).Add(prop.Init), q.Points, k)
+	j.Inner.Uni, j.Inner.WPC = p.tsCaches.Part(q.Site)
+	return j
 }
 
-// EscapeJob builds the tabulation job for a generated escape query.
+// EscapeJob builds the tabulation job for a generated escape query, sharing
+// the program's escape caches.
 func (p *RHSProgram) EscapeJob(q RHSQuery, k int) *RHSJob[escape.State, escape.Query, *escape.Analysis] {
-	return p.escapeJob(q.Var, q.Points, k)
+	j := p.escapeJob(q.Var, q.Points, k)
+	j.Inner.Uni, j.Inner.WPC = p.escCaches.Part("")
+	return j
 }
 
-// NullnessJob builds the tabulation job for a generated nullness query.
+// NullnessJob builds the tabulation job for a generated nullness query,
+// sharing the program's nullness caches.
 func (p *RHSProgram) NullnessJob(q RHSQuery, k int) *RHSJob[nullness.State, nullness.Query, *nullness.Analysis] {
-	return newRHSJob(p, q.Points, &nullness.Job{A: p.nullnessAnalysis(""), Q: nullness.Query{V: q.Var}, K: k})
+	j := newRHSJob(p, q.Points, &nullness.Job{A: p.nullnessAnalysis(""), Q: nullness.Query{V: q.Var}, K: k})
+	j.Inner.Uni, j.Inner.WPC = p.nullCaches.Part("")
+	return j
 }
 
 // ExplicitJobs builds jobs for the program's explicit query statements:
 // "query name local(v)" and, against prop, "query name state(v: ...)"
-// (keyed "name@site" per may-site like the inlining driver).
+// (keyed "name@site" per may-site like the inlining driver). Each job fills
+// caches of its own.
 func (p *RHSProgram) ExplicitJobs(prop *typestate.Property, k int) (map[string]core.Problem, error) {
 	out := map[string]core.Problem{}
 	escPoints := map[string][]rhs.Point{}

@@ -29,9 +29,9 @@ type Client[D comparable] struct {
 	// handled generically: since [a]p is a total function, wp(¬π) = ¬wp(π).
 	WP func(a lang.Atom, p formula.Prim) formula.Formula
 	// U is the interned literal universe (wrapping the analysis's literal
-	// theory) used for DNF conversion and subsumption. One universe is shared
-	// per analysis instance — across CEGAR iterations and across batch
-	// backward jobs; it is safe for concurrent use.
+	// theory) used for DNF conversion and subsumption. A driver program
+	// shares one universe per client across every CEGAR iteration, query
+	// and batch on it; it is safe for concurrent use.
 	U *formula.Universe
 	// Eval evaluates a literal at (p, d) where p is the abstraction the
 	// client was built for (captured in the closure).
@@ -52,16 +52,21 @@ type Client[D comparable] struct {
 }
 
 // WPCache memoizes per-(atom, literal) weakest-precondition DNFs. It is
-// safe to share across all Clients of one analysis instance, including
-// concurrently: lookups take a read lock, and the batch solver's backward
-// jobs fill it from multiple workers. Entries are immutable once stored
-// (both goroutines of a racing fill compute the same value).
+// safe to share across every Client of one analysis (one client, one part
+// of the program, one literal universe), including concurrently: lookups
+// take a read lock, and backward walks fill it from any goroutine. A driver
+// program keeps one per (client, part) for its whole lifetime, so every
+// query, batch and server round on that program fills the same cache.
+// Entries are immutable once stored (both goroutines of a racing fill
+// compute the same value).
 //
 // The cache is two-level: the atom map is consulted once per wpDNF call
 // (atoms are interface values, so the map lookup pays a typehash), and the
-// per-atom level is a plain slice indexed by the dense interned literal ID —
-// the per-literal lookups on the backward walk's hot path are a bounds check,
-// not a hash.
+// per-atom level is indexed by the dense interned literal ID — the
+// per-literal lookups on the backward walk's hot path are a bounds check,
+// not a hash. Most literals pass an atom unchanged (wp(l) = l); those
+// identity literals live only in the atom's bitmap, and the block table
+// stores only the DNFs of the few literals the atom affects.
 //
 // WPCache rows are deliberately NOT persisted by the warm-start store
 // (internal/warm), even though they are immutable within a run: type-state
@@ -81,22 +86,22 @@ type WPCache struct {
 	fmHits, fmMisses atomic.Int64
 }
 
-// atomWP holds one atom's per-literal entries, indexed by interned ID. It is
-// a grow-only two-level table: an atomically published directory of
-// fixed-size blocks, each slot an atomic pointer to an immutable entry. A
-// lookup is two pointer loads and a fill is a single atomic store into its
-// slot — nothing is copied, so filling n literals costs O(n) total rather
-// than the O(n²) a copy-on-write snapshot would pay. Only directory growth
-// and block creation take the mutex, and both are rare.
+// atomWP holds one atom's per-literal entries, indexed by interned ID. The
+// non-identity DNFs sit in a grow-only two-level table: an atomically
+// published directory of fixed-size blocks, each slot an atomic pointer to
+// an immutable DNF. A lookup is two pointer loads and a fill is a single
+// atomic store into its slot — nothing is copied, so filling n literals
+// costs O(n) total rather than the O(n²) a copy-on-write snapshot would
+// pay. Only directory growth and block creation take the mutex, and both
+// are rare.
 type atomWP struct {
 	mu     sync.Mutex // serializes directory growth
 	blocks atomic.Pointer[[]*atomic.Pointer[wpBlock]]
 
-	// idbm summarizes the per-literal entries for the unchanged fast path of
-	// wpDNF, which needs only each literal's identity flag: known marks
-	// literals whose entry has been computed, ident those whose wp is the
-	// identity. One pointer load plus two bit tests replaces the three
-	// dependent atomic loads (and entry copy) of a full get. Published
+	// idbm records every literal whose precondition has been computed:
+	// known marks it, and ident marks those whose wp is the identity. It is
+	// the only record of an identity literal, and it serves wpDNF's
+	// unchanged fast path with one pointer load plus two bit tests. Published
 	// copy-on-write; fills are once per (atom, literal), so the copies are
 	// rare.
 	idbm atomic.Pointer[idBits]
@@ -198,7 +203,7 @@ func (w *atomWP) mark(lid uint32, identity bool) {
 	}
 }
 
-type wpBlock [wpBlockSize]atomic.Pointer[wpEntry]
+type wpBlock [wpBlockSize]atomic.Pointer[formula.DNF]
 
 // NewWPCache returns an empty cache.
 func NewWPCache() *WPCache { return &WPCache{m: map[lang.Atom]*atomWP{}} }
@@ -220,19 +225,19 @@ func (c *WPCache) atom(a lang.Atom) *atomWP {
 	return aw
 }
 
-func (w *atomWP) get(lid uint32) (wpEntry, bool) {
+func (w *atomWP) get(lid uint32) (formula.DNF, bool) {
 	bi := int(lid >> wpBlockBits)
 	if bp := w.blocks.Load(); bp != nil && bi < len(*bp) {
 		if b := (*bp)[bi].Load(); b != nil {
-			if e := b[lid&(wpBlockSize-1)].Load(); e != nil {
-				return *e, true
+			if d := b[lid&(wpBlockSize-1)].Load(); d != nil {
+				return *d, true
 			}
 		}
 	}
-	return wpEntry{}, false
+	return nil, false
 }
 
-func (w *atomWP) put(lid uint32, e wpEntry) {
+func (w *atomWP) put(lid uint32, d formula.DNF) {
 	bi := int(lid >> wpBlockBits)
 	for {
 		bp := w.blocks.Load()
@@ -252,7 +257,7 @@ func (w *atomWP) put(lid uint32, e wpEntry) {
 		}
 		// Racing fills of the same slot store equal values, so last-write-
 		// wins is fine.
-		b[lid&(wpBlockSize-1)].Store(&e)
+		b[lid&(wpBlockSize-1)].Store(&d)
 		return
 	}
 }
@@ -290,28 +295,27 @@ func (c *Client[D]) wpLit(a lang.Atom, l formula.Lit) formula.Formula {
 	return f
 }
 
-type wpEntry struct {
-	identity bool // wp(l) = l: the common case, handled without DNF work
-	d        formula.DNF
-}
-
-// wpLitDNF returns the cached DNF of [a]♭(l), where lid is the literal's
-// interned ID in c.U and aw the atom's cache level. Cached DNFs are
-// complete: ToDNF is not budgeted, so a tripped budget never stores a
-// truncated entry.
-func (c *Client[D]) wpLitDNF(aw *atomWP, a lang.Atom, lid uint32) wpEntry {
-	if e, ok := aw.get(lid); ok {
-		return e
+// wpLitDNF returns the DNF of [a]♭(l), where lid is the literal's interned
+// ID in c.U and aw the atom's cache level, or identity true (and no DNF)
+// when the precondition is l itself: the common case, which the caller
+// handles without DNF work and the cache records in the idbm bitmap alone.
+// Cached DNFs are complete: ToDNF is not budgeted, so a tripped budget
+// never stores a truncated entry.
+func (c *Client[D]) wpLitDNF(aw *atomWP, a lang.Atom, lid uint32) (d formula.DNF, identity bool) {
+	if known, ident := aw.idbm.Load().has(lid); known && ident {
+		return nil, true
 	}
-	l := c.U.Lit(lid)
-	d := formula.ToDNF(c.wpLit(a, l), c.U)
-	e := wpEntry{d: d}
+	if d, ok := aw.get(lid); ok {
+		return d, false
+	}
+	d = formula.ToDNF(c.wpLit(a, c.U.Lit(lid)), c.U)
 	if len(d) == 1 && len(d[0].IDs()) == 1 && d[0].IDs()[0] == lid {
-		e.identity = true
+		aw.mark(lid, true)
+		return nil, true
 	}
-	aw.put(lid, e)
-	aw.mark(lid, e.identity)
-	return e
+	aw.put(lid, d)
+	aw.mark(lid, false)
+	return d, false
 }
 
 // wpDNF applies [a]♭ to a whole DNF formula, returning DNF directly and a
@@ -365,7 +369,7 @@ supScan:
 				}
 				continue
 			}
-			if !c.wpLitDNF(aw, a, lid).identity {
+			if _, ident := c.wpLitDNF(aw, a, lid); !ident {
 				unchanged = false
 				break
 			}
@@ -409,8 +413,8 @@ supScan:
 		}
 		allID := true
 		for i, lid := range ids {
-			e := c.wpLitDNF(aw, a, lid)
-			if e.identity {
+			sub, ident := c.wpLitDNF(aw, a, lid)
+			if ident {
 				if wide {
 					identity[i] = true
 				} else {
@@ -418,7 +422,7 @@ supScan:
 				}
 			} else {
 				allID = false
-				subs = append(subs, e.d)
+				subs = append(subs, sub)
 			}
 		}
 		if allID && allIdentity {

@@ -325,8 +325,8 @@ func RandomNullCase(rng *rand.Rand) NullCase {
 }
 
 // variants poses the queries qs, tracking parts (nil: one part), on job's
-// CFG twice: as solo problems, and as one client.Batch whose query i is
-// solo problem i.
+// CFG twice: as solo problems with caches of their own, and as one
+// client.Batch whose query i is solo problem i.
 func variants[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], fresh func(part string) A, qs []Q, parts []string) ([]core.Problem, core.BatchProblem) {
 	solo := make([]core.Problem, len(qs))
 	for i, q := range qs {
@@ -336,5 +336,5 @@ func variants[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client
 		}
 		solo[i] = &client.Job[D, Q, A]{A: fresh(part), G: job.G, Q: q, K: job.K}
 	}
-	return solo, client.NewBatch(job.G, fresh, qs, parts, job.K)
+	return solo, client.NewBatch(job.G, fresh, qs, parts, job.K, client.NewCaches(job.A.Theory()))
 }

@@ -5,7 +5,10 @@ import "sync"
 // progCache is a bounded, content-addressed LRU of loaded programs. Repeat
 // requests for the same program text — the common case for a service fed by
 // a fleet of clients analyzing one codebase — skip the parse/points-to/lower
-// pipeline entirely and share one read-only *driver.Program.
+// pipeline entirely and share one *driver.Program. The program carries its
+// solver caches (each client's literal universe and WP caches), so later
+// rounds reuse the weakest preconditions earlier ones derived; evicting the
+// program frees them.
 //
 // Loads are deduplicated: concurrent first requests for the same source wait
 // on one load (the entry's once gate) instead of parsing in parallel. Load

@@ -257,8 +257,9 @@ type clientQueries struct {
 }
 
 // loadedProgram is a parsed, analyzed program with every registered client's
-// generated query lists and selector indices, built once and shared
-// read-only by every batch that names the same source text.
+// generated query lists and selector indices, built once and shared by
+// every batch that names the same source text. Only the program's solver
+// caches change after the load, and they are concurrency-safe.
 type loadedProgram struct {
 	key      string
 	prog     *driver.Program
