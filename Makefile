@@ -38,8 +38,10 @@ chaos:
 	go run ./cmd/tracer -chaos-seed 7 -chaos-rate 0.2 -auto -batch -batch-workers 4 /tmp/tsp.tir
 
 # Differential fuzzing: the oracle package's fixed-seed property and
-# metamorphic suites under -race, then a seeded CLI sweep of the brute-force
-# oracle on every client ("Ground truth & fuzzing" in ARCHITECTURE.md).
+# metamorphic suites under -race, the minimum-model engine against the
+# engine it replaced (single-goroutine, so without -race, which slows it
+# about 20x), then a seeded CLI sweep of the brute-force oracle on every
+# client ("Ground truth & fuzzing" in ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
 FUZZ_SEED ?= 1
 FUZZ_N    ?= 5000
@@ -47,6 +49,7 @@ fuzz:
 	go test -race -count=1 ./internal/oracle/... -v
 	DECODER_FUZZ_N=$(FUZZ_N) go test -race -count=1 \
 		-run 'TestDecoderSeededFuzz|FuzzDecodeRequest' ./internal/server/ -v
+	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference' ./internal/minsat/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
 
 # Daemon smoke: boot tracerd on an ephemeral port, replay a small corpus via
@@ -68,11 +71,12 @@ bench:
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
 # cache, Simplify), the
-# incremental minimum-model solver's warm/fresh resolve loop, and opening a
-# warm-start session on a full store.
+# incremental minimum-model solver's warm/fresh resolve loop and its
+# CEGAR-shaped blocking-cube sequence, and opening a warm-start session on a
+# full store.
 bench-micro:
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
-	go test -run=NONE -bench 'MinimumIncremental' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'MinimumIncremental|MinimumCEGAR' -benchmem ./internal/minsat/...
 	go test -run=NONE -bench 'SessionOpen' -benchmem ./internal/warm/...
 
 # Benchmark smoke (also a CI job): one pass of each cmd/tracerbench workload.

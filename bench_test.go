@@ -286,18 +286,23 @@ func BenchmarkEngines(b *testing.B) {
 }
 
 // BenchmarkMinSAT measures the abstraction chooser on a clause set shaped
-// like a long TRACER run: a chain forcing variables on one by one.
+// like a long TRACER run: a chain forcing variables on one by one. Each
+// iteration loads the clauses into a fresh solver, so it times a search
+// (clause insertion included) rather than the warm reuse of an unchanged
+// clause set.
 func BenchmarkMinSAT(b *testing.B) {
 	const n = 60
-	s := minsat.New(n)
+	var cs []minsat.Clause
 	for i := 0; i < n-1; i++ {
 		// ¬(x_i off): each clause requires x_i, emulating learned cubes.
-		s.Block(nil, uset.New(i))
+		cs = append(cs, minsat.BlockingClause(nil, uset.New(i)))
 		// ¬(x_i on ∧ x_{i+1} off).
-		s.Block(uset.New(i), uset.New(i+1))
+		cs = append(cs, minsat.BlockingClause(uset.New(i), uset.New(i+1)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s := minsat.New(n)
+		s.SeedClauses(cs)
 		if _, ok := s.Minimum(); !ok {
 			b.Fatal("unexpectedly unsat")
 		}

@@ -208,3 +208,65 @@ func BenchmarkMinimumIncremental(b *testing.B) {
 	b.Run("warm", func(b *testing.B) { run(b, false) })
 	b.Run("fresh", func(b *testing.B) { run(b, true) })
 }
+
+// cegarRounds records the blocking cubes of a CEGAR run that never proves
+// its query, the shape an exhausted thread-escape query leaves in minsat:
+// each round learns one or two mixed-sign cubes that contain the current
+// minimum model (most of its variables on, two to seven variables outside
+// it off), so every round forces a re-search. It stops after `rounds`
+// rounds or at UNSAT, and returns the cubes of each round as (pos, neg)
+// pairs plus the search nodes one replay visits.
+func cegarRounds(vars, rounds int, seed int64) ([][][2]uset.Set, int64) {
+	rng := rand.New(rand.NewSource(seed))
+	agg := obs.NewAgg()
+	s := New(vars)
+	s.Instrument(agg)
+	var seq [][][2]uset.Set
+	var model uset.Set
+	for r := 0; r < rounds; r++ {
+		var round [][2]uset.Set
+		for i := rng.Intn(2); i >= 0; i-- {
+			var pos, neg uset.Set
+			for _, v := range model.Elems() {
+				if rng.Intn(4) != 0 {
+					pos = pos.Add(v)
+				}
+			}
+			for j := 2 + rng.Intn(6); j > 0; j-- {
+				if v := rng.Intn(vars); !model.Has(v) {
+					neg = neg.Add(v)
+				}
+			}
+			s.Block(pos, neg)
+			round = append(round, [2]uset.Set{pos, neg})
+		}
+		seq = append(seq, round)
+		m, ok := s.Minimum()
+		if !ok {
+			break
+		}
+		model = m
+	}
+	return seq, agg.Counter(obs.MinsatSearchNodes)
+}
+
+// BenchmarkMinimumCEGAR replays a fixed ~100-round CEGAR sequence over 20
+// variables on a fresh solver: block the round's cubes, then Minimum. Unlike
+// BenchmarkMinimumIncremental's all-positive vertex cover, the clauses are
+// mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
+func BenchmarkMinimumCEGAR(b *testing.B) {
+	const vars = 20
+	seq, nodes := cegarRounds(vars, 100, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(vars)
+		for _, round := range seq {
+			for _, c := range round {
+				s.Block(c[0], c[1])
+			}
+			s.Minimum()
+		}
+	}
+	b.ReportMetric(float64(len(seq)), "rounds")
+	b.ReportMetric(float64(nodes), "nodes/op")
+}

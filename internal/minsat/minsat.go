@@ -13,11 +13,20 @@
 // space. Ties are broken deterministically: among minimum-cost models the
 // lexicographically smallest (false < true, by variable index) is returned.
 //
+// The search runs on bit masks. Mentioned variables are renamed to dense
+// indices, each clause is a mask of its positive and a mask of its negative
+// literals, and the assignment is a mask of true and a mask of false
+// variables, so classifying a clause (satisfied, unit, empty) or testing it
+// for the lower bound takes a few word operations per 64 variables. A
+// variable's value falsifies one of its literals, and propagation visits
+// only the clauses containing that literal.
+//
 // The solver is incremental: because CEGAR only ever adds blocking clauses,
 // the model set shrinks monotonically and results from one Minimum call
 // remain partial answers for the next. Between calls the solver keeps the
-// dense clause index (variable mapping, occurrence lists) and a warm result
-// (last minimum model and its cost, or a proven UNSAT verdict):
+// dense clause index (variable mapping, clause masks, per-literal
+// occurrence lists) and a warm result (last minimum model and its cost, or
+// a proven UNSAT verdict):
 //
 //   - If no clause has been added since the last call, or every clause added
 //     since is already satisfied by the cached model, that model is still the
@@ -40,6 +49,7 @@
 package minsat
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -236,13 +246,6 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// Three-valued assignment cells of the dense engine.
-const (
-	unassigned int8 = iota
-	vFalse
-	vTrue
-)
-
 // Warm-result states carried between Minimum calls.
 const (
 	warmNone  int8 = iota
@@ -251,18 +254,25 @@ const (
 )
 
 // engine is the incremental core behind a Solver: a dense mirror of the
-// clause set (variables renamed to contiguous indices, clauses as packed
-// literal words, per-variable occurrence lists) plus the warm result of the
-// previous search. The mirror is append-only and synced lazily from
-// Solver.clauses, so Add stays cheap and clones share the already-built
-// prefix. Scratch arrays (assignment, trail, lower-bound stamps) are not
-// cloned; they are rebuilt on the next search.
+// clause set plus the warm result of the previous search. Variables are
+// renamed to contiguous dense indices, and clause i is a pair of bit masks
+// over them, pos[i*w:(i+1)*w] and neg[i*w:(i+1)*w], holding its positive and
+// negative literals in w = ⌈variables/64⌉ words. Each literal has an
+// occurrence list of the clauses containing it. The mirror is append-only
+// and synced lazily from Solver.clauses, so Add stays cheap and clones share
+// the already-built prefix. When a new variable needs one more word per
+// mask, the masks are copied into fresh arrays at the new width, so a clone
+// that shares the old arrays never sees them change. Scratch arrays
+// (assignment masks, trail, lower-bound mask) are not cloned; they are
+// rebuilt on the next search.
 type engine struct {
 	vmap   map[int]int32 // external variable -> dense index
 	dvar   []int         // dense index -> external variable
-	cls    [][]int32     // dense clauses; literal = dense<<1 | neg
-	occ    [][]int32     // dense variable -> indices of clauses mentioning it
-	synced int           // prefix of Solver.clauses mirrored into cls
+	w      int           // words per mask
+	pos    []uint64      // positive literals, w words per clause
+	neg    []uint64      // negative literals, w words per clause
+	occ    [][]int32     // literal (dense<<1 | neg) -> clauses containing it
+	synced int           // prefix of Solver.clauses mirrored into the masks
 
 	// hasEmpty records that an empty clause (falsity) was added; the formula
 	// is then permanently unsatisfiable.
@@ -282,12 +292,12 @@ type engine struct {
 	order   []int32
 	orderOK bool
 
-	// Search scratch, reset at the start of every run.
-	assign  []int8
-	trail   []int32
-	posBuf  []int32
-	lbUsed  []uint64
-	lbEpoch uint64
+	// Search scratch, reset at the start of every run: the variables
+	// assigned true and false (w words each), the trail of assigned
+	// variables, and the variables of the clauses the lower bound counted.
+	tm, fm []uint64
+	trail  []int32
+	lbUsed []uint64
 }
 
 // engine returns the solver's engine, synced with every clause added since
@@ -304,32 +314,59 @@ func (s *Solver) engine() *engine {
 	return e
 }
 
-// addClause mirrors one canonical clause into the dense index.
+// addClause mirrors one canonical clause into the dense masks.
 func (e *engine) addClause(c Clause) {
-	ci := int32(len(e.cls))
 	if len(c) == 0 {
 		e.hasEmpty = true
-		e.cls = append(e.cls, nil) // keep clause indices aligned
 		return
 	}
-	row := make([]int32, len(c))
-	for i, l := range c {
+	var buf [16]int32
+	lits := buf[:0] // dense literals (dense<<1 | neg)
+	for _, l := range c {
 		dv, ok := e.vmap[l.Var]
 		if !ok {
 			dv = int32(len(e.dvar))
 			e.vmap[l.Var] = dv
 			e.dvar = append(e.dvar, l.Var)
-			e.occ = append(e.occ, nil)
+			e.occ = append(e.occ, nil, nil)
 			e.orderOK = false
 		}
 		lit := dv << 1
 		if l.Neg {
 			lit |= 1
 		}
-		row[i] = lit
-		e.occ[dv] = append(e.occ[dv], ci)
+		lits = append(lits, lit)
 	}
-	e.cls = append(e.cls, row)
+	if w := (len(e.dvar) + 63) >> 6; w > e.w {
+		e.widen(w)
+	}
+	ci := int32(len(e.pos) / e.w)
+	e.pos = append(e.pos, make([]uint64, e.w)...)
+	e.neg = append(e.neg, make([]uint64, e.w)...)
+	pos, neg := e.pos[len(e.pos)-e.w:], e.neg[len(e.neg)-e.w:]
+	for _, lit := range lits {
+		dv := lit >> 1
+		if lit&1 == 1 {
+			neg[dv>>6] |= 1 << (dv & 63)
+		} else {
+			pos[dv>>6] |= 1 << (dv & 63)
+		}
+		e.occ[lit] = append(e.occ[lit], ci)
+	}
+}
+
+// widen copies the masks into fresh arrays of w words per clause.
+func (e *engine) widen(w int) {
+	n := 0
+	if e.w > 0 {
+		n = len(e.pos) / e.w
+	}
+	pos, neg := make([]uint64, n*w), make([]uint64, n*w)
+	for i := 0; i < n; i++ {
+		copy(pos[i*w:], e.pos[i*e.w:(i+1)*e.w])
+		copy(neg[i*w:], e.neg[i*e.w:(i+1)*e.w])
+	}
+	e.pos, e.neg, e.w = pos, neg, w
 }
 
 // clone copies the engine for an independent solver. Append-only slices are
@@ -340,7 +377,9 @@ func (e *engine) clone() *engine {
 	ne := &engine{
 		vmap:     make(map[int]int32, len(e.vmap)),
 		dvar:     e.dvar[:len(e.dvar):len(e.dvar)],
-		cls:      e.cls[:len(e.cls):len(e.cls)],
+		w:        e.w,
+		pos:      e.pos[:len(e.pos):len(e.pos)],
+		neg:      e.neg[:len(e.neg):len(e.neg)],
 		occ:      make([][]int32, len(e.occ)),
 		synced:   e.synced,
 		hasEmpty: e.hasEmpty,
@@ -372,28 +411,6 @@ func (e *engine) ensureOrder() {
 	sort.Slice(order, func(i, j int) bool { return e.dvar[order[i]] < e.dvar[order[j]] })
 	e.order = order
 	e.orderOK = true
-}
-
-// scanClause classifies a dense clause under the current assignment:
-// satisfied, or the count of unassigned literals and one of them (the unit
-// when unCount == 1).
-func (e *engine) scanClause(c []int32) (sat bool, unCount int, unit int32) {
-	for _, lit := range c {
-		switch e.assign[lit>>1] {
-		case unassigned:
-			unCount++
-			unit = lit
-		case vTrue:
-			if lit&1 == 0 {
-				return true, 0, 0
-			}
-		case vFalse:
-			if lit&1 == 1 {
-				return true, 0, 0
-			}
-		}
-	}
-	return false, unCount, unit
 }
 
 // Minimum returns a minimum-cost model of the accumulated clauses as the
@@ -479,7 +496,7 @@ func clauseSatisfied(c Clause, model uset.Set) bool {
 	return false
 }
 
-// run executes the branch-and-bound search over the dense clause index. It
+// run executes the branch-and-bound search over the dense clause masks. It
 // explores the identical DFS tree a fresh solver would (same branch order,
 // same propagation fixpoints, same pruning), with one addition: when a warm
 // floor is available and a model matching it is found, the search stops
@@ -487,210 +504,240 @@ func clauseSatisfied(c Clause, model uset.Set) bool {
 // in the false-first DFS is the lex-least minimum.
 func (e *engine) run(b *budget.Budget, nodes *int) (model uset.Set, found, aborted bool) {
 	e.ensureOrder()
-	nv := len(e.dvar)
-	if len(e.assign) < nv {
-		e.assign = make([]int8, nv)
-		e.lbUsed = make([]uint64, nv)
-		e.lbEpoch = 0
+	if len(e.tm) != e.w {
+		e.tm, e.fm, e.lbUsed = make([]uint64, e.w), make([]uint64, e.w), make([]uint64, e.w)
 	} else {
-		for i := range e.assign {
-			e.assign[i] = unassigned
-		}
+		clear(e.tm)
+		clear(e.fm)
 	}
 	e.trail = e.trail[:0]
-
-	best := -1
-	var bestModel []int
-	floor := -1
+	s := search{engine: e, b: b, nodes: nodes, floor: -1, best: -1}
 	if e.warm == warmModel {
-		floor = e.floor
+		s.floor = e.floor
 	}
-	done := false
-	abort := false
-
-	// propagate drains the trail from position start: each newly assigned
-	// variable rescans only the clauses that mention it (occurrence lists),
-	// assigning units and detecting conflicts until fixpoint. Unit
-	// propagation is confluent, so the fixpoint — and whether a conflict
-	// exists in it — does not depend on the scan order.
-	propagate := func(start int) (setTrue int, conflict bool) {
-		for qi := start; qi < len(e.trail); qi++ {
-			for _, ci := range e.occ[e.trail[qi]] {
-				sat, unCount, unit := e.scanClause(e.cls[ci])
-				if sat {
-					continue
-				}
-				switch unCount {
-				case 0:
-					return setTrue, true
-				case 1:
-					uv := unit >> 1
-					if unit&1 == 1 {
-						e.assign[uv] = vFalse
-					} else {
-						e.assign[uv] = vTrue
-						setTrue++
-					}
-					e.trail = append(e.trail, uv)
-				}
-			}
-		}
-		return setTrue, false
-	}
-
-	// rootPropagate seeds the trail from the initially-unit clauses (there
-	// are no assignments yet, so only those can propagate) and drains it.
-	rootPropagate := func() (setTrue int, conflict bool) {
-		for _, c := range e.cls {
-			sat, unCount, unit := e.scanClause(c)
-			if sat {
-				continue
-			}
-			switch unCount {
-			case 0:
-				return setTrue, true
-			case 1:
-				uv := unit >> 1
-				if unit&1 == 1 {
-					e.assign[uv] = vFalse
-				} else {
-					e.assign[uv] = vTrue
-					setTrue++
-				}
-				e.trail = append(e.trail, uv)
-			}
-		}
-		st, conf := propagate(0)
-		return setTrue + st, conf
-	}
-
-	// lowerBound counts pairwise variable-disjoint unsatisfied clauses whose
-	// unassigned literals are all positive: each forces at least one more
-	// true variable, so their count is an admissible bound. Visiting clauses
-	// in insertion order keeps the greedy count identical to a fresh
-	// solver's. The epoch-stamped lbUsed array replaces a per-call map.
-	pos := e.posBuf
-	lowerBound := func() int {
-		e.lbEpoch++
-		epoch := e.lbEpoch
-		lb := 0
-	clauseLoop:
-		for _, c := range e.cls {
-			pos = pos[:0]
-			for _, lit := range c {
-				v := lit >> 1
-				switch e.assign[v] {
-				case vTrue:
-					if lit&1 == 0 {
-						continue clauseLoop // satisfied
-					}
-				case vFalse:
-					if lit&1 == 1 {
-						continue clauseLoop // satisfied
-					}
-				case unassigned:
-					if lit&1 == 1 {
-						continue clauseLoop // satisfiable for free
-					}
-					pos = append(pos, v)
-				}
-			}
-			for _, v := range pos {
-				if e.lbUsed[v] == epoch {
-					continue clauseLoop // overlaps a counted clause
-				}
-			}
-			for _, v := range pos {
-				e.lbUsed[v] = epoch
-			}
-			lb++
-		}
-		return lb
-	}
-
-	var search func(idx int32, cost int, branched int32)
-	search = func(idx int32, cost int, branched int32) {
-		if abort || done {
-			return
-		}
-		if !b.Poll() {
-			abort = true
-			return
-		}
-		*nodes++
-		if best >= 0 && cost >= best {
-			return // bound: cannot improve
-		}
-		mark := len(e.trail)
-		var extraTrue int
-		var conflict bool
-		if branched < 0 {
-			extraTrue, conflict = rootPropagate()
-		} else {
-			e.trail = append(e.trail, branched)
-			extraTrue, conflict = propagate(mark)
-		}
-		undo := func() {
-			for _, v := range e.trail[mark:] {
-				e.assign[v] = unassigned
-			}
-			e.trail = e.trail[:mark]
-		}
-		cost += extraTrue
-		if conflict || (best >= 0 && cost >= best) {
-			undo()
-			return
-		}
-		if best >= 0 && cost+lowerBound() >= best {
-			undo()
-			return
-		}
-		// Find the next unassigned branch variable.
-		i := idx
-		for int(i) < len(e.order) && e.assign[e.order[i]] != unassigned {
-			i++
-		}
-		if int(i) == len(e.order) {
-			// All mentioned variables assigned and no conflict: model found.
-			if best < 0 || cost < best {
-				best = cost
-				bestModel = bestModel[:0]
-				for _, dv := range e.order {
-					if e.assign[dv] == vTrue {
-						bestModel = append(bestModel, e.dvar[dv])
-					}
-				}
-				if floor >= 0 && best == floor {
-					done = true // proven minimum: skip the optimality proof
-				}
-			}
-			undo()
-			return
-		}
-		v := e.order[i]
-		e.assign[v] = vFalse // cheap branch first → lexicographically least
-		search(i+1, cost, v)
-		if abort || done {
-			return // scratch is reset at the next run
-		}
-		e.assign[v] = vTrue
-		search(i+1, cost+1, v)
-		e.assign[v] = unassigned
-		undo()
-	}
-	// Note the trail push above: the branch variable itself is appended by
-	// the child (via `branched`), so propagate sees it as the queue seed;
-	// undo then clears it together with its consequences, and the parent
-	// reassigns for the true branch.
-	search(0, 0, -1)
-	e.posBuf = pos[:0]
-	if abort {
+	s.node(0, 0, -1)
+	if s.aborted {
 		return nil, false, true
 	}
-	if best < 0 {
+	if s.best < 0 {
 		return nil, false, false
 	}
-	return uset.New(bestModel...), true, false
+	return uset.New(s.bestModel...), true, false
+}
+
+// search is the state of one branch-and-bound run.
+type search struct {
+	*engine
+	b         *budget.Budget
+	nodes     *int
+	floor     int // warm floor, or -1
+	best      int // cost of bestModel, or -1 before the first model
+	bestModel []int
+	stop      bool // a floor-cost model was found: it is the minimum
+	aborted   bool // the budget tripped
+}
+
+// node visits one search node: it assigns the branch variable (none at the
+// root), propagates, prunes by cost and lower bound, and branches on the
+// next unassigned variable in order, false before true. The branch variable
+// is pushed on the trail by the child, so propagate sees it as the queue
+// seed and undo clears it together with its consequences; the parent then
+// reassigns it for the true branch.
+func (s *search) node(idx int32, cost int, branched int32) {
+	if s.aborted || s.stop {
+		return
+	}
+	if !s.b.Poll() {
+		s.aborted = true
+		return
+	}
+	*s.nodes++
+	if s.best >= 0 && cost >= s.best {
+		return // bound: cannot improve
+	}
+	mark := len(s.trail)
+	var extraTrue int
+	var conflict bool
+	if branched < 0 {
+		extraTrue, conflict = s.rootPropagate()
+	} else {
+		s.trail = append(s.trail, branched)
+		extraTrue, conflict = s.propagate(mark)
+	}
+	cost += extraTrue
+	if conflict || (s.best >= 0 && (cost >= s.best || s.boundReaches(s.best-cost))) {
+		s.undo(mark)
+		return
+	}
+	// Find the next unassigned branch variable.
+	i := idx
+	for int(i) < len(s.order) && s.assigned(s.order[i]) {
+		i++
+	}
+	if int(i) == len(s.order) {
+		// All mentioned variables assigned and no conflict: model found.
+		if s.best < 0 || cost < s.best {
+			s.best = cost
+			s.bestModel = s.bestModel[:0]
+			for _, dv := range s.order {
+				if s.tm[dv>>6]&(1<<(dv&63)) != 0 {
+					s.bestModel = append(s.bestModel, s.dvar[dv])
+				}
+			}
+			if s.floor >= 0 && s.best == s.floor {
+				s.stop = true // proven minimum: skip the optimality proof
+			}
+		}
+		s.undo(mark)
+		return
+	}
+	v := s.order[i]
+	s.fm[v>>6] |= 1 << (v & 63) // cheap branch first → lexicographically least
+	s.node(i+1, cost, v)
+	if s.aborted || s.stop {
+		return // scratch is reset at the next run
+	}
+	s.unassign(v) // still false if the child pruned before pushing it
+	s.tm[v>>6] |= 1 << (v & 63)
+	s.node(i+1, cost+1, v)
+	s.unassign(v)
+	s.undo(mark)
+}
+
+// assigned reports whether dense variable v has a value.
+func (s *search) assigned(v int32) bool {
+	return (s.tm[v>>6]|s.fm[v>>6])&(1<<(v&63)) != 0
+}
+
+// unassign clears dense variable v's value.
+func (s *search) unassign(v int32) {
+	s.tm[v>>6] &^= 1 << (v & 63)
+	s.fm[v>>6] &^= 1 << (v & 63)
+}
+
+// undo unassigns every variable the trail took on after mark.
+func (s *search) undo(mark int) {
+	for _, v := range s.trail[mark:] {
+		s.unassign(v)
+	}
+	s.trail = s.trail[:mark]
+}
+
+// unit classifies clause ci under the current assignment. It returns the
+// clause's only unassigned literal (dense<<1 | neg) when no literal is true
+// and exactly one is unassigned, and -1 otherwise; conflict reports that
+// every literal is false.
+func (s *search) unit(ci int32) (lit int32, conflict bool) {
+	w := s.w
+	pos, neg := s.pos[int(ci)*w:][:w], s.neg[int(ci)*w:][:w]
+	tm, fm := s.tm[:w], s.fm[:w]
+	lit = -1
+	for k := range pos {
+		if pos[k]&tm[k]|neg[k]&fm[k] != 0 {
+			return -1, false // satisfied
+		}
+		u := (pos[k] | neg[k]) &^ (tm[k] | fm[k])
+		if u == 0 {
+			continue
+		}
+		if lit >= 0 || u&(u-1) != 0 {
+			return -1, false // two unassigned literals
+		}
+		bit := bits.TrailingZeros64(u)
+		lit = int32(k*64+bit) << 1
+		if neg[k]&(1<<bit) != 0 {
+			lit |= 1
+		}
+	}
+	return lit, lit < 0
+}
+
+// imply assigns the unit literal's variable so that the literal holds and
+// pushes it on the trail; it returns 1 when the variable became true.
+func (s *search) imply(lit int32) int {
+	v := lit >> 1
+	s.trail = append(s.trail, v)
+	if lit&1 == 1 {
+		s.fm[v>>6] |= 1 << (v & 63)
+		return 0
+	}
+	s.tm[v>>6] |= 1 << (v & 63)
+	return 1
+}
+
+// propagate drains the trail from position start. A variable's value makes
+// exactly one of its literals false, and only the clauses containing that
+// literal can have become unit or empty, so each assignment visits just
+// their occurrence list, assigning units and detecting conflicts until
+// fixpoint. Unit propagation is confluent, so the fixpoint — and whether a
+// conflict exists in it — does not depend on the scan order.
+func (s *search) propagate(start int) (setTrue int, conflict bool) {
+	for qi := start; qi < len(s.trail); qi++ {
+		v := s.trail[qi]
+		falsified := v << 1 // v false: its positive literal is false
+		if s.tm[v>>6]&(1<<(v&63)) != 0 {
+			falsified |= 1
+		}
+		for _, ci := range s.occ[falsified] {
+			lit, conflict := s.unit(ci)
+			if conflict {
+				return setTrue, true
+			}
+			if lit >= 0 {
+				setTrue += s.imply(lit)
+			}
+		}
+	}
+	return setTrue, false
+}
+
+// rootPropagate seeds the trail from the clauses that are unit in insertion
+// order (assignments made on the way count) and drains it.
+func (s *search) rootPropagate() (setTrue int, conflict bool) {
+	for ci := int32(0); int(ci)*s.w < len(s.pos); ci++ {
+		lit, conflict := s.unit(ci)
+		if conflict {
+			return setTrue, true
+		}
+		if lit >= 0 {
+			setTrue += s.imply(lit)
+		}
+	}
+	st, conf := s.propagate(0)
+	return setTrue + st, conf
+}
+
+// boundReaches reports whether a lower bound on the variables that still
+// have to become true reaches need, in which case the node cannot improve on
+// the best model. The bound counts pairwise variable-disjoint unsatisfied
+// clauses whose unassigned literals are all positive: each forces at least
+// one more true variable, so their count is admissible. Visiting clauses in
+// insertion order keeps the greedy count identical to a fresh solver's; the
+// count stops at need, which decides the same pruning as the full count.
+func (s *search) boundReaches(need int) bool {
+	w := s.w
+	tm, fm, used := s.tm[:w], s.fm[:w], s.lbUsed[:w]
+	clear(used)
+	lb := 0
+clauses:
+	for base := 0; base < len(s.pos); base += w {
+		pos, neg := s.pos[base:][:w], s.neg[base:][:w]
+		for k := range pos {
+			// Satisfied (a true positive or a false negative literal),
+			// satisfiable for free (an unassigned negative literal), or
+			// sharing a variable with a counted clause.
+			if pos[k]&tm[k]|neg[k]&^tm[k]|pos[k]&^fm[k]&used[k] != 0 {
+				continue clauses
+			}
+		}
+		if lb++; lb >= need {
+			return true
+		}
+		for k := range pos {
+			used[k] |= pos[k] &^ fm[k]
+		}
+	}
+	return false
 }
 
 // Satisfies reports whether the model (set of true variables) satisfies all
