@@ -40,8 +40,10 @@ chaos:
 # Differential fuzzing: the oracle package's fixed-seed property and
 # metamorphic suites under -race, the minimum-model engine against the
 # engine it replaced (single-goroutine, so without -race, which slows it
-# about 20x), then a seeded CLI sweep of the brute-force oracle on every
-# client ("Ground truth & fuzzing" in ARCHITECTURE.md).
+# about 20x), Solve against SolveBatch on every query of all seven suite
+# programs (also without -race; about 20 s), then a seeded CLI sweep of the
+# brute-force oracle on every client ("Ground truth & fuzzing" in
+# ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
 FUZZ_SEED ?= 1
 FUZZ_N    ?= 5000
@@ -50,6 +52,7 @@ fuzz:
 	DECODER_FUZZ_N=$(FUZZ_N) go test -race -count=1 \
 		-run 'TestDecoderSeededFuzz|FuzzDecodeRequest' ./internal/server/ -v
 	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference' ./internal/minsat/ -v
+	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch' ./internal/bench/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
 
 # Daemon smoke: boot tracerd on an ephemeral port, replay a small corpus via

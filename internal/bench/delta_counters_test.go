@@ -10,11 +10,25 @@ import (
 
 // TestDeltaCountersReconcile pins the forward.delta_* counters to the
 // accounting they summarize, for every client on tsp: through SolveBatch
-// they equal BatchStats' delta totals, and through per-query Solve the
-// reused counter, which the jobs flush, equals the sum of the forward_done
-// events' Reused fields.
+// they equal BatchStats' delta totals, and through per-query Solve, on the
+// inline jobs and on the tabulation (RHS) jobs, the reused counter, which
+// the loop counts from each run's Outcome, equals the sum of the
+// forward_done events' Reused fields.
 func TestDeltaCountersReconcile(t *testing.T) {
 	b := MustLoad(Suite()[0]) // tsp
+	rhsProg, err := driver.LoadRHS(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, esc, null := rhsProg.TypestateQueries(), rhsProg.EscapeQueries(), rhsProg.NullnessQueries()
+	rhsJobs := map[string]struct {
+		n   int
+		job func(i int) core.Problem
+	}{
+		"typestate": {len(ts), func(i int) core.Problem { return rhsProg.TypestateJob(ts[i], 5) }},
+		"escape":    {len(esc), func(i int) core.Problem { return rhsProg.EscapeJob(esc[i], 5) }},
+		"nullness":  {len(null), func(i int) core.Problem { return rhsProg.NullnessJob(null[i], 5) }},
+	}
 	for _, spec := range driver.Clients() {
 		queries := spec.Queries(b.Prog)
 		idx := make([]int, len(queries))
@@ -43,22 +57,35 @@ func TestDeltaCountersReconcile(t *testing.T) {
 			}
 		}
 
-		agg, capt := obs.NewAgg(), obs.NewCapture()
-		rec := obs.Multi(agg, capt)
-		for i := range queries {
-			if _, err := core.Solve(spec.Job(b.Prog, i, 5), core.Options{MaxIters: 100, Recorder: rec}); err != nil {
-				t.Fatal(err)
-			}
+		perQueryReused(t, spec.Name+" per query", len(queries), func(i int) core.Problem { return spec.Job(b.Prog, i, 5) })
+		rhs, ok := rhsJobs[spec.Name]
+		if !ok {
+			t.Fatalf("no RHS job for client %s", spec.Name)
 		}
-		var reused int64
-		for _, e := range capt.Filter(obs.ForwardDone) {
-			reused += int64(e.Reused)
+		perQueryReused(t, spec.Name+" RHS per query", rhs.n, rhs.job)
+	}
+}
+
+// perQueryReused solves n queries one Solve each and checks that the
+// forward.delta_reused counter equals the sum of the forward_done events'
+// Reused fields.
+func perQueryReused(t *testing.T, name string, n int, job func(i int) core.Problem) {
+	t.Helper()
+	agg, capt := obs.NewAgg(), obs.NewCapture()
+	rec := obs.Multi(agg, capt)
+	for i := 0; i < n; i++ {
+		if _, err := core.Solve(job(i), core.Options{MaxIters: 100, Recorder: rec}); err != nil {
+			t.Fatal(err)
 		}
-		if reused == 0 {
-			t.Errorf("%s per query: no reused discoveries, so the check below is vacuous", spec.Name)
-		}
-		if got := agg.Counter(obs.ForwardDeltaReused); got != reused {
-			t.Errorf("%s per query: %s = %d, forward_done events sum to %d", spec.Name, obs.ForwardDeltaReused, got, reused)
-		}
+	}
+	var reused int64
+	for _, e := range capt.Filter(obs.ForwardDone) {
+		reused += int64(e.Reused)
+	}
+	if reused == 0 {
+		t.Errorf("%s: no reused discoveries, so the check below is vacuous", name)
+	}
+	if got := agg.Counter(obs.ForwardDeltaReused); got != reused {
+		t.Errorf("%s: %s = %d, forward_done events sum to %d", name, obs.ForwardDeltaReused, got, reused)
 	}
 }

@@ -98,9 +98,6 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	// normally (a trip poisons its retained run internally; a panic abandons
 	// the chain entirely, so the next solve starts cold).
 	chain atomic.Pointer[dataflow.Chain[D]]
-
-	// Delta accounting since the last FlushObs, mirroring the chain's Stats.
-	deltaResumes, deltaReused, deltaInvalid atomic.Int64
 }
 
 // NumParams returns the size N of the abstraction family 2^N.
@@ -111,9 +108,10 @@ func (j *Job[D, Q, A]) ParamName(i int) string { return j.A.ParamName(i) }
 
 // Forward runs the forward analysis under abstraction p and checks the
 // query at every node it covers, returning a witness trace for a failing
-// state. A budget trip mid-solve yields an unproved partial outcome (a
-// partial fixpoint may simply not have reached the failing state yet, so
-// its "no failure found" cannot be trusted as a proof).
+// state and the chain's delta accounting of the run. A budget trip
+// mid-solve yields an unproved partial outcome (a partial fixpoint may
+// simply not have reached the failing state yet, so its "no failure found"
+// cannot be trusted as a proof).
 func (j *Job[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	if j.NoDelta {
 		return j.outcome(b, dataflow.SolveBudget(j.G, j.A.Initial(), j.A.Transfer(p), b))
@@ -122,17 +120,8 @@ func (j *Job[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	if ch == nil {
 		ch = dataflow.NewChain[D](j.G)
 	}
-	res := ch.Solve(p, j.A.Initial(), j.A.TransferDep(p), b)
-	resumed, reused, invalid := ch.Stats()
-	if resumed {
-		j.deltaResumes.Add(1)
-		j.deltaReused.Add(int64(reused))
-		j.deltaInvalid.Add(int64(invalid))
-	}
-	out := j.outcome(b, res)
-	if resumed {
-		out.Reused = reused
-	}
+	out := j.outcome(b, ch.Solve(p, j.A.Initial(), j.A.TransferDep(p), b))
+	out.Resumed, out.Reused, out.Invalidated = ch.Stats()
 	j.chain.Store(ch)
 	return out
 }
@@ -188,12 +177,10 @@ func (j *Job[D, Q, A]) Client(p uset.Set) *meta.Client[D] {
 }
 
 // FlushObs implements core.ObsFlusher: it reports the formula.* counters of
-// the job's literal universe, the meta.* counters of its WP cache, and the
-// delta counters of the incremental forward chain.
+// the job's literal universe and the meta.* counters of its WP cache.
 func (j *Job[D, Q, A]) FlushObs(rec obs.Recorder) {
 	meta.FlushUniverseObs(rec, j.Uni)
 	meta.FlushWPObs(rec, j.WPC)
-	obs.FlushDelta(rec, &j.deltaResumes, &j.deltaReused, &j.deltaInvalid)
 }
 
 // Backward runs the meta-analysis over the counterexample trace and

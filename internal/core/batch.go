@@ -181,7 +181,7 @@ type unitOut struct {
 	kind    unitKind
 	next    *minsat.Solver // uMoved: the query's refined clause set
 	sig     string         // uMoved: next.Signature()
-	clauses int            // uMoved: next.NumClauses()
+	clauses int            // uMoved and no-progress: next.NumClauses()
 	buf     *obs.Buffer    // backward/clause events, replayed by the merge
 	checkNS int64
 	// fail describes a uFailed unit; taskFail marks it as inherited from
@@ -192,15 +192,17 @@ type unitOut struct {
 	err      error // no-progress: the meta-analysis did not eliminate p
 }
 
-// SolveBatch resolves every query, sharing forward runs within groups.
+// SolveBatch resolves every query, sharing forward runs within groups. It is
+// the one CEGAR loop: Solve runs it over a batch of one.
 // opts.MaxIters bounds the number of forward runs any single query may
 // participate in; opts.Timeout, opts.Context, and opts.MaxSteps bound the
 // whole batch through one shared cooperative budget. When the budget trips
 // — even in the middle of a minimum search, forward run, or backward
 // expansion — the in-flight phase aborts at its next poll, a budget_trip
 // event is emitted, and every still-unresolved query resolves Exhausted
-// carrying its accumulated partial stats (iterations, clauses, and forward
-// steps so far), reconciling with its terminal query_resolved event.
+// with Result.Tripped set, carrying its accumulated partial stats
+// (iterations, clauses, and forward steps so far), reconciling with its
+// terminal query_resolved event.
 //
 // A panic in any phase is recovered at the phase boundary and confined to
 // the smallest query set that depends on the panicked computation: the
@@ -263,6 +265,11 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		res.Results[q].Failure = pi.msg
 		res.Results[q].Stack = pi.stack
 		resolved(q, Failed)
+	}
+	// tripped resolves query q Exhausted by the budget trip.
+	tripped := func(q int) {
+		res.Results[q].Tripped = true
+		resolved(q, Exhausted)
 	}
 	// tripEvent emits the batch's single budget_trip event; every code path
 	// calling it returns immediately after resolving the remaining queries.
@@ -338,7 +345,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			tripEvent()
 			for _, sig := range sigs {
 				for _, q := range groups[sig].queries {
-					resolved(q, Exhausted)
+					tripped(q)
 				}
 			}
 			return res, nil
@@ -384,7 +391,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 					continue
 				}
 				for _, q := range pl.g.queries {
-					resolved(q, Exhausted)
+					tripped(q)
 				}
 			}
 			return res, nil
@@ -467,6 +474,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			pl.task = t
 			pl.unitLo = len(units)
 			for _, q := range pl.g.queries {
+				res.Results[q].Iterations++
 				units = append(units, unit{pl: pl, q: q})
 			}
 		}
@@ -511,8 +519,8 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		// Close the round's forward-run phases in first-use order: charge
 		// each run's step delta (lazy runs accrue steps inside Check, so this
 		// runs after phase C), refresh the memo, and report forward panics
-		// once per task. Per-query ForwardSteps mirror the single-query
-		// solver: every query sharing a run is charged the run's delta.
+		// once per task. Every query sharing a run is charged the run's
+		// step delta, as if it had run alone.
 		for i := range units {
 			if outs != nil {
 				units[i].pl.task.checkNS += outs[i].checkNS
@@ -615,7 +623,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 						failQuery(q, fail)
 						continue
 					}
-					resolved(q, Exhausted)
+					tripped(q)
 				}
 			}
 			return res, nil
@@ -646,7 +654,9 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 				case uFailed:
 					if o.err != nil {
 						// No-progress: fail the query, keep the batch.
+						res.Results[q].Clauses = o.clauses
 						res.Results[q].Failure = o.err.Error()
+						res.Results[q].err = o.err
 						resolved(q, Failed)
 						continue
 					}
@@ -685,7 +695,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 // a uFailed outcome for this query alone.
 func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording bool, bud *budget.Budget, inj *faultinject.Injector, round int) (out unitOut) {
 	pl, q := u.pl, u.q
-	res.Results[q].Iterations++
+	iter := res.Results[q].Iterations
 	if pl.task.panicked != nil || pl.task.run == nil {
 		out.kind = uFailed
 		out.taskFail = true
@@ -717,7 +727,7 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 		out.kind = uProved
 		return out
 	}
-	if res.Results[q].Iterations >= opts.maxIters() {
+	if iter >= opts.maxIters() {
 		out.kind = uExhausted
 		return out
 	}
@@ -729,17 +739,23 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 	cubes := bp.Backward(bud, q, pl.p, trace)
 	if recording {
 		buf.Record(obs.Event{Kind: obs.BackwardDone, Query: strconv.Itoa(q),
-			Iter: res.Results[q].Iterations, AbsSize: pl.p.Len(),
+			Iter: iter, AbsSize: pl.p.Len(),
 			Cubes: len(cubes), WallNS: int64(time.Since(bstart))})
 	}
-	// Clone carries the group solver's warm state (cached minimum and cost
-	// floor) into the refined clause set, so the next round's Minimum for the
-	// successor group resumes from this round's floor instead of starting
+	// A query alone in its group refines the group's solver in place: no
+	// other unit reads it, and the group ends with this round. Otherwise
+	// each query refines a clone. Either way the refined solver keeps the
+	// group's warm state (cached minimum and cost floor), so the next
+	// round's Minimum resumes from this round's floor instead of starting
 	// cold. When several units land on one signature, the sequential merge
 	// below keeps the first unit's solver in deterministic unit order, so the
 	// donated warm state is independent of the worker count.
-	next := pl.g.solver.Clone()
-	covered, rejected := learnCubes(next, pl.p, cubes, buf, recording, strconv.Itoa(q), res.Results[q].Iterations)
+	next := pl.g.solver
+	if len(pl.g.queries) > 1 {
+		next = next.Clone()
+	}
+	covered, rejected := learnCubes(next, pl.p, cubes, buf, recording, strconv.Itoa(q), iter)
+	out.clauses = next.NumClauses()
 	if !covered {
 		// A tripped backward walk legitimately returns cubes not covering
 		// p; the merge discards the round, so don't report no-progress.
@@ -759,7 +775,6 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 	}
 	out.kind = uMoved
 	out.next = next
-	out.clauses = next.NumClauses()
 	out.sig = next.Signature()
 	return out
 }

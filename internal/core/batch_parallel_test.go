@@ -127,8 +127,8 @@ func TestSolveBatchTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q, r := range res.Results {
-		if r.Status != Exhausted {
-			t.Errorf("query %d: status = %v, want exhausted", q, r.Status)
+		if r.Status != Exhausted || !r.Tripped {
+			t.Errorf("query %d: status = %v, tripped = %v, want exhausted by the trip", q, r.Status, r.Tripped)
 		}
 	}
 	if res.Stats.ForwardRuns != 0 {

@@ -121,6 +121,41 @@ func TestFigure1EventSequence(t *testing.T) {
 	}
 }
 
+// TestSolveTaggedEvents: Solve's events carry no query of their own, so a
+// caller that names the solve with obs.Tag gets every event named, the warm
+// seed's too; the loop's batch index never leaks through.
+func TestSolveTaggedEvents(t *testing.T) {
+	var learned []core.ParamCube
+	opts := core.Options{OnLearn: func(_ int, _ uset.Set, _ lang.Trace, cubes []core.ParamCube) {
+		learned = append(learned, cubes...)
+	}}
+	cap := obs.NewCapture()
+	opts.Recorder = obs.Tag(cap, "q")
+	if _, err := core.Solve(figure1Job(t), opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Solve(figure1Job(t), core.Options{Seed: learned, Recorder: obs.Tag(cap, "q")}); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[obs.EventKind]int{}
+	for _, e := range cap.Events() {
+		switch e.Kind {
+		case obs.CounterKind, obs.GaugeKind, obs.TimingKind:
+			continue
+		}
+		kinds[e.Kind]++
+		if e.Query != "q" {
+			t.Errorf("%s event tagged %q, want %q", e.Kind, e.Query, "q")
+		}
+	}
+	for _, k := range []obs.EventKind{obs.IterStart, obs.ForwardDone, obs.BackwardDone,
+		obs.ClauseLearned, obs.WarmSeed, obs.QueryResolved} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event: the check above is vacuous for it", k)
+		}
+	}
+}
+
 // TestSolveNopRecorderUnchanged: solving with no recorder and with the
 // explicit Nop recorder yields identical results (the instrumentation has
 // no behavioral footprint).

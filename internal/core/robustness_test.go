@@ -202,9 +202,9 @@ func TestSolvePanicIsolation(t *testing.T) {
 		site faultinject.Site
 		key  string
 	}{
-		{faultinject.SiteMinimum, "i1"},
-		{faultinject.SiteForward, "i1"},
-		{faultinject.SiteBackward, "i1"},
+		{faultinject.SiteMinimum, "r0.g0"},
+		{faultinject.SiteForward, "r0."}, // the first abstraction is {}
+		{faultinject.SiteBackward, "r0.q0"},
 	}
 	for _, h := range hooks {
 		t.Run(string(h.site), func(t *testing.T) {

@@ -9,13 +9,16 @@
 // cost = |p|. The viable set of Alg 1 is maintained as a CNF of blocking
 // clauses over the parameter bits; choosing a minimum element of the viable
 // set (line 8) is a minimum-cost SAT query.
+//
+// The loop is written once, in SolveBatch, which runs it over groups of
+// queries keyed by their learned clauses (the multi-query optimization of
+// §6). Solve is a batch of one query.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"time"
 
@@ -61,10 +64,15 @@ type Outcome struct {
 	Trace lang.Trace
 	// Steps is a machine-independent cost measure of the run.
 	Steps int
-	// Reused counts path edges served by the delta-incremental forward
-	// path (validated survivors of a retained run plus memo-served
-	// expansions); zero for a cold run. Carried into the ForwardDone event.
-	Reused int
+	// Resumed, Reused and Invalidated account the delta-incremental
+	// forward path: whether the run resumed a retained run, how many
+	// discoveries (path edges, for the tabulation engine) it served without
+	// a transfer call, and how many a parameter flip rolled back. All zero
+	// for a cold run. The loop counts them on the forward.delta_* counters
+	// and carries Reused into the ForwardDone event.
+	Resumed     bool
+	Reused      int
+	Invalidated int
 }
 
 // Problem is a single query posed to a parametric analysis.
@@ -92,8 +100,8 @@ type Problem interface {
 
 // ObsFlusher is implemented by problems that accumulate internal telemetry
 // counters outside the event stream — notably the formula kernel's
-// interning and theory-memo statistics (the formula.* counters). Solve and
-// SolveBatch flush once per solve, after the final event, and only when
+// interning and theory-memo statistics (the formula.* counters). The loop
+// flushes once per Solve or SolveBatch, after the final event, and only when
 // recording. Unlike events, these counters may be scheduling-dependent
 // under concurrency, so they are deliberately not part of the byte-identical
 // determinism contract across worker counts.
@@ -140,11 +148,11 @@ type Result struct {
 	Iterations   int      // forward analysis runs
 	Clauses      int      // blocking clauses learned
 	ForwardSteps int      // cumulative forward solver steps
-	// Tripped reports that Solve resolved Exhausted because its budget
+	// Tripped reports that the query resolved Exhausted because the budget
 	// tripped (deadline, context cancellation, step quota, or an injected
 	// trip) rather than by reaching MaxIters. Such a verdict depends on the
 	// budget (and, under a deadline, on the host), not only on the query.
-	// SolveBatch leaves it false.
+	// In a batch every query the trip resolves carries it.
 	Tripped bool
 	// Failure describes why Status == Failed (the recovered panic value or
 	// the no-progress error); empty otherwise.
@@ -154,11 +162,15 @@ type Result struct {
 	// (stacks embed goroutine IDs, which would break the byte-identical
 	// determinism guarantee across worker counts).
 	Stack string
+	// err is the no-progress error behind a Failed result; Solve returns it.
+	err error
 }
 
 // Options tunes the TRACER loop.
 type Options struct {
-	// MaxIters bounds the number of CEGAR iterations (0 = 1000).
+	// MaxIters bounds the number of CEGAR iterations (0 = 1000): a query
+	// whose MaxIters-th forward run fails resolves Exhausted without a
+	// backward pass over that run.
 	MaxIters int
 	// Timeout bounds wall-clock time per query; 0 means no limit. It plays
 	// the role of the paper's 1,000-minute budget: queries exceeding it are
@@ -192,21 +204,21 @@ type Options struct {
 	// Workers is the size of SolveBatch's worker pool: independent query
 	// groups (and the per-query meta-analyses within a group) are scheduled
 	// concurrently across it. 0 or 1 means sequential. Results, stats, and
-	// the recorded event stream are identical for every value. Ignored by
-	// the single-query Solve.
+	// the recorded event stream are identical for every value. A Solve has
+	// one group and one query, so it runs sequentially whatever the value.
 	Workers int
-	// Seed, when non-empty, blocks the given cubes before iteration 1 of a
-	// single-query Solve — the warm-start path. Seeding is sound only if
-	// every seeded cube still describes exclusively failing abstractions
-	// for this query; internal/warm establishes that via IR-delta
-	// invalidation before handing cubes here. Ignored by SolveBatch (use
-	// SeedBatch).
+	// Seed, when non-empty, blocks the given cubes before Solve's first
+	// iteration — the warm-start path; Solve hands it to the loop as its
+	// query's SeedBatch. Seeding is sound only if every seeded cube still
+	// describes exclusively failing abstractions for this query;
+	// internal/warm establishes that via IR-delta invalidation before
+	// handing cubes here. Ignored by SolveBatch (use SeedBatch).
 	Seed []ParamCube
 	// SeedBatch, when non-nil, supplies warm-start cubes per batch query
 	// index; it is consulted once per query before the first round, and the
 	// initial query groups are formed from the seeded clause sets instead
 	// of one shared root group. nil (or all-empty) keeps the cold batch
-	// path unchanged. Ignored by the single-query Solve.
+	// path unchanged. Solve replaces it with Seed.
 	SeedBatch func(q int) []ParamCube
 	// NoDelta disables SolveBatch's delta-resume path: evicted or near-miss
 	// forward runs are never resumed across an abstraction flip, so every
@@ -217,7 +229,7 @@ type Options struct {
 	// OnLearn, when non-nil, observes every successful backward pass: the
 	// abstraction p that was eliminated, its counterexample trace, and the
 	// accepted (non-contradictory) cubes that were blocked. q is the batch
-	// query index (0 for the single-query Solve). The warm-start layer
+	// query index (0 for Solve). The warm-start layer
 	// records these to disk. Calls are only made for passes that satisfied
 	// the progress guarantee under an untripped budget, so the cube set is
 	// never partial. Must be safe for concurrent calls when Workers > 1.
@@ -260,17 +272,17 @@ func (o Options) newBudget(start time.Time) *budget.Budget {
 // transfer function and is returned rather than silently looping.
 var ErrNoProgress = errors.New("core: backward meta-analysis did not eliminate the current abstraction")
 
-// learnCubes is the shared learn site of Solve and the batch runUnit: it
-// blocks every well-formed cube of one backward pass in s and reports
-// whether the cube set covers p — the progress guarantee (Theorem 3 clause
-// 1): some learned clause must eliminate the abstraction whose
-// counterexample was analyzed, or the next Minimum re-picks it.
+// learnCubes is the learn site of the loop (runUnit): it blocks every
+// well-formed cube of one backward pass in s and reports whether the cube
+// set covers p — the progress guarantee (Theorem 3 clause 1): some learned
+// clause must eliminate the abstraction whose counterexample was analyzed,
+// or the next Minimum re-picks it.
 //
 // Contradictory cubes (Broken: Pos ∩ Neg ≠ ∅) are rejected here rather than
 // passed to the solver, where their tautological blocking clauses would be
 // silently dropped by canonicalization; each rejection emits a
 // clause_rejected event naming the cube and bumps the CoreClauseRejected
-// counter. query tags batch-mode events ("" for the single-query Solve).
+// counter. query tags the events.
 func learnCubes(s *minsat.Solver, p uset.Set, cubes []ParamCube, rec obs.Recorder, recording bool, query string, iter int) (covered bool, rejected []ParamCube) {
 	for _, c := range cubes {
 		if c.Broken() {
@@ -342,142 +354,60 @@ func noProgressError(p uset.Set, cubes, rejected []ParamCube) error {
 	return fmt.Errorf("%w (p=%s: %s)", ErrNoProgress, p, detail)
 }
 
-// Solve runs Algorithm 1 for a single query.
+// Solve runs Algorithm 1 for a single query: it is SolveBatch over a batch
+// of one (solo), so the loop, its failure model, its fault-injection keys
+// and its events are SolveBatch's. opts.Seed seeds the query; SeedBatch and
+// Workers are ignored. The loop tags the query's events "0"; Solve maps
+// that back to untagged, so a caller names the solve with obs.Tag.
 //
-// Failure model: every exit emits exactly one terminal QueryResolved event.
-// A tripped budget (deadline, context cancellation, step quota, or injected
-// trip) aborts the current phase cooperatively and resolves Exhausted with
-// the accumulated partial stats, after a budget_trip event. A panic in any
-// phase is recovered here and resolves Failed (Result.Failure/Stack carry
-// the cause), after a panic_recovered event; Solve then returns a nil
-// error, so one poisoned query cannot crash a caller iterating many. The
-// no-progress condition also resolves Failed but still returns
-// ErrNoProgress, since it indicates an unsound backward transfer function
-// rather than a bad input.
-func Solve(pr Problem, opts Options) (res Result, err error) {
-	rec := opts.rec()
-	recording := rec.Enabled()
-	if fl, ok := pr.(ObsFlusher); ok && recording {
-		defer fl.FlushObs(rec)
+// A tripped budget resolves Exhausted with Result.Tripped set, and a panic
+// in any phase resolves Failed with a nil error, so one poisoned query
+// cannot crash a caller iterating many. The no-progress condition also
+// resolves Failed but returns an error wrapping ErrNoProgress, since it
+// indicates an unsound backward transfer function rather than a bad input.
+func Solve(pr Problem, opts Options) (Result, error) {
+	seed := opts.Seed
+	opts.SeedBatch = func(int) []ParamCube { return seed }
+	opts.Recorder = obs.Retag(opts.Recorder, []string{""}, "")
+	res, err := SolveBatch(solo{pr}, opts)
+	if err != nil {
+		return Result{}, err
 	}
-	start := time.Now()
-	bud := opts.newBudget(start)
-	inj := opts.Inject
-	// One solver lives across all CEGAR iterations, so after each round's
-	// Block the next Minimum re-searches from the previous cost floor (or is
-	// answered from the cached model outright) instead of starting cold — see
-	// the incrementality contract in internal/minsat.
-	solver := minsat.New(pr.NumParams())
-	if recording {
-		solver.Instrument(rec)
+	r := res.Results[0]
+	return r, r.err
+}
+
+// solo poses a Problem as a one-query BatchProblem. A run is the Outcome
+// of one pr.Forward call, made in RunForward; Check(0) and DeltaStats
+// answer from it. solo is not a DeltaBatchProblem: the problem keeps its
+// own forward state between runs (client.Job's retained chain).
+type solo struct{ pr Problem }
+
+func (s solo) NumParams() int  { return s.pr.NumParams() }
+func (s solo) NumQueries() int { return 1 }
+
+func (s solo) RunForward(b *budget.Budget, p uset.Set) BatchRun {
+	return &soloRun{s.pr.Forward(b, p)}
+}
+
+func (s solo) Backward(b *budget.Budget, _ int, p uset.Set, t lang.Trace) []ParamCube {
+	return s.pr.Backward(b, p, t)
+}
+
+func (s solo) FlushObs(rec obs.Recorder) {
+	if fl, ok := s.pr.(ObsFlusher); ok {
+		fl.FlushObs(rec)
 	}
-	if len(opts.Seed) > 0 {
-		added := seedSolver(solver, opts.Seed)
-		res.Clauses = solver.NumClauses()
-		if recording && added > 0 {
-			rec.Record(obs.Event{Kind: obs.WarmSeed, Clauses: added})
-			rec.Count(obs.CoreWarmSeededClauses, int64(added))
-		}
+}
+
+type soloRun struct{ out Outcome }
+
+func (r *soloRun) Check(int) (bool, lang.Trace) { return r.out.Proved, r.out.Trace }
+func (r *soloRun) Steps() int                   { return r.out.Steps }
+
+func (r *soloRun) DeltaStats() (resumes, reused, invalidated int) {
+	if r.out.Resumed {
+		resumes = 1
 	}
-	resolved := func(s Status) Result {
-		res.Status = s
-		if recording {
-			rec.Record(obs.Event{
-				Kind: obs.QueryResolved, Status: s.String(),
-				Iter: res.Iterations, Clauses: res.Clauses,
-				Steps: res.ForwardSteps, AbsSize: res.Abstraction.Len(),
-				WallNS: int64(time.Since(start)),
-			})
-		}
-		return res
-	}
-	tripped := func() Result {
-		res.Tripped = true
-		if recording {
-			rec.Record(obs.Event{Kind: obs.BudgetTrip, Iter: res.Iterations,
-				Name: bud.Cause().String(), WallNS: int64(time.Since(start))})
-			rec.Count(obs.CoreBudgetTrip, 1)
-		}
-		return resolved(Exhausted)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		res.Abstraction = nil
-		res.Failure = fmt.Sprint(r)
-		res.Stack = string(debug.Stack())
-		err = nil
-		if recording {
-			rec.Record(obs.Event{Kind: obs.PanicRecovered,
-				Iter: res.Iterations, Name: res.Failure})
-			rec.Count(obs.CorePanicRecovered, 1)
-		}
-		resolved(Failed)
-	}()
-	for res.Iterations < opts.maxIters() {
-		if !bud.Check() {
-			return tripped(), nil
-		}
-		inj.At(bud, faultinject.SiteMinimum, fmt.Sprintf("i%d", res.Iterations+1))
-		p, ok := solver.MinimumBudget(bud)
-		if bud.Tripped() {
-			return tripped(), nil
-		}
-		if !ok {
-			return resolved(Impossible), nil
-		}
-		res.Iterations++
-		if recording {
-			rec.Record(obs.Event{Kind: obs.IterStart, Iter: res.Iterations,
-				AbsSize: p.Len(), Clauses: solver.NumClauses()})
-		}
-		var phase time.Time
-		if recording {
-			phase = time.Now()
-		}
-		inj.At(bud, faultinject.SiteForward, fmt.Sprintf("i%d", res.Iterations))
-		out := pr.Forward(bud, p)
-		res.ForwardSteps += out.Steps
-		if recording {
-			rec.Record(obs.Event{Kind: obs.ForwardDone, Iter: res.Iterations,
-				AbsSize: p.Len(), Steps: out.Steps, Reused: out.Reused,
-				WallNS: int64(time.Since(phase))})
-		}
-		// A partial forward fixpoint can fail to reach the failing state and
-		// look "proved"; discard the outcome of a tripped run.
-		if bud.Tripped() {
-			return tripped(), nil
-		}
-		if out.Proved {
-			res.Abstraction = p
-			return resolved(Proved), nil
-		}
-		if recording {
-			phase = time.Now()
-		}
-		inj.At(bud, faultinject.SiteBackward, fmt.Sprintf("i%d", res.Iterations))
-		cubes := pr.Backward(bud, p, out.Trace)
-		if recording {
-			rec.Record(obs.Event{Kind: obs.BackwardDone, Iter: res.Iterations,
-				AbsSize: p.Len(), Cubes: len(cubes), WallNS: int64(time.Since(phase))})
-		}
-		// A truncated backward walk may return cubes not covering p; that is
-		// budget pressure, not unsoundness — don't report no-progress.
-		if bud.Tripped() {
-			return tripped(), nil
-		}
-		covered, rejected := learnCubes(solver, p, cubes, rec, recording, "", res.Iterations)
-		res.Clauses = solver.NumClauses()
-		if !covered {
-			err := noProgressError(p, cubes, rejected)
-			res.Failure = err.Error()
-			return resolved(Failed), err
-		}
-		if opts.OnLearn != nil {
-			opts.OnLearn(0, p, out.Trace, acceptedCubes(cubes))
-		}
-	}
-	return resolved(Exhausted), nil
+	return resumes, r.out.Reused, r.out.Invalidated
 }

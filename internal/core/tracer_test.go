@@ -124,8 +124,13 @@ func TestSolveIterationCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Exhausted || res.Iterations != 7 {
-		t.Fatalf("status = %v after %d iterations", res.Status, res.Iterations)
+	if res.Status != Exhausted || res.Iterations != 7 || res.Tripped {
+		t.Fatalf("status = %v after %d iterations (tripped %v), want exhausted at the cap", res.Status, res.Iterations, res.Tripped)
+	}
+	// The capped iteration's failing run is not analyzed backward: each of
+	// the first six runs blocked one abstraction, the seventh none.
+	if res.Clauses != 6 {
+		t.Fatalf("clauses = %d, want 6", res.Clauses)
 	}
 }
 
@@ -134,8 +139,8 @@ func TestSolveTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Exhausted {
-		t.Fatalf("status = %v, want exhausted", res.Status)
+	if res.Status != Exhausted || !res.Tripped {
+		t.Fatalf("status = %v, tripped = %v, want exhausted by the trip", res.Status, res.Tripped)
 	}
 }
 

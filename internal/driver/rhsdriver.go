@@ -139,9 +139,10 @@ func (j *RHSJob[D, Q, A]) ParamName(i int) string { return j.Inner.ParamName(i) 
 func (j *RHSJob[D, Q, A]) Observe(rec obs.Recorder) { j.rec = rec }
 
 // Forward solves the supergraph under abstraction p, resuming the job's
-// retained tabulation across CEGAR iterations unless NoDelta is set. The
-// chain is checked out for the duration of the solve (a panic abandons it;
-// the next iteration starts a fresh one).
+// retained tabulation across CEGAR iterations unless NoDelta is set, and
+// reports the chain's delta accounting in the Outcome. The chain is checked
+// out for the duration of the solve (a panic abandons it; the next
+// iteration starts a fresh one).
 func (j *RHSJob[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	a := j.Inner.A
 	if j.NoDelta {
@@ -152,9 +153,7 @@ func (j *RHSJob[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 		ch = rhs.NewChain[D](j.G)
 	}
 	out := j.scan(ch.Solve(p, a.Initial(), a.TransferDep(p), j.rec, b), b)
-	if resumed, reused, _ := ch.Stats(); resumed {
-		out.Reused = reused
-	}
+	out.Resumed, out.Reused, out.Invalidated = ch.Stats()
 	j.chain.Store(ch)
 	return out
 }

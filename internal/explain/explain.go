@@ -131,7 +131,9 @@ func renderCubes(cs []core.ParamCube) string {
 	return strings.Join(parts, "; ")
 }
 
-// Solve runs TRACER on the narrated problem and prints the verdict.
+// Solve runs TRACER on the narrated problem and prints the verdict. A query
+// that reaches opts.MaxIters ends on a failing forward run the loop does not
+// analyze backward, so the last iteration narrates its forward run only.
 func (p *Problem[D]) Solve(opts core.Options) (core.Result, error) {
 	res, err := core.Solve(p, opts)
 	if err != nil {
@@ -146,7 +148,11 @@ func (p *Problem[D]) Solve(opts core.Options) (core.Result, error) {
 	case core.Failed:
 		fmt.Fprintf(p.W, "FAILED: %s (%d iterations)\n", res.Failure, res.Iterations)
 	default:
-		fmt.Fprintf(p.W, "UNRESOLVED: budget exhausted after %d iterations\n", res.Iterations)
+		if res.Tripped {
+			fmt.Fprintf(p.W, "UNRESOLVED: budget exhausted after %d iterations\n", res.Iterations)
+		} else {
+			fmt.Fprintf(p.W, "UNRESOLVED: iteration cap reached after %d iterations\n", res.Iterations)
+		}
 	}
 	return res, nil
 }

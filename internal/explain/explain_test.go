@@ -52,6 +52,38 @@ func TestNarratedFigure1(t *testing.T) {
 	}
 }
 
+// TestNarratedCap: at the iteration cap the loop stops after the failing
+// forward run, so the capped iteration narrates no backward pass.
+func TestNarratedCap(t *testing.T) {
+	prog := lang.SeqN(
+		lang.Atoms(lang.Alloc{V: "x", H: "h"}),
+		lang.Atoms(lang.Move{Dst: "y", Src: "x"}),
+		lang.Atoms(lang.Invoke{V: "x", M: "open"}),
+		lang.Atoms(lang.Invoke{V: "y", M: "close"}),
+	)
+	g := lang.BuildCFG(prog)
+	a := typestate.New(typestate.FileProperty(), "h", typestate.CollectVars(g))
+	closed := uset.Bits(0).Add(a.Prop.MustState("closed"))
+	job := &typestate.Job{A: a, G: g, Q: typestate.Query{Nodes: []int{g.Exit}, Want: closed}, K: 1}
+
+	var sb strings.Builder
+	res, err := ForTypestate(job, &sb).Solve(core.Options{MaxIters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != core.Exhausted || res.Iterations != 2 {
+		t.Fatalf("result = %+v, want exhausted after 2 iterations", res)
+	}
+	out := sb.String()
+	if n := strings.Count(out, "counterexample trace"); n != 1 {
+		t.Errorf("narrated %d backward passes, want 1 (the capped iteration has none):\n%s", n, out)
+	}
+	if !strings.Contains(out, "iteration 2: forward analysis") ||
+		!strings.Contains(out, "UNRESOLVED: iteration cap reached after 2 iterations") {
+		t.Errorf("narration misses the capped iteration or its verdict:\n%s", out)
+	}
+}
+
 // TestNarratedFigure6: the escape narration renders the site mapping and
 // the eliminated cubes of Fig 6(b).
 func TestNarratedFigure6(t *testing.T) {

@@ -5,12 +5,12 @@
 // Tests and cmd/tracer -chaos-seed wire one through core.Options.Inject;
 // the solver then calls At at named hook points — just before the minimum
 // search, a forward run, and a backward analysis — passing a deterministic
-// key that identifies the exact occurrence (iteration number in the
-// single-query loop; round plus group/abstraction/query in the batch
-// scheduler). Because keys depend only on solver state, never on goroutine
-// scheduling, the same injector fires the same faults for every worker
-// count, which is what lets the chaos tests pin byte-identical degraded
-// event streams across Workers 1/2/4.
+// key that identifies the exact occurrence: the scheduling round plus the
+// group, abstraction or query. core.Solve runs the same loop over one query,
+// so its keys are the round's group 0 and query 0. Because keys depend only
+// on solver state, never on goroutine scheduling, the same injector fires
+// the same faults for every worker count, which is what lets the chaos
+// tests pin byte-identical degraded event streams across Workers 1/2/4.
 //
 // Faults come in three flavors: a panic (thrown as *Fault, exercising the
 // scheduler's recover paths), a delay (perturbing goroutine interleaving to
@@ -35,13 +35,15 @@ type Site string
 
 const (
 	// SiteMinimum fires just before a minsat.MinimumBudget search.
-	// Keys: "i<iter>" (core.Solve), "r<round>.g<group>" (SolveBatch).
+	// Keys: "r<round>.g<group>", with the 0-based round and the group's
+	// index in the round's signature order ("r<iter-1>.g0" for core.Solve).
 	SiteMinimum Site = "minimum"
 	// SiteForward fires just before a forward run.
-	// Keys: "i<iter>" (core.Solve), "r<round>.<abstraction-key>" (SolveBatch).
+	// Keys: "r<round>.<abstraction-key>" (uset.Set.Key of the abstraction).
 	SiteForward Site = "forward"
 	// SiteBackward fires just before a backward analysis.
-	// Keys: "i<iter>" (core.Solve), "r<round>.q<query>" (SolveBatch).
+	// Keys: "r<round>.q<query>", with the batch query index ("r<iter-1>.q0"
+	// for core.Solve).
 	SiteBackward Site = "backward"
 
 	// SiteServerRequest fires in the solver daemon's admission path, after a

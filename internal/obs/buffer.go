@@ -1,17 +1,15 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Counter names for the delta-incremental forward engines (dataflow.Chain
-// and rhs.Chain). ForwardDeltaResumes counts forward solves served by the
-// delta path — a retained previous run was validated against the flipped
-// parameters instead of solving cold (whether or not anything had to be
-// recomputed). ForwardDeltaReused counts discoveries (path edges, for the
-// tabulation engine) that survived validation or were served from the
-// expansion memo without re-evaluating a transfer function;
+// and rhs.Chain), counted by core's loop from each forward run's
+// accounting (core.DeltaRun). ForwardDeltaResumes counts forward solves
+// served by the delta path — a retained previous run was validated against
+// the flipped parameters instead of solving cold (whether or not anything
+// had to be recomputed). ForwardDeltaReused counts discoveries (path edges,
+// for the tabulation engine) that survived validation or were served from
+// the expansion memo without re-evaluating a transfer function;
 // ForwardDeltaInvalidated counts discoveries rolled back because a transfer
 // application on the retained run had consulted a flipped parameter. Both
 // engines feed the same names, so the counters do not say which one ran.
@@ -20,22 +18,6 @@ const (
 	ForwardDeltaReused      = "forward.delta_reused"
 	ForwardDeltaInvalidated = "forward.delta_invalidated"
 )
-
-// FlushDelta drains the delta counters a problem accumulated since its last
-// flush into rec, in the fixed order resumes/reused/invalidated. Problems
-// call it from FlushObs so the counts ride the same deterministic flush
-// point as the formula.* and meta.* counters.
-func FlushDelta(rec Recorder, resumes, reused, invalidated *atomic.Int64) {
-	if n := resumes.Swap(0); n > 0 {
-		rec.Count(ForwardDeltaResumes, n)
-	}
-	if n := reused.Swap(0); n > 0 {
-		rec.Count(ForwardDeltaReused, n)
-	}
-	if n := invalidated.Swap(0); n > 0 {
-		rec.Count(ForwardDeltaInvalidated, n)
-	}
-}
 
 // Counter names recorded by core.SolveBatch's forward-run memo (see the
 // "Concurrency model" section of ARCHITECTURE.md). A hit means a group's

@@ -18,13 +18,16 @@
 // aggregating in-memory sink), NDJSON (one JSON object per line to an
 // io.Writer), Capture (an in-memory event list, for tests), and Multi
 // (fan-out). Tag wraps a Recorder so every event is stamped with a query
-// identifier.
+// identifier, and Retag renames a batch's per-query tags.
 //
 // All sinks are safe for concurrent use; the bench harness records from a
 // worker pool.
 package obs
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // EventKind names a phase of the TRACER loop (or a metric record in an
 // NDJSON stream, where counters and timings appear inline).
@@ -154,32 +157,42 @@ func Default(r Recorder) Recorder {
 	return r
 }
 
-// tagger stamps a query identifier on every event lacking one.
-type tagger struct {
-	r     Recorder
-	query string
-}
-
 // Tag returns a Recorder that stamps query on every event that does not
 // already carry a query identifier. Tagging a nil or disabled Recorder
 // returns Nop, so the no-op fast path is preserved.
-func Tag(r Recorder, query string) Recorder {
+func Tag(r Recorder, query string) Recorder { return Retag(r, nil, query) }
+
+// Retag returns a Recorder that renames the query tags of core.SolveBatch's
+// events: an event tagged with batch index i gets ids[i], and an event
+// without a query (a group-level event) gets group; any other tag passes
+// through. core.Solve maps its one query's tag back to untagged with it,
+// and the solver daemon names each request's events. Retagging a nil or
+// disabled Recorder returns Nop.
+func Retag(r Recorder, ids []string, group string) Recorder {
 	if r == nil || !r.Enabled() {
 		return Nop{}
 	}
-	return tagger{r: r, query: query}
+	return retagger{r: r, ids: ids, group: group}
 }
 
-func (t tagger) Enabled() bool { return true }
-func (t tagger) Record(e Event) {
+type retagger struct {
+	r     Recorder
+	ids   []string
+	group string
+}
+
+func (t retagger) Enabled() bool { return true }
+func (t retagger) Record(e Event) {
 	if e.Query == "" {
-		e.Query = t.query
+		e.Query = t.group
+	} else if i, err := strconv.Atoi(e.Query); err == nil && i >= 0 && i < len(t.ids) {
+		e.Query = t.ids[i]
 	}
 	t.r.Record(e)
 }
-func (t tagger) Count(name string, delta int64)      { t.r.Count(name, delta) }
-func (t tagger) Gauge(name string, v int64)          { t.r.Gauge(name, v) }
-func (t tagger) Timing(name string, d time.Duration) { t.r.Timing(name, d) }
+func (t retagger) Count(name string, delta int64)      { t.r.Count(name, delta) }
+func (t retagger) Gauge(name string, v int64)          { t.r.Gauge(name, v) }
+func (t retagger) Timing(name string, d time.Duration) { t.r.Timing(name, d) }
 
 // multi fans records out to several sinks.
 type multi []Recorder

@@ -158,6 +158,27 @@ func TestTag(t *testing.T) {
 	}
 }
 
+// TestRetag: batch indices in range become their ids, untagged events get
+// the group tag, other tags pass through, and a disabled recorder
+// short-circuits to Nop.
+func TestRetag(t *testing.T) {
+	c := NewCapture()
+	r := Retag(c, []string{"", "r1"}, "b0")
+	for _, q := range []string{"0", "1", "", "2", "-1", "q"} {
+		r.Record(Event{Kind: IterStart, Query: q})
+	}
+	var got []string
+	for _, e := range c.Events() {
+		got = append(got, e.Query)
+	}
+	if want := []string{"", "r1", "b0", "2", "-1", "q"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("retagged queries = %q, want %q", got, want)
+	}
+	if _, ok := Retag(Nop{}, nil, "x").(Nop); !ok {
+		t.Error("Retag(Nop) should collapse to Nop")
+	}
+}
+
 // TestMulti: fan-out reaches every sink; degenerate cases collapse.
 func TestMulti(t *testing.T) {
 	c1, c2 := NewCapture(), NewCapture()

@@ -77,18 +77,13 @@ func NewChain[D comparable](g *Graph) *Chain[D] {
 // serving it from the retained run when the parameter delta allows. The
 // result is byte-equivalent to SolveBudget with the instantiated transfer
 // function. A budget trip returns the partial tabulation without retaining
-// it (the next Solve replays from the memo).
+// it (the next Solve replays from the memo). rec receives the tabulation's
+// own telemetry (see SolveBudget); the delta accounting is read back with
+// Stats.
 func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.Recorder, b *budget.Budget) *Result[D] {
 	pw := chainParamWords(p)
-	recording := rec != nil && rec.Enabled()
 	if c.complete && dI == c.dI && c.allClean(pw) {
 		c.lastResumed, c.lastReused, c.lastInvalid = true, c.res.Steps, 0
-		if recording {
-			rec.Count(obs.ForwardDeltaResumes, 1)
-			if c.lastReused > 0 {
-				rec.Count(obs.ForwardDeltaReused, int64(c.lastReused))
-			}
-		}
 		return c.res
 	}
 	resumed := c.complete && dI == c.dI
@@ -116,17 +111,6 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 	if !b.Tripped() {
 		c.res = res
 		c.complete = true
-	}
-	if recording {
-		if resumed {
-			rec.Count(obs.ForwardDeltaResumes, 1)
-		}
-		if c.lastReused > 0 {
-			rec.Count(obs.ForwardDeltaReused, int64(c.lastReused))
-		}
-		if c.lastInvalid > 0 {
-			rec.Count(obs.ForwardDeltaInvalidated, int64(c.lastInvalid))
-		}
 	}
 	return res
 }

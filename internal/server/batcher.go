@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"tracer/internal/budget"
@@ -107,28 +106,6 @@ func (s *Server) executor() {
 		s.runBatch(reqs)
 	}
 }
-
-// batchRecorder re-tags the solver's per-query events from batch indices to
-// request ids, and stamps group-level events (which carry no query) with the
-// batch id, so the access log is one attributable stream per request.
-type batchRecorder struct {
-	rec   obs.Recorder
-	ids   []string
-	batch string
-}
-
-func (b *batchRecorder) Enabled() bool { return true }
-func (b *batchRecorder) Record(e obs.Event) {
-	if e.Query == "" {
-		e.Query = b.batch
-	} else if i, err := strconv.Atoi(e.Query); err == nil && i >= 0 && i < len(b.ids) {
-		e.Query = b.ids[i]
-	}
-	b.rec.Record(e)
-}
-func (b *batchRecorder) Count(name string, delta int64)      { b.rec.Count(name, delta) }
-func (b *batchRecorder) Gauge(name string, v int64)          { b.rec.Gauge(name, v) }
-func (b *batchRecorder) Timing(name string, d time.Duration) { b.rec.Timing(name, d) }
 
 // runBatch executes one coalesced round. The survivability contract: every
 // request in reqs gets exactly one response and one terminal query_resolved
@@ -237,7 +214,9 @@ func (s *Server) runBatch(reqs []*request) {
 		keys[i] = r.queryKey()
 	}
 	if s.recording {
-		opts.Recorder = &batchRecorder{rec: s.rec, ids: ids, batch: bid}
+		// Per-query events name their request, group-level events the
+		// round, so the access log is one attributable stream per request.
+		opts.Recorder = obs.Retag(s.rec, ids, bid)
 	}
 
 	idx := make([]int, len(live))

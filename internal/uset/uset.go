@@ -9,9 +9,8 @@
 package uset
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Set is an immutable sorted set of non-negative integers. The zero value is
@@ -184,14 +183,14 @@ func (s Set) Key() string {
 	if len(s) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(s))
 	for i, e := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the set as {e1,e2,...}.

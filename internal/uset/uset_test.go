@@ -161,6 +161,28 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyBytes pins the exact key and string forms: fault-injection keys,
+// the batch's forward-run memo and the intern tables all depend on them.
+func TestKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		s         Set
+		key, text string
+	}{
+		{nil, "", "{}"},
+		{New(0), "0", "{0}"},
+		{New(1, 23), "1,23", "{1,23}"},
+		{New(10, 0, 7), "0,7,10", "{0,7,10}"},
+		{New(4096, 65, 9), "9,65,4096", "{9,65,4096}"},
+	} {
+		if got := c.s.Key(); got != c.key {
+			t.Errorf("%v.Key() = %q, want %q", []int(c.s), got, c.key)
+		}
+		if got := c.s.String(); got != c.text {
+			t.Errorf("%v.String() = %q, want %q", []int(c.s), got, c.text)
+		}
+	}
+}
+
 func TestUnionCommutesQuick(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a := fromBytes(xs)

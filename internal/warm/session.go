@@ -122,10 +122,8 @@ func (s *Session) Solve(key string, pr core.Problem, opts core.Options) (core.Re
 
 // SolveBatch solves a batch problem whose query q has the key keys[q],
 // seeding each query with its surviving clauses and recording every
-// accepted cube. It never replays, and it stores only Proved and Impossible
-// verdicts: the batch shares one budget across its queries, so an Exhausted
-// verdict measured inside it is not comparable with any later solve. It
-// sets opts.SeedBatch and opts.OnLearn.
+// accepted cube and every verdict, under RecordResult's rule, as Solve
+// does. It never replays. It sets opts.SeedBatch and opts.OnLearn.
 func (s *Session) SolveBatch(keys []string, bp core.BatchProblem, opts core.Options) (*core.BatchResult, error) {
 	if s == nil {
 		return core.SolveBatch(bp, opts)
@@ -139,9 +137,7 @@ func (s *Session) SolveBatch(keys []string, bp core.BatchProblem, opts core.Opti
 		return nil, err
 	}
 	for q, r := range res.Results {
-		if r.Status == core.Proved || r.Status == core.Impossible {
-			s.RecordResult(keys[q], r)
-		}
+		s.RecordResult(keys[q], r)
 	}
 	return res, nil
 }

@@ -321,19 +321,36 @@ func TestWarmExhaustedReplay(t *testing.T) {
 }
 
 // TestWarmTripNotReplayed: a solve cut short by its budget, by a cancelled
-// context or by a step quota, is not stored as Exhausted. A later session
-// over the same program solves the query again and gets the cold verdict.
+// context or by a step quota, is not stored as Exhausted, whether it ran
+// alone or in a batch. A later session over the same program solves the
+// query again and gets the cold verdict.
 func TestWarmTripNotReplayed(t *testing.T) {
 	conf := tsConf(50)
 	p := load(t, progBase)
 	q := p.TypestateQueries()[0]
-	job := func() core.Problem { return driver.ClientByName("typestate").Job(p, 0, conf.K) }
+	spec := driver.ClientByName("typestate")
+	job := func() core.Problem { return spec.Job(p, 0, conf.K) }
 	cold, err := core.Solve(job(), core.Options{MaxIters: conf.MaxIters})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Status != core.Proved {
 		t.Fatalf("test premise broken: cold solve of %s is %v, want proved", q.ID, cold.Status)
+	}
+	solve := func(s *Session, opts core.Options) core.Result {
+		r, err := core.Solve(job(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RecordResult(q.Key, r)
+		return r
+	}
+	batch := func(s *Session, opts core.Options) core.Result {
+		res, err := s.SolveBatch([]string{q.Key}, spec.Batch(p, []int{0}, conf.K), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Results[0]
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -343,29 +360,78 @@ func TestWarmTripNotReplayed(t *testing.T) {
 		"step quota":        {MaxIters: conf.MaxIters, MaxSteps: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s1 := Open(dir, nil).Session(p, conf)
-			r, err := core.Solve(job(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Status != core.Exhausted {
-				t.Fatalf("test premise broken: tripped solve is %v, want exhausted", r.Status)
-			}
-			s1.RecordResult(q.Key, r)
-			if err := s1.Save(); err != nil {
-				t.Fatalf("save: %v", err)
-			}
+			for path, run := range map[string]func(*Session, core.Options) core.Result{"solve": solve, "batch": batch} {
+				t.Run(path, func(t *testing.T) {
+					dir := t.TempDir()
+					s1 := Open(dir, nil).Session(p, conf)
+					if r := run(s1, opts); r.Status != core.Exhausted || !r.Tripped {
+						t.Fatalf("test premise broken: tripped solve is %v (tripped %v), want exhausted by the trip", r.Status, r.Tripped)
+					}
+					if err := s1.Save(); err != nil {
+						t.Fatalf("save: %v", err)
+					}
 
-			p2 := load(t, progBase)
-			s2 := Open(dir, nil).Session(p2, conf)
-			if r, ok := s2.Replay(q.Key); ok {
-				t.Fatalf("replayed %v from a tripped solve", r.Status)
-			}
-			if w := solveAll(t, p2, s2, conf)[q.Key]; w.Status != cold.Status {
-				t.Fatalf("warm solve of %s is %v, want the cold %v", q.ID, w.Status, cold.Status)
+					p2 := load(t, progBase)
+					s2 := Open(dir, nil).Session(p2, conf)
+					if r, ok := s2.Replay(q.Key); ok {
+						t.Fatalf("replayed %v from a tripped solve", r.Status)
+					}
+					if w := solveAll(t, p2, s2, conf)[q.Key]; w.Status != cold.Status {
+						t.Fatalf("warm solve of %s is %v, want the cold %v", q.ID, w.Status, cold.Status)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestWarmBatchExhaustedReplayed: a batch stores its verdicts by the same
+// rule as a solo solve, so an Exhausted verdict it reached at the iteration
+// cap is replayed by a later Session.Solve at the same cap on the same
+// program, without a forward run.
+func TestWarmBatchExhaustedReplayed(t *testing.T) {
+	dir := t.TempDir()
+	conf := tsConf(1)
+	p := load(t, progBase)
+	spec := driver.ClientByName(string(conf.Client))
+	queries := spec.Queries(p)
+	keys := make([]string, len(queries))
+	idx := make([]int, len(queries))
+	for i, q := range queries {
+		keys[i], idx[i] = q.Key, i
+	}
+	s1 := Open(dir, nil).Session(p, conf)
+	res, err := s1.SolveBatch(keys, spec.Batch(p, idx, conf.K), core.Options{MaxIters: conf.MaxIters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Save(); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+
+	p2 := load(t, progBase)
+	s2 := Open(dir, nil).Session(p2, conf)
+	exhausted := 0
+	for i, q := range spec.Queries(p2) {
+		want := res.Results[i]
+		r, err := s2.Solve(q.Key, spec.Job(p2, i, conf.K), core.Options{MaxIters: conf.MaxIters})
+		if err != nil {
+			t.Fatalf("query %s: %v", q.ID, err)
+		}
+		if r.Status != want.Status {
+			t.Fatalf("query %s: warm %v, batch %v", q.ID, r.Status, want.Status)
+		}
+		if want.Status != core.Exhausted {
+			continue
+		}
+		exhausted++
+		if r.Iterations != want.Iterations || r.ForwardSteps != 0 {
+			t.Fatalf("query %s: %d iterations and %d forward steps, want the batch's %d replayed without a run",
+				q.ID, r.Iterations, r.ForwardSteps, want.Iterations)
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("test premise broken: the batch exhausted nothing at MaxIters=1")
 	}
 }
 
