@@ -25,8 +25,8 @@ test-tracerbench:
 # Fault-injection suite: the deterministic chaos tests (panic isolation,
 # budget trips, worker-count determinism, and the seeded sweep) under -race,
 # the shared-Program tests repeated under -race (a loaded program's solver
-# caches are filled from every goroutine that holds it), plus a seeded chaos
-# run of the tracer CLI on a real program.
+# caches are filled from every goroutine that holds it), plus seeded chaos
+# runs of the tracer CLI on a real program, batched and one query at a time.
 chaos:
 	go test -race -count=1 -run 'Chaos|PanicIsolation|DeadlineMidPhase|PartialStats' \
 		./internal/core/ -v
@@ -36,14 +36,17 @@ chaos:
 		./internal/driver/
 	go run ./cmd/benchgen -dir /tmp -name tsp
 	go run ./cmd/tracer -chaos-seed 7 -chaos-rate 0.2 -auto -batch -batch-workers 4 /tmp/tsp.tir
+	go run ./cmd/tracer -chaos-seed 7 -chaos-rate 0.2 -auto /tmp/tsp.tir
 
 # Differential fuzzing: the oracle package's fixed-seed property and
-# metamorphic suites under -race, the minimum-model engine against the
-# engine it replaced (single-goroutine, so without -race, which slows it
-# about 20x), Solve against SolveBatch on every query of all seven suite
-# programs (also without -race; about 20 s), then a seeded CLI sweep of the
-# brute-force oracle on every client ("Ground truth & fuzzing" in
-# ARCHITECTURE.md).
+# metamorphic suites under -race, the minimum-model search against the
+# engine it replaced and the minimum-model diagram against the search
+# (single-goroutine, so without -race, which slows them about 20x), the
+# diagram replaying every suite query's learned cubes against the search
+# (no diagram may fall back; it prints the largest), Solve against
+# SolveBatch on every query of all seven suite programs (also without -race;
+# about 20 s), then a seeded CLI sweep of the brute-force oracle on every
+# client ("Ground truth & fuzzing" in ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
 FUZZ_SEED ?= 1
 FUZZ_N    ?= 5000
@@ -51,7 +54,9 @@ fuzz:
 	go test -race -count=1 ./internal/oracle/... -v
 	DECODER_FUZZ_N=$(FUZZ_N) go test -race -count=1 \
 		-run 'TestDecoderSeededFuzz|FuzzDecodeRequest' ./internal/server/ -v
-	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference' ./internal/minsat/ -v
+	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference|TestDiagramMatchesSearch' \
+		./internal/minsat/ -v
+	MINSAT_REPLAY_SUITE=all go test -count=1 -run 'TestReplayMatchesSearch' ./internal/minsat/ -v
 	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch' ./internal/bench/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
 
@@ -73,13 +78,14 @@ bench:
 
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
-# cache, Simplify), the
-# incremental minimum-model solver's warm/fresh resolve loop and its
-# CEGAR-shaped blocking-cube sequence, and opening a warm-start session on a
-# full store.
+# cache, Simplify), the minimum-model solver's CEGAR-shaped blocking-cube
+# sequence on the diagram and on the fallback search alone, the search's
+# warm/fresh resolve loop, the CEGAR loop's own overhead on a mock problem,
+# and opening a warm-start session on a full store.
 bench-micro:
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
-	go test -run=NONE -bench 'MinimumIncremental|MinimumCEGAR' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'MinimumIncremental|MinimumCEGAR|SearchCEGAR' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'SolveLoop' -benchmem ./internal/core/...
 	go test -run=NONE -bench 'SessionOpen' -benchmem ./internal/warm/...
 
 # Benchmark smoke (also a CI job): one pass of each cmd/tracerbench workload.

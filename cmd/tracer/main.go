@@ -46,7 +46,9 @@
 //	-chaos-seed N          enable deterministic fault injection: panics,
 //	                       delays, and budget trips fire pseudo-randomly at
 //	                       the solver's hook points, reproducibly in the seed
-//	                       (0 disables; see internal/faultinject)
+//	                       (0 disables; see internal/faultinject); solved one
+//	                       at a time, each query draws its faults from the
+//	                       seed and its name
 //	-chaos-rate R          fraction of hook points that fire (default 0.05)
 //
 // Differential fuzzing (see "Ground truth & fuzzing" in ARCHITECTURE.md):
@@ -241,6 +243,7 @@ func runInline(src string, prop *typestate.Property, k int, opts core.Options, r
 	report := func(sess *warm.Session, name, key string, job core.Problem, paramName func(i int) string) error {
 		qopts := opts
 		qopts.Recorder = obs.Tag(rec, name)
+		qopts.Inject = opts.Inject.Scope(name)
 		start := time.Now()
 		res, err := sess.Solve(key, job, qopts)
 		if err != nil {
@@ -390,6 +393,7 @@ func runRHS(src string, prop *typestate.Property, k int, opts core.Options, rec 
 		job := jobs[name]
 		qopts := opts
 		qopts.Recorder = obs.Tag(rec, "query "+name)
+		qopts.Inject = opts.Inject.Scope("query " + name)
 		paramName := func(i int) string { return fmt.Sprintf("p%d", i) }
 		if j, ok := job.(interface {
 			ParamName(i int) string

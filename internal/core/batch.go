@@ -286,8 +286,14 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 	// usual signature keying merges queries whose seeded clause sets coincide
 	// — including back into the cold root when every seed deduplicates away.
 	groups := map[string]*group{}
+	// A batch of one query can never regroup, so it keys its one group by
+	// "" instead of computing the clause set's signature every round.
+	oneQuery := n == 1
 	addTo := func(s *minsat.Solver, q int) {
-		sig := s.Signature()
+		var sig string
+		if !oneQuery {
+			sig = s.Signature()
+		}
 		g := groups[sig]
 		if g == nil {
 			g = &group{solver: s}
@@ -329,6 +335,10 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		dbp = nil
 	}
 	const maxFlip = 2
+	// A query never re-picks an abstraction it has blocked, so in a batch of
+	// one a memo entry can only serve as a donor. Without donors the memo
+	// stays empty: every iteration is a miss, and no run is kept.
+	memoize := !oneQuery || dbp != nil
 
 	for len(groups) > 0 {
 		res.Stats.Rounds++
@@ -373,7 +383,9 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 				pl.minBuf = obs.NewBuffer()
 				pl.g.solver.Instrument(pl.minBuf)
 			}
-			inj.At(bud, faultinject.SiteMinimum, fmt.Sprintf("r%d.g%d", round, i))
+			if inj != nil {
+				inj.At(bud, faultinject.SiteMinimum, fmt.Sprintf("r%d.g%d", round, i))
+			}
 			pl.p, pl.sat = pl.g.solver.MinimumBudget(bud)
 		})
 		// A trip during phase A makes every !sat plan ambiguous (an aborted
@@ -492,7 +504,9 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			if recording {
 				s = time.Now()
 			}
-			inj.At(bud, faultinject.SiteForward, fmt.Sprintf("r%d.%s", round, t.key))
+			if inj != nil {
+				inj.At(bud, faultinject.SiteForward, fmt.Sprintf("r%d.%s", round, t.key))
+			}
 			if t.donor != nil {
 				t.run = dbp.RunForwardFrom(bud, t.p, t.donor.run, t.donor.p)
 			} else {
@@ -581,7 +595,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			if t.entry != nil {
 				t.entry.lastSteps = steps
 				t.entry.lastDelta = delta
-			} else {
+			} else if memoize {
 				cache.put(t.key, &fwdEntry{run: t.run, p: t.p, lastSteps: steps, lastDelta: delta})
 			}
 		}
@@ -735,7 +749,9 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 	if recording {
 		bstart = time.Now()
 	}
-	inj.At(bud, faultinject.SiteBackward, fmt.Sprintf("r%d.q%d", round, q))
+	if inj != nil {
+		inj.At(bud, faultinject.SiteBackward, fmt.Sprintf("r%d.q%d", round, q))
+	}
 	cubes := bp.Backward(bud, q, pl.p, trace)
 	if recording {
 		buf.Record(obs.Event{Kind: obs.BackwardDone, Query: strconv.Itoa(q),
@@ -775,6 +791,8 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 	}
 	out.kind = uMoved
 	out.next = next
-	out.sig = next.Signature()
+	if len(res.Results) > 1 { // a batch of one never regroups (see addTo)
+		out.sig = next.Signature()
+	}
 	return out
 }

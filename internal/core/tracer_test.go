@@ -246,3 +246,17 @@ func TestSolveBatchExhaustion(t *testing.T) {
 		t.Fatalf("status = %v, want exhausted", res.Results[0].Status)
 	}
 }
+
+// BenchmarkSolveLoop times the loop's own overhead: a mock problem whose
+// forward and backward phases are nearly free, solved in 10 iterations (one
+// needed parameter learned per iteration, then the proof).
+func BenchmarkSolveLoop(b *testing.B) {
+	need := uset.New(1, 2, 3, 4, 5, 6, 7, 8, 9)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(&mockProblem{n: 16, need: need, provable: true}, Options{})
+		if err != nil || res.Iterations != 10 {
+			b.Fatalf("%v after %d iterations, err %v", res.Status, res.Iterations, err)
+		}
+	}
+}

@@ -12,6 +12,11 @@
 // the same faults for every worker count, which is what lets the chaos
 // tests pin byte-identical degraded event streams across Workers 1/2/4.
 //
+// A solver handed one injector per query (cmd/tracer's per-query path)
+// would see the same keys in every query and fail them together; Scope
+// prefixes a query's keys with its name, so each query draws its own
+// faults under one seed.
+//
 // Faults come in three flavors: a panic (thrown as *Fault, exercising the
 // scheduler's recover paths), a delay (perturbing goroutine interleaving to
 // stress determinism), and a budget trip (exercising the cooperative
@@ -101,6 +106,11 @@ type rule struct {
 // Injector decides, at each hook point, whether to fire a fault. A nil
 // *Injector is inert. Explicit rules take precedence over the seeded mode.
 type Injector struct {
+	// A scoped injector forwards every hook to its root with prefix
+	// prepended to the key; it holds no rules of its own.
+	root   *Injector
+	prefix string
+
 	seeded bool
 	seed   uint64
 	rate   uint64 // firing threshold out of 2^32
@@ -152,11 +162,30 @@ func (in *Injector) DelayAt(site Site, key string, d time.Duration) {
 // cause budget.Injected.
 func (in *Injector) TripAt(site Site, key string) { in.add(site, key, rule{act: actTrip}) }
 
+// Scope returns an injector for one of many solves sharing in: every key
+// it sees becomes name + "/" + key, both for the seeded draw and for
+// explicit rules, and fired faults are logged (and Fired reports them) on
+// in's root. Solves with different names thus fail independently. A nil
+// receiver returns nil.
+func (in *Injector) Scope(name string) *Injector {
+	if in == nil {
+		return nil
+	}
+	if in.root != nil {
+		return &Injector{root: in.root, prefix: in.prefix + name + "/"}
+	}
+	return &Injector{root: in, prefix: name + "/"}
+}
+
 // At is the hook the solver calls. It fires at most one fault: a panic
 // (*Fault), a sleep, or b.Trip(budget.Injected). nil receivers return
 // immediately; a trip on a nil budget is a no-op.
 func (in *Injector) At(b *budget.Budget, site Site, key string) {
 	if in == nil {
+		return
+	}
+	if in.root != nil {
+		in.root.At(b, site, in.prefix+key)
 		return
 	}
 	in.mu.Lock()
@@ -213,6 +242,9 @@ func (in *Injector) seededRule(site Site, key string) (rule, bool) {
 func (in *Injector) Fired() []string {
 	if in == nil {
 		return nil
+	}
+	if in.root != nil {
+		return in.root.Fired()
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()

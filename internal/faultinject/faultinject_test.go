@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,5 +118,44 @@ func TestExplicitOverridesSeeded(t *testing.T) {
 	in.At(nil, SiteForward, "i1") // must not panic: explicit delay wins
 	if got := in.Fired(); !reflect.DeepEqual(got, []string{"delay forward i1"}) {
 		t.Fatalf("Fired = %v, want the explicit delay", got)
+	}
+}
+
+// TestScopeDrawsIndependently: under one seed, two scoped injectors see the
+// same keys yet draw different decisions; a scope's decisions depend only on
+// the seed and its name; fired faults land, prefixed, in the root's log.
+func TestScopeDrawsIndependently(t *testing.T) {
+	// draw runs the backward hooks of 200 rounds of query 0, as one
+	// core.Solve sees them, and returns the fired faults without the prefix.
+	draw := func(root *Injector, name string) []string {
+		in := root.Scope(name)
+		for r := 0; r < 200; r++ {
+			func() {
+				defer func() { recover() }()
+				in.At(budget.New(nil, time.Time{}, 0), SiteBackward, fmt.Sprintf("r%d.q0", r))
+			}()
+		}
+		var out []string
+		for _, f := range root.Fired() {
+			if !strings.Contains(f, " "+name+"/r") {
+				t.Fatalf("fired %q without the prefix %s/", f, name)
+			}
+			out = append(out, strings.Replace(f, name+"/", "", 1))
+		}
+		return out
+	}
+	a, b := draw(Seeded(1, 0.2), "qa"), draw(Seeded(1, 0.2), "qb")
+	if len(a) == 0 || reflect.DeepEqual(a, b) {
+		t.Fatalf("two scopes drew %v and %v under one seed", a, b)
+	}
+	if again := draw(Seeded(1, 0.2), "qa"); !reflect.DeepEqual(a, again) {
+		t.Fatalf("scope qa drew %v, then %v", a, again)
+	}
+	if p := Seeded(1, 0.2).Scope("x").Scope("y").prefix; p != "x/y/" {
+		t.Fatalf("nested prefix %q, want x/y/", p)
+	}
+	var none *Injector
+	if none.Scope("q") != nil {
+		t.Fatal("the scope of a nil injector is not nil")
 	}
 }

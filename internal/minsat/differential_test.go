@@ -1,7 +1,9 @@
 package minsat
 
-// Differential test of the clause-mask engine against the occurrence-list
-// engine it replaced. The reference below transcribes that engine literally
+// Differential tests of minsat's engines. TestEngineMatchesReference checks
+// the clause-mask search against the occurrence-list engine it replaced,
+// and TestDiagramMatchesSearch (at the end) checks the diagram against the
+// search. The reference below transcribes the occurrence-list engine literally
 // — clauses as packed literal lists, one occurrence list per variable, a
 // three-valued assignment array, scanClause, and the epoch-stamped lower
 // bound — together with MinimumBudget's warm-result logic. Every call must
@@ -465,7 +467,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 8 + rng.Intn(293)
 		agg := obs.NewAgg() // clones inherit it; calls run one at a time
-		root := &lineage{s: New(n), ref: newRefSolver(n)}
+		root := &lineage{s: NewSearch(n), ref: newRefSolver(n)}
 		root.s.Instrument(agg)
 		lines := []*lineage{root}
 		dense := 0
@@ -530,4 +532,126 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d trials (%d past 64 dense variables, %d past 128), %d search nodes, largest dense universe %d",
 		trials, past64, past128, nodes, maxDense)
+}
+
+// ---------------------------------------------------------------------------
+// The diagram against the clause-mask search.
+
+// guardSteps bounds every call TestDiagramMatchesSearch compares. The search
+// is exponential on a few of the generator's instances (one trial in a
+// dozen can take over a minute unguarded); a guard trip ends the trial
+// rather than the test, and is counted.
+const guardSteps = 200000
+
+// twin is a diagram solver, its search-only twin fed the same clauses, and
+// the model their last call returned.
+type twin struct {
+	d, s  *Solver
+	model uset.Set
+}
+
+// TestDiagramMatchesSearch drives TestEngineMatchesReference's CEGAR-shaped
+// sequences through a diagram solver and a search-only twin: mixed-sign
+// cubes, rounds that block the returned model, Clone lineages advanced in
+// interleaved order, universes of 8–300 variables. Every call outside the
+// small quotas must return the search's model or agree on UNSAT. A call
+// under a step quota of 1–50 that trips must report ok=false with its
+// budget tripped, and the call after it must again agree. The test requires
+// that some calls were answered on a diagram, that some trials fell back,
+// and that some clones were taken of fallen-back solvers. Scale with
+// MINSAT_FUZZ_N.
+func TestDiagramMatchesSearch(t *testing.T) {
+	trials := fuzzTrials(6)
+	rng := rand.New(rand.NewSource(23))
+	var calls, onDiagram, trips, guarded, fellBack, fallenClones, maxNodes int
+	for trial := 0; trial < trials; trial++ {
+		n := 8 + rng.Intn(293)
+		// A cap of 2^8 to 2^15 nodes: low enough that most trials cross it
+		// quickly, so the fallback and clones of fallen-back solvers run in
+		// every batch of trials, and high enough that many calls are
+		// answered on the diagram first. TestMinimumBudgetAbort's control
+		// solve crosses the real cap.
+		limit := 1 << (8 + rng.Intn(8))
+		root := &twin{d: New(n), s: NewSearch(n)}
+		root.d.bdd = newDiagram(limit)
+		lines := []*twin{root}
+	rounds:
+		for round := 0; round < 40; round++ {
+			l := lines[rng.Intn(len(lines))]
+			if len(lines) < 4 && rng.Intn(6) == 0 {
+				if l.d.dropped {
+					fallenClones++
+				}
+				l = &twin{d: l.d.Clone(), s: l.s.Clone(), model: l.model}
+				lines = append(lines, l)
+			}
+			if l.model != nil && rng.Intn(4) == 0 {
+				l.d.Block(l.model, nil)
+				l.s.Block(l.model, nil)
+			} else {
+				for i := rng.Intn(3); i >= 0; i-- {
+					var pos, neg uset.Set
+					if rng.Intn(4) == 0 {
+						pos, neg = randCube(rng, n)
+					} else {
+						pos, neg = cegarCube(rng, n, l.model)
+					}
+					l.d.Block(pos, neg)
+					l.s.Block(pos, neg)
+				}
+			}
+			if rng.Intn(8) == 0 {
+				quota := 1 + rng.Int63n(50)
+				b := budget.New(nil, time.Time{}, quota)
+				if got, ok := l.d.MinimumBudget(b); b.Tripped() {
+					trips++
+					if ok || got != nil {
+						t.Fatalf("trial %d round %d: quota %d tripped, yet the call returned %v,%v",
+							trial, round, quota, got, ok)
+					}
+				} else if b.Steps() > quota {
+					t.Fatalf("trial %d round %d: %d steps past quota %d without a trip",
+						trial, round, b.Steps(), quota)
+				}
+			}
+			calls++
+			rb := budget.New(nil, time.Time{}, guardSteps)
+			want, wantOK := l.s.MinimumBudget(rb)
+			b := budget.New(nil, time.Time{}, guardSteps)
+			got, ok := l.d.MinimumBudget(b)
+			switch {
+			case b.Tripped() && !l.d.dropped:
+				t.Fatalf("trial %d round %d: a diagram of at most %d nodes tripped %d steps",
+					trial, round, limit, guardSteps)
+			case rb.Tripped() || b.Tripped():
+				guarded++
+				break rounds
+			case ok != wantOK || !got.Equal(want):
+				t.Fatalf("trial %d round %d (%d vars, %d clauses, fell back %v): diagram %v,%v; search %v,%v",
+					trial, round, n, l.d.NumClauses(), l.d.dropped, got, ok, want, wantOK)
+			}
+			if l.d.bdd != nil {
+				onDiagram++
+				maxNodes = max(maxNodes, len(l.d.bdd.nodes))
+			}
+			if ok {
+				l.model = got
+			} else {
+				if len(lines) == 1 {
+					break
+				}
+				lines = slices.DeleteFunc(lines, func(x *twin) bool { return x == l })
+			}
+		}
+		if root.d.dropped {
+			fellBack++
+		}
+	}
+	t.Logf("%d trials (%d roots fell back, %d clones of fallen-back solvers, %d ended by the guard), "+
+		"%d calls (%d on a diagram), %d quota trips, largest diagram %d nodes",
+		trials, fellBack, fallenClones, guarded, calls, onDiagram, trips, maxNodes)
+	if trials >= 6 && (onDiagram == 0 || fellBack == 0 || fallenClones == 0 || trips == 0) {
+		t.Fatalf("coverage: %d calls on a diagram, %d fallbacks, %d clones of fallen-back solvers, "+
+			"%d quota trips; want each > 0", onDiagram, fellBack, fallenClones, trips)
+	}
 }

@@ -10,11 +10,19 @@ import (
 	"tracer/internal/uset"
 )
 
-// freshMinimum rebuilds a solver from scratch over the same clause set and
-// solves it, so every differential test below compares the incremental
-// answer against one computed with no warm state at all.
+// engines are the two ways a solver answers: its diagram, and the
+// clause-mask search it falls back to. The tests below run on both.
+var engines = []struct {
+	name string
+	new  func(n int) *Solver
+}{{"diagram", New}, {"search", NewSearch}}
+
+// freshMinimum rebuilds a solver from scratch over the same clause set, on
+// the same engine, and solves it, so every differential test below compares
+// the incremental answer against one computed with no warm state at all.
 func freshMinimum(s *Solver) (uset.Set, bool) {
 	f := New(s.NumVars())
+	f.dropped = s.dropped
 	for _, c := range s.clauses {
 		f.Add(append(Clause(nil), c...))
 	}
@@ -40,10 +48,16 @@ func randClause(rng *rand.Rand, n int) Clause {
 // universes, against brute-force enumeration). Once UNSAT is reached, the
 // verdict must stay sticky and still match the fresh solver.
 func TestIncrementalMatchesFresh(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) { incrementalMatchesFresh(t, e.new) })
+	}
+}
+
+func incrementalMatchesFresh(t *testing.T, newSolver func(int) *Solver) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 8
 	for trial := 0; trial < 120; trial++ {
-		s := New(n)
+		s := newSolver(n)
 		for round := 0; round < 12; round++ {
 			for i := rng.Intn(3); i >= 0; i-- {
 				s.Add(randClause(rng, n))
@@ -74,10 +88,16 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 // round blocks the model just returned, so the cached model never survives
 // and the warm path exercised is the floor-bounded re-search.
 func TestIncrementalBlocksOwnModel(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) { incrementalBlocksOwnModel(t, e.new) })
+	}
+}
+
+func incrementalBlocksOwnModel(t *testing.T, newSolver func(int) *Solver) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 9
 	for trial := 0; trial < 40; trial++ {
-		s := New(n)
+		s := newSolver(n)
 		for i := 0; i < 4; i++ {
 			s.Add(randClause(rng, n))
 		}
@@ -105,10 +125,16 @@ func TestIncrementalBlocksOwnModel(t *testing.T) {
 // TestIncrementalCloneDivergence: clones inherit warm state but diverge
 // independently; both lineages must keep matching fresh solvers.
 func TestIncrementalCloneDivergence(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) { incrementalCloneDivergence(t, e.new) })
+	}
+}
+
+func incrementalCloneDivergence(t *testing.T, newSolver func(int) *Solver) {
 	rng := rand.New(rand.NewSource(43))
 	const n = 8
 	for trial := 0; trial < 60; trial++ {
-		s := New(n)
+		s := newSolver(n)
 		for i := 0; i < 3; i++ {
 			s.Add(randClause(rng, n))
 		}
@@ -129,33 +155,52 @@ func TestIncrementalCloneDivergence(t *testing.T) {
 
 // TestIncrementalAbortKeepsWarmState: a budget-aborted call must not
 // corrupt the warm state — the next unbudgeted call still answers exactly
-// like a fresh solver.
+// like a fresh solver. It runs on the search (a 40-vertex cover: aborted by
+// an expired deadline, then by a 3-step quota) and on the diagram (a
+// 24-vertex cover, whose diagram fits the cap: aborted twice by a 3-step
+// quota, in the middle of an apply; an apply that makes fewer nodes than
+// one polling interval does not consult the clock).
 func TestIncrementalAbortKeepsWarmState(t *testing.T) {
-	s := hardInstance(40)
-	if _, ok := s.Minimum(); !ok {
-		t.Fatal("hard instance unexpectedly unsat")
-	}
-	// Block the cached model so the next solve cannot take the zero-search
-	// path, then abort it immediately.
-	m, _ := s.Minimum()
-	s.Block(m, nil)
-	b := budget.New(nil, time.Now().Add(-time.Second), 0)
-	if _, ok := s.MinimumBudget(b); ok {
-		t.Fatal("aborted search returned a model")
-	}
-	got, ok := s.Minimum()
-	want, wantOK := freshMinimum(s)
-	if ok != wantOK || !got.Equal(want) {
-		t.Fatalf("post-abort minimum %v,%v; fresh %v,%v", got, ok, want, wantOK)
+	expired := func() *budget.Budget { return budget.New(nil, time.Now().Add(-time.Second), 0) }
+	quota := func() *budget.Budget { return budget.New(nil, time.Time{}, 3) }
+	search := hardInstance(40)
+	search.dropped = true
+	for _, c := range []struct {
+		name    string
+		s       *Solver
+		budgets []func() *budget.Budget
+	}{
+		{"search", search, []func() *budget.Budget{expired, quota}},
+		{"diagram", hardInstance(24), []func() *budget.Budget{quota, quota}},
+	} {
+		s := c.s
+		if _, ok := s.Minimum(); !ok {
+			t.Fatalf("%s: hard instance unexpectedly unsat", c.name)
+		}
+		for _, newBudget := range c.budgets {
+			// Block the cached model so the next solve cannot take the
+			// zero-search path, then abort it.
+			m, _ := s.Minimum()
+			s.Block(m, nil)
+			b := newBudget()
+			if _, ok := s.MinimumBudget(b); ok || !b.Tripped() {
+				t.Fatalf("%s: aborted call returned a model (tripped %v)", c.name, b.Tripped())
+			}
+			got, ok := s.Minimum()
+			want, wantOK := freshMinimum(s)
+			if ok != wantOK || !got.Equal(want) {
+				t.Fatalf("%s: post-abort minimum %v,%v; fresh %v,%v", c.name, got, ok, want, wantOK)
+			}
+		}
 	}
 }
 
-// TestIncrementalReuseCounter: the zero-search paths — unchanged clause
-// set, still-satisfied model, sticky UNSAT — all count on
-// minsat.incremental_reuse; a genuine re-search does not.
+// TestIncrementalReuseCounter: on the clause-mask search, the zero-search
+// paths — unchanged clause set, still-satisfied model, sticky UNSAT — all
+// count on minsat.incremental_reuse; a genuine re-search does not.
 func TestIncrementalReuseCounter(t *testing.T) {
 	agg := obs.NewAgg()
-	s := New(6)
+	s := NewSearch(6)
 	s.Instrument(agg)
 	s.Add(Clause{{Var: 0}, {Var: 1}})
 	s.Minimum() // cold: search
@@ -184,6 +229,60 @@ func TestIncrementalReuseCounter(t *testing.T) {
 	}
 }
 
+// TestDiagramReuseCounter: on the diagram, a call counts on
+// minsat.incremental_reuse exactly when its diagram is the one the previous
+// answer was read from — unchanged clause set, every added clause already
+// implied, or sticky UNSAT — and makes no node. A clause the cached model
+// satisfies but the diagram does not imply changes the diagram, so that call
+// walks again and is not a reuse.
+func TestDiagramReuseCounter(t *testing.T) {
+	agg := obs.NewAgg()
+	s := New(6)
+	s.Instrument(agg)
+	reuses := func() int64 { return agg.Counter(obs.MinsatIncrementalReuse) }
+	nodes := func() int64 { return agg.Counter(obs.MinsatSearchNodes) }
+	s.Add(Clause{{Var: 0}, {Var: 1}})
+	s.Minimum() // cold: builds the diagram
+	if n := reuses(); n != 0 {
+		t.Fatalf("cold solve counted %d reuses", n)
+	}
+	if nodes() == 0 {
+		t.Fatal("cold solve made no diagram node")
+	}
+	made := nodes()
+	s.Minimum() // unchanged clause set
+	if n := reuses(); n != 1 || nodes() != made {
+		t.Fatalf("unchanged-set reuse = %d (%d nodes made), want 1 (0)", n, nodes()-made)
+	}
+	s.Add(Clause{{Var: 0}, {Var: 1}, {Var: 3}}) // implied by x0 ∨ x1
+	if m, _ := s.Minimum(); !m.Equal(uset.New(1)) {
+		t.Fatalf("model %v, want {1}", m)
+	}
+	if n := reuses(); n != 2 || nodes() != made {
+		t.Fatalf("implied-clause reuse = %d (%d nodes made), want 2 (0)", n, nodes()-made)
+	}
+	s.Add(Clause{{Var: 2}, {Var: 1}}) // satisfied by the cached model {1}, not implied
+	if m, _ := s.Minimum(); !m.Equal(uset.New(1)) {
+		t.Fatalf("model %v, want {1}", m)
+	}
+	if n := reuses(); n != 2 {
+		t.Fatalf("changed diagram counted as reuse: %d", n)
+	}
+	s.Add(Clause{{Var: 1, Neg: true}}) // blocks the cached model
+	if m, _ := s.Minimum(); !m.Equal(uset.New(0, 2)) {
+		t.Fatalf("model %v, want {0,2}", m)
+	}
+	if n := reuses(); n != 2 {
+		t.Fatalf("new model counted as reuse: %d", n)
+	}
+	s.Block(nil, nil) // empty clause: UNSAT
+	s.Minimum()       // proves UNSAT (not a reuse: first detection)
+	s.Minimum()       // sticky UNSAT: reuse
+	if n := reuses(); n != 3 {
+		t.Fatalf("sticky-unsat reuse = %d, want 3", n)
+	}
+}
+
 // BenchmarkMinimumIncremental measures the CEGAR-shaped resolve loop —
 // solve, block the returned model, solve again — with warm state ("warm")
 // against rebuilding the solver from scratch each round ("fresh").
@@ -192,6 +291,7 @@ func BenchmarkMinimumIncremental(b *testing.B) {
 	run := func(b *testing.B, fresh bool) {
 		for i := 0; i < b.N; i++ {
 			s := hardInstance(vars)
+			s.dropped = true // time the search's warm state, not the diagram
 			for r := 0; r < rounds; r++ {
 				m, ok := s.Minimum()
 				if !ok {
@@ -215,12 +315,10 @@ func BenchmarkMinimumIncremental(b *testing.B) {
 // minimum model (most of its variables on, two to seven variables outside
 // it off), so every round forces a re-search. It stops after `rounds`
 // rounds or at UNSAT, and returns the cubes of each round as (pos, neg)
-// pairs plus the search nodes one replay visits.
-func cegarRounds(vars, rounds int, seed int64) ([][][2]uset.Set, int64) {
+// pairs.
+func cegarRounds(vars, rounds int, seed int64) [][][2]uset.Set {
 	rng := rand.New(rand.NewSource(seed))
-	agg := obs.NewAgg()
 	s := New(vars)
-	s.Instrument(agg)
 	var seq [][][2]uset.Set
 	var model uset.Set
 	for r := 0; r < rounds; r++ {
@@ -247,19 +345,20 @@ func cegarRounds(vars, rounds int, seed int64) ([][][2]uset.Set, int64) {
 		}
 		model = m
 	}
-	return seq, agg.Counter(obs.MinsatSearchNodes)
+	return seq
 }
 
-// BenchmarkMinimumCEGAR replays a fixed ~100-round CEGAR sequence over 20
-// variables on a fresh solver: block the round's cubes, then Minimum. Unlike
-// BenchmarkMinimumIncremental's all-positive vertex cover, the clauses are
-// mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
-func BenchmarkMinimumCEGAR(b *testing.B) {
+// benchCEGAR replays a fixed ~100-round CEGAR sequence over 20 variables on
+// a fresh solver from newSolver: block the round's cubes, then Minimum.
+// Unlike BenchmarkMinimumIncremental's all-positive vertex cover, the
+// clauses are mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
+// nodes/op is the work one replay charges (minsat.search_nodes).
+func benchCEGAR(b *testing.B, newSolver func(n int) *Solver) {
 	const vars = 20
-	seq, nodes := cegarRounds(vars, 100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(vars)
+	seq := cegarRounds(vars, 100, 1)
+	replay := func(rec obs.Recorder) {
+		s := newSolver(vars)
+		s.Instrument(rec)
 		for _, round := range seq {
 			for _, c := range round {
 				s.Block(c[0], c[1])
@@ -267,6 +366,20 @@ func BenchmarkMinimumCEGAR(b *testing.B) {
 			s.Minimum()
 		}
 	}
+	agg := obs.NewAgg()
+	replay(agg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay(nil)
+	}
 	b.ReportMetric(float64(len(seq)), "rounds")
-	b.ReportMetric(float64(nodes), "nodes/op")
+	b.ReportMetric(float64(agg.Counter(obs.MinsatSearchNodes)), "nodes/op")
 }
+
+// BenchmarkMinimumCEGAR times the CEGAR sequence on the diagram, as Minimum
+// answers it.
+func BenchmarkMinimumCEGAR(b *testing.B) { benchCEGAR(b, New) }
+
+// BenchmarkSearchCEGAR times the same sequence on the clause-mask search
+// alone, the engine a solver falls back to past the node cap.
+func BenchmarkSearchCEGAR(b *testing.B) { benchCEGAR(b, NewSearch) }

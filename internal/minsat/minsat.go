@@ -4,16 +4,45 @@
 // and repeatedly needs a *minimum* abstraction from it (line 8 of Alg 1):
 // the model with the fewest true variables, which corresponds to the
 // cheapest abstraction under both clients' cost orders (|p| for type-state,
-// number of L-mapped sites for thread-escape).
+// number of L-mapped sites for thread-escape). Ties are broken
+// deterministically: among minimum-cost models the lexicographically
+// smallest (false < true, by variable index) is returned. Every variable no
+// clause constrains is false in the returned model.
 //
-// The solver is an exact branch-and-bound DPLL with unit propagation. Only
-// variables mentioned in clauses are branched on; every unmentioned
-// variable is false in the returned model, so the solver scales with the
+// # The diagram
+//
+// A Solver answers from a reduced ordered BDD of the viable set (bdd.go).
+// Variables are ordered by parameter index, smallest at the top, and nodes
+// are hash-consed through a unique table, so each boolean function has one
+// node. Each node stores the fewest true variables on any path from it to
+// the true terminal, computed when the node is made. Minimum conjoins the
+// clauses added since the last call, one apply (f ∧ clause) each, and walks
+// from the root, taking the low edge (variable false) whenever that edge
+// reaches the node's minimum and the high edge otherwise. The walk yields
+// the lex-least minimum model in one pass over at most one node per
+// variable; the false terminal at the root means UNSAT. A call whose
+// diagram is the one the previous answer was read from (no clause added,
+// every added clause already implied, or UNSAT) returns the cached answer
+// and counts on "minsat.incremental_reuse".
+//
+// Every node made is charged one budget poll, as a search node is. A trip
+// in the middle of an apply leaves the root and the count of conjoined
+// clauses as they were, so the next call resumes from the last complete
+// apply and still answers exactly.
+//
+// # The fallback
+//
+// A diagram may grow exponentially in the number of variables, although the
+// benchmark suite's never passes tens of thousands of nodes. Past a fixed
+// node cap (nodeCap) the solver drops its diagram for good and answers every
+// later call, starting with the one that hit the cap, from the clause-mask
+// search below, built cold from the whole clause list. A fallback counts on
+// "minsat.fallback".
+//
+// The search is an exact branch-and-bound DPLL with unit propagation. Only
+// variables mentioned in clauses are branched on, so it scales with the
 // number of learned clauses rather than with the (possibly huge) parameter
-// space. Ties are broken deterministically: among minimum-cost models the
-// lexicographically smallest (false < true, by variable index) is returned.
-//
-// The search runs on bit masks. Mentioned variables are renamed to dense
+// space. It runs on bit masks. Mentioned variables are renamed to dense
 // indices, each clause is a mask of its positive and a mask of its negative
 // literals, and the assignment is a mask of true and a mask of false
 // variables, so classifying a clause (satisfied, unit, empty) or testing it
@@ -21,12 +50,12 @@
 // variable's value falsifies one of its literals, and propagation visits
 // only the clauses containing that literal.
 //
-// The solver is incremental: because CEGAR only ever adds blocking clauses,
+// The search is incremental: because CEGAR only ever adds blocking clauses,
 // the model set shrinks monotonically and results from one Minimum call
-// remain partial answers for the next. Between calls the solver keeps the
-// dense clause index (variable mapping, clause masks, per-literal
-// occurrence lists) and a warm result (last minimum model and its cost, or
-// a proven UNSAT verdict):
+// remain partial answers for the next. Between calls it keeps the dense
+// clause index (variable mapping, clause masks, per-literal occurrence
+// lists) and a warm result (last minimum model and its cost, or a proven
+// UNSAT verdict):
 //
 //   - If no clause has been added since the last call, or every clause added
 //     since is already satisfied by the cached model, that model is still the
@@ -43,9 +72,16 @@
 //     floor-cost model found is exactly the lex-least minimum the fresh
 //     search would return.
 //
-// Zero-search reuses are counted on the "minsat.incremental_reuse" counter.
-// Clone carries the warm state, so the batch scheduler's per-group solver
-// lineages stay warm across rounds.
+// Zero-search reuses count on "minsat.incremental_reuse" too.
+//
+// # Clones
+//
+// Clone shares nothing mutable with its parent, since the batch scheduler
+// clones solvers concurrently. A clone copies the nodes its parent's root
+// reaches into a fresh arena and unique table, dropping the nodes earlier
+// applies left unreachable, and keeps the cached answer. A clone of a solver
+// that fell back stays on the search and carries its warm state, so the
+// batch scheduler's per-group solver lineages stay warm across rounds.
 package minsat
 
 import (
@@ -80,16 +116,24 @@ type Solver struct {
 	// clause key each time was a measurable cost on large clause sets.
 	sig   string
 	sigOK bool
+	// bdd is the diagram of the viable set, built lazily on the first
+	// Minimum and synced to the clause list on each call. dropped records
+	// that it passed the node cap: from then on eng answers.
+	bdd     *diagram
+	dropped bool
 	// eng is the incremental search engine: a dense mirror of the clause set
 	// plus the warm result carried between Minimum calls. It is built lazily
-	// on the first Minimum and synced to the clause list on each call.
+	// on the first Minimum after the diagram is dropped and synced to the
+	// clause list on each call.
 	eng *engine
 }
 
 // Instrument attaches an observability recorder: every Minimum call reports
-// its wall time (timer "minsat.minimum") and branch-and-bound search size
-// (counter "minsat.search_nodes"); calls answered entirely from warm state
-// increment "minsat.incremental_reuse". Clones inherit the recorder.
+// its wall time (timer "minsat.minimum") and the work it charged to the
+// budget (counter "minsat.search_nodes": diagram nodes made, plus search
+// nodes after a fallback); calls answered entirely from the previous answer
+// increment "minsat.incremental_reuse", and a solver dropping its diagram
+// increments "minsat.fallback". Clones inherit the recorder.
 func (s *Solver) Instrument(rec obs.Recorder) { s.rec = rec }
 
 // New returns a solver over variables 0..n-1.
@@ -100,10 +144,11 @@ func New(n int) *Solver {
 // NumVars reports the size of the variable universe.
 func (s *Solver) NumVars() int { return s.n }
 
-// Clone returns an independent copy of the solver's clause set and warm
-// search state. TRACER's multi-query driver clones solvers when a query
-// group splits (§6); the clone resumes with its parent's bound and cached
-// model, so a group's first Minimum after a split is incremental too.
+// Clone returns an independent copy of the solver's clause set, diagram and
+// warm search state. TRACER's multi-query driver clones solvers when a query
+// group splits (§6); the clone resumes with its parent's diagram (or, after a
+// fallback, its bound and cached model), so a group's first Minimum after a
+// split is incremental too.
 func (s *Solver) Clone() *Solver {
 	out := New(s.n)
 	out.rec = s.rec
@@ -112,6 +157,10 @@ func (s *Solver) Clone() *Solver {
 		out.keys[k] = true
 	}
 	out.sig, out.sigOK = s.sig, s.sigOK
+	out.dropped = s.dropped
+	if s.bdd != nil {
+		out.bdd = s.bdd.clone()
+	}
 	if s.eng != nil {
 		out.eng = s.eng.clone()
 	}
@@ -419,33 +468,84 @@ func (s *Solver) Minimum() (model uset.Set, ok bool) {
 	return s.MinimumBudget(nil)
 }
 
-// MinimumBudget is Minimum under a cooperative budget: the branch-and-bound
-// search polls b once on entry and once per node, and abandons the search
-// when the budget trips, returning ok=false even if some (possibly
-// non-minimum) model was already found. Callers must therefore check
-// b.Tripped() before reading ok=false as unsatisfiability. A nil budget
-// never trips. An aborted call leaves the warm state untouched, so the
-// bound carried from the last completed call stays valid.
+// MinimumBudget is Minimum under a cooperative budget: the call polls b once
+// on entry and once per diagram node made (or search node visited, after a
+// fallback), and gives up when the budget trips, returning ok=false even if
+// some (possibly non-minimum) model was already found. Callers must
+// therefore check b.Tripped() before reading ok=false as unsatisfiability. A
+// nil budget never trips. An aborted call keeps every apply it completed and
+// leaves the warm state as it was, so the next call still answers exactly.
 func (s *Solver) MinimumBudget(b *budget.Budget) (model uset.Set, ok bool) {
-	nodes := 0
+	work := 0
 	reused := false
 	if s.rec != nil && s.rec.Enabled() {
 		start := time.Now()
 		defer func() {
 			s.rec.Timing(obs.MinsatMinimum, time.Since(start))
-			s.rec.Count(obs.MinsatSearchNodes, int64(nodes))
+			s.rec.Count(obs.MinsatSearchNodes, int64(work))
 			if reused {
 				s.rec.Count(obs.MinsatIncrementalReuse, 1)
 			}
 		}()
 	}
+	if !s.dropped {
+		var fits bool
+		model, ok, fits = s.diagramMinimum(b, &work, &reused)
+		if fits {
+			return model, ok
+		}
+		// Past the node cap: drop the diagram for good and search, cold.
+		s.bdd, s.dropped = nil, true
+		if s.rec != nil && s.rec.Enabled() {
+			s.rec.Count(obs.MinsatFallback, 1)
+		}
+	}
+	return s.search(b, &work, &reused)
+}
+
+// diagramMinimum conjoins the clauses added since the last call into the
+// diagram and walks it. fits=false reports that an apply reached the node
+// cap; the diagram must then be dropped.
+func (s *Solver) diagramMinimum(b *budget.Budget, made *int, reused *bool) (model uset.Set, ok, fits bool) {
+	if s.bdd == nil {
+		s.bdd = newDiagram(nodeCap)
+	}
+	d := s.bdd
+	if !b.Poll() {
+		return nil, false, true
+	}
+	for ; d.synced < len(s.clauses) && d.root != bddFalse; d.synced++ {
+		r := d.conjoin(s.clauses[d.synced], b, made)
+		switch r {
+		case applyTripped:
+			return nil, false, true
+		case applyFull:
+			return nil, false, false
+		}
+		d.root = r
+	}
+	if d.walked == d.root {
+		*reused = true
+		return d.model, d.root != bddFalse, true
+	}
+	d.walked, d.model = d.root, nil
+	if d.root == bddFalse {
+		return nil, false, true
+	}
+	d.model = d.walk()
+	return d.model, true, true
+}
+
+// search answers from the clause-mask engine, synced with every clause
+// added since its previous call.
+func (s *Solver) search(b *budget.Budget, nodes *int, reused *bool) (model uset.Set, ok bool) {
 	e := s.engine()
 	if !b.Poll() {
 		return nil, false
 	}
 	if e.hasEmpty {
 		if e.warm == warmUnsat {
-			reused = true
+			*reused = true
 		} else {
 			e.warm, e.model = warmUnsat, nil
 		}
@@ -453,7 +553,7 @@ func (s *Solver) MinimumBudget(b *budget.Budget) (model uset.Set, ok bool) {
 	}
 	switch e.warm {
 	case warmUnsat:
-		reused = true
+		*reused = true
 		return nil, false
 	case warmModel:
 		// The cached model is the lex-least minimum of the first `checked`
@@ -469,11 +569,11 @@ func (s *Solver) MinimumBudget(b *budget.Budget) (model uset.Set, ok bool) {
 		}
 		if stillSat {
 			e.checked = len(s.clauses)
-			reused = true
+			*reused = true
 			return e.model, true
 		}
 	}
-	m, found, aborted := e.run(b, &nodes)
+	m, found, aborted := e.run(b, nodes)
 	if aborted {
 		return nil, false
 	}

@@ -42,17 +42,21 @@ const (
 )
 
 // Names recorded by the minimum-model solver (minsat.Solver) when
-// instrumented. MinsatMinimum is a timer (wall time of one Minimum call);
-// MinsatSearchNodes counts branch-and-bound nodes visited;
-// MinsatIncrementalReuse counts Minimum calls answered entirely from the
-// solver's warm state — the cached model still satisfies every clause added
-// since it was computed, or UNSAT was already proven — without visiting a
-// single search node. See the "Minsat incrementality" section of
-// ARCHITECTURE.md for the warm-start contract.
+// instrumented. MinsatMinimum is a timer (wall time of one Minimum call).
+// MinsatSearchNodes counts the line-8 work charged to the budget: nodes made
+// in the solver's BDD of the viable set, plus branch-and-bound nodes visited
+// after a fallback. MinsatIncrementalReuse counts Minimum calls answered from
+// the previous answer without a walk or a search: the diagram did not change
+// since (after a fallback: the cached model still satisfies every clause
+// added since it was computed), or UNSAT was already proven. MinsatFallback
+// counts solvers whose diagram passed the node cap and that answer from the
+// clause-mask search from then on. See the "Line 8" section of
+// ARCHITECTURE.md.
 const (
 	MinsatMinimum          = "minsat.minimum"
 	MinsatSearchNodes      = "minsat.search_nodes"
 	MinsatIncrementalReuse = "minsat.incremental_reuse"
+	MinsatFallback         = "minsat.fallback"
 )
 
 // Counter/gauge names for the interned formula kernel (formula.Universe).
