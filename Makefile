@@ -39,7 +39,8 @@ chaos:
 	go run ./cmd/tracer -chaos-seed 7 -chaos-rate 0.2 -auto /tmp/tsp.tir
 
 # Differential fuzzing: the oracle package's fixed-seed property and
-# metamorphic suites under -race, the minimum-model search against the
+# metamorphic suites under -race, both delta chains' flip suites against a
+# cold solve over FUZZ_N seeds, the minimum-model search against the
 # engine it replaced and the minimum-model diagram against the search
 # (single-goroutine, so without -race, which slows them about 20x), the
 # diagram replaying every suite query's learned cubes against the search
@@ -54,6 +55,7 @@ fuzz:
 	go test -race -count=1 ./internal/oracle/... -v
 	DECODER_FUZZ_N=$(FUZZ_N) go test -race -count=1 \
 		-run 'TestDecoderSeededFuzz|FuzzDecodeRequest' ./internal/server/ -v
+	CHAIN_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestChainFlipChain' ./internal/dataflow/ ./internal/rhs/
 	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference|TestDiagramMatchesSearch' \
 		./internal/minsat/ -v
 	MINSAT_REPLAY_SUITE=all go test -count=1 -run 'TestReplayMatchesSearch' ./internal/minsat/ -v
@@ -79,12 +81,12 @@ bench:
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
 # cache, Simplify), the minimum-model solver's CEGAR-shaped blocking-cube
-# sequence on the diagram and on the fallback search alone, the search's
-# warm/fresh resolve loop, the CEGAR loop's own overhead on a mock problem,
-# and opening a warm-start session on a full store.
+# sequence on the diagram and on the fallback search alone, the CEGAR loop's
+# own overhead on a mock problem, and opening a warm-start session on a full
+# store.
 bench-micro:
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
-	go test -run=NONE -bench 'MinimumIncremental|MinimumCEGAR|SearchCEGAR' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'MinimumCEGAR|SearchCEGAR' -benchmem ./internal/minsat/...
 	go test -run=NONE -bench 'SolveLoop' -benchmem ./internal/core/...
 	go test -run=NONE -bench 'SessionOpen' -benchmem ./internal/warm/...
 

@@ -173,9 +173,9 @@ func (b *Batch[D, Q, A]) RunForward(bud *budget.Budget, p uset.Set) core.BatchRu
 	return b.start(b.newRun(bud, p))
 }
 
-// RunForwardFrom returns a run under p that resumes the donor's retained
-// execution of each part it solves instead of solving cold. The donor hands
-// over its chain for every part: the ones it solved itself, and the ones it
+// RunForwardFrom returns a run under p that resumes the donor's chain for
+// each part it solves instead of solving cold. The donor hands over its
+// chain for every part: the ones it solved itself, and the ones it
 // inherited from its own donor and never used, so a chain keeps serving its
 // part across a whole lineage of donations until the part is asked again.
 // The donor is consumed: each chain (and analysis instance, whose intern

@@ -48,7 +48,7 @@ type Analysis[D comparable, Q Query] interface {
 	Transfer(p uset.Set) dataflow.Transfer[D]
 	// TransferDep is Transfer that also returns, per application, the
 	// signed literal of the parameter it read (dataflow.DepLit), which the
-	// delta engines use to resume a retained run across abstraction flips.
+	// delta engines use to reuse transfer results across abstraction flips.
 	TransferDep(p uset.Set) dataflow.DepTransfer[D]
 	// Holds reports whether the abstract state d satisfies query q.
 	Holds(q Q, d D) bool
@@ -95,7 +95,7 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	// iterations. It is checked out with an atomic swap for the duration of
 	// a solve, so concurrent Forward calls on one job fall back to a fresh
 	// chain instead of racing, and stored back only after a solve returns
-	// normally (a trip poisons its retained run internally; a panic abandons
+	// normally (after a trip the chain keeps only its memo; a panic abandons
 	// the chain entirely, so the next solve starts cold).
 	chain atomic.Pointer[dataflow.Chain[D]]
 }

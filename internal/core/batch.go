@@ -55,11 +55,11 @@ type BatchRun interface {
 
 // DeltaBatchProblem is a BatchProblem whose forward runs retain resumable
 // state (see dataflow.Chain): RunForwardFrom seeds a fresh solve under p with
-// a donor run previously produced under donorP, so the solver revalidates the
-// donor's retained execution against the parameter flip instead of starting
-// cold. The donor is CONSUMED — resuming invalidates the donor's result, so
-// the scheduler removes the donor from the forward-run memo before donating
-// and never lets it serve another Check. The returned run must be
+// a donor run previously produced under donorP, so the solve replays through
+// the donor's expansion memo instead of starting cold. The donor is CONSUMED
+// — resuming invalidates the donor's result, so the scheduler removes the
+// donor from the forward-run memo before donating and never lets it serve
+// another Check. The returned run must be
 // byte-equivalent to RunForward(b, p): same check verdicts, same traces, same
 // step counts.
 type DeltaBatchProblem interface {
@@ -95,10 +95,12 @@ type BatchStats struct {
 	FwdCacheMisses int
 	// DeltaResumes / PEReused / PEInvalidated aggregate the delta-incremental
 	// forward engine's accounting across the batch's runs (DeltaBatchProblem
-	// only; zero otherwise). DeltaResumes counts solves served by resuming a
-	// retained execution; PEReused counts path edges that survived
-	// revalidation or were served from the expansion memo without a transfer
-	// call; PEInvalidated counts path edges rolled back by a parameter flip.
+	// only; zero otherwise). DeltaResumes counts solves made while a complete
+	// retained run from the same initial state existed; PEReused counts
+	// expansions served from the chain's memo without a transfer call (the
+	// retained run's discoveries, when it is returned as-is); PEInvalidated
+	// counts memo records recomputed because a parameter flip disagreed with
+	// one of their dependency literals.
 	// The totals reconcile with the forward_done events: PEReused equals the
 	// sum of their Reused fields, and with the forward.delta_* counters
 	// recorded per forward-run phase.
@@ -326,10 +328,10 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 	ordinal := 0 // global group-iteration counter
 	// Donor-seeded resumption: on a memo miss, a DeltaBatchProblem's fresh
 	// run may resume a consumed memo entry whose abstraction is within
-	// maxFlip flipped parameters. The cap is tight: a near flip usually
-	// leaves the retained run valid (or mostly valid), while a far flip
-	// invalidates so much that a cold solve is cheaper — and consuming the
-	// entry turns its future exact hits into misses for nothing.
+	// maxFlip flipped parameters. A donor replays through its expansion memo
+	// and never makes more transfer calls than a cold solve, so the cap is
+	// there only for the entry: consuming it turns its future exact hits
+	// into misses.
 	dbp, _ := bp.(DeltaBatchProblem)
 	if opts.NoDelta {
 		dbp = nil
@@ -761,11 +763,11 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 	// A query alone in its group refines the group's solver in place: no
 	// other unit reads it, and the group ends with this round. Otherwise
 	// each query refines a clone. Either way the refined solver keeps the
-	// group's warm state (cached minimum and cost floor), so the next
-	// round's Minimum resumes from this round's floor instead of starting
-	// cold. When several units land on one signature, the sequential merge
-	// below keeps the first unit's solver in deterministic unit order, so the
-	// donated warm state is independent of the worker count.
+	// group's diagram, so the next round's Minimum conjoins only the clauses
+	// learned since instead of starting cold. When several units land on one
+	// signature, the sequential merge below keeps the first unit's solver in
+	// deterministic unit order, so the donated diagram is independent of the
+	// worker count.
 	next := pl.g.solver
 	if len(pl.g.queries) > 1 {
 		next = next.Clone()

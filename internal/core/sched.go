@@ -153,7 +153,7 @@ func (c *fwdCache) takeDonor(p uset.Set, wanted map[string]bool, maxFlip int) *f
 }
 
 // flipDist is the size of the symmetric difference of two abstractions — the
-// number of parameters a donor run's revalidation has to consider flipped.
+// number of parameters whose polarity differs between a donor run and p.
 func flipDist(a, b uset.Set) int {
 	i, j, d := 0, 0, 0
 	for i < len(a) && j < len(b) {

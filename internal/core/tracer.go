@@ -65,11 +65,13 @@ type Outcome struct {
 	// Steps is a machine-independent cost measure of the run.
 	Steps int
 	// Resumed, Reused and Invalidated account the delta-incremental
-	// forward path: whether the run resumed a retained run, how many
-	// discoveries (path edges, for the tabulation engine) it served without
-	// a transfer call, and how many a parameter flip rolled back. All zero
-	// for a cold run. The loop counts them on the forward.delta_* counters
-	// and carries Reused into the ForwardDone event.
+	// forward path: whether a complete retained run from the same initial
+	// state existed, how many expansions (transfer applications, for the
+	// tabulation engine) the run served from the chain's memo without a
+	// transfer call, and how many memo records it recomputed because a
+	// parameter flip disagreed with them. All zero for a run on an empty
+	// memo. The loop counts them on the forward.delta_* counters and
+	// carries Reused into the ForwardDone event.
 	Resumed     bool
 	Reused      int
 	Invalidated int

@@ -23,7 +23,7 @@ func TestChainFlipChainNullness(t *testing.T) {
 		Vars: chainLocals, Sites: chainSites, Fields: chainFields,
 		Globals: []string{"G"}, Methods: []string{"m"},
 	})
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))

@@ -3,7 +3,9 @@ package dataflow_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"tracer/internal/dataflow"
@@ -27,6 +29,15 @@ var (
 	chainSites  = []string{"h1", "h2", "h3"}
 	chainVars   = []string{"w", "x", "y", "z"}
 )
+
+// chainSeeds reads the flip suites' seed count from CHAIN_FUZZ_N (make fuzz
+// runs more seeds) and defaults to n.
+func chainSeeds(n int) int64 {
+	if v, err := strconv.Atoi(os.Getenv("CHAIN_FUZZ_N")); err == nil && v > 0 {
+		return int64(v)
+	}
+	return int64(n)
+}
 
 // randAbs draws a random abstraction over n parameters.
 func randAbs(rng *rand.Rand, n int) uset.Set {
@@ -70,7 +81,7 @@ func TestChainFlipChainEscape(t *testing.T) {
 		Vars: chainLocals, Sites: chainSites, Fields: chainFields,
 		Globals: []string{"G"}, Methods: []string{"m"},
 	})
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))
@@ -92,7 +103,7 @@ func TestChainFlipChainTypestate(t *testing.T) {
 		Globals: []string{"G"},
 		Methods: []string{"open", "close", "connect", "send", "next", "hasNext"},
 	})
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))
@@ -110,7 +121,7 @@ func TestChainFlipChainTypestate(t *testing.T) {
 
 // TestChainSingleBitWalk flips exactly one parameter per step — the minimal
 // CEGAR move and the sharpest test of the invalidation cone: everything the
-// flipped parameter never touched must be served from the retained run.
+// flipped parameter never touched must be served from the expansion memo.
 func TestChainSingleBitWalk(t *testing.T) {
 	pool := gen.Pool(gen.Universe{
 		Vars: chainLocals, Sites: chainSites, Fields: chainFields,
@@ -157,4 +168,62 @@ func TestChainRepeatedAbstraction(t *testing.T) {
 	}
 	want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
 	checkEquiv(t, g, second, want, a.Initial(), a.Transfer(p))
+}
+
+// chainAccountingFixture is an escape program that allocates site h2, then
+// site h1, so a flip of h1's parameter leaves the records before that
+// allocation clean. Site h9 is never allocated, so no record consults its
+// parameter.
+func chainAccountingFixture() (*lang.CFG, *escape.Analysis) {
+	prog := lang.Seq{
+		Fst: lang.Atomic{A: lang.Alloc{V: "v", H: "h2"}},
+		Snd: lang.Seq{
+			Fst: lang.Choice{Left: lang.Atomic{A: lang.MoveNull{V: "w"}}, Right: lang.Skip{}},
+			Snd: lang.Seq{
+				Fst: lang.Atomic{A: lang.Alloc{V: "u", H: "h1"}},
+				Snd: lang.Atomic{A: lang.GlobalWrite{G: "G", V: "u"}},
+			},
+		},
+	}
+	return lang.BuildCFG(prog), escape.New(chainLocals, chainFields, []string{"h1", "h2", "h3", "h9"})
+}
+
+// TestChainFastPath re-solves an unchanged abstraction, then flips a
+// parameter no record consulted: both solves must hand back the retained
+// Result, with every discovery counted as reused and none invalidated.
+func TestChainFastPath(t *testing.T) {
+	g, a := chainAccountingFixture()
+	ch := dataflow.NewChain[escape.State](g)
+	p := uset.New(0, 1)
+	first := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	for _, q := range []uset.Set{p, uset.New(0, 1, 3)} {
+		got := ch.Solve(q, a.Initial(), a.TransferDep(q), nil)
+		if got != first {
+			t.Fatalf("abstraction %v did not serve the retained result", q)
+		}
+		if resumed, reused, invalidated := ch.Stats(); !resumed || reused != first.Steps || invalidated != 0 {
+			t.Fatalf("abstraction %v: stats = (%v, %d, %d), want (true, %d, 0)",
+				q, resumed, reused, invalidated, first.Steps)
+		}
+		want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(q), nil)
+		checkEquiv(t, g, got, want, a.Initial(), a.Transfer(q))
+	}
+}
+
+// TestChainInvalidation flips a consulted parameter: the solve replays from
+// the root, serving the records before the flipped allocation from the memo
+// and recomputing the one that consulted it.
+func TestChainInvalidation(t *testing.T) {
+	g, a := chainAccountingFixture()
+	ch := dataflow.NewChain[escape.State](g)
+	p := uset.New(1)
+	ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	q := uset.New(0, 1)
+	got := ch.Solve(q, a.Initial(), a.TransferDep(q), nil)
+	want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(q), nil)
+	checkEquiv(t, g, got, want, a.Initial(), a.Transfer(q))
+	if resumed, reused, invalidated := ch.Stats(); !resumed || reused == 0 || invalidated == 0 {
+		t.Fatalf("flip of a consulted parameter: stats = (%v, %d, %d), want a resume with reuse and invalidations",
+			resumed, reused, invalidated)
+	}
 }

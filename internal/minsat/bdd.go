@@ -7,13 +7,14 @@ import (
 	"tracer/internal/uset"
 )
 
-// nodeCap bounds a diagram's node arena. A solver whose diagram would grow
-// past it drops the diagram for good and answers from the clause-mask
-// search instead. The benchmark suite's largest diagram has 4,220 nodes at
-// 100 iterations per query, and 64,032 when its hardest query runs to
-// 4,738; the cap leaves room above that while bounding what an adversarial
-// clause set costs before the fallback (about a tenth of a second of node
-// building on a 2-vCPU VM).
+// nodeCap bounds a diagram's node arena. An apply that would grow the arena
+// past it compacts the diagram first; a solver whose compacted diagram still
+// fills more than half the cap drops the diagram for good and answers from
+// the clause-mask search instead. The benchmark suite's largest arena has
+// 4,220 nodes at 100 iterations per query, and 64,032 when its hardest query
+// runs to 4,738; the cap leaves room above that while bounding what an
+// adversarial clause set costs before the fallback (about a tenth of a
+// second of node building on a 2-vCPU VM).
 const nodeCap = 1 << 17
 
 // Terminal node ids.
@@ -43,15 +44,15 @@ type bddNode struct {
 
 // diagram is a hash-consed reduced ordered BDD of the viable set: the
 // conjunction of a prefix of the solver's clauses. Variables are ordered by
-// parameter index, smallest at the top. Nodes live in an append-only arena
-// and are never freed; a clone copies only the nodes its root reaches.
+// parameter index, smallest at the top. Nodes live in an append-only arena;
+// compact copies only the nodes the root reaches into a fresh one.
 type diagram struct {
 	nodes []bddNode
 	// table is the open-addressed unique table: a power of two of slots, at
 	// most half full, each holding a node's (v, lo, hi) and id (0 = empty;
 	// the terminals are never in it).
 	table []tableSlot
-	limit int // arena size past which the diagram is dropped (nodeCap)
+	limit int // arena size at which an apply stops (nodeCap)
 
 	root   int32 // the conjunction of the first synced clauses
 	synced int
@@ -287,10 +288,13 @@ func (d *diagram) walk() uset.Set {
 	return uset.Set(m)
 }
 
-// clone copies the nodes the root reaches into a fresh arena. Children are
-// always made before their parents, so one backward pass over the arena
-// marks the reachable nodes and one forward pass copies them in order.
-func (d *diagram) clone() *diagram {
+// compact returns a copy of the diagram that holds only the nodes the root
+// reaches, in a fresh arena and unique table, with the same root, synced
+// count and cached answer. Children are always made before their parents, so
+// one backward pass over the arena marks the reachable nodes and one forward
+// pass copies them in order. It makes no node, so it polls and counts
+// nothing.
+func (d *diagram) compact() *diagram {
 	live := make([]bool, len(d.nodes))
 	live[d.root] = true
 	for id := len(d.nodes) - 1; id >= 2; id-- {

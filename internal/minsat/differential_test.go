@@ -6,7 +6,7 @@ package minsat
 // search. The reference below transcribes the occurrence-list engine literally
 // — clauses as packed literal lists, one occurrence list per variable, a
 // three-valued assignment array, scanClause, and the epoch-stamped lower
-// bound — together with MinimumBudget's warm-result logic. Every call must
+// bound — answering each call cold, as the search does. Every call must
 // agree with it on the model or UNSAT verdict, on whether and at which
 // budget step the call trips, and on the number of search nodes: the two
 // engines must walk the same search tree node for node.
@@ -44,11 +44,6 @@ type refEngine struct {
 
 	hasEmpty bool
 
-	warm    int8
-	model   uset.Set
-	floor   int
-	checked int
-
 	order   []int32
 	orderOK bool
 
@@ -69,53 +64,28 @@ type refSolver struct {
 }
 
 func newRefSolver(n int) *refSolver {
-	return &refSolver{s: New(n), eng: &refEngine{vmap: make(map[int]int32), floor: -1}}
+	return &refSolver{s: New(n), eng: &refEngine{vmap: make(map[int]int32)}}
 }
 
 func (r *refSolver) clone() *refSolver {
 	return &refSolver{s: r.s.Clone(), eng: r.eng.clone()}
 }
 
-// minimum transcribes MinimumBudget over the reference engine and returns
-// the number of search nodes it visited.
+// minimum transcribes the search's MinimumBudget over the reference engine
+// and returns the number of search nodes it visited.
 func (r *refSolver) minimum(b *budget.Budget) (model uset.Set, ok bool, nodes int) {
 	e := r.eng
 	for _, c := range r.s.clauses[e.synced:] {
 		e.addClause(c)
 	}
 	e.synced = len(r.s.clauses)
-	if !b.Poll() {
+	if !b.Poll() || e.hasEmpty {
 		return nil, false, 0
-	}
-	if e.hasEmpty {
-		e.warm, e.model = warmUnsat, nil
-		return nil, false, 0
-	}
-	switch e.warm {
-	case warmUnsat:
-		return nil, false, 0
-	case warmModel:
-		stillSat := true
-		for _, c := range r.s.clauses[e.checked:] {
-			if !clauseSatisfied(c, e.model) {
-				stillSat = false
-				break
-			}
-		}
-		if stillSat {
-			e.checked = len(r.s.clauses)
-			return e.model, true, 0
-		}
 	}
 	m, found, aborted := e.run(b, &nodes)
-	if aborted {
+	if aborted || !found {
 		return nil, false, nodes
 	}
-	if !found {
-		e.warm, e.model = warmUnsat, nil
-		return nil, false, nodes
-	}
-	e.warm, e.model, e.floor, e.checked = warmModel, m, m.Len(), len(r.s.clauses)
 	return m, true, nodes
 }
 
@@ -154,10 +124,6 @@ func (e *refEngine) clone() *refEngine {
 		occ:      make([][]int32, len(e.occ)),
 		synced:   e.synced,
 		hasEmpty: e.hasEmpty,
-		warm:     e.warm,
-		model:    e.model,
-		floor:    e.floor,
-		checked:  e.checked,
 		order:    e.order,
 		orderOK:  e.orderOK,
 	}
@@ -218,11 +184,6 @@ func (e *refEngine) run(b *budget.Budget, nodes *int) (model uset.Set, found, ab
 
 	best := -1
 	var bestModel []int
-	floor := -1
-	if e.warm == warmModel {
-		floor = e.floor
-	}
-	done := false
 	abort := false
 
 	propagate := func(start int) (setTrue int, conflict bool) {
@@ -315,7 +276,7 @@ func (e *refEngine) run(b *budget.Budget, nodes *int) (model uset.Set, found, ab
 
 	var search func(idx int32, cost int, branched int32)
 	search = func(idx int32, cost int, branched int32) {
-		if abort || done {
+		if abort {
 			return
 		}
 		if !b.Poll() {
@@ -363,9 +324,6 @@ func (e *refEngine) run(b *budget.Budget, nodes *int) (model uset.Set, found, ab
 						bestModel = append(bestModel, e.dvar[dv])
 					}
 				}
-				if floor >= 0 && best == floor {
-					done = true
-				}
 			}
 			undo()
 			return
@@ -373,7 +331,7 @@ func (e *refEngine) run(b *budget.Budget, nodes *int) (model uset.Set, found, ab
 		v := e.order[i]
 		e.assign[v] = refFalse
 		search(i+1, cost, v)
-		if abort || done {
+		if abort {
 			return
 		}
 		e.assign[v] = refTrue
@@ -437,7 +395,7 @@ func cegarCube(rng *rand.Rand, n int, model uset.Set) (pos, neg uset.Set) {
 }
 
 // randCube draws a mixed-sign cube over n variables that need not contain
-// the last model, so some rounds leave it satisfied (a zero-search reuse).
+// the last model, so some rounds leave it satisfied.
 func randCube(rng *rand.Rand, n int) (pos, neg uset.Set) {
 	for i := rng.Intn(4); i > 0; i-- {
 		if v := rng.Intn(n); !neg.Has(v) {
@@ -474,7 +432,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			l := lines[rng.Intn(len(lines))]
 			if len(lines) < 4 && rng.Intn(6) == 0 {
-				// Fork: the clone shares the parent's masks and warm state.
+				// Fork: the clone shares the parent's masks.
 				l = &lineage{s: l.s.Clone(), ref: l.ref.clone(), model: l.model}
 				lines = append(lines, l)
 			}

@@ -19,7 +19,7 @@ var engines = []struct {
 
 // freshMinimum rebuilds a solver from scratch over the same clause set, on
 // the same engine, and solves it, so every differential test below compares
-// the incremental answer against one computed with no warm state at all.
+// the incremental answer against one computed with no carried state at all.
 func freshMinimum(s *Solver) (uset.Set, bool) {
 	f := New(s.NumVars())
 	f.dropped = s.dropped
@@ -85,8 +85,8 @@ func incrementalMatchesFresh(t *testing.T, newSolver func(int) *Solver) {
 }
 
 // TestIncrementalBlocksOwnModel mirrors the real CEGAR interaction: each
-// round blocks the model just returned, so the cached model never survives
-// and the warm path exercised is the floor-bounded re-search.
+// round blocks the model just returned, so the cached answer never survives
+// and every call conjoins into the diagram (or searches) again.
 func TestIncrementalBlocksOwnModel(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) { incrementalBlocksOwnModel(t, e.new) })
@@ -122,8 +122,9 @@ func incrementalBlocksOwnModel(t *testing.T, newSolver func(int) *Solver) {
 	}
 }
 
-// TestIncrementalCloneDivergence: clones inherit warm state but diverge
-// independently; both lineages must keep matching fresh solvers.
+// TestIncrementalCloneDivergence: clones inherit their parent's diagram (or
+// clause index) but diverge independently; both lineages must keep matching
+// fresh solvers.
 func TestIncrementalCloneDivergence(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) { incrementalCloneDivergence(t, e.new) })
@@ -154,12 +155,12 @@ func incrementalCloneDivergence(t *testing.T, newSolver func(int) *Solver) {
 }
 
 // TestIncrementalAbortKeepsWarmState: a budget-aborted call must not
-// corrupt the warm state — the next unbudgeted call still answers exactly
-// like a fresh solver. It runs on the search (a 40-vertex cover: aborted by
-// an expired deadline, then by a 3-step quota) and on the diagram (a
-// 24-vertex cover, whose diagram fits the cap: aborted twice by a 3-step
-// quota, in the middle of an apply; an apply that makes fewer nodes than
-// one polling interval does not consult the clock).
+// corrupt what the solver carries between calls — the next unbudgeted call
+// still answers exactly like a fresh solver. It runs on the search (a
+// 40-vertex cover: aborted by an expired deadline, then by a 3-step quota)
+// and on the diagram (a 24-vertex cover, whose diagram fits the cap: aborted
+// twice by a 3-step quota, in the middle of an apply; an apply that makes
+// fewer nodes than one polling interval does not consult the clock).
 func TestIncrementalAbortKeepsWarmState(t *testing.T) {
 	expired := func() *budget.Budget { return budget.New(nil, time.Now().Add(-time.Second), 0) }
 	quota := func() *budget.Budget { return budget.New(nil, time.Time{}, 3) }
@@ -178,8 +179,8 @@ func TestIncrementalAbortKeepsWarmState(t *testing.T) {
 			t.Fatalf("%s: hard instance unexpectedly unsat", c.name)
 		}
 		for _, newBudget := range c.budgets {
-			// Block the cached model so the next solve cannot take the
-			// zero-search path, then abort it.
+			// Block the cached model so the next solve cannot reuse the
+			// previous answer, then abort it.
 			m, _ := s.Minimum()
 			s.Block(m, nil)
 			b := newBudget()
@@ -192,40 +193,6 @@ func TestIncrementalAbortKeepsWarmState(t *testing.T) {
 				t.Fatalf("%s: post-abort minimum %v,%v; fresh %v,%v", c.name, got, ok, want, wantOK)
 			}
 		}
-	}
-}
-
-// TestIncrementalReuseCounter: on the clause-mask search, the zero-search
-// paths — unchanged clause set, still-satisfied model, sticky UNSAT — all
-// count on minsat.incremental_reuse; a genuine re-search does not.
-func TestIncrementalReuseCounter(t *testing.T) {
-	agg := obs.NewAgg()
-	s := NewSearch(6)
-	s.Instrument(agg)
-	s.Add(Clause{{Var: 0}, {Var: 1}})
-	s.Minimum() // cold: search
-	if n := agg.Counter(obs.MinsatIncrementalReuse); n != 0 {
-		t.Fatalf("cold solve counted %d reuses", n)
-	}
-	s.Minimum() // unchanged clause set
-	if n := agg.Counter(obs.MinsatIncrementalReuse); n != 1 {
-		t.Fatalf("unchanged-set reuse = %d, want 1", n)
-	}
-	s.Add(Clause{{Var: 2}, {Var: 1}}) // satisfied by the cached model {1}
-	s.Minimum()
-	if n := agg.Counter(obs.MinsatIncrementalReuse); n != 2 {
-		t.Fatalf("model-still-satisfies reuse = %d, want 2", n)
-	}
-	s.Add(Clause{{Var: 1, Neg: true}}) // blocks the cached model
-	s.Minimum()
-	if n := agg.Counter(obs.MinsatIncrementalReuse); n != 2 {
-		t.Fatalf("re-search counted as reuse: %d", n)
-	}
-	s.Block(nil, nil) // empty clause: UNSAT
-	s.Minimum()       // proves UNSAT (not a reuse: first detection)
-	s.Minimum()       // sticky UNSAT: reuse
-	if n := agg.Counter(obs.MinsatIncrementalReuse); n != 3 {
-		t.Fatalf("sticky-unsat reuse = %d, want 3", n)
 	}
 }
 
@@ -283,32 +250,6 @@ func TestDiagramReuseCounter(t *testing.T) {
 	}
 }
 
-// BenchmarkMinimumIncremental measures the CEGAR-shaped resolve loop —
-// solve, block the returned model, solve again — with warm state ("warm")
-// against rebuilding the solver from scratch each round ("fresh").
-func BenchmarkMinimumIncremental(b *testing.B) {
-	const vars, rounds = 36, 12
-	run := func(b *testing.B, fresh bool) {
-		for i := 0; i < b.N; i++ {
-			s := hardInstance(vars)
-			s.dropped = true // time the search's warm state, not the diagram
-			for r := 0; r < rounds; r++ {
-				m, ok := s.Minimum()
-				if !ok {
-					break
-				}
-				s.Block(m, nil)
-				if fresh {
-					s = s.Clone()
-					s.eng = nil // discard the warm engine: next solve is cold
-				}
-			}
-		}
-	}
-	b.Run("warm", func(b *testing.B) { run(b, false) })
-	b.Run("fresh", func(b *testing.B) { run(b, true) })
-}
-
 // cegarRounds records the blocking cubes of a CEGAR run that never proves
 // its query, the shape an exhausted thread-escape query leaves in minsat:
 // each round learns one or two mixed-sign cubes that contain the current
@@ -350,8 +291,8 @@ func cegarRounds(vars, rounds int, seed int64) [][][2]uset.Set {
 
 // benchCEGAR replays a fixed ~100-round CEGAR sequence over 20 variables on
 // a fresh solver from newSolver: block the round's cubes, then Minimum.
-// Unlike BenchmarkMinimumIncremental's all-positive vertex cover, the
-// clauses are mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
+// Unlike hardInstance's all-positive vertex cover, the clauses are
+// mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
 // nodes/op is the work one replay charges (minsat.search_nodes).
 func benchCEGAR(b *testing.B, newSolver func(n int) *Solver) {
 	const vars = 20
@@ -374,6 +315,47 @@ func benchCEGAR(b *testing.B, newSolver func(n int) *Solver) {
 	}
 	b.ReportMetric(float64(len(seq)), "rounds")
 	b.ReportMetric(float64(agg.Counter(obs.MinsatSearchNodes)), "nodes/op")
+}
+
+// TestDiagramCompactsBeforeFallback replays BenchmarkMinimumCEGAR's sequence
+// on a diagram capped at twice the most nodes any of its roots reaches. The
+// arena fills with nodes earlier applies left unreachable long before the
+// live diagram nears that cap, so the solver must compact instead of falling
+// back, and every call must agree with the search.
+func TestDiagramCompactsBeforeFallback(t *testing.T) {
+	const vars = 20
+	seq := cegarRounds(vars, 100, 1)
+	probe := New(vars)
+	peak, arena := 0, 0
+	for _, round := range seq {
+		for _, c := range round {
+			probe.Block(c[0], c[1])
+		}
+		probe.Minimum()
+		peak = max(peak, len(probe.bdd.compact().nodes))
+		arena = len(probe.bdd.nodes)
+	}
+	if probe.dropped || arena <= 2*peak {
+		t.Fatalf("uncapped probe: fell back %v, arena %d nodes, largest live root %d; "+
+			"want no fallback and an arena past twice the live peak", probe.dropped, arena, peak)
+	}
+	d, s := New(vars), NewSearch(vars)
+	d.bdd = newDiagram(2 * peak)
+	for r, round := range seq {
+		for _, c := range round {
+			d.Block(c[0], c[1])
+			s.Block(c[0], c[1])
+		}
+		got, ok := d.Minimum()
+		want, wantOK := s.Minimum()
+		if ok != wantOK || !got.Equal(want) {
+			t.Fatalf("round %d: diagram %v,%v; search %v,%v", r, got, ok, want, wantOK)
+		}
+		if d.dropped {
+			t.Fatalf("round %d: fell back at a cap of %d nodes; the largest live root has %d",
+				r, 2*peak, peak)
+		}
+	}
 }
 
 // BenchmarkMinimumCEGAR times the CEGAR sequence on the diagram, as Minimum

@@ -33,11 +33,15 @@
 // # The fallback
 //
 // A diagram may grow exponentially in the number of variables, although the
-// benchmark suite's never passes tens of thousands of nodes. Past a fixed
-// node cap (nodeCap) the solver drops its diagram for good and answers every
-// later call, starting with the one that hit the cap, from the clause-mask
-// search below, built cold from the whole clause list. A fallback counts on
-// "minsat.fallback".
+// benchmark suite's never passes tens of thousands of nodes. The node arena
+// only grows: an apply leaves the nodes of the diagram it replaced behind.
+// When an apply would pass a fixed node cap (nodeCap), the solver compacts
+// the diagram to the nodes its root reaches and retries the clause once. It
+// drops the diagram for good when the compacted arena still holds more than
+// half the cap, or when the retry fills the arena again, and then answers
+// every later call, starting with the one that hit the cap, from the
+// clause-mask search below, built cold from the whole clause list. A fallback
+// counts on "minsat.fallback".
 //
 // The search is an exact branch-and-bound DPLL with unit propagation. Only
 // variables mentioned in clauses are branched on, so it scales with the
@@ -50,38 +54,17 @@
 // variable's value falsifies one of its literals, and propagation visits
 // only the clauses containing that literal.
 //
-// The search is incremental: because CEGAR only ever adds blocking clauses,
-// the model set shrinks monotonically and results from one Minimum call
-// remain partial answers for the next. Between calls it keeps the dense
-// clause index (variable mapping, clause masks, per-literal occurrence
-// lists) and a warm result (last minimum model and its cost, or a proven
-// UNSAT verdict):
-//
-//   - If no clause has been added since the last call, or every clause added
-//     since is already satisfied by the cached model, that model is still the
-//     minimum (the new model set is a subset of the old one containing its
-//     lex-least cheapest element) and is returned with zero search.
-//   - UNSAT is sticky: adding clauses can never make an unsatisfiable
-//     formula satisfiable again.
-//   - Otherwise the search reruns, but the previous minimum cost is a valid
-//     lower bound (the "floor"): the branch-and-bound stops at the first
-//     model matching it instead of exhausting the remaining tree to prove
-//     optimality. Depth-first branching false-before-true visits models in
-//     lexicographic order, and cost/lower-bound pruning cannot discard a
-//     subtree containing a floor-cost model while best > floor, so the first
-//     floor-cost model found is exactly the lex-least minimum the fresh
-//     search would return.
-//
-// Zero-search reuses count on "minsat.incremental_reuse" too.
+// Between calls the search keeps only its dense clause index (variable
+// mapping, clause masks, per-literal occurrence lists), synced with the
+// clauses added since the previous call; it answers each call cold from it.
 //
 // # Clones
 //
 // Clone shares nothing mutable with its parent, since the batch scheduler
-// clones solvers concurrently. A clone copies the nodes its parent's root
-// reaches into a fresh arena and unique table, dropping the nodes earlier
-// applies left unreachable, and keeps the cached answer. A clone of a solver
-// that fell back stays on the search and carries its warm state, so the
-// batch scheduler's per-group solver lineages stay warm across rounds.
+// clones solvers concurrently. A clone holds a compacted copy of its
+// parent's diagram, the nodes its root reaches in a fresh arena and unique
+// table, and keeps the cached answer. A clone of a solver that fell back
+// stays on the search, with a copy of its parent's clause index.
 package minsat
 
 import (
@@ -121,10 +104,9 @@ type Solver struct {
 	// that it passed the node cap: from then on eng answers.
 	bdd     *diagram
 	dropped bool
-	// eng is the incremental search engine: a dense mirror of the clause set
-	// plus the warm result carried between Minimum calls. It is built lazily
-	// on the first Minimum after the diagram is dropped and synced to the
-	// clause list on each call.
+	// eng is the search engine, a dense mirror of the clause set. It is
+	// built lazily on the first Minimum after the diagram is dropped and
+	// synced to the clause list on each call.
 	eng *engine
 }
 
@@ -144,11 +126,11 @@ func New(n int) *Solver {
 // NumVars reports the size of the variable universe.
 func (s *Solver) NumVars() int { return s.n }
 
-// Clone returns an independent copy of the solver's clause set, diagram and
-// warm search state. TRACER's multi-query driver clones solvers when a query
-// group splits (§6); the clone resumes with its parent's diagram (or, after a
-// fallback, its bound and cached model), so a group's first Minimum after a
-// split is incremental too.
+// Clone returns an independent copy of the solver's clause set and diagram
+// (or, after a fallback, its search engine). TRACER's multi-query driver
+// clones solvers when a query group splits (§6); the clone resumes with its
+// parent's diagram, so a group's first Minimum after a split is incremental
+// too.
 func (s *Solver) Clone() *Solver {
 	out := New(s.n)
 	out.rec = s.rec
@@ -159,7 +141,7 @@ func (s *Solver) Clone() *Solver {
 	out.sig, out.sigOK = s.sig, s.sigOK
 	out.dropped = s.dropped
 	if s.bdd != nil {
-		out.bdd = s.bdd.clone()
+		out.bdd = s.bdd.compact()
 	}
 	if s.eng != nil {
 		out.eng = s.eng.clone()
@@ -295,15 +277,8 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// Warm-result states carried between Minimum calls.
-const (
-	warmNone  int8 = iota
-	warmModel      // model/floor hold the last minimum and its cost
-	warmUnsat      // a search proved UNSAT (sticky: clauses only shrink the model set)
-)
-
-// engine is the incremental core behind a Solver: a dense mirror of the
-// clause set plus the warm result of the previous search. Variables are
+// engine is the search behind a Solver that fell back: a dense mirror of
+// the clause set. Variables are
 // renamed to contiguous dense indices, and clause i is a pair of bit masks
 // over them, pos[i*w:(i+1)*w] and neg[i*w:(i+1)*w], holding its positive and
 // negative literals in w = ⌈variables/64⌉ words. Each literal has an
@@ -327,14 +302,6 @@ type engine struct {
 	// is then permanently unsatisfiable.
 	hasEmpty bool
 
-	// Warm result. model is the minimum model of the first `checked` clauses
-	// (when warm == warmModel); floor is its cost, which stays a valid lower
-	// bound for every extension of the clause set.
-	warm    int8
-	model   uset.Set
-	floor   int
-	checked int
-
 	// Branch order: dense indices sorted by external variable index, so the
 	// DFS still visits models in external lexicographic order. Rebuilt (as a
 	// fresh slice — clones may share the old one) when a variable interns.
@@ -353,7 +320,7 @@ type engine struct {
 // the previous call.
 func (s *Solver) engine() *engine {
 	if s.eng == nil {
-		s.eng = &engine{vmap: make(map[int]int32), floor: -1}
+		s.eng = &engine{vmap: make(map[int]int32)}
 	}
 	e := s.eng
 	for _, c := range s.clauses[e.synced:] {
@@ -432,10 +399,6 @@ func (e *engine) clone() *engine {
 		occ:      make([][]int32, len(e.occ)),
 		synced:   e.synced,
 		hasEmpty: e.hasEmpty,
-		warm:     e.warm,
-		model:    e.model,
-		floor:    e.floor,
-		checked:  e.checked,
 		order:    e.order,
 		orderOK:  e.orderOK,
 	}
@@ -473,8 +436,8 @@ func (s *Solver) Minimum() (model uset.Set, ok bool) {
 // fallback), and gives up when the budget trips, returning ok=false even if
 // some (possibly non-minimum) model was already found. Callers must
 // therefore check b.Tripped() before reading ok=false as unsatisfiability. A
-// nil budget never trips. An aborted call keeps every apply it completed and
-// leaves the warm state as it was, so the next call still answers exactly.
+// nil budget never trips. An aborted call keeps every apply it completed, so
+// the next call still answers exactly.
 func (s *Solver) MinimumBudget(b *budget.Budget) (model uset.Set, ok bool) {
 	work := 0
 	reused := false
@@ -494,18 +457,20 @@ func (s *Solver) MinimumBudget(b *budget.Budget) (model uset.Set, ok bool) {
 		if fits {
 			return model, ok
 		}
-		// Past the node cap: drop the diagram for good and search, cold.
+		// Past the node cap even after compaction: drop the diagram for good
+		// and search, cold.
 		s.bdd, s.dropped = nil, true
 		if s.rec != nil && s.rec.Enabled() {
 			s.rec.Count(obs.MinsatFallback, 1)
 		}
 	}
-	return s.search(b, &work, &reused)
+	return s.search(b, &work)
 }
 
 // diagramMinimum conjoins the clauses added since the last call into the
-// diagram and walks it. fits=false reports that an apply reached the node
-// cap; the diagram must then be dropped.
+// diagram and walks it. An apply that reaches the node cap compacts the
+// diagram and is retried once; fits=false reports that compaction did not
+// make room, and the diagram must then be dropped.
 func (s *Solver) diagramMinimum(b *budget.Budget, made *int, reused *bool) (model uset.Set, ok, fits bool) {
 	if s.bdd == nil {
 		s.bdd = newDiagram(nodeCap)
@@ -516,6 +481,16 @@ func (s *Solver) diagramMinimum(b *budget.Budget, made *int, reused *bool) (mode
 	}
 	for ; d.synced < len(s.clauses) && d.root != bddFalse; d.synced++ {
 		r := d.conjoin(s.clauses[d.synced], b, made)
+		if r == applyFull {
+			// Half the cap left free after compaction amortizes its cost
+			// over at least as many new nodes as it copied.
+			d = d.compact()
+			s.bdd = d
+			if 2*len(d.nodes) > d.limit {
+				return nil, false, false
+			}
+			r = d.conjoin(s.clauses[d.synced], b, made)
+		}
 		switch r {
 		case applyTripped:
 			return nil, false, true
@@ -538,51 +513,12 @@ func (s *Solver) diagramMinimum(b *budget.Budget, made *int, reused *bool) (mode
 
 // search answers from the clause-mask engine, synced with every clause
 // added since its previous call.
-func (s *Solver) search(b *budget.Budget, nodes *int, reused *bool) (model uset.Set, ok bool) {
+func (s *Solver) search(b *budget.Budget, nodes *int) (model uset.Set, ok bool) {
 	e := s.engine()
-	if !b.Poll() {
+	if !b.Poll() || e.hasEmpty {
 		return nil, false
 	}
-	if e.hasEmpty {
-		if e.warm == warmUnsat {
-			*reused = true
-		} else {
-			e.warm, e.model = warmUnsat, nil
-		}
-		return nil, false
-	}
-	switch e.warm {
-	case warmUnsat:
-		*reused = true
-		return nil, false
-	case warmModel:
-		// The cached model is the lex-least minimum of the first `checked`
-		// clauses. If it also satisfies every clause added since, it is still
-		// the answer: the new model set is a subset of the old one and still
-		// contains its cheapest, lex-least element.
-		stillSat := true
-		for _, c := range s.clauses[e.checked:] {
-			if !clauseSatisfied(c, e.model) {
-				stillSat = false
-				break
-			}
-		}
-		if stillSat {
-			e.checked = len(s.clauses)
-			*reused = true
-			return e.model, true
-		}
-	}
-	m, found, aborted := e.run(b, nodes)
-	if aborted {
-		return nil, false
-	}
-	if !found {
-		e.warm, e.model = warmUnsat, nil
-		return nil, false
-	}
-	e.warm, e.model, e.floor, e.checked = warmModel, m, m.Len(), len(s.clauses)
-	return m, true
+	return e.run(b, nodes)
 }
 
 // clauseSatisfied reports whether the model (set of true variables)
@@ -596,13 +532,10 @@ func clauseSatisfied(c Clause, model uset.Set) bool {
 	return false
 }
 
-// run executes the branch-and-bound search over the dense clause masks. It
-// explores the identical DFS tree a fresh solver would (same branch order,
-// same propagation fixpoints, same pruning), with one addition: when a warm
-// floor is available and a model matching it is found, the search stops
-// there — the floor is a proven lower bound, and the first floor-cost model
-// in the false-first DFS is the lex-least minimum.
-func (e *engine) run(b *budget.Budget, nodes *int) (model uset.Set, found, aborted bool) {
+// run executes the branch-and-bound search over the dense clause masks and
+// returns the lex-least minimum model, or ok=false when the clauses are
+// unsatisfiable or the budget tripped.
+func (e *engine) run(b *budget.Budget, nodes *int) (model uset.Set, ok bool) {
 	e.ensureOrder()
 	if len(e.tm) != e.w {
 		e.tm, e.fm, e.lbUsed = make([]uint64, e.w), make([]uint64, e.w), make([]uint64, e.w)
@@ -611,18 +544,12 @@ func (e *engine) run(b *budget.Budget, nodes *int) (model uset.Set, found, abort
 		clear(e.fm)
 	}
 	e.trail = e.trail[:0]
-	s := search{engine: e, b: b, nodes: nodes, floor: -1, best: -1}
-	if e.warm == warmModel {
-		s.floor = e.floor
-	}
+	s := search{engine: e, b: b, nodes: nodes, best: -1}
 	s.node(0, 0, -1)
-	if s.aborted {
-		return nil, false, true
+	if s.aborted || s.best < 0 {
+		return nil, false
 	}
-	if s.best < 0 {
-		return nil, false, false
-	}
-	return uset.New(s.bestModel...), true, false
+	return uset.New(s.bestModel...), true
 }
 
 // search is the state of one branch-and-bound run.
@@ -630,10 +557,8 @@ type search struct {
 	*engine
 	b         *budget.Budget
 	nodes     *int
-	floor     int // warm floor, or -1
 	best      int // cost of bestModel, or -1 before the first model
 	bestModel []int
-	stop      bool // a floor-cost model was found: it is the minimum
 	aborted   bool // the budget tripped
 }
 
@@ -644,7 +569,7 @@ type search struct {
 // seed and undo clears it together with its consequences; the parent then
 // reassigns it for the true branch.
 func (s *search) node(idx int32, cost int, branched int32) {
-	if s.aborted || s.stop {
+	if s.aborted {
 		return
 	}
 	if !s.b.Poll() {
@@ -684,9 +609,6 @@ func (s *search) node(idx int32, cost int, branched int32) {
 					s.bestModel = append(s.bestModel, s.dvar[dv])
 				}
 			}
-			if s.floor >= 0 && s.best == s.floor {
-				s.stop = true // proven minimum: skip the optimality proof
-			}
 		}
 		s.undo(mark)
 		return
@@ -694,7 +616,7 @@ func (s *search) node(idx int32, cost int, branched int32) {
 	v := s.order[i]
 	s.fm[v>>6] |= 1 << (v & 63) // cheap branch first → lexicographically least
 	s.node(i+1, cost, v)
-	if s.aborted || s.stop {
+	if s.aborted {
 		return // scratch is reset at the next run
 	}
 	s.unassign(v) // still false if the child pruned before pushing it

@@ -5,14 +5,15 @@ import "time"
 // Counter names for the delta-incremental forward engines (dataflow.Chain
 // and rhs.Chain), counted by core's loop from each forward run's
 // accounting (core.DeltaRun). ForwardDeltaResumes counts forward solves
-// served by the delta path — a retained previous run was validated against
-// the flipped parameters instead of solving cold (whether or not anything
-// had to be recomputed). ForwardDeltaReused counts discoveries (path edges,
-// for the tabulation engine) that survived validation or were served from
-// the expansion memo without re-evaluating a transfer function;
-// ForwardDeltaInvalidated counts discoveries rolled back because a transfer
-// application on the retained run had consulted a flipped parameter. Both
-// engines feed the same names, so the counters do not say which one ran.
+// made while a complete retained run from the same initial state existed
+// (whether it was returned as-is or replayed through the memo).
+// ForwardDeltaReused counts expansions (transfer applications, for the
+// tabulation engine) served from the chain's memo without re-evaluating a
+// transfer function; on the fast path, which returns the retained run, it
+// counts that run's discoveries. ForwardDeltaInvalidated counts memo records
+// recomputed because one of their dependency literals disagreed with the
+// new abstraction. Both engines feed the same names, so the counters do not
+// say which one ran.
 const (
 	ForwardDeltaResumes     = "forward.delta_resumes"
 	ForwardDeltaReused      = "forward.delta_reused"
@@ -46,10 +47,9 @@ const (
 // MinsatSearchNodes counts the line-8 work charged to the budget: nodes made
 // in the solver's BDD of the viable set, plus branch-and-bound nodes visited
 // after a fallback. MinsatIncrementalReuse counts Minimum calls answered from
-// the previous answer without a walk or a search: the diagram did not change
-// since (after a fallback: the cached model still satisfies every clause
-// added since it was computed), or UNSAT was already proven. MinsatFallback
-// counts solvers whose diagram passed the node cap and that answer from the
+// the previous answer without a walk: the diagram did not change since, or
+// UNSAT was already proven. MinsatFallback counts solvers whose diagram
+// passed the node cap even after compaction and that answer from the
 // clause-mask search from then on. See the "Line 8" section of
 // ARCHITECTURE.md.
 const (

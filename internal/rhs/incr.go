@@ -1,8 +1,8 @@
 // Delta-driven incremental re-solving for the tabulation backend.
 //
-// A Chain retains the last tabulation Result together with an aggregate
-// dependency signature — every abstraction parameter some transfer
-// application of the run consulted, split by the polarity it observed — and
+// A Chain retains the last tabulation Result together with its dependency
+// signature (a dataflow.DepSig: every abstraction parameter some transfer
+// application of the run consulted, split by the polarity it observed) and
 // a persistent apply-memo mapping (atom, fact) to (result, dependency
 // literal). When the CEGAR loop re-solves under a flipped abstraction:
 //
@@ -58,11 +58,11 @@ type Chain[D comparable] struct {
 	g    *Graph
 	memo map[applyKey[D]]applyVal[D]
 
-	// Retained last complete run and its aggregate signature.
-	complete  bool
-	dI        D
-	res       *Result[D]
-	onW, offW uset.Words
+	// Retained last complete run and its dependency signature.
+	complete bool
+	dI       D
+	res      *Result[D]
+	sig      dataflow.DepSig
 
 	lastResumed             bool
 	lastReused, lastInvalid int
@@ -81,22 +81,20 @@ func NewChain[D comparable](g *Graph) *Chain[D] {
 // own telemetry (see SolveBudget); the delta accounting is read back with
 // Stats.
 func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.Recorder, b *budget.Budget) *Result[D] {
-	pw := chainParamWords(p)
-	if c.complete && dI == c.dI && c.allClean(pw) {
+	pw := dataflow.ParamWords(p)
+	resumed := c.complete && dI == c.dI
+	if resumed && c.sig.Agrees(pw) {
 		c.lastResumed, c.lastReused, c.lastInvalid = true, c.res.Steps, 0
 		return c.res
 	}
-	resumed := c.complete && dI == c.dI
 	c.lastResumed, c.lastReused, c.lastInvalid = resumed, 0, 0
-	c.complete = false
-	c.dI = dI
-	clearChainWords(c.onW)
-	clearChainWords(c.offW)
+	c.complete, c.dI = false, dI
+	c.sig.Reset()
 	wrapped := func(a lang.Atom, d D) D {
 		k := applyKey[D]{a, d}
 		if v, ok := c.memo[k]; ok {
-			if chainLitOK(v.lit, pw) {
-				c.orLit(v.lit)
+			if dataflow.LitAgrees(v.lit, pw) {
+				c.sig.Add(v.lit)
 				c.lastReused++
 				return v.next
 			}
@@ -104,7 +102,7 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 		}
 		next, lit := tr(a, d)
 		c.memo[k] = applyVal[D]{next, lit}
-		c.orLit(lit)
+		c.sig.Add(lit)
 		return next
 	}
 	res := SolveBudget(c.g, dI, wrapped, rec, b)
@@ -116,82 +114,11 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 }
 
 // Stats reports the delta accounting of the most recent Solve: whether a
-// retained run existed to resume from, how many transfer applications were
-// served without a transfer call (on the fast path: every path edge of the
-// retained run), and how many memo entries the flip invalidated.
+// complete retained run from the same initial fact existed, how many
+// transfer applications were served from the memo without a transfer call
+// (on the fast path: every path edge of the retained run), and how many
+// memo entries were recomputed because their literal disagreed with the
+// abstraction.
 func (c *Chain[D]) Stats() (resumed bool, reused, invalidated int) {
 	return c.lastResumed, c.lastReused, c.lastInvalid
-}
-
-// allClean reports that no parameter the retained run consulted changed
-// polarity, so the run is valid under pw as-is.
-func (c *Chain[D]) allClean(pw uset.Words) bool {
-	for i, w := range c.onW {
-		var pv uint64
-		if i < len(pw) {
-			pv = pw[i]
-		}
-		if w&^pv != 0 {
-			return false
-		}
-	}
-	for i, w := range c.offW {
-		var pv uint64
-		if i < len(pw) {
-			pv = pw[i]
-		}
-		if w&pv != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// orLit folds one dependency literal into the aggregate signature.
-func (c *Chain[D]) orLit(lit int32) {
-	switch {
-	case lit == 0:
-	case lit > 0:
-		c.onW = setChainWordBit(c.onW, uint32(lit-1))
-	default:
-		c.offW = setChainWordBit(c.offW, uint32(-lit-1))
-	}
-}
-
-// chainLitOK reports whether a dependency literal agrees with abstraction pw.
-func chainLitOK(lit int32, pw uset.Words) bool {
-	switch {
-	case lit == 0:
-		return true
-	case lit > 0:
-		return pw.Has(uint32(lit - 1))
-	default:
-		return !pw.Has(uint32(-lit - 1))
-	}
-}
-
-func setChainWordBit(w uset.Words, i uint32) uset.Words {
-	if int(i>>6) >= len(w) {
-		w = w.Grow(int(i) + 1)
-	}
-	w.SetBit(i)
-	return w
-}
-
-// chainParamWords converts an abstraction to a bitset for O(1) membership.
-func chainParamWords(p uset.Set) uset.Words {
-	if len(p) == 0 {
-		return nil
-	}
-	w := uset.MakeWords(p[len(p)-1] + 1)
-	for _, k := range p {
-		w.SetBit(uint32(k))
-	}
-	return w
-}
-
-func clearChainWords(w uset.Words) {
-	for i := range w {
-		w[i] = 0
-	}
 }

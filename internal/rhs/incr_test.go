@@ -2,7 +2,9 @@ package rhs
 
 import (
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"tracer/internal/dataflow"
@@ -116,21 +118,29 @@ func checkChainEquiv(t *testing.T, g *Graph, got, want *Result[int], dI int, tr 
 	}
 }
 
+// TestChainFlipChain walks seeds 1..CHAIN_FUZZ_N (default 1; make fuzz runs
+// more).
 func TestChainFlipChain(t *testing.T) {
-	g := flipGraph()
-	ch := NewChain[int](g)
-	rng := rand.New(rand.NewSource(1))
-	for step := 0; step < 24; step++ {
-		var ks []int
-		for k := 0; k < 3; k++ {
-			if rng.Intn(2) == 0 {
-				ks = append(ks, k)
+	seeds := int64(1)
+	if v, err := strconv.Atoi(os.Getenv("CHAIN_FUZZ_N")); err == nil && v > 0 {
+		seeds = int64(v)
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		g := flipGraph()
+		ch := NewChain[int](g)
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 24; step++ {
+			var ks []int
+			for k := 0; k < 3; k++ {
+				if rng.Intn(2) == 0 {
+					ks = append(ks, k)
+				}
 			}
+			p := uset.New(ks...)
+			got := ch.Solve(p, 1, paramMockDep(p), nil, nil)
+			want := SolveBudget(g, 1, paramMockTr(p), nil, nil)
+			checkChainEquiv(t, g, got, want, 1, paramMockTr(p))
 		}
-		p := uset.New(ks...)
-		got := ch.Solve(p, 1, paramMockDep(p), nil, nil)
-		want := SolveBudget(g, 1, paramMockTr(p), nil, nil)
-		checkChainEquiv(t, g, got, want, 1, paramMockTr(p))
 	}
 }
 
