@@ -222,22 +222,23 @@ func BenchmarkAblationUnderApprox(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardTypestate measures one forward type-state solve over the
-// largest benchmark's supergraph.
+// BenchmarkForwardTypestate measures one cold forward type-state solve over
+// the largest benchmark's inlined CFG (the job's NoDelta executor, so no
+// iteration returns a retained run).
 func BenchmarkForwardTypestate(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[5]) // avrora
-	job := driver.ClientByName("typestate").Job(bm.Prog, 0, 5)
+	job := driver.ClientByName("typestate").Batch(bm.Prog, []int{0}, 5).Job(0, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job.Forward(nil, nil)
 	}
 }
 
-// BenchmarkForwardEscape measures one forward thread-escape solve (under
-// the empty abstraction, every site mapped to E).
+// BenchmarkForwardEscape measures one cold forward thread-escape solve
+// (under the empty abstraction, every site mapped to E).
 func BenchmarkForwardEscape(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[5]) // avrora
-	job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
+	job := driver.ClientByName("escape").Batch(bm.Prog, []int{0}, 5).Job(0, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job.Forward(nil, nil)
@@ -261,28 +262,23 @@ func BenchmarkBackwardMeta(b *testing.B) {
 
 // BenchmarkEngines compares the two interprocedural backends — the inlined
 // supergraph with the intraprocedural solver vs. the RHS tabulation — on
-// one forward thread-escape solve of the same program.
+// one cold forward thread-escape solve of the same query of one Program.
 func BenchmarkEngines(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[2]) // hedc
-	rhsProg, err := driver.LoadRHS(bm.Source)
-	if err != nil {
-		b.Fatal(err)
+	esc := driver.ClientByName("escape")
+	for _, e := range []struct {
+		name string
+		job  core.Problem
+	}{
+		{"inline", esc.Batch(bm.Prog, []int{0}, 5).Job(0, true)},
+		{"rhs", esc.RHSJob(bm.Prog, 0, 5, true)},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.job.Forward(nil, nil)
+			}
+		})
 	}
-	b.Run("inline", func(b *testing.B) {
-		job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			job.Forward(nil, nil)
-		}
-	})
-	b.Run("rhs", func(b *testing.B) {
-		queries := rhsProg.EscapeQueries()
-		job := rhsProg.EscapeJob(queries[0], 5)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			job.Forward(nil, nil)
-		}
-	})
 }
 
 // BenchmarkMinSAT measures the abstraction chooser on a clause set shaped
@@ -315,7 +311,7 @@ func BenchmarkFormulaToDNF(b *testing.B) {
 	bm := bench.MustLoad(bench.Suite()[0])
 	a := escape.New(bm.Prog.Locals, bm.Prog.Fields, bm.Prog.Sites)
 	var store lang.Atom
-	for _, e := range bm.Prog.Low.G.Edges {
+	for _, e := range bm.Prog.Inl.G.Edges {
 		if s, ok := e.A.(lang.Store); ok {
 			store = s
 			break

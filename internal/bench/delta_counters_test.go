@@ -16,19 +16,6 @@ import (
 // forward_done events' Reused fields.
 func TestDeltaCountersReconcile(t *testing.T) {
 	b := MustLoad(Suite()[0]) // tsp
-	rhsProg, err := driver.LoadRHS(b.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, esc, null := rhsProg.TypestateQueries(), rhsProg.EscapeQueries(), rhsProg.NullnessQueries()
-	rhsJobs := map[string]struct {
-		n   int
-		job func(i int) core.Problem
-	}{
-		"typestate": {len(ts), func(i int) core.Problem { return rhsProg.TypestateJob(ts[i], 5) }},
-		"escape":    {len(esc), func(i int) core.Problem { return rhsProg.EscapeJob(esc[i], 5) }},
-		"nullness":  {len(null), func(i int) core.Problem { return rhsProg.NullnessJob(null[i], 5) }},
-	}
 	for _, spec := range driver.Clients() {
 		queries := spec.Queries(b.Prog)
 		idx := make([]int, len(queries))
@@ -58,11 +45,7 @@ func TestDeltaCountersReconcile(t *testing.T) {
 		}
 
 		perQueryReused(t, spec.Name+" per query", len(queries), func(i int) core.Problem { return spec.Job(b.Prog, i, 5) })
-		rhs, ok := rhsJobs[spec.Name]
-		if !ok {
-			t.Fatalf("no RHS job for client %s", spec.Name)
-		}
-		perQueryReused(t, spec.Name+" RHS per query", rhs.n, rhs.job)
+		perQueryReused(t, spec.Name+" RHS per query", len(queries), func(i int) core.Problem { return spec.RHSJob(b.Prog, i, 5, false) })
 	}
 }
 

@@ -188,15 +188,11 @@ func warmSession(b *Benchmark, spec *driver.ClientSpec, opts RunOptions) *warm.S
 	if opts.WarmDir == "" {
 		return nil
 	}
-	maxIters := opts.MaxIters
-	if maxIters <= 0 {
-		maxIters = 1000 // core.Options default
-	}
 	st := warm.Open(opts.WarmDir, opts.Recorder)
 	return st.Session(b.Prog, warm.Config{
 		Client:   warm.Client(spec.Name),
 		K:        opts.K,
-		MaxIters: maxIters,
+		MaxIters: core.Options{MaxIters: opts.MaxIters}.EffectiveMaxIters(),
 	})
 }
 

@@ -743,7 +743,7 @@ func runUnit(bp BatchProblem, opts Options, res *BatchResult, u unit, recording 
 		out.kind = uProved
 		return out
 	}
-	if iter >= opts.maxIters() {
+	if iter >= opts.EffectiveMaxIters() {
 		out.kind = uExhausted
 		return out
 	}

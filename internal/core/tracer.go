@@ -238,7 +238,10 @@ type Options struct {
 	OnLearn func(q int, p uset.Set, t lang.Trace, cubes []ParamCube)
 }
 
-func (o Options) maxIters() int {
+// EffectiveMaxIters returns the iteration cap the loop applies: MaxIters,
+// or its default of 1000 when MaxIters is 0 or less. Callers that record
+// the cap a verdict was reached under (the warm store) read it here.
+func (o Options) EffectiveMaxIters() int {
 	if o.MaxIters <= 0 {
 		return 1000
 	}

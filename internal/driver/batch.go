@@ -38,7 +38,7 @@ func typestateBatch(p *Program, queries []TSQuery, k int) Batch {
 		sites[i] = q.Site
 	}
 	fresh := func(site string) *typestate.Analysis { return p.siteAnalysis(prop, site) }
-	return client.NewBatch(p.Low.G, fresh, qs, sites, k, p.tsCaches)
+	return client.NewBatch(p.cfg(), fresh, qs, sites, k, p.tsCaches)
 }
 
 // escapeBatch builds the thread-escape batch over the given queries. The
@@ -49,7 +49,7 @@ func escapeBatch(p *Program, queries []AccessQuery, k int) Batch {
 	for i, q := range queries {
 		qs[i] = escape.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	return client.NewBatch(p.Low.G, p.escapeAnalysis, qs, nil, k, p.escCaches)
+	return client.NewBatch(p.cfg(), p.escapeAnalysis, qs, nil, k, p.escCaches)
 }
 
 // nullnessBatch builds the null-dereference batch over the given queries;
@@ -59,5 +59,5 @@ func nullnessBatch(p *Program, queries []AccessQuery, k int) Batch {
 	for i, q := range queries {
 		qs[i] = nullness.Query{Nodes: q.Nodes, V: q.Var}
 	}
-	return client.NewBatch(p.Low.G, p.nullnessAnalysis, qs, nil, k, p.nullCaches)
+	return client.NewBatch(p.cfg(), p.nullnessAnalysis, qs, nil, k, p.nullCaches)
 }

@@ -92,35 +92,6 @@ func TestDeltaMatchesColdInlining(t *testing.T) {
 	}
 }
 
-// rhsClient is one client's query generator and job constructor on the
-// tabulation pipeline.
-type rhsClient struct {
-	name    string
-	queries []RHSQuery
-	job     func(q RHSQuery, noDelta bool) core.Problem
-}
-
-// rhsClients lists every client on the tabulation pipeline.
-func rhsClients(p *RHSProgram) []rhsClient {
-	return []rhsClient{
-		{"typestate", p.TypestateQueries(), func(q RHSQuery, noDelta bool) core.Problem {
-			j := p.TypestateJob(q, 1)
-			j.NoDelta = noDelta
-			return j
-		}},
-		{"escape", p.EscapeQueries(), func(q RHSQuery, noDelta bool) core.Problem {
-			j := p.EscapeJob(q, 1)
-			j.NoDelta = noDelta
-			return j
-		}},
-		{"nullness", p.NullnessQueries(), func(q RHSQuery, noDelta bool) core.Problem {
-			j := p.NullnessJob(q, 1)
-			j.NoDelta = noDelta
-			return j
-		}},
-	}
-}
-
 // TestDeltaMatchesColdRHS covers every client on the tabulation pipeline
 // (rhs.Chain) over the recursive fixture the inliner rejects.
 func TestDeltaMatchesColdRHS(t *testing.T) {
@@ -128,9 +99,9 @@ func TestDeltaMatchesColdRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range rhsClients(p) {
-		for _, q := range c.queries {
-			checkDeltaPair(t, "rhs "+c.name+" "+q.ID, c.job(q, true), c.job(q, false))
+	for _, spec := range Clients() {
+		for i, q := range spec.Queries(p) {
+			checkDeltaPair(t, "rhs "+spec.Name+" "+q.ID, spec.RHSJob(p, i, 1, true), spec.RHSJob(p, i, 1, false))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package driver ties the front end together: it parses a mini-IR program,
-// runs the 0-CFA points-to analysis, lowers the program to a single CFG by
-// inlining, and generates queries the way the paper's evaluation does (§6):
+// runs the 0-CFA points-to analysis, lowers the program onto a supergraph
+// and inlines that into a single CFG, and generates queries for either
+// forward engine the way the paper's evaluation does (§6):
 // a type-state query at each method call site (pc, h), and a thread-escape
 // query at each instance-field access (pc, v), restricted to application
 // code (classes whose names start with "Lib" play the role of the JDK).
@@ -14,11 +15,13 @@ import (
 	"strings"
 
 	"tracer/internal/client"
+	"tracer/internal/core"
 	"tracer/internal/escape"
 	"tracer/internal/ir"
 	"tracer/internal/lang"
 	"tracer/internal/nullness"
 	"tracer/internal/pointsto"
+	"tracer/internal/rhs"
 	"tracer/internal/typestate"
 	"tracer/internal/uset"
 )
@@ -27,11 +30,24 @@ import (
 // analyzed, mirroring how the paper poses no queries inside the JDK.
 const LibPrefix = "Lib"
 
-// base is what both pipelines derive from the parsed program, its
-// points-to result, and the atoms of its lowered form.
-type base struct {
-	IR *ir.Program
-	PT *pointsto.Result
+// Program is a loaded and points-to-analyzed program, lowered once onto a
+// supergraph (SP), on which the RHS engine runs, and, unless it was loaded
+// with LoadRHS, inlined from there into one CFG (Inl), on which the inline
+// engine runs. Every query it generates or reads from an explicit query
+// statement names its point on both, so either engine can answer it.
+//
+// A Program is safe to share between goroutines. Prepare builds every table
+// derived from it, and those stay read-only afterwards. The one exception
+// is each client's solver caches (literal universe and WP caches), which
+// the program keeps for its lifetime and every problem built from it fills.
+// They are concurrency-safe, and a solve's verdict and work counts do not
+// depend on what they already hold, unless a step quota trips: a memo hit
+// charges none of the budget polls its miss would.
+type Program struct {
+	IR  *ir.Program
+	PT  *pointsto.Result
+	SP  *rhs.Program
+	Inl *rhs.Inlined // nil for a program loaded with LoadRHS
 
 	// Vars is the type-state parameter universe: the qualified pointer
 	// variables appearing in the lowered program, sorted.
@@ -54,51 +70,6 @@ type base struct {
 	// program's generated queries (see client.Caches). Problems for explicit
 	// query statements keep caches of their own.
 	tsCaches, escCaches, nullCaches *client.Caches
-}
-
-// newBase collects the universes from the lowered program's atoms; called
-// holds the method names of its application call sites.
-func newBase(prog *ir.Program, pt *pointsto.Result, atoms *lang.CFG, called map[string]bool) base {
-	b := base{IR: prog, PT: pt, varPts: map[string]uset.Set{},
-		tsCaches:   client.NewCaches(typestate.Theory{}),
-		escCaches:  client.NewCaches(escape.Theory{}),
-		nullCaches: client.NewCaches(nullness.Theory{})}
-	b.Vars = typestate.CollectVars(atoms)
-	b.Locals, b.Fields, b.Sites = escape.Universe(atoms)
-	for _, m := range pt.ReachableMethods() {
-		if m.Native {
-			continue
-		}
-		vars := append([]string{"this"}, m.Params...)
-		vars = append(vars, m.Locals...)
-		for _, v := range vars {
-			b.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
-		}
-	}
-	b.methodVars = map[string][]string{}
-	for qv := range b.varPts {
-		if i := strings.Index(qv, "::"); i >= 0 {
-			b.methodVars[qv[:i]] = append(b.methodVars[qv[:i]], qv)
-		}
-	}
-	for name := range called {
-		b.stressMethods = append(b.stressMethods, name)
-	}
-	sort.Strings(b.stressMethods)
-	return b
-}
-
-// Program is a loaded, lowered, and points-to-analyzed program, safe to
-// share between goroutines. Prepare builds every table derived from it, and
-// those stay read-only afterwards. The one exception is each client's
-// solver caches (literal universe and WP caches), which the program keeps
-// for its lifetime and every problem built from it fills. They are
-// concurrency-safe, and a solve's verdict and work counts do not depend on
-// what they already hold, unless a step quota trips: a memo hit charges
-// none of the budget polls its miss would.
-type Program struct {
-	base
-	Low *ir.Lowered
 
 	stmtKeys                map[ir.Stmt]string
 	siteOwner               map[string]string
@@ -115,29 +86,95 @@ func Load(src string) (*Program, error) {
 	return Prepare(prog)
 }
 
+// LoadRHS parses src and prepares it for the RHS engine alone: the program
+// has no inlined view, so its call graph may be recursive. Only RHS jobs
+// (ClientSpec.RHSJob, ExplicitJobs) can be built from it.
+func LoadRHS(src string) (*Program, error) {
+	prog, err := ir.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return prepare(prog, false)
+}
+
 // Prepare runs points-to and lowering on an already-parsed program, and
 // generates every client's queries.
-func Prepare(prog *ir.Program) (*Program, error) {
+func Prepare(prog *ir.Program) (*Program, error) { return prepare(prog, true) }
+
+// prepare lowers prog onto its supergraph and, when inline is set, inlines
+// that into one CFG. The parameter universes come from the supergraph's
+// atoms, which the inlined CFG copies.
+func prepare(prog *ir.Program, inline bool) (*Program, error) {
 	pt, err := pointsto.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
-	low, err := ir.Lower(prog, pt, ir.LowerOptions{})
+	sp, err := rhs.FromIR(prog, pt)
 	if err != nil {
 		return nil, err
 	}
+	p := &Program{IR: prog, PT: pt, SP: sp, varPts: map[string]uset.Set{},
+		tsCaches:   client.NewCaches(typestate.Theory{}),
+		escCaches:  client.NewCaches(escape.Theory{}),
+		nullCaches: client.NewCaches(nullness.Theory{}),
+		stmtKeys:   ir.StmtKeys(prog), siteOwner: siteOwners(prog)}
+	if inline {
+		if p.Inl, err = sp.Inline(); err != nil {
+			return nil, err
+		}
+	}
+	atoms := sp.G.AtomsCFG()
+	p.Vars = typestate.CollectVars(atoms)
+	p.Locals, p.Fields, p.Sites = escape.Universe(atoms)
+	for _, m := range pt.ReachableMethods() {
+		if m.Native {
+			continue
+		}
+		vars := append([]string{"this"}, m.Params...)
+		vars = append(vars, m.Locals...)
+		for _, v := range vars {
+			p.varPts[ir.Qualify(m, v)] = pt.PointsTo(m, v)
+		}
+	}
+	p.methodVars = map[string][]string{}
+	for qv := range p.varPts {
+		if i := strings.Index(qv, "::"); i >= 0 {
+			p.methodVars[qv[:i]] = append(p.methodVars[qv[:i]], qv)
+		}
+	}
 	called := map[string]bool{}
-	for _, cs := range low.Calls {
+	for _, cs := range sp.Calls {
 		if !isLib(cs.Method) {
 			called[cs.Stmt.Method] = true
 		}
 	}
-	p := &Program{base: newBase(prog, pt, low.G, called), Low: low,
-		stmtKeys: ir.StmtKeys(prog), siteOwner: siteOwners(prog)}
+	for name := range called {
+		p.stressMethods = append(p.stressMethods, name)
+	}
+	sort.Strings(p.stressMethods)
 	p.tsQueries = p.typestateQueries()
 	p.escQueries = p.accessQueries("esc")
 	p.nullQueries = p.accessQueries("null")
 	return p, nil
+}
+
+// cfg returns the inlined CFG, or nil without an inlined view.
+func (p *Program) cfg() *lang.CFG {
+	if p.Inl == nil {
+		return nil
+	}
+	return p.Inl.G
+}
+
+// copies groups an inlined view's copies by the record they copy: the
+// result lists, per record of a list of n, its copies' nodes in increasing
+// order (all nil without an inlined view).
+func copies(n int, cs []rhs.Copy) [][]int {
+	out := make([][]int, n)
+	for _, c := range cs {
+		out[c.Rec] = append(out[c.Rec], c.Node)
+	}
+	return out
 }
 
 // StressMethods lists the application method names driving the generated
@@ -231,17 +268,28 @@ func appSites(prog *ir.Program) map[string]bool {
 }
 
 // MayPoint returns the oracle "may qualified variable qv point to site h".
-func (b *base) MayPoint(h string) func(qv string) bool {
-	id, ok := b.PT.Sites.Lookup(h)
+func (p *Program) MayPoint(h string) func(qv string) bool {
+	id, ok := p.PT.Sites.Lookup(h)
 	if !ok {
 		return func(string) bool { return false }
 	}
-	return func(qv string) bool { return b.varPts[qv].Has(id) }
+	return func(qv string) bool { return p.varPts[qv].Has(id) }
 }
 
 // gen returns the client-independent view of a generated query; the typed
 // queries embed GenQuery and inherit it.
 func (q GenQuery) gen() GenQuery { return q }
+
+// Loc places a generated query on both forward engines: the supergraph
+// point of its source statement, and that point's copies in the inlined
+// CFG, in increasing order (nil without an inlined view).
+type Loc struct {
+	Point rhs.Point
+	Nodes []int
+}
+
+// loc returns the query's place; the typed queries embed Loc and inherit it.
+func (l Loc) loc() Loc { return l }
 
 // TSQuery is a generated type-state query: at source call site Stmt, is
 // every object allocated at Site that the receiver may denote still in the
@@ -250,9 +298,9 @@ func (q GenQuery) gen() GenQuery { return q }
 // survives reformatting and edits to other methods.
 type TSQuery struct {
 	GenQuery
-	Site  string
-	Stmt  *ir.CallStmt
-	Nodes []int
+	Loc
+	Site string
+	Stmt *ir.CallStmt
 }
 
 // TypestateQueries lists one query per (application call site, tracked
@@ -262,40 +310,35 @@ type TSQuery struct {
 func (p *Program) TypestateQueries() []TSQuery { return p.tsQueries }
 
 func (p *Program) typestateQueries() []TSQuery {
-	type key struct {
-		stmt *ir.CallStmt
-		site string
+	var nodes [][]int
+	if p.Inl != nil {
+		nodes = copies(len(p.SP.Calls), p.Inl.Calls)
 	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.CallSite{}
 	appSite := appSites(p.IR)
-	for _, cs := range p.Low.Calls {
+	var out []TSQuery
+	for i, cs := range p.SP.Calls {
 		if !p.IsApp(cs.Method) {
 			continue
 		}
-		pts := p.varPts[cs.Recv]
-		for _, hid := range pts.Elems() {
+		for _, hid := range p.varPts[cs.Recv].Elems() {
 			h := p.PT.Sites.Value(hid)
 			if !appSite[h] {
 				continue
 			}
-			k := key{cs.Stmt, h}
-			nodes[k] = append(nodes[k], cs.Node)
-			meta[k] = cs
+			q := TSQuery{
+				GenQuery: GenQuery{
+					ID:  fmt.Sprintf("ts:%s:%s:%s", cs.Method.QualName(), cs.Stmt.Position(), h),
+					Key: "ts:" + p.StmtKey(cs.Stmt) + ":" + h,
+				},
+				Loc:  Loc{Point: cs.At},
+				Site: h,
+				Stmt: cs.Stmt,
+			}
+			if nodes != nil {
+				q.Nodes = nodes[i]
+			}
+			out = append(out, q)
 		}
-	}
-	var out []TSQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, TSQuery{
-			GenQuery: GenQuery{
-				ID:  fmt.Sprintf("ts:%s:%s:%s", meta[k].Method.QualName(), k.stmt.Position(), k.site),
-				Key: "ts:" + p.StmtKey(k.stmt) + ":" + k.site,
-			},
-			Site:  k.site,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -303,25 +346,25 @@ func (p *Program) typestateQueries() []TSQuery {
 
 // siteAnalysis builds the type-state analysis of property prop tracking
 // site h.
-func (b *base) siteAnalysis(prop *typestate.Property, h string) *typestate.Analysis {
-	a := typestate.New(prop, h, b.Vars)
-	a.MayPoint = b.MayPoint(h)
+func (p *Program) siteAnalysis(prop *typestate.Property, h string) *typestate.Analysis {
+	a := typestate.New(prop, h, p.Vars)
+	a.MayPoint = p.MayPoint(h)
 	return a
 }
 
 // escapeAnalysis builds a fresh thread-escape analysis over the program's
 // universes. The analysis is query-independent, so it tracks no part of
 // the program and ignores the part name (see client.NewBatch).
-func (b *base) escapeAnalysis(string) *escape.Analysis {
-	return escape.New(b.Locals, b.Fields, b.Sites)
+func (p *Program) escapeAnalysis(string) *escape.Analysis {
+	return escape.New(p.Locals, p.Fields, p.Sites)
 }
 
 // nullnessAnalysis builds a fresh nullness analysis over the program's cell
 // universes (nullness shares the escape client's locals and fields, which
 // cover every name the CFG's atoms mention); like escape, it ignores the
 // part name.
-func (b *base) nullnessAnalysis(string) *nullness.Analysis {
-	return nullness.New(b.Locals, b.Fields)
+func (p *Program) nullnessAnalysis(string) *nullness.Analysis {
+	return nullness.New(p.Locals, p.Fields)
 }
 
 // AccessQuery is a generated query at a source field access Stmt about its
@@ -329,9 +372,9 @@ func (b *base) nullnessAnalysis(string) *nullness.Analysis {
 // nullness client whether it is definitely non-nil.
 type AccessQuery struct {
 	GenQuery
-	Var   string // qualified base variable
-	Stmt  ir.Stmt
-	Nodes []int
+	Loc
+	Var  string // qualified base variable
+	Stmt ir.Stmt
 }
 
 // EscapeQueries lists one query per application field access, as §6 does
@@ -344,80 +387,111 @@ func (p *Program) EscapeQueries() []AccessQuery { return p.escQueries }
 func (p *Program) NullnessQueries() []AccessQuery { return p.nullQueries }
 
 func (p *Program) accessQueries(prefix string) []AccessQuery {
-	type key struct {
-		stmt ir.Stmt
-		base string
+	var nodes [][]int
+	if p.Inl != nil {
+		nodes = copies(len(p.SP.Accesses), p.Inl.Accesses)
 	}
-	nodes := map[key][]int{}
-	meta := map[key]ir.FieldAccess{}
-	for _, fa := range p.Low.Accesses {
+	var out []AccessQuery
+	for i, fa := range p.SP.Accesses {
 		if !p.IsApp(fa.Method) {
 			continue
 		}
-		k := key{fa.Stmt, fa.Base}
-		nodes[k] = append(nodes[k], fa.Node)
-		meta[k] = fa
-	}
-	var out []AccessQuery
-	for k, ns := range nodes {
-		sort.Ints(ns)
-		out = append(out, AccessQuery{
+		q := AccessQuery{
 			GenQuery: GenQuery{
-				ID:  fmt.Sprintf("%s:%s:%s:%s", prefix, meta[k].Method.QualName(), k.stmt.Position(), k.base),
-				Key: prefix + ":" + p.StmtKey(k.stmt) + ":" + k.base,
+				ID:  fmt.Sprintf("%s:%s:%s:%s", prefix, fa.Method.QualName(), fa.Stmt.Position(), fa.Base),
+				Key: prefix + ":" + p.StmtKey(fa.Stmt) + ":" + fa.Base,
 			},
-			Var:   k.base,
-			Stmt:  k.stmt,
-			Nodes: ns,
-		})
+			Loc:  Loc{Point: fa.At},
+			Var:  fa.Base,
+			Stmt: fa.Stmt,
+		}
+		if nodes != nil {
+			q.Nodes = nodes[i]
+		}
+		out = append(out, q)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// ExplicitEscapeJobs builds jobs for the program's explicit
+// ExplicitEscapeJobs builds inline jobs for the program's explicit
 // "query name local(v)" statements.
 func (p *Program) ExplicitEscapeJobs(k int) map[string]*escape.Job {
-	out := map[string]*escape.Job{}
-	for _, q := range p.Low.Queries {
-		if q.Kind != ir.QueryLocal {
-			continue
-		}
-		job := out[q.Name]
-		if job == nil {
-			job = &escape.Job{A: p.escapeAnalysis(""), G: p.Low.G, Q: escape.Query{V: q.Var}, K: k}
-			out[q.Name] = job
-		}
-		job.Q.Nodes = append(job.Q.Nodes, q.Node)
-	}
-	return out
+	_, esc, _, _ := p.explicitJobs(nil, k)
+	return esc
 }
 
-// ExplicitTypestateJobs builds jobs for "query name state(v: ...)"
+// ExplicitTypestateJobs builds inline jobs for "query name state(v: ...)"
 // statements against a user-supplied property; each query yields one job
 // per site its variable may point to, keyed "name@site".
 func (p *Program) ExplicitTypestateJobs(prop *typestate.Property, k int) (map[string]*typestate.Job, error) {
-	out := map[string]*typestate.Job{}
-	for _, q := range p.Low.Queries {
-		if q.Kind != ir.QueryTypestate {
-			continue
-		}
-		want, err := wantStates(prop, q.Name, q.States)
-		if err != nil {
-			return nil, err
-		}
-		for _, hid := range p.varPts[q.Var].Elems() {
-			h := p.PT.Sites.Value(hid)
-			keyName := q.Name + "@" + h
-			job := out[keyName]
-			if job == nil {
-				job = &typestate.Job{A: p.siteAnalysis(prop, h), G: p.Low.G, Q: typestate.Query{Want: want}, K: k}
-				out[keyName] = job
-			}
-			job.Q.Nodes = append(job.Q.Nodes, q.Node)
-		}
+	ts, _, _, err := p.explicitJobs(prop, k)
+	return ts, err
+}
+
+// ExplicitJobs builds RHS jobs for the program's explicit query statements:
+// "query name local(v)" and, against prop, "query name state(v: ...)"
+// (keyed "name@site" per may-site, as ExplicitTypestateJobs does).
+func (p *Program) ExplicitJobs(prop *typestate.Property, k int) (map[string]core.Problem, error) {
+	ts, esc, points, err := p.explicitJobs(prop, k)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]core.Problem{}
+	for name, j := range ts {
+		out[name] = &RHSJob[typestate.State, typestate.Query, *typestate.Analysis]{G: p.SP.G, Points: points[name], Inner: j}
+	}
+	for name, j := range esc {
+		out[name] = &RHSJob[escape.State, escape.Query, *escape.Analysis]{G: p.SP.G, Points: points[name], Inner: j}
 	}
 	return out, nil
+}
+
+// explicitJobs builds an inline job per explicit query name ("name@site"
+// per site the variable may point to, for a type-state query; with prop
+// nil there are none of those) and lists each job's supergraph points. A
+// job's nodes are its statements' inlined copies, in expansion order. Each
+// job fills caches of its own.
+func (p *Program) explicitJobs(prop *typestate.Property, k int) (map[string]*typestate.Job, map[string]*escape.Job, map[string][]rhs.Point, error) {
+	ts, esc, points := map[string]*typestate.Job{}, map[string]*escape.Job{}, map[string][]rhs.Point{}
+	names := make([][]string, len(p.SP.Queries)) // the jobs each statement poses
+	for i, q := range p.SP.Queries {
+		switch {
+		case q.Kind == ir.QueryLocal:
+			if esc[q.Name] == nil {
+				esc[q.Name] = &escape.Job{A: p.escapeAnalysis(""), G: p.cfg(), Q: escape.Query{V: q.Var}, K: k}
+			}
+			names[i] = []string{q.Name}
+		case q.Kind == ir.QueryTypestate && prop != nil:
+			want, err := wantStates(prop, q.Name, q.States)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			for _, hid := range p.varPts[q.Var].Elems() {
+				h := p.PT.Sites.Value(hid)
+				name := q.Name + "@" + h
+				if ts[name] == nil {
+					ts[name] = &typestate.Job{A: p.siteAnalysis(prop, h), G: p.cfg(), Q: typestate.Query{Want: want}, K: k}
+				}
+				names[i] = append(names[i], name)
+			}
+		}
+		for _, name := range names[i] {
+			points[name] = append(points[name], q.At)
+		}
+	}
+	if p.Inl != nil {
+		for _, c := range p.Inl.Queries {
+			for _, name := range names[c.Rec] {
+				if j := ts[name]; j != nil {
+					j.Q.Nodes = append(j.Q.Nodes, c.Node)
+				} else {
+					esc[name].Q.Nodes = append(esc[name].Q.Nodes, c.Node)
+				}
+			}
+		}
+	}
+	return ts, esc, points, nil
 }
 
 // wantStates resolves an explicit type-state query's state names against
@@ -450,7 +524,9 @@ type Stats struct {
 	NullnessParams           int // N for the null-dereference family 2^N
 }
 
-// ComputeStats gathers Table 1 statistics. src may be empty (lines = 0).
+// ComputeStats gathers Table 1 statistics, counting atoms in the inlined
+// CFG, so the program must have one (Load or Prepare). src may be empty
+// (lines = 0).
 func (p *Program) ComputeStats(src string) Stats {
 	s := Stats{
 		TypestateParams: len(p.Vars),
@@ -472,8 +548,8 @@ func (p *Program) ComputeStats(src string) Stats {
 			s.AppMethods += len(c.Methods)
 		}
 	}
-	s.TotalAtoms = p.Low.Atoms
-	for m, n := range p.Low.AtomsByMethod {
+	s.TotalAtoms = p.Inl.Atoms
+	for m, n := range p.Inl.AtomsByMethod {
 		if p.IsApp(m) {
 			s.AppAtoms += n
 		}

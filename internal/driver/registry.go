@@ -7,6 +7,10 @@ import (
 	"strings"
 
 	"tracer/internal/core"
+	"tracer/internal/escape"
+	"tracer/internal/nullness"
+	"tracer/internal/rhs"
+	"tracer/internal/typestate"
 )
 
 // GenQuery is the client-independent view of one generated query: the layers
@@ -32,9 +36,15 @@ type ClientSpec struct {
 	// same deterministic order as the typed query generators.
 	Queries func(p *Program) []GenQuery
 	// Job builds the core.Problem for query index i (into Queries' order):
-	// the job of a one-query batch. Like every problem built from p, it
-	// shares the program's literal universe and WP caches for the client.
+	// the job of a one-query batch on the inlined CFG. Like every problem
+	// built from p, it shares the program's literal universe and WP caches
+	// for the client.
 	Job func(p *Program, i, k int) core.Problem
+	// RHSJob builds the same query's problem on the supergraph: Job's
+	// backward half and caches, with the RHS engine's forward pass at the
+	// query's supergraph point; noDelta selects the cold forward executor.
+	// It is the only job a program loaded with LoadRHS can build.
+	RHSJob func(p *Program, i, k int, noDelta bool) core.Problem
 	// Batch builds the batch problem over the query indices idx.
 	Batch func(p *Program, idx []int, k int) Batch
 	// ParamNames lists the client's parameter universe in parameter-index
@@ -47,10 +57,16 @@ type ClientSpec struct {
 }
 
 // typed holds the constructors of one client over its typed queries Qy,
-// from which spec derives the index-addressed registry entry.
-type typed[Qy interface{ gen() GenQuery }] struct {
+// from which spec derives the index-addressed registry entry: rhs wraps a
+// job of the client's batch as an RHSJob (rhsJob instantiated at the
+// client's types).
+type typed[Qy interface {
+	gen() GenQuery
+	loc() Loc
+}] struct {
 	queries func(*Program) []Qy
 	batch   func(*Program, []Qy, int) Batch
+	rhs     func(*rhs.Graph, []rhs.Point, core.Problem, bool) core.Problem
 }
 
 func (t typed[Qy]) spec(s ClientSpec) *ClientSpec {
@@ -72,6 +88,10 @@ func (t typed[Qy]) spec(s ClientSpec) *ClientSpec {
 	}
 	s.Batch = batch
 	s.Job = func(p *Program, i, k int) core.Problem { return batch(p, []int{i}, k).Job(0, false) }
+	s.RHSJob = func(p *Program, i, k int, noDelta bool) core.Problem {
+		pt := t.queries(p)[i].loc().Point
+		return t.rhs(p.SP.G, []rhs.Point{pt}, batch(p, []int{i}, k).Job(0, false), noDelta)
+	}
 	return &s
 }
 
@@ -82,6 +102,7 @@ var clientSpecs = []*ClientSpec{
 	typed[TSQuery]{
 		queries: (*Program).TypestateQueries,
 		batch:   typestateBatch,
+		rhs:     rhsJob[typestate.State, typestate.Query, *typestate.Analysis],
 	}.spec(ClientSpec{
 		Name:       "typestate",
 		BenchName:  "type-state",
@@ -96,6 +117,7 @@ var clientSpecs = []*ClientSpec{
 	typed[AccessQuery]{
 		queries: (*Program).EscapeQueries,
 		batch:   escapeBatch,
+		rhs:     rhsJob[escape.State, escape.Query, *escape.Analysis],
 	}.spec(ClientSpec{
 		Name:          "escape",
 		BenchName:     "thread-escape",
@@ -105,6 +127,7 @@ var clientSpecs = []*ClientSpec{
 	typed[AccessQuery]{
 		queries: (*Program).NullnessQueries,
 		batch:   nullnessBatch,
+		rhs:     rhsJob[nullness.State, nullness.Query, *nullness.Analysis],
 	}.spec(ClientSpec{
 		Name:      "nullness",
 		BenchName: "null-deref",

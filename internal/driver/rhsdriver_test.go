@@ -97,15 +97,11 @@ func jobNames(m map[string]core.Problem) []string {
 }
 
 // TestRHSMatchesInlinerOutcomes: on the acyclic interproc program, the two
-// backends resolve the explicit queries identically, with identical
-// cheapest abstractions.
+// backends resolve the explicit queries of one Program identically, with
+// identical cheapest abstractions.
 func TestRHSMatchesInlinerOutcomes(t *testing.T) {
 	inl := load(t)
-	rhsP, err := LoadRHS(interprocSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhsJobs, err := rhsP.ExplicitJobs(typestate.FileProperty(), 5)
+	rhsJobs, err := inl.ExplicitJobs(typestate.FileProperty(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +165,10 @@ func TestRHSProvedCountsFinalForwardSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	proved := 0
-	for _, c := range rhsClients(p) {
-		for _, q := range c.queries {
+	for _, spec := range Clients() {
+		for i, q := range spec.Queries(p) {
 			for _, noDelta := range []bool{true, false} {
-				job := &lastForward{Problem: c.job(q, noDelta)}
+				job := &lastForward{Problem: spec.RHSJob(p, i, 1, noDelta)}
 				res, err := core.Solve(job, core.Options{MaxIters: 200})
 				if err != nil {
 					t.Fatal(err)
@@ -183,7 +179,7 @@ func TestRHSProvedCountsFinalForwardSteps(t *testing.T) {
 				proved++
 				if job.last.Steps == 0 || res.ForwardSteps < job.last.Steps {
 					t.Errorf("rhs %s %s (nodelta=%t): proved in %d iterations with ForwardSteps=%d, final forward run %d steps",
-						c.name, q.ID, noDelta, res.Iterations, res.ForwardSteps, job.last.Steps)
+						spec.Name, q.ID, noDelta, res.Iterations, res.ForwardSteps, job.last.Steps)
 				}
 			}
 		}

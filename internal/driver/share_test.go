@@ -7,9 +7,12 @@ import (
 
 	"tracer/internal/bench"
 	"tracer/internal/budget"
+	"tracer/internal/client"
 	"tracer/internal/core"
 	"tracer/internal/driver"
+	"tracer/internal/escape"
 	"tracer/internal/lang"
+	"tracer/internal/nullness"
 	"tracer/internal/obs"
 	"tracer/internal/typestate"
 	"tracer/internal/uset"
@@ -117,9 +120,11 @@ func TestRHSJobsShareProgramCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	esc, null := p.EscapeQueries(), p.NullnessQueries()
-	e0, e1 := p.EscapeJob(esc[0], 5).Inner, p.EscapeJob(esc[1], 5).Inner
-	n0, n1 := p.NullnessJob(null[0], 5).Inner, p.NullnessJob(null[1], 5).Inner
+	esc, null, ts := driver.ClientByName("escape"), driver.ClientByName("nullness"), driver.ClientByName("typestate")
+	e0 := rhsInner[escape.State, escape.Query, *escape.Analysis](esc.RHSJob(p, 0, 5, false))
+	e1 := rhsInner[escape.State, escape.Query, *escape.Analysis](esc.RHSJob(p, 1, 5, false))
+	n0 := rhsInner[nullness.State, nullness.Query, *nullness.Analysis](null.RHSJob(p, 0, 5, false))
+	n1 := rhsInner[nullness.State, nullness.Query, *nullness.Analysis](null.RHSJob(p, 1, 5, false))
 	if e0.WPC == nil || e0.WPC != e1.WPC || e0.Uni != e1.Uni {
 		t.Error("two escape jobs do not share the program's caches")
 	}
@@ -127,8 +132,8 @@ func TestRHSJobsShareProgramCaches(t *testing.T) {
 		t.Error("two nullness jobs do not share the program's nullness caches")
 	}
 	bySite := map[string]*typestate.Job{}
-	for _, q := range p.TypestateQueries() {
-		j := p.TypestateJob(q, 5).Inner
+	for i, q := range p.TypestateQueries() {
+		j := rhsInner[typestate.State, typestate.Query, *typestate.Analysis](ts.RHSJob(p, i, 5, false))
 		if prev := bySite[q.Site]; prev != nil && (prev.WPC != j.WPC || prev.Uni != j.Uni) {
 			t.Errorf("site %s: two type-state jobs do not share its caches", q.Site)
 		}
@@ -142,6 +147,11 @@ func TestRHSJobsShareProgramCaches(t *testing.T) {
 	if len(bySite) < 2 {
 		t.Fatalf("tsp has %d tracked sites, want several", len(bySite))
 	}
+}
+
+// rhsInner returns the inline job an RHS job delegates its backward pass to.
+func rhsInner[D comparable, Q client.Query, A client.Analysis[D, Q]](pr core.Problem) *client.Job[D, Q, A] {
+	return pr.(*driver.RHSJob[D, Q, A]).Inner
 }
 
 // walkSpy records, per backward walk of a solve, the budget's step count at

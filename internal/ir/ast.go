@@ -56,6 +56,11 @@ type Method struct {
 // QualName is the globally unique method name Class.method.
 func (m *Method) QualName() string { return m.Class.Name + "." + m.Name }
 
+// Qualify returns the qualified name of local v in method m
+// ("Class.method::v"). The lowered atoms name every local this way, so the
+// type-state abstraction family ranges over method-locals as in the paper.
+func Qualify(m *Method, v string) string { return m.QualName() + "::" + v }
+
 // Stmt is an IR statement.
 type Stmt interface {
 	stmt()

@@ -1,38 +1,58 @@
-package ir
+// The lowering of IR statements to atoms, seen through the CFG the inline
+// engine runs on: rhs.FromIR lowers each method onto the supergraph, and
+// Inline expands that from Main.main.
+package ir_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tracer/internal/ir"
 	"tracer/internal/lang"
+	"tracer/internal/rhs"
 )
 
-// staticResolver resolves calls by method name over all classes — a
-// hand-written stand-in for the 0-CFA call graph in these tests.
-type staticResolver struct{ prog *Program }
+// staticResolver resolves calls by method name over all classes and deems
+// every method reachable — a hand-written stand-in for the 0-CFA call graph
+// in these tests.
+type staticResolver struct{ prog *ir.Program }
 
-func (r staticResolver) Targets(s *CallStmt) []*Method {
-	var out []*Method
+func (r staticResolver) Targets(s *ir.CallStmt) []*ir.Method {
+	var out []*ir.Method
 	for _, c := range r.prog.Classes {
-		if m, ok := c.methodByName[s.Method]; ok {
-			out = append(out, m)
+		for _, m := range c.Methods {
+			if m.Name == s.Method {
+				out = append(out, m)
+			}
 		}
 	}
 	return out
 }
 
-func lowerSrc(t *testing.T, src string) *Lowered {
+func (staticResolver) Reachable(*ir.Method) bool { return true }
+
+// lower inlines prog over the static call graph.
+func lower(prog *ir.Program) (*rhs.Program, *rhs.Inlined, error) {
+	sp, err := rhs.FromIR(prog, staticResolver{prog})
+	if err != nil {
+		return nil, nil, err
+	}
+	low, err := sp.Inline()
+	return sp, low, err
+}
+
+func lowerSrc(t *testing.T, src string) (*rhs.Program, *rhs.Inlined) {
 	t.Helper()
-	prog := MustParse(src)
-	low, err := Lower(prog, staticResolver{prog}, LowerOptions{})
+	sp, low, err := lower(ir.MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return low
+	return sp, low
 }
 
 func TestLowerStraightLine(t *testing.T) {
-	low := lowerSrc(t, `
+	_, low := lowerSrc(t, `
 class Main {
   method main(this) {
     var a, b
@@ -61,7 +81,7 @@ class Main {
 }
 
 func TestLowerCallInlines(t *testing.T) {
-	low := lowerSrc(t, `
+	_, low := lowerSrc(t, `
 class Helper {
   method work(this, x) {
     var y
@@ -102,7 +122,7 @@ class Main {
 }
 
 func TestLowerVirtualChoice(t *testing.T) {
-	low := lowerSrc(t, `
+	_, low := lowerSrc(t, `
 class A { method m(this) { var x
   x = new A @ hA } }
 class B { method m(this) { var x
@@ -129,39 +149,40 @@ class Main {
 }
 
 func TestLowerRejectsRecursion(t *testing.T) {
-	prog := MustParse(`
+	prog := ir.MustParse(`
 class Main {
   method main(this) {
     this.main()
   }
 }
 `)
-	_, err := Lower(prog, staticResolver{prog}, LowerOptions{})
+	_, _, err := lower(prog)
 	if err == nil || !strings.Contains(err.Error(), "recursive") {
 		t.Fatalf("err = %v, want recursion error", err)
 	}
 }
 
+// TestLowerDepthLimit: a call chain may nest rhs.MaxInlineDepth methods,
+// Main.main included, and no more.
 func TestLowerDepthLimit(t *testing.T) {
-	src := "class Main {\n"
-	src += "  method main(this) {\n    this.m0()\n  }\n"
-	for i := 0; i < 5; i++ {
-		src += "  method m" + string(rune('0'+i)) + "(this) {\n"
-		src += "    this.m" + string(rune('1'+i)) + "()\n  }\n"
+	chain := func(n int) *ir.Program { // Main.main calls m0, which calls m1, ... m(n-1)
+		src := "class Main {\n  method main(this) {\n    this.m0()\n  }\n"
+		for i := 0; i < n; i++ {
+			src += fmt.Sprintf("  method m%d(this) {\n    this.m%d()\n  }\n", i, i+1)
+		}
+		return ir.MustParse(src + fmt.Sprintf("  method m%d(this) { }\n}\n", n))
 	}
-	src += "  method m5(this) { }\n}\n"
-	prog := MustParse(src)
-	if _, err := Lower(prog, staticResolver{prog}, LowerOptions{MaxDepth: 3}); err == nil ||
+	if _, _, err := lower(chain(rhs.MaxInlineDepth - 1)); err == nil ||
 		!strings.Contains(err.Error(), "depth limit") {
-		t.Fatalf("expected depth-limit error")
+		t.Fatalf("expected depth-limit error, got %v", err)
 	}
-	if _, err := Lower(prog, staticResolver{prog}, LowerOptions{MaxDepth: 10}); err != nil {
-		t.Fatalf("depth 10 should succeed: %v", err)
+	if _, _, err := lower(chain(rhs.MaxInlineDepth - 2)); err != nil {
+		t.Fatalf("a chain of %d methods should inline: %v", rhs.MaxInlineDepth, err)
 	}
 }
 
 func TestLowerQueriesAndAccesses(t *testing.T) {
-	low := lowerSrc(t, `
+	sp, low := lowerSrc(t, `
 class Main {
   field f
   method main(this) {
@@ -176,16 +197,16 @@ class Main {
 	if len(low.Accesses) != 2 {
 		t.Fatalf("accesses = %d, want 2", len(low.Accesses))
 	}
-	if len(low.Queries) != 1 || low.Queries[0].Var != "Main.main::a" {
+	if len(low.Queries) != 1 || sp.Queries[low.Queries[0].Rec].Var != "Main.main::a" {
 		t.Fatalf("queries = %+v", low.Queries)
 	}
-	if low.Atoms == 0 || low.AtomsByMethod[low.Prog.Main()] != low.Atoms {
+	if low.Atoms == 0 || low.AtomsByMethod[sp.IR.Main()] != low.Atoms {
 		t.Fatalf("atom attribution wrong: %d vs %v", low.Atoms, low.AtomsByMethod)
 	}
 }
 
 func TestLowerNativeCallOnly(t *testing.T) {
-	low := lowerSrc(t, `
+	_, low := lowerSrc(t, `
 class Main {
   native method ping(this)
   method main(this) {

@@ -13,13 +13,19 @@ type Point struct {
 	Node   int
 }
 
-// CallSite records a lowered call statement (one per source statement —
-// unlike the inliner, the supergraph has exactly one copy of each method).
+// CallSite records a lowered call statement (one per source statement:
+// unlike the inlined view, the supergraph has exactly one copy of each
+// method).
 type CallSite struct {
 	Stmt   *ir.CallStmt
 	Method *ir.Method
 	At     Point // immediately before the Invoke event
 	Recv   string
+
+	// edge is the number of edges the method had when the statement was
+	// lowered: Inline emits the record's copies at that point of the
+	// method's edge list, in statement order.
+	edge int
 }
 
 // FieldAccess records a lowered field load or store.
@@ -28,6 +34,8 @@ type FieldAccess struct {
 	Method *ir.Method
 	At     Point
 	Base   string
+
+	edge int
 }
 
 // ExplicitQuery records a lowered query statement.
@@ -38,9 +46,13 @@ type ExplicitQuery struct {
 	States []string
 	At     Point
 	Method *ir.Method
+
+	edge int
 }
 
-// Program is a whole program lowered onto a supergraph.
+// Program is a whole program lowered onto a supergraph. Methods are lowered
+// in the order of their supergraph indices, so each record list holds one
+// method's records contiguously, in the order its statements were lowered.
 type Program struct {
 	G        *Graph
 	IR       *ir.Program
@@ -48,27 +60,24 @@ type Program struct {
 	Accesses []FieldAccess
 	Queries  []ExplicitQuery
 
+	// methods maps supergraph method indices back to source methods.
+	methods   []*ir.Method
 	methodIdx map[*ir.Method]int
 }
 
-// MethodIndex returns the supergraph index of a lowered method, or -1.
-func (p *Program) MethodIndex(m *ir.Method) int {
-	if i, ok := p.methodIdx[m]; ok {
-		return i
-	}
-	return -1
-}
-
-// reachability abstracts "which methods to lower"; the pointsto package's
-// Result provides both this and call resolution.
+// Oracle is the call-graph oracle the lowering needs: which methods to
+// lower, and the possible callees of a call statement. The pointsto
+// package's Result implements it; an interface avoids the import and lets
+// tests use hand-written call graphs.
 type Oracle interface {
-	ir.Resolver
 	Reachable(m *ir.Method) bool
+	Targets(s *ir.CallStmt) []*ir.Method
 }
 
 // FromIR lowers every reachable non-native method onto its own graph, with
-// call edges for resolved targets. Unlike ir.Lower, recursion is allowed:
-// the tabulation solver computes summaries as fixpoints.
+// call edges for resolved targets. Recursion is allowed: the tabulation
+// solver computes summaries as fixpoints (Inline, which expands the
+// supergraph, rejects it).
 func FromIR(prog *ir.Program, res Oracle) (*Program, error) {
 	main := prog.Main()
 	if main == nil {
@@ -80,12 +89,13 @@ func FromIR(prog *ir.Program, res Oracle) (*Program, error) {
 			continue
 		}
 		p.methodIdx[m] = p.G.NewMethod(m.QualName())
+		p.methods = append(p.methods, m)
 	}
 	if _, ok := p.methodIdx[main]; !ok {
 		return nil, fmt.Errorf("rhs: entry method not reachable")
 	}
 	p.G.Main = p.methodIdx[main]
-	for m, idx := range p.methodIdx {
+	for idx, m := range p.methods {
 		if err := p.lowerMethod(m, idx, res); err != nil {
 			return nil, err
 		}
@@ -93,7 +103,7 @@ func FromIR(prog *ir.Program, res Oracle) (*Program, error) {
 	return p, nil
 }
 
-func (p *Program) lowerMethod(m *ir.Method, idx int, res ir.Resolver) error {
+func (p *Program) lowerMethod(m *ir.Method, idx int, res Oracle) error {
 	mg := p.G.Methods[idx]
 	mg.Entry = mg.AddNode()
 	cur := mg.Entry
@@ -112,7 +122,7 @@ func (p *Program) lowerMethod(m *ir.Method, idx int, res ir.Resolver) error {
 	return nil
 }
 
-func (p *Program) lowerBlock(m *ir.Method, idx int, mg *Method, body []ir.Stmt, from int, res ir.Resolver) (int, error) {
+func (p *Program) lowerBlock(m *ir.Method, idx int, mg *Method, body []ir.Stmt, from int, res Oracle) (int, error) {
 	cur := from
 	var err error
 	for _, s := range body {
@@ -131,7 +141,7 @@ func (p *Program) atom(mg *Method, from int, a lang.Atom) int {
 	return to
 }
 
-func (p *Program) lowerStmt(m *ir.Method, idx int, mg *Method, s ir.Stmt, from int, res ir.Resolver) (int, error) {
+func (p *Program) lowerStmt(m *ir.Method, idx int, mg *Method, s ir.Stmt, from int, res Oracle) (int, error) {
 	q := func(v string) string { return ir.Qualify(m, v) }
 	switch s := s.(type) {
 	case *ir.NewStmt:
@@ -145,10 +155,10 @@ func (p *Program) lowerStmt(m *ir.Method, idx int, mg *Method, s ir.Stmt, from i
 	case *ir.GlobalPut:
 		return p.atom(mg, from, lang.GlobalWrite{G: s.Global, V: q(s.Src)}), nil
 	case *ir.LoadStmt:
-		p.Accesses = append(p.Accesses, FieldAccess{Stmt: s, Method: m, At: Point{idx, from}, Base: q(s.Src)})
+		p.Accesses = append(p.Accesses, FieldAccess{Stmt: s, Method: m, At: Point{idx, from}, Base: q(s.Src), edge: len(mg.Edges)})
 		return p.atom(mg, from, lang.Load{Dst: q(s.Dst), Src: q(s.Src), F: s.Field}), nil
 	case *ir.StoreStmt:
-		p.Accesses = append(p.Accesses, FieldAccess{Stmt: s, Method: m, At: Point{idx, from}, Base: q(s.Dst)})
+		p.Accesses = append(p.Accesses, FieldAccess{Stmt: s, Method: m, At: Point{idx, from}, Base: q(s.Dst), edge: len(mg.Edges)})
 		return p.atom(mg, from, lang.Store{Dst: q(s.Dst), F: s.Field, Src: q(s.Src)}), nil
 	case *ir.IfStmt:
 		thenEnd, err := p.lowerBlock(m, idx, mg, s.Then, from, res)
@@ -177,7 +187,7 @@ func (p *Program) lowerStmt(m *ir.Method, idx int, mg *Method, s ir.Stmt, from i
 	case *ir.QueryStmt:
 		p.Queries = append(p.Queries, ExplicitQuery{
 			Name: s.Name, Kind: s.Kind, Var: q(s.Var), States: s.States,
-			At: Point{idx, from}, Method: m,
+			At: Point{idx, from}, Method: m, edge: len(mg.Edges),
 		})
 		return from, nil
 	case *ir.CallStmt:
@@ -186,9 +196,9 @@ func (p *Program) lowerStmt(m *ir.Method, idx int, mg *Method, s ir.Stmt, from i
 	return 0, fmt.Errorf("rhs: cannot lower statement %T", s)
 }
 
-func (p *Program) lowerCall(m *ir.Method, idx int, mg *Method, s *ir.CallStmt, from int, res ir.Resolver) (int, error) {
+func (p *Program) lowerCall(m *ir.Method, idx int, mg *Method, s *ir.CallStmt, from int, res Oracle) (int, error) {
 	recv := ir.Qualify(m, s.Recv)
-	p.Calls = append(p.Calls, CallSite{Stmt: s, Method: m, At: Point{idx, from}, Recv: recv})
+	p.Calls = append(p.Calls, CallSite{Stmt: s, Method: m, At: Point{idx, from}, Recv: recv, edge: len(mg.Edges)})
 	cur := p.atom(mg, from, lang.Invoke{V: recv, M: s.Method})
 	var bodied []*ir.Method
 	for _, callee := range res.Targets(s) {

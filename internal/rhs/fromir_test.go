@@ -63,8 +63,8 @@ func load(t *testing.T, src string) (*ir.Program, *pointsto.Result, *Program) {
 // field access as the intraprocedural solver over the inlined CFG, for the
 // thread-escape analysis under several abstractions.
 func TestEquivalenceWithInliner(t *testing.T) {
-	prog, pt, sp := load(t, nonRecursiveSrc)
-	low, err := ir.Lower(prog, pt, ir.LowerOptions{})
+	_, _, sp := load(t, nonRecursiveSrc)
+	low, err := sp.Inline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,14 @@ func TestEquivalenceWithInliner(t *testing.T) {
 
 		// Compare fact sets per source access statement.
 		inlByStmt := map[ir.Stmt]map[string]bool{}
-		for _, fa := range low.Accesses {
-			set := inlByStmt[fa.Stmt]
+		for _, c := range low.Accesses {
+			stmt := sp.Accesses[c.Rec].Stmt
+			set := inlByStmt[stmt]
 			if set == nil {
 				set = map[string]bool{}
-				inlByStmt[fa.Stmt] = set
+				inlByStmt[stmt] = set
 			}
-			for _, d := range inl.States(fa.Node) {
+			for _, d := range inl.States(c.Node) {
 				set[aInl.Format(d)] = true
 			}
 		}
@@ -201,11 +202,11 @@ class Main {
 }
 `
 
-// TestRecursiveProgram: ir.Lower rejects the program, but the tabulation
+// TestRecursiveProgram: Inline rejects the program, but the tabulation
 // analyzes it; the File protocol query must be provable.
 func TestRecursiveProgram(t *testing.T) {
-	prog, pt, sp := load(t, recursiveSrc)
-	if _, err := ir.Lower(prog, pt, ir.LowerOptions{}); err == nil {
+	_, _, sp := load(t, recursiveSrc)
+	if _, err := sp.Inline(); err == nil {
 		t.Fatal("expected the inliner to reject recursion")
 	}
 

@@ -12,10 +12,12 @@
 // sequences of atomic commands with callee traces spliced in at call sites
 // — can be reconstructed for the backward meta-analysis.
 //
-// Unlike the inlining lowering (ir.Lower), the tabulation handles recursive
-// call graphs: recursion becomes a fixpoint over summaries. Locals are
-// still identified per method (not per frame), so recursive frames collapse
-// into one abstract frame; DESIGN.md discusses this modeling choice.
+// FromIR is the front end's one translation of IR statements into atoms,
+// and Inline expands its supergraph into the single CFG the inline engine
+// runs on. Unlike that expansion, the tabulation handles recursive call
+// graphs: recursion becomes a fixpoint over summaries. Locals are still
+// identified per method (not per frame), so recursive frames collapse into
+// one abstract frame; DESIGN.md discusses this modeling choice.
 package rhs
 
 import (
