@@ -1,6 +1,6 @@
 # Tier-1 gate: everything a PR must keep green (see ROADMAP.md).
 .PHONY: check fmt vet build test test-tracerbench bench bench-micro bench-smoke chaos fuzz \
-	smoke-server chaos-server
+	smoke-server chaos-server determinism
 
 check: fmt vet build test test-tracerbench
 
@@ -40,14 +40,16 @@ chaos:
 
 # Differential fuzzing: the oracle package's fixed-seed property and
 # metamorphic suites under -race, both delta chains' flip suites against a
-# cold solve over FUZZ_N seeds, the minimum-model search against the
-# engine it replaced and the minimum-model diagram against the search
-# (single-goroutine, so without -race, which slows them about 20x), the
-# diagram replaying every suite query's learned cubes against the search
-# (no diagram may fall back; it prints the largest), Solve against
-# SolveBatch on every query of all seven suite programs (also without -race;
-# about 20 s), then a seeded CLI sweep of the brute-force oracle on every
-# client ("Ground truth & fuzzing" in ARCHITECTURE.md).
+# cold solve over FUZZ_N seeds, the minimum-model diagram against the
+# reference branch-and-bound search over FUZZ_N generated CEGAR sequences
+# (single-goroutine, so without -race, which slows it about 20x), the
+# diagram replaying every suite query's learned cubes against the reference
+# (no call may trip the node cap; it prints the largest diagram) and then
+# re-solving the queries exhausted at 100 iterations at 5000, where each
+# must end impossible, Solve against SolveBatch on every query of all seven
+# suite programs (also without -race; about 20 s), then a seeded CLI sweep
+# of the brute-force oracle on every client ("Ground truth & fuzzing" in
+# ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
 FUZZ_SEED ?= 1
 FUZZ_N    ?= 5000
@@ -56,11 +58,16 @@ fuzz:
 	DECODER_FUZZ_N=$(FUZZ_N) go test -race -count=1 \
 		-run 'TestDecoderSeededFuzz|FuzzDecodeRequest' ./internal/server/ -v
 	CHAIN_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestChainFlipChain' ./internal/dataflow/ ./internal/rhs/
-	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference|TestDiagramMatchesSearch' \
-		./internal/minsat/ -v
-	MINSAT_REPLAY_SUITE=all go test -count=1 -run 'TestReplayMatchesSearch' ./internal/minsat/ -v
+	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference|TestDiagramMatchesSearch' ./internal/minsat/ -v
+	MINSAT_REPLAY_SUITE=all go test -count=1 -run 'TestReplayMatchesReference' ./internal/minsat/ -v
 	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch' ./internal/bench/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
+
+# Output determinism (also a CI step): every example and tracer -auto on a
+# generated tsp program, run twice each; the outputs must match once wall
+# times are masked.
+determinism:
+	scripts/determinism.sh
 
 # Daemon smoke: boot tracerd on an ephemeral port, replay a small corpus via
 # traceload with verdict verification (100% success required), SIGTERM, and
@@ -80,13 +87,12 @@ bench:
 
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
-# cache, Simplify), the minimum-model solver's CEGAR-shaped blocking-cube
-# sequence on the diagram and on the fallback search alone, the CEGAR loop's
-# own overhead on a mock problem, and opening a warm-start session on a full
-# store.
+# cache, Simplify), the minimum-model diagram on a CEGAR-shaped
+# blocking-cube sequence, the CEGAR loop's own overhead on a mock problem,
+# and opening a warm-start session on a full store.
 bench-micro:
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
-	go test -run=NONE -bench 'MinimumCEGAR|SearchCEGAR' -benchmem ./internal/minsat/...
+	go test -run=NONE -bench 'MinimumCEGAR' -benchmem ./internal/minsat/...
 	go test -run=NONE -bench 'SolveLoop' -benchmem ./internal/core/...
 	go test -run=NONE -bench 'SessionOpen' -benchmem ./internal/warm/...
 

@@ -20,6 +20,11 @@
 // slightly edited — program seeds each query with the previously learned
 // blocking clauses that survive the IR delta, and saves what it learns back.
 //
+// With -engine rhs the explicit queries are answered by the summary-based
+// tabulation engine, which also handles recursive call graphs. It answers
+// nothing else, so -auto, -batch, -warm-dir and -explain are rejected with
+// it, as is any -engine value other than inline and rhs.
+//
 // The -property flag selects the automaton for explicit type-state queries:
 // "file" (open/close protocol) or "stress" (the paper's fictitious
 // evaluation property).
@@ -112,6 +117,9 @@ func run() error {
 	fuzzMeta := flag.Bool("fuzz-meta", false, "also run the metamorphic checks (permutation, padding, batch invariance) on every fuzz case")
 	flag.Parse()
 
+	if err := checkEngine(*engine, *auto, *batch, *warmDir, *explainFlag); err != nil {
+		return err
+	}
 	if *fuzzN > 0 {
 		return runFuzz(*fuzzSeed, *fuzzN, *fuzzMeta)
 	}
@@ -207,6 +215,27 @@ func run() error {
 		fmt.Print(agg.Render())
 	}
 	return nil
+}
+
+// checkEngine rejects an -engine value other than inline and rhs, and each
+// flag the rhs engine does not implement: it answers the program's explicit
+// query statements only, one at a time and cold.
+func checkEngine(engine string, auto, batch bool, warmDir string, explain bool) error {
+	switch engine {
+	case "inline":
+		return nil
+	case "rhs":
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"auto", auto}, {"batch", batch}, {"warm-dir", warmDir != ""}, {"explain", explain}} {
+			if f.set {
+				return fmt.Errorf("-engine rhs answers explicit query statements only; it does not support -%s", f.name)
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown -engine %q: want inline or rhs", engine)
 }
 
 // runFuzz cross-checks the CEGAR loop against the brute-force oracle on

@@ -1,0 +1,40 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestCheckEngine: an unknown -engine value is rejected, and so is each
+// flag the rhs engine would otherwise ignore; every error names the flag.
+func TestCheckEngine(t *testing.T) {
+	type flags struct {
+		auto, batch bool
+		warmDir     string
+		explain     bool
+	}
+	all := flags{auto: true, batch: true, warmDir: "w", explain: true}
+	for _, c := range []struct {
+		name, engine string
+		flags
+		reject string // the flag the error must name; "" = accepted
+	}{
+		{"inline", "inline", all, ""},
+		{"rhs", "rhs", flags{}, ""},
+		{"bogus", "bogus", flags{auto: true}, "-engine"},
+		{"rhs-auto", "rhs", flags{auto: true}, "-auto"},
+		{"rhs-batch", "rhs", flags{batch: true}, "-batch"},
+		{"rhs-warm-dir", "rhs", flags{warmDir: "w"}, "-warm-dir"},
+		{"rhs-explain", "rhs", flags{explain: true}, "-explain"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := checkEngine(c.engine, c.auto, c.batch, c.warmDir, c.explain)
+			switch {
+			case c.reject == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)):
+				t.Fatalf("error %v; want one naming %s", err, c.reject)
+			}
+		})
+	}
+}

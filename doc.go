@@ -23,7 +23,7 @@
 //     (§4.1) and the backward meta-analysis driver B[t] (Fig 7)
 //   - typestate, escape: the two client analyses (Figs 4, 5, 9–11)
 //   - minsat: exact minimum-cost models of the viable set (Alg 1 line 8),
-//     walked off a BDD, with a branch-and-bound fallback
+//     walked off a BDD; a diagram past its node cap trips the budget
 //   - core: TRACER (Algorithm 1) and the §6 multi-query grouping driver
 //   - driver, explain: front-end pipelines, §6 query generation, and
 //     Fig 1/6-style narration
@@ -31,8 +31,8 @@
 //   - obs: the observability layer — structured events (NDJSON), counters,
 //     gauges, and timers threaded through core, minsat, rhs, and bench;
 //     a no-op by default. The counter vocabulary is defined (and documented)
-//     on the constants in internal/obs: minsat.search_nodes,
-//     minsat.incremental_reuse and minsat.fallback for the min-cost solver,
+//     on the constants in internal/obs: minsat.search_nodes and
+//     minsat.incremental_reuse for the min-cost solver,
 //     formula.subsumption_checks / formula.sig_filtered / formula.sig_skips
 //     for the signature-screened kernel scans, and
 //     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo, and

@@ -21,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"tracer/internal/core"
@@ -94,23 +95,31 @@ func main() {
 
 	opts := core.Options{Timeout: 10 * time.Second}
 
+	type query struct {
+		name      string
+		job       core.Problem
+		paramName func(int) string
+	}
+	var queries []query
 	tsJobs, err := prog.ExplicitTypestateJobs(typestate.FileProperty(), 5)
 	if err != nil {
 		panic(err)
 	}
 	for name, job := range tsJobs {
-		res, err := core.Solve(job, opts)
-		if err != nil {
-			panic(err)
-		}
-		report(name, res, job.ParamName)
+		queries = append(queries, query{name, job, job.ParamName})
 	}
 	for name, job := range prog.ExplicitEscapeJobs(5) {
-		res, err := core.Solve(job, opts)
+		queries = append(queries, query{name, job, job.ParamName})
+	}
+	// The jobs come in maps; answer them in name order, so every run prints
+	// the same report.
+	sort.Slice(queries, func(i, j int) bool { return queries[i].name < queries[j].name })
+	for _, q := range queries {
+		res, err := core.Solve(q.job, opts)
 		if err != nil {
 			panic(err)
 		}
-		report(name, res, job.ParamName)
+		report(q.name, res, q.paramName)
 	}
 }
 

@@ -4,11 +4,12 @@
 // context.Context (caller cancellation, e.g. SIGINT), a wall-clock
 // deadline (the paper's 1,000-minute cap), and a step quota (a
 // machine-independent work bound) — behind one cheap polling point. Every
-// potentially-long phase of the loop (the minsat branch-and-bound search,
-// the chaotic forward iteration, the RHS tabulation worklist, the backward
-// meta-analysis cube expansion) calls Poll once per unit of work and aborts
-// its phase when Poll returns false, leaving a partial result that the
-// caller reports as Exhausted.
+// potentially-long phase of the loop (building minsat's diagram of the
+// viable set, the chaotic forward iteration, the RHS tabulation worklist,
+// the backward meta-analysis cube expansion) calls Poll once per unit of
+// work and aborts its phase when Poll returns false, leaving a partial
+// result that the caller reports as Exhausted. A phase that outgrows a fixed
+// memory cap trips the budget itself (cause Space), with the same outcome.
 //
 // Poll is amortized: it is one atomic add plus a quota comparison on the
 // fast path; the context and clock are consulted only every pollInterval
@@ -40,6 +41,9 @@ const (
 	// Injected: a fault injector (or other external caller) tripped the
 	// budget explicitly via Trip.
 	Injected
+	// Space: a phase needed more memory than its fixed cap allows (minsat's
+	// diagram of the viable set past its node cap, even after compaction).
+	Space
 )
 
 func (c Cause) String() string {
@@ -54,6 +58,8 @@ func (c Cause) String() string {
 		return "steps"
 	case Injected:
 		return "injected"
+	case Space:
+		return "space"
 	}
 	return "unknown"
 }

@@ -198,8 +198,9 @@ type unitOut struct {
 // the one CEGAR loop: Solve runs it over a batch of one.
 // opts.MaxIters bounds the number of forward runs any single query may
 // participate in; opts.Timeout, opts.Context, and opts.MaxSteps bound the
-// whole batch through one shared cooperative budget. When the budget trips
-// — even in the middle of a minimum search, forward run, or backward
+// whole batch through one shared cooperative budget, which a group's
+// diagram past minsat's node cap also trips. When the budget trips
+// — even in the middle of a diagram build (line 8), forward run, or backward
 // expansion — the in-flight phase aborts at its next poll, a budget_trip
 // event is emitted, and every still-unresolved query resolves Exhausted
 // with Result.Tripped set, carrying its accumulated partial stats
@@ -391,8 +392,9 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			pl.p, pl.sat = pl.g.solver.MinimumBudget(bud)
 		})
 		// A trip during phase A makes every !sat plan ambiguous (an aborted
-		// search also reports unsatisfiable), so resolve the whole round as
-		// Exhausted rather than risk a false Impossible.
+		// Minimum, a diagram past the node cap included, also reports
+		// unsatisfiable), so resolve the whole round as Exhausted rather than
+		// risk a false Impossible.
 		if bud.Tripped() {
 			tripEvent()
 			for i := range plans {

@@ -85,9 +85,9 @@ func (s *spinProblem) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []Par
 }
 
 // hardMinProblem front-loads a random vertex-cover clause set (as in
-// internal/minsat's budget tests) so the second iteration's minimum search
-// explodes; only the cooperative budget inside the branch-and-bound can
-// bound it.
+// internal/minsat's budget tests) so the second iteration's diagram of the
+// viable set explodes: from n = 60 on it passes minsat's node cap, and only
+// the budget polled per diagram node can stop it sooner.
 type hardMinProblem struct{ n int }
 
 func (h *hardMinProblem) NumParams() int { return h.n }
@@ -124,9 +124,9 @@ func TestSolveDeadlineMidPhase(t *testing.T) {
 	}{
 		{"forward", &spinProblem{phase: "forward"}},
 		{"backward", &spinProblem{phase: "backward"}},
-		// n sized so the fresh minimum search runs for seconds (the
-		// occurrence-list engine solves n=60 in ~10ms), keeping the 40ms
-		// deadline tripping mid-search rather than after a completed solve.
+		// At n = 140 the diagram takes about 0.4 s to pass the node cap,
+		// ten times the 40ms deadline, so the deadline trips mid-build
+		// rather than the cap.
 		{"minimum", &hardMinProblem{n: 140}},
 	}
 	for _, tc := range cases {
@@ -154,6 +154,67 @@ func TestSolveDeadlineMidPhase(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hardMinBatch poses hardMinProblem as a batch of nq queries that every
+// forward run fails. Query q also learns the unit cube {Neg: {q}}, so after
+// the first round the queries sit in nq groups, and their diagrams pass the
+// node cap concurrently.
+type hardMinBatch struct {
+	h  hardMinProblem
+	nq int
+}
+
+func (b *hardMinBatch) NumParams() int  { return b.h.n }
+func (b *hardMinBatch) NumQueries() int { return b.nq }
+
+func (b *hardMinBatch) RunForward(_ *budget.Budget, _ uset.Set) BatchRun { return pollRun{} }
+
+func (b *hardMinBatch) Backward(bud *budget.Budget, q int, p uset.Set, t lang.Trace) []ParamCube {
+	return append(b.h.Backward(bud, p, t), ParamCube{Neg: uset.New(q)})
+}
+
+// TestSolveSpaceTrip: a diagram past minsat's node cap trips the solve's
+// budget even when nothing bounds the solve, so every query ends Exhausted
+// with Tripped set and the solve emits one budget_trip event naming cause
+// space; no verdict is read off a diagram that did not fit. A 2-worker
+// batch whose two groups pass the cap at once does the same.
+func TestSolveSpaceTrip(t *testing.T) {
+	check := func(t *testing.T, rs []Result, cap *obs.Capture) {
+		t.Helper()
+		for q, r := range rs {
+			if r.Status != Exhausted || !r.Tripped {
+				t.Fatalf("query %d: %v (tripped %v), want exhausted by a trip", q, r.Status, r.Tripped)
+			}
+		}
+		if trips := cap.Filter(obs.BudgetTrip); len(trips) != 1 || trips[0].Name != "space" {
+			t.Fatalf("budget_trip events = %+v, want one with cause space", trips)
+		}
+		if finals := cap.Filter(obs.QueryResolved); len(finals) != len(rs) {
+			t.Fatalf("query_resolved events = %d, want %d", len(finals), len(rs))
+		}
+	}
+	t.Run("solve", func(t *testing.T) {
+		cap := obs.NewCapture()
+		res, err := Solve(&hardMinProblem{n: 60}, Options{Recorder: cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, []Result{res}, cap)
+	})
+	t.Run("batch", func(t *testing.T) {
+		cap := obs.NewCapture()
+		res, err := SolveBatch(&hardMinBatch{h: hardMinProblem{n: 60}, nq: 2},
+			Options{Workers: 2, Recorder: cap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res.Results, cap)
+		if res.Stats.PeakGroups != 2 {
+			t.Fatalf("peak groups = %d, want both queries' groups past the cap in one round",
+				res.Stats.PeakGroups)
+		}
+	})
 }
 
 // TestSolveContextCancelMidPhase: cancellation lands mid-forward-run and the

@@ -178,8 +178,8 @@ type Options struct {
 	// the role of the paper's 1,000-minute budget: queries exceeding it are
 	// reported Exhausted ("could not be resolved", Fig 12). Enforcement is
 	// cooperative and mid-phase: every long-running loop polls the solve's
-	// budget, so a single pathological minimum search, forward run, or
-	// backward expansion is aborted within one polling interval of the
+	// budget, so a single pathological diagram build (line 8), forward run,
+	// or backward expansion is aborted within one polling interval of the
 	// deadline instead of overrunning it.
 	Timeout time.Duration
 	// Context, when non-nil, cancels the solve cooperatively: when the
@@ -190,7 +190,7 @@ type Options struct {
 	Context context.Context
 	// MaxSteps, when > 0, bounds the total budget polls of the solve (a
 	// machine-independent work quota across all phases: forward solver
-	// steps, minsat search nodes, backward expansion steps). Exceeding it
+	// steps, minsat diagram nodes, backward expansion steps). Exceeding it
 	// resolves the remaining queries Exhausted.
 	MaxSteps int64
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
@@ -257,14 +257,10 @@ func (o Options) workers() int {
 
 func (o Options) rec() obs.Recorder { return obs.Default(o.Recorder) }
 
-// newBudget builds the solve's cooperative budget, or nil when nothing
-// bounds the solve (the common fully-trusted path keeps its zero-cost nil
-// polls). A fault injector forces a budget so injected trips have a place
-// to land.
+// newBudget builds the solve's cooperative budget. A solve that nothing
+// bounds still gets one, with no limits: a diagram past minsat's node cap
+// and a fault injector trip it, and the trip resolves the solve Exhausted.
 func (o Options) newBudget(start time.Time) *budget.Budget {
-	if o.Context == nil && o.Timeout <= 0 && o.MaxSteps <= 0 && o.Inject == nil {
-		return nil
-	}
 	var deadline time.Time
 	if o.Timeout > 0 {
 		deadline = start.Add(o.Timeout)

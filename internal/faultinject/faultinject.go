@@ -39,7 +39,8 @@ import (
 type Site string
 
 const (
-	// SiteMinimum fires just before a minsat.MinimumBudget search.
+	// SiteMinimum fires just before a minsat.MinimumBudget call, which
+	// conjoins the new clauses into the group's diagram and walks it.
 	// Keys: "r<round>.g<group>", with the 0-based round and the group's
 	// index in the round's signature order ("r<iter-1>.g0" for core.Solve).
 	SiteMinimum Site = "minimum"

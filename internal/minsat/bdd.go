@@ -8,13 +8,13 @@ import (
 )
 
 // nodeCap bounds a diagram's node arena. An apply that would grow the arena
-// past it compacts the diagram first; a solver whose compacted diagram still
-// fills more than half the cap drops the diagram for good and answers from
-// the clause-mask search instead. The benchmark suite's largest arena has
-// 4,220 nodes at 100 iterations per query, and 64,032 when its hardest query
-// runs to 4,738; the cap leaves room above that while bounding what an
-// adversarial clause set costs before the fallback (about a tenth of a
-// second of node building on a 2-vCPU VM).
+// past it compacts the diagram first; a call whose compacted diagram still
+// fills more than half the cap trips its budget (budget.Space) instead of
+// answering. The benchmark suite's largest arena has 4,220 nodes at 100
+// iterations per query, and 64,032 when its hardest query runs to 4,738;
+// the cap leaves room above that while bounding what an adversarial clause
+// set costs before the trip: a random 60-vertex cover (the tests'
+// hardInstance(60)) makes 394,129 nodes, about 0.4 s on a 2-vCPU VM.
 const nodeCap = 1 << 17
 
 // Terminal node ids.

@@ -2,6 +2,8 @@ package minsat
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +12,10 @@ import (
 )
 
 // hardInstance builds a random vertex-cover formula: a clause (xi ∨ xj) for
-// ~30% of the pairs i < j < n. Unlike the complete graph (which unit
-// propagation collapses), sparse instances make the branch-and-bound search
-// visit many thousands of nodes — far more than one polling interval.
+// ~30% of the pairs i < j < n. Its diagram makes thousands of nodes — far
+// more than one polling interval — and at n = 60 it passes the node cap
+// even after compaction, while the reference's branch-and-bound still
+// answers in milliseconds.
 func hardInstance(n int) *Solver {
 	rng := rand.New(rand.NewSource(1))
 	s := New(n)
@@ -39,28 +42,52 @@ func TestMinimumBudgetNil(t *testing.T) {
 	}
 }
 
-// TestMinimumBudgetAbort: an expired deadline abandons the search with
-// ok=false and a tripped budget, so callers can tell "aborted" from "unsat".
+// TestMinimumBudgetAbort: an expired deadline abandons the diagram build
+// with ok=false and a tripped budget, so callers can tell "aborted" from
+// "unsat".
 func TestMinimumBudgetAbort(t *testing.T) {
 	s := hardInstance(60)
 	b := budget.New(nil, time.Now().Add(-time.Second), 0)
 	start := time.Now()
 	_, ok := s.MinimumBudget(b)
 	if ok {
-		t.Fatal("aborted search returned a model")
+		t.Fatal("aborted call returned a model")
 	}
 	if !b.Tripped() || b.Cause() != budget.Deadline {
 		t.Fatalf("budget cause = %v, want deadline", b.Cause())
 	}
-	// The instance takes far longer than this to solve exactly; an aborted
-	// search must return almost immediately (one polling interval of nodes).
+	// An aborted call must return almost immediately (one polling interval
+	// of nodes).
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("aborted search took %v", d)
+		t.Fatalf("aborted call took %v", d)
 	}
-	// The formula is satisfiable: a fresh un-budgeted search proves it.
-	if _, ok := hardInstance(60).Minimum(); !ok {
-		t.Fatal("control: hard instance reported unsat without a budget")
+	// The formula is satisfiable: the reference proves it.
+	if _, ok := refOver(hardInstance(60)).minimum(nil); !ok {
+		t.Fatal("control: the reference reports the hard instance unsat")
 	}
+}
+
+// TestMinimumBudgetSpace: a diagram past the node cap is never an answer.
+// Under a budget with no limits the call trips it on cause Space and
+// returns ok=false. With no budget to trip, the next call on the same
+// solver panics, naming the cap, rather than report UNSAT.
+func TestMinimumBudgetSpace(t *testing.T) {
+	s := hardInstance(60)
+	b := budget.New(nil, time.Time{}, 0)
+	if m, ok := s.MinimumBudget(b); ok || m != nil || b.Cause() != budget.Space {
+		t.Fatalf("%v,%v with cause %v; want no model and cause space", m, ok, b.Cause())
+	}
+	if n := DiagramNodes(s); n > nodeCap {
+		t.Fatalf("arena of %d nodes past the cap of %d", n, nodeCap)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, strconv.Itoa(nodeCap)) {
+			t.Fatalf("recovered %q; want a panic that names the cap of %d nodes", msg, nodeCap)
+		}
+	}()
+	m, ok := s.MinimumBudget(nil)
+	t.Fatalf("nil budget: %v,%v; want a panic", m, ok)
 }
 
 // TestMinimumBudgetStepQuota: the per-node poll enforces a step quota.
@@ -69,15 +96,15 @@ func TestMinimumBudgetStepQuota(t *testing.T) {
 	b := budget.New(nil, time.Time{}, 50)
 	_, ok := s.MinimumBudget(b)
 	if ok {
-		t.Fatal("quota-tripped search returned a model")
+		t.Fatal("quota-tripped call returned a model")
 	}
 	if b.Cause() != budget.Steps {
 		t.Fatalf("cause = %v, want steps", b.Cause())
 	}
 }
 
-// TestMinimumBudgetPreTripped: a budget tripped before the call aborts the
-// search immediately without touching the clause set's answer.
+// TestMinimumBudgetPreTripped: a budget tripped before the call aborts it
+// immediately without touching the clause set's answer.
 func TestMinimumBudgetPreTripped(t *testing.T) {
 	s := New(4)
 	s.Block(nil, uset.New(0)) // clause (x0): trivially satisfiable

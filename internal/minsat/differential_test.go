@@ -1,15 +1,14 @@
 package minsat
 
-// Differential tests of minsat's engines. TestEngineMatchesReference checks
-// the clause-mask search against the occurrence-list engine it replaced,
-// and TestDiagramMatchesSearch (at the end) checks the diagram against the
-// search. The reference below transcribes the occurrence-list engine literally
-// — clauses as packed literal lists, one occurrence list per variable, a
-// three-valued assignment array, scanClause, and the epoch-stamped lower
-// bound — answering each call cold, as the search does. Every call must
-// agree with it on the model or UNSAT verdict, on whether and at which
-// budget step the call trips, and on the number of search nodes: the two
-// engines must walk the same search tree node for node.
+// Differential tests of the diagram against the reference engine below, the
+// occurrence-list branch-and-bound search that answered line 8 before the
+// diagram did, transcribed literally — clauses as packed literal lists, one
+// occurrence list per variable, a three-valued assignment array, scanClause,
+// and the epoch-stamped lower bound — answering each call cold. It shares
+// no code with the diagram beyond the clause store's Add, so the two agree
+// only if both find the lex-least minimum model. TestDiagramMatchesSearch
+// and TestEngineMatchesReference (at the end) drive both through one
+// generator; the second puts every compared call under a step quota.
 
 import (
 	"math/rand"
@@ -21,7 +20,6 @@ import (
 	"time"
 
 	"tracer/internal/budget"
-	"tracer/internal/obs"
 	"tracer/internal/uset"
 )
 
@@ -56,37 +54,42 @@ type refEngine struct {
 
 // refSolver pairs a clause store with the reference engine. Clauses go
 // through the store's own Add, so the reference sees the same canonical,
-// deduplicated clause list as the engine under test; the store's own engine
-// is never built.
+// deduplicated clause list as the diagram under test; the store's own
+// diagram is never built.
 type refSolver struct {
 	s   *Solver
 	eng *refEngine
 }
 
-func newRefSolver(n int) *refSolver {
-	return &refSolver{s: New(n), eng: &refEngine{vmap: make(map[int]int32)}}
+func newRefSolver(n int) *refSolver { return refOver(New(n)) }
+
+// refOver returns the reference engine over s's clauses.
+func refOver(s *Solver) *refSolver {
+	return &refSolver{s: s, eng: &refEngine{vmap: make(map[int]int32)}}
 }
 
 func (r *refSolver) clone() *refSolver {
 	return &refSolver{s: r.s.Clone(), eng: r.eng.clone()}
 }
 
-// minimum transcribes the search's MinimumBudget over the reference engine
-// and returns the number of search nodes it visited.
-func (r *refSolver) minimum(b *budget.Budget) (model uset.Set, ok bool, nodes int) {
+// minimum answers from the reference engine, synced with every clause added
+// to the store since its previous call, under b: the lex-least minimum
+// model, or ok=false when the clauses are unsatisfiable or b tripped.
+func (r *refSolver) minimum(b *budget.Budget) (model uset.Set, ok bool) {
 	e := r.eng
 	for _, c := range r.s.clauses[e.synced:] {
 		e.addClause(c)
 	}
 	e.synced = len(r.s.clauses)
 	if !b.Poll() || e.hasEmpty {
-		return nil, false, 0
+		return nil, false
 	}
+	var nodes int
 	m, found, aborted := e.run(b, &nodes)
 	if aborted || !found {
-		return nil, false, nodes
+		return nil, false
 	}
-	return m, true, nodes
+	return m, true
 }
 
 func (e *refEngine) addClause(c Clause) {
@@ -364,14 +367,6 @@ func fuzzTrials(n int) int {
 	return n
 }
 
-// lineage is one solver under test, its reference twin, and the model
-// their last call returned.
-type lineage struct {
-	s     *Solver
-	ref   *refSolver
-	model uset.Set
-}
-
 // cegarCube draws a cube the way an exhausted query's backward pass does:
 // it contains the last model (a subset of it on, variables outside it off),
 // so blocking it forces a re-search. With no model it is an all-off cube,
@@ -410,29 +405,55 @@ func randCube(rng *rand.Rand, n int) (pos, neg uset.Set) {
 	return pos, neg
 }
 
-// TestEngineMatchesReference drives random CEGAR-shaped sequences through
-// the engine and the reference side by side: universes of 8–300 variables
-// (so dense counts pass one and two mask words), rounds of mixed-sign
-// blocking cubes, some rounds that block exactly the returned model,
-// lineages forked by Clone and advanced in interleaved order, and a step
-// quota per call — usually 20,000, sometimes 1–50, so some calls abort
-// mid-search. Scale with MINSAT_FUZZ_N.
-func TestEngineMatchesReference(t *testing.T) {
-	trials := fuzzTrials(6)
-	rng := rand.New(rand.NewSource(20))
-	var nodes int64
-	var maxDense, past64, past128 int
-	for trial := 0; trial < trials; trial++ {
+// guardSteps bounds every call diagramVsReference compares. The reference
+// is exponential on a few of the generator's instances (one trial in a
+// dozen can take over a minute unguarded); a guard trip ends the trial
+// rather than the test, and is counted.
+const guardSteps = 200000
+
+// lineage is one diagram solver, its reference twin fed the same clauses,
+// and the model their last call returned.
+type lineage struct {
+	s     *Solver
+	ref   *refSolver
+	model uset.Set
+}
+
+// diffCounts tallies what one run of diagramVsReference exercised:
+// quotaTrips counts the trips of the 1–50-step calls, callTrips those of
+// compared calls under a quota below the guard.
+type diffCounts struct {
+	trials, guarded, calls, answered, capTrips, quotaTrips, callTrips, maxNodes int
+}
+
+// diagramVsReference drives random CEGAR-shaped sequences through a diagram
+// solver and the reference side by side: universes of 8–300 variables,
+// rounds of mixed-sign blocking cubes, some rounds that block exactly the
+// returned model, and lineages forked by Clone and advanced in interleaved
+// order. capOf draws each trial's node cap and quotaOf each compared call's
+// step quota. Every compared call that fits and finishes must return the
+// reference's model or agree on UNSAT. A call past the cap must return
+// ok=false with its budget tripped on cause Space, and its lineage retires.
+// A call that trips a quota below guardSteps must report ok=false and is not
+// compared; one that trips the guard fails the test. One round in eight
+// first makes an extra call under a step quota of 1–50, which must report
+// ok=false if it trips, and the compared call after it must again agree.
+// Scale with MINSAT_FUZZ_N.
+func diagramVsReference(t *testing.T, seed int64, capOf func(*rand.Rand) int,
+	quotaOf func(*rand.Rand) int64) diffCounts {
+	t.Helper()
+	c := diffCounts{trials: fuzzTrials(6)}
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < c.trials; trial++ {
 		n := 8 + rng.Intn(293)
-		agg := obs.NewAgg() // clones inherit it; calls run one at a time
-		root := &lineage{s: NewSearch(n), ref: newRefSolver(n)}
-		root.s.Instrument(agg)
+		limit := capOf(rng)
+		root := &lineage{s: New(n), ref: newRefSolver(n)}
+		root.s.bdd = newDiagram(limit)
 		lines := []*lineage{root}
-		dense := 0
+	rounds:
 		for round := 0; round < 40; round++ {
 			l := lines[rng.Intn(len(lines))]
 			if len(lines) < 4 && rng.Intn(6) == 0 {
-				// Fork: the clone shares the parent's masks.
 				l = &lineage{s: l.s.Clone(), ref: l.ref.clone(), model: l.model}
 				lines = append(lines, l)
 			}
@@ -451,28 +472,65 @@ func TestEngineMatchesReference(t *testing.T) {
 					l.ref.s.Block(pos, neg)
 				}
 			}
-			quota := int64(20000)
 			if rng.Intn(8) == 0 {
-				quota = 1 + rng.Int63n(50)
+				quota := 1 + rng.Int63n(50)
+				b := budget.New(nil, time.Time{}, quota)
+				if got, ok := l.s.MinimumBudget(b); b.Tripped() {
+					if b.Cause() == budget.Steps {
+						c.quotaTrips++
+					}
+					if ok || got != nil {
+						t.Fatalf("trial %d round %d: quota %d tripped (%v), yet the call returned %v,%v",
+							trial, round, quota, b.Cause(), got, ok)
+					}
+				} else if b.Steps() > quota {
+					t.Fatalf("trial %d round %d: %d steps past quota %d without a trip",
+						trial, round, b.Steps(), quota)
+				}
 			}
-			b, rb := budget.New(nil, time.Time{}, quota), budget.New(nil, time.Time{}, quota)
-			before := agg.Counter(obs.MinsatSearchNodes)
+			c.calls++
+			quota := quotaOf(rng)
+			b := budget.New(nil, time.Time{}, quota)
 			got, ok := l.s.MinimumBudget(b)
-			gotNodes := agg.Counter(obs.MinsatSearchNodes) - before
-			want, wantOK, wantNodes := l.ref.minimum(rb)
-			nodes += gotNodes
-			dense = max(dense, len(l.s.eng.dvar))
-			if ok != wantOK || !got.Equal(want) || b.Tripped() != rb.Tripped() ||
-				b.Steps() != rb.Steps() || gotNodes != int64(wantNodes) {
-				t.Fatalf("trial %d round %d (%d vars, %d dense, %d clauses, quota %d): "+
-					"engine %v,%v tripped=%v steps=%d nodes=%d; reference %v,%v tripped=%v steps=%d nodes=%d",
-					trial, round, n, len(l.s.eng.dvar), l.s.NumClauses(), quota,
-					got, ok, b.Tripped(), b.Steps(), gotNodes,
-					want, wantOK, rb.Tripped(), rb.Steps(), wantNodes)
+			if b.Cause() == budget.Space {
+				c.capTrips++
+				if ok || got != nil {
+					t.Fatalf("trial %d round %d: past the cap of %d nodes, yet the call returned %v,%v",
+						trial, round, limit, got, ok)
+				}
+				if len(lines) == 1 {
+					break
+				}
+				lines = slices.DeleteFunc(lines, func(x *lineage) bool { return x == l })
+				continue
 			}
+			if b.Tripped() {
+				if quota >= guardSteps {
+					t.Fatalf("trial %d round %d: a diagram of at most %d nodes tripped %d steps (%v)",
+						trial, round, limit, quota, b.Cause())
+				}
+				c.callTrips++
+				if ok || got != nil {
+					t.Fatalf("trial %d round %d: quota %d tripped (%v), yet the call returned %v,%v",
+						trial, round, quota, b.Cause(), got, ok)
+				}
+				continue
+			}
+			rb := budget.New(nil, time.Time{}, guardSteps)
+			want, wantOK := l.ref.minimum(rb)
+			switch {
+			case rb.Tripped():
+				c.guarded++
+				break rounds
+			case ok != wantOK || !got.Equal(want):
+				t.Fatalf("trial %d round %d (%d vars, %d clauses): diagram %v,%v; reference %v,%v",
+					trial, round, n, l.s.NumClauses(), got, ok, want, wantOK)
+			}
+			c.answered++
+			c.maxNodes = max(c.maxNodes, len(l.s.bdd.nodes))
 			if ok {
 				l.model = got
-			} else if !b.Tripped() {
+			} else {
 				// UNSAT is sticky: retire the lineage unless it is the last.
 				if len(lines) == 1 {
 					break
@@ -480,136 +538,43 @@ func TestEngineMatchesReference(t *testing.T) {
 				lines = slices.DeleteFunc(lines, func(x *lineage) bool { return x == l })
 			}
 		}
-		if dense > 64 {
-			past64++
-		}
-		if dense > 128 {
-			past128++
-		}
-		maxDense = max(maxDense, dense)
 	}
-	t.Logf("%d trials (%d past 64 dense variables, %d past 128), %d search nodes, largest dense universe %d",
-		trials, past64, past128, nodes, maxDense)
+	t.Logf("%d trials (%d ended by the guard), %d calls (%d answered, %d past the cap, %d tripped), "+
+		"%d quota trips, largest diagram %d nodes", c.trials, c.guarded, c.calls, c.answered,
+		c.capTrips, c.callTrips, c.quotaTrips, c.maxNodes)
+	return c
 }
 
-// ---------------------------------------------------------------------------
-// The diagram against the clause-mask search.
+// smallCap draws a trial's node cap from 2^8 to 2^15: low enough that most
+// trials cross it quickly, and high enough that many calls are answered
+// first (TestMinimumBudgetAbort crosses the real cap).
+func smallCap(rng *rand.Rand) int { return 1 << (8 + rng.Intn(8)) }
 
-// guardSteps bounds every call TestDiagramMatchesSearch compares. The search
-// is exponential on a few of the generator's instances (one trial in a
-// dozen can take over a minute unguarded); a guard trip ends the trial
-// rather than the test, and is counted.
-const guardSteps = 200000
-
-// twin is a diagram solver, its search-only twin fed the same clauses, and
-// the model their last call returned.
-type twin struct {
-	d, s  *Solver
-	model uset.Set
+// TestEngineMatchesReference runs diagramVsReference with every compared
+// call under a step quota, usually 20,000 and sometimes 1–50, so calls abort
+// at every depth of an apply, the retry after a compaction included, and a
+// lineage goes on from each abort. The test requires some answered calls
+// and some tripped compared calls.
+func TestEngineMatchesReference(t *testing.T) {
+	c := diagramVsReference(t, 20, smallCap, func(rng *rand.Rand) int64 {
+		if rng.Intn(8) == 0 {
+			return 1 + rng.Int63n(50)
+		}
+		return 20000
+	})
+	if c.trials >= 6 && (c.answered == 0 || c.callTrips == 0) {
+		t.Fatalf("coverage: %d answered calls, %d tripped compared calls; want each > 0",
+			c.answered, c.callTrips)
+	}
 }
 
-// TestDiagramMatchesSearch drives TestEngineMatchesReference's CEGAR-shaped
-// sequences through a diagram solver and a search-only twin: mixed-sign
-// cubes, rounds that block the returned model, Clone lineages advanced in
-// interleaved order, universes of 8–300 variables. Every call outside the
-// small quotas must return the search's model or agree on UNSAT. A call
-// under a step quota of 1–50 that trips must report ok=false with its
-// budget tripped, and the call after it must again agree. The test requires
-// that some calls were answered on a diagram, that some trials fell back,
-// and that some clones were taken of fallen-back solvers. Scale with
-// MINSAT_FUZZ_N.
+// TestDiagramMatchesSearch runs diagramVsReference against the reference's
+// branch-and-bound search, each compared call under the guard alone. The
+// test requires some answered calls, some cap trips and some quota trips.
 func TestDiagramMatchesSearch(t *testing.T) {
-	trials := fuzzTrials(6)
-	rng := rand.New(rand.NewSource(23))
-	var calls, onDiagram, trips, guarded, fellBack, fallenClones, maxNodes int
-	for trial := 0; trial < trials; trial++ {
-		n := 8 + rng.Intn(293)
-		// A cap of 2^8 to 2^15 nodes: low enough that most trials cross it
-		// quickly, so the fallback and clones of fallen-back solvers run in
-		// every batch of trials, and high enough that many calls are
-		// answered on the diagram first. TestMinimumBudgetAbort's control
-		// solve crosses the real cap.
-		limit := 1 << (8 + rng.Intn(8))
-		root := &twin{d: New(n), s: NewSearch(n)}
-		root.d.bdd = newDiagram(limit)
-		lines := []*twin{root}
-	rounds:
-		for round := 0; round < 40; round++ {
-			l := lines[rng.Intn(len(lines))]
-			if len(lines) < 4 && rng.Intn(6) == 0 {
-				if l.d.dropped {
-					fallenClones++
-				}
-				l = &twin{d: l.d.Clone(), s: l.s.Clone(), model: l.model}
-				lines = append(lines, l)
-			}
-			if l.model != nil && rng.Intn(4) == 0 {
-				l.d.Block(l.model, nil)
-				l.s.Block(l.model, nil)
-			} else {
-				for i := rng.Intn(3); i >= 0; i-- {
-					var pos, neg uset.Set
-					if rng.Intn(4) == 0 {
-						pos, neg = randCube(rng, n)
-					} else {
-						pos, neg = cegarCube(rng, n, l.model)
-					}
-					l.d.Block(pos, neg)
-					l.s.Block(pos, neg)
-				}
-			}
-			if rng.Intn(8) == 0 {
-				quota := 1 + rng.Int63n(50)
-				b := budget.New(nil, time.Time{}, quota)
-				if got, ok := l.d.MinimumBudget(b); b.Tripped() {
-					trips++
-					if ok || got != nil {
-						t.Fatalf("trial %d round %d: quota %d tripped, yet the call returned %v,%v",
-							trial, round, quota, got, ok)
-					}
-				} else if b.Steps() > quota {
-					t.Fatalf("trial %d round %d: %d steps past quota %d without a trip",
-						trial, round, b.Steps(), quota)
-				}
-			}
-			calls++
-			rb := budget.New(nil, time.Time{}, guardSteps)
-			want, wantOK := l.s.MinimumBudget(rb)
-			b := budget.New(nil, time.Time{}, guardSteps)
-			got, ok := l.d.MinimumBudget(b)
-			switch {
-			case b.Tripped() && !l.d.dropped:
-				t.Fatalf("trial %d round %d: a diagram of at most %d nodes tripped %d steps",
-					trial, round, limit, guardSteps)
-			case rb.Tripped() || b.Tripped():
-				guarded++
-				break rounds
-			case ok != wantOK || !got.Equal(want):
-				t.Fatalf("trial %d round %d (%d vars, %d clauses, fell back %v): diagram %v,%v; search %v,%v",
-					trial, round, n, l.d.NumClauses(), l.d.dropped, got, ok, want, wantOK)
-			}
-			if l.d.bdd != nil {
-				onDiagram++
-				maxNodes = max(maxNodes, len(l.d.bdd.nodes))
-			}
-			if ok {
-				l.model = got
-			} else {
-				if len(lines) == 1 {
-					break
-				}
-				lines = slices.DeleteFunc(lines, func(x *twin) bool { return x == l })
-			}
-		}
-		if root.d.dropped {
-			fellBack++
-		}
-	}
-	t.Logf("%d trials (%d roots fell back, %d clones of fallen-back solvers, %d ended by the guard), "+
-		"%d calls (%d on a diagram), %d quota trips, largest diagram %d nodes",
-		trials, fellBack, fallenClones, guarded, calls, onDiagram, trips, maxNodes)
-	if trials >= 6 && (onDiagram == 0 || fellBack == 0 || fallenClones == 0 || trips == 0) {
-		t.Fatalf("coverage: %d calls on a diagram, %d fallbacks, %d clones of fallen-back solvers, "+
-			"%d quota trips; want each > 0", onDiagram, fellBack, fallenClones, trips)
+	c := diagramVsReference(t, 23, smallCap, func(*rand.Rand) int64 { return guardSteps })
+	if c.trials >= 6 && (c.answered == 0 || c.capTrips == 0 || c.quotaTrips == 0) {
+		t.Fatalf("coverage: %d answered calls, %d cap trips, %d quota trips; want each > 0",
+			c.answered, c.capTrips, c.quotaTrips)
 	}
 }

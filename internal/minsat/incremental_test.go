@@ -10,19 +10,18 @@ import (
 	"tracer/internal/uset"
 )
 
-// engines are the two ways a solver answers: its diagram, and the
-// clause-mask search it falls back to. The tests below run on both.
+// engines names each way a solver answers (its diagram) as a subtest of
+// the tests below.
 var engines = []struct {
 	name string
 	new  func(n int) *Solver
-}{{"diagram", New}, {"search", NewSearch}}
+}{{"diagram", New}}
 
-// freshMinimum rebuilds a solver from scratch over the same clause set, on
-// the same engine, and solves it, so every differential test below compares
-// the incremental answer against one computed with no carried state at all.
+// freshMinimum rebuilds a solver from scratch over the same clause set and
+// solves it, so every differential test below compares the incremental
+// answer against one computed with no carried state at all.
 func freshMinimum(s *Solver) (uset.Set, bool) {
 	f := New(s.NumVars())
-	f.dropped = s.dropped
 	for _, c := range s.clauses {
 		f.Add(append(Clause(nil), c...))
 	}
@@ -86,7 +85,7 @@ func incrementalMatchesFresh(t *testing.T, newSolver func(int) *Solver) {
 
 // TestIncrementalBlocksOwnModel mirrors the real CEGAR interaction: each
 // round blocks the model just returned, so the cached answer never survives
-// and every call conjoins into the diagram (or searches) again.
+// and every call conjoins into the diagram again.
 func TestIncrementalBlocksOwnModel(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) { incrementalBlocksOwnModel(t, e.new) })
@@ -122,9 +121,8 @@ func incrementalBlocksOwnModel(t *testing.T, newSolver func(int) *Solver) {
 	}
 }
 
-// TestIncrementalCloneDivergence: clones inherit their parent's diagram (or
-// clause index) but diverge independently; both lineages must keep matching
-// fresh solvers.
+// TestIncrementalCloneDivergence: clones inherit their parent's diagram but
+// diverge independently; both lineages must keep matching fresh solvers.
 func TestIncrementalCloneDivergence(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) { incrementalCloneDivergence(t, e.new) })
@@ -156,42 +154,27 @@ func incrementalCloneDivergence(t *testing.T, newSolver func(int) *Solver) {
 
 // TestIncrementalAbortKeepsWarmState: a budget-aborted call must not
 // corrupt what the solver carries between calls — the next unbudgeted call
-// still answers exactly like a fresh solver. It runs on the search (a
-// 40-vertex cover: aborted by an expired deadline, then by a 3-step quota)
-// and on the diagram (a 24-vertex cover, whose diagram fits the cap: aborted
-// twice by a 3-step quota, in the middle of an apply; an apply that makes
-// fewer nodes than one polling interval does not consult the clock).
+// still answers exactly like a fresh solver. A 24-vertex cover, whose
+// diagram fits the cap, is aborted twice by a 3-step quota in the middle of
+// an apply.
 func TestIncrementalAbortKeepsWarmState(t *testing.T) {
-	expired := func() *budget.Budget { return budget.New(nil, time.Now().Add(-time.Second), 0) }
-	quota := func() *budget.Budget { return budget.New(nil, time.Time{}, 3) }
-	search := hardInstance(40)
-	search.dropped = true
-	for _, c := range []struct {
-		name    string
-		s       *Solver
-		budgets []func() *budget.Budget
-	}{
-		{"search", search, []func() *budget.Budget{expired, quota}},
-		{"diagram", hardInstance(24), []func() *budget.Budget{quota, quota}},
-	} {
-		s := c.s
-		if _, ok := s.Minimum(); !ok {
-			t.Fatalf("%s: hard instance unexpectedly unsat", c.name)
+	s := hardInstance(24)
+	if _, ok := s.Minimum(); !ok {
+		t.Fatal("hard instance unexpectedly unsat")
+	}
+	for i := 0; i < 2; i++ {
+		// Block the cached model so the next solve cannot reuse the previous
+		// answer, then abort it.
+		m, _ := s.Minimum()
+		s.Block(m, nil)
+		b := budget.New(nil, time.Time{}, 3)
+		if _, ok := s.MinimumBudget(b); ok || b.Cause() != budget.Steps {
+			t.Fatalf("abort %d: aborted call returned a model (cause %v)", i, b.Cause())
 		}
-		for _, newBudget := range c.budgets {
-			// Block the cached model so the next solve cannot reuse the
-			// previous answer, then abort it.
-			m, _ := s.Minimum()
-			s.Block(m, nil)
-			b := newBudget()
-			if _, ok := s.MinimumBudget(b); ok || !b.Tripped() {
-				t.Fatalf("%s: aborted call returned a model (tripped %v)", c.name, b.Tripped())
-			}
-			got, ok := s.Minimum()
-			want, wantOK := freshMinimum(s)
-			if ok != wantOK || !got.Equal(want) {
-				t.Fatalf("%s: post-abort minimum %v,%v; fresh %v,%v", c.name, got, ok, want, wantOK)
-			}
+		got, ok := s.Minimum()
+		want, wantOK := freshMinimum(s)
+		if ok != wantOK || !got.Equal(want) {
+			t.Fatalf("abort %d: post-abort minimum %v,%v; fresh %v,%v", i, got, ok, want, wantOK)
 		}
 	}
 }
@@ -254,7 +237,7 @@ func TestDiagramReuseCounter(t *testing.T) {
 // its query, the shape an exhausted thread-escape query leaves in minsat:
 // each round learns one or two mixed-sign cubes that contain the current
 // minimum model (most of its variables on, two to seven variables outside
-// it off), so every round forces a re-search. It stops after `rounds`
+// it off), so every round forces a new answer. It stops after `rounds`
 // rounds or at UNSAT, and returns the cubes of each round as (pos, neg)
 // pairs.
 func cegarRounds(vars, rounds int, seed int64) [][][2]uset.Set {
@@ -289,16 +272,59 @@ func cegarRounds(vars, rounds int, seed int64) [][][2]uset.Set {
 	return seq
 }
 
-// benchCEGAR replays a fixed ~100-round CEGAR sequence over 20 variables on
-// a fresh solver from newSolver: block the round's cubes, then Minimum.
+// TestDiagramCompactsBeforeTrip replays BenchmarkMinimumCEGAR's sequence on
+// a diagram capped at twice the most nodes any of its roots reaches. The
+// arena fills with nodes earlier applies left unreachable long before the
+// live diagram nears that cap, so the solver must compact instead of
+// tripping its budget on the cap, and every call must agree with the
+// reference.
+func TestDiagramCompactsBeforeTrip(t *testing.T) {
+	const vars = 20
+	seq := cegarRounds(vars, 100, 1)
+	probe := New(vars)
+	peak, arena := 0, 0
+	for _, round := range seq {
+		for _, c := range round {
+			probe.Block(c[0], c[1])
+		}
+		probe.Minimum()
+		peak = max(peak, len(probe.bdd.compact().nodes))
+		arena = len(probe.bdd.nodes)
+	}
+	if arena <= 2*peak {
+		t.Fatalf("uncapped probe: arena %d nodes, largest live root %d; want an arena past twice the live peak",
+			arena, peak)
+	}
+	d, ref := New(vars), newRefSolver(vars)
+	d.bdd = newDiagram(2 * peak)
+	for r, round := range seq {
+		for _, c := range round {
+			d.Block(c[0], c[1])
+			ref.s.Block(c[0], c[1])
+		}
+		b := budget.New(nil, time.Time{}, 0)
+		got, ok := d.MinimumBudget(b)
+		if b.Tripped() {
+			t.Fatalf("round %d: tripped (%v) at a cap of %d nodes; the largest live root has %d",
+				r, b.Cause(), 2*peak, peak)
+		}
+		want, wantOK := ref.minimum(nil)
+		if ok != wantOK || !got.Equal(want) {
+			t.Fatalf("round %d: diagram %v,%v; reference %v,%v", r, got, ok, want, wantOK)
+		}
+	}
+}
+
+// BenchmarkMinimumCEGAR replays a fixed ~100-round CEGAR sequence over 20
+// variables on a fresh solver: block the round's cubes, then Minimum.
 // Unlike hardInstance's all-positive vertex cover, the clauses are
-// mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them.
-// nodes/op is the work one replay charges (minsat.search_nodes).
-func benchCEGAR(b *testing.B, newSolver func(n int) *Solver) {
+// mixed-sign blocking cubes, as line 8 of Algorithm 1 sees them. nodes/op
+// is the work one replay charges (minsat.search_nodes).
+func BenchmarkMinimumCEGAR(b *testing.B) {
 	const vars = 20
 	seq := cegarRounds(vars, 100, 1)
 	replay := func(rec obs.Recorder) {
-		s := newSolver(vars)
+		s := New(vars)
 		s.Instrument(rec)
 		for _, round := range seq {
 			for _, c := range round {
@@ -316,52 +342,3 @@ func benchCEGAR(b *testing.B, newSolver func(n int) *Solver) {
 	b.ReportMetric(float64(len(seq)), "rounds")
 	b.ReportMetric(float64(agg.Counter(obs.MinsatSearchNodes)), "nodes/op")
 }
-
-// TestDiagramCompactsBeforeFallback replays BenchmarkMinimumCEGAR's sequence
-// on a diagram capped at twice the most nodes any of its roots reaches. The
-// arena fills with nodes earlier applies left unreachable long before the
-// live diagram nears that cap, so the solver must compact instead of falling
-// back, and every call must agree with the search.
-func TestDiagramCompactsBeforeFallback(t *testing.T) {
-	const vars = 20
-	seq := cegarRounds(vars, 100, 1)
-	probe := New(vars)
-	peak, arena := 0, 0
-	for _, round := range seq {
-		for _, c := range round {
-			probe.Block(c[0], c[1])
-		}
-		probe.Minimum()
-		peak = max(peak, len(probe.bdd.compact().nodes))
-		arena = len(probe.bdd.nodes)
-	}
-	if probe.dropped || arena <= 2*peak {
-		t.Fatalf("uncapped probe: fell back %v, arena %d nodes, largest live root %d; "+
-			"want no fallback and an arena past twice the live peak", probe.dropped, arena, peak)
-	}
-	d, s := New(vars), NewSearch(vars)
-	d.bdd = newDiagram(2 * peak)
-	for r, round := range seq {
-		for _, c := range round {
-			d.Block(c[0], c[1])
-			s.Block(c[0], c[1])
-		}
-		got, ok := d.Minimum()
-		want, wantOK := s.Minimum()
-		if ok != wantOK || !got.Equal(want) {
-			t.Fatalf("round %d: diagram %v,%v; search %v,%v", r, got, ok, want, wantOK)
-		}
-		if d.dropped {
-			t.Fatalf("round %d: fell back at a cap of %d nodes; the largest live root has %d",
-				r, 2*peak, peak)
-		}
-	}
-}
-
-// BenchmarkMinimumCEGAR times the CEGAR sequence on the diagram, as Minimum
-// answers it.
-func BenchmarkMinimumCEGAR(b *testing.B) { benchCEGAR(b, New) }
-
-// BenchmarkSearchCEGAR times the same sequence on the clause-mask search
-// alone, the engine a solver falls back to past the node cap.
-func BenchmarkSearchCEGAR(b *testing.B) { benchCEGAR(b, NewSearch) }

@@ -45,18 +45,16 @@ const (
 // Names recorded by the minimum-model solver (minsat.Solver) when
 // instrumented. MinsatMinimum is a timer (wall time of one Minimum call).
 // MinsatSearchNodes counts the line-8 work charged to the budget: nodes made
-// in the solver's BDD of the viable set, plus branch-and-bound nodes visited
-// after a fallback. MinsatIncrementalReuse counts Minimum calls answered from
-// the previous answer without a walk: the diagram did not change since, or
-// UNSAT was already proven. MinsatFallback counts solvers whose diagram
-// passed the node cap even after compaction and that answer from the
-// clause-mask search from then on. See the "Line 8" section of
-// ARCHITECTURE.md.
+// in the solver's BDD of the viable set. MinsatIncrementalReuse counts
+// Minimum calls answered from the previous answer without a walk: the
+// diagram did not change since, or UNSAT was already proven. A diagram past
+// the node cap has no counter of its own: it trips the call's budget (cause
+// "space"), which core reports as a budget_trip event. See the "Line 8"
+// section of ARCHITECTURE.md.
 const (
 	MinsatMinimum          = "minsat.minimum"
 	MinsatSearchNodes      = "minsat.search_nodes"
 	MinsatIncrementalReuse = "minsat.incremental_reuse"
-	MinsatFallback         = "minsat.fallback"
 )
 
 // Counter/gauge names for the interned formula kernel (formula.Universe).

@@ -72,8 +72,8 @@ const (
 	// determinism) and live in core.Result.Stack instead.
 	PanicRecovered EventKind = "panic_recovered"
 	// BudgetTrip records the first budget trip of a solve (Name = the
-	// budget.Cause string: canceled|deadline|steps|injected). Emitted once,
-	// just before the tripped queries resolve as exhausted.
+	// budget.Cause string: canceled|deadline|steps|injected|space). Emitted
+	// once, just before the tripped queries resolve as exhausted.
 	BudgetTrip EventKind = "budget_trip"
 	// WarmSeed records blocking clauses seeded into a solve before
 	// iteration 1 from a warm-start store (Clauses = clauses genuinely
