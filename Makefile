@@ -63,9 +63,10 @@ fuzz:
 	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch' ./internal/bench/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
 
-# Output determinism (also a CI step): every example and tracer -auto on a
-# generated tsp program, run twice each; the outputs must match once wall
-# times are masked.
+# Output determinism (also a CI step): every example, tracer -auto and
+# tracer -auto -batch on a generated tsp program, run twice each; the outputs
+# must match once wall times are masked, and the batch run's verdict lines
+# must equal the per-query run's.
 determinism:
 	scripts/determinism.sh
 

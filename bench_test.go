@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tracer/internal/bench"
+	"tracer/internal/budget"
 	"tracer/internal/core"
 	"tracer/internal/dataflow"
 	"tracer/internal/driver"
@@ -204,7 +205,7 @@ func BenchmarkAblationUnderApprox(b *testing.B) {
 				trace = trace[len(trace)-suffix:]
 			}
 			dI := job.A.Initial()
-			full := dataflow.StatesAlong(out.Trace, dI, job.A.Transfer(nil))
+			full := dataflow.StatesAlong(out.Trace, dI, dataflow.At(job.A.Step, nil))
 			states := full[len(full)-len(trace)-1:]
 			post := job.A.NotQ(job.Q)
 			b.ResetTimer()
@@ -242,6 +243,51 @@ func BenchmarkForwardEscape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job.Forward(nil, nil)
+	}
+}
+
+// forwardLog records the abstraction of every forward run of a problem.
+type forwardLog struct {
+	core.Problem
+	ps []uset.Set
+}
+
+func (l *forwardLog) Forward(b *budget.Budget, p uset.Set) core.Outcome {
+	l.ps = append(l.ps, p)
+	return l.Problem.Forward(b, p)
+}
+
+// BenchmarkForwardChain measures the forward path of a per-query solve: each
+// iteration replays, through job.Forward on one fresh job and so on one
+// retained chain, the abstraction sequence that a recorded solve of the
+// query ran. The query is the client's one with the most forward runs among
+// its first 16 on the largest benchmark.
+func BenchmarkForwardChain(b *testing.B) {
+	bm := bench.MustLoad(bench.Suite()[5]) // avrora
+	opts := core.Options{MaxIters: 100, MaxSteps: 2_000_000}
+	for _, spec := range driver.Clients() {
+		var seq []uset.Set
+		best := 0
+		for i := range min(16, len(spec.Queries(bm.Prog))) {
+			log := &forwardLog{Problem: spec.Job(bm.Prog, i, 5)}
+			if _, err := core.Solve(log, opts); err != nil {
+				b.Fatal(err)
+			}
+			if len(log.ps) > len(seq) {
+				seq, best = log.ps, i
+			}
+		}
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportMetric(float64(len(seq)), "runs")
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				job := spec.Job(bm.Prog, best, 5)
+				b.StartTimer()
+				for _, p := range seq {
+					job.Forward(nil, p)
+				}
+			}
+		})
 	}
 }
 

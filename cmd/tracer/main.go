@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tracer [-k 5] [-timeout 5s] [-auto] [-batch] [-batch-workers 4] [-warm-dir DIR] [-property file] program.tir
+//	tracer [-k 5] [-timeout 5s] [-auto [-batch] [-batch-workers 4] [-warm-dir DIR]] [-property file] program.tir
 //
 // With -auto -batch the generated queries go through the grouped
 // multi-query solver (§6): queries whose learned clause sets coincide share
@@ -19,6 +19,9 @@
 // clause store (internal/warm): a later invocation on the same — or a
 // slightly edited — program seeds each query with the previously learned
 // blocking clauses that survive the IR delta, and saves what it learns back.
+//
+// -batch, -batch-workers and -warm-dir apply to the generated queries only,
+// so each is rejected without -auto.
 //
 // With -engine rhs the explicit queries are answered by the summary-based
 // tabulation engine, which also handles recursive call graphs. It answers
@@ -117,7 +120,9 @@ func run() error {
 	fuzzMeta := flag.Bool("fuzz-meta", false, "also run the metamorphic checks (permutation, padding, batch invariance) on every fuzz case")
 	flag.Parse()
 
-	if err := checkEngine(*engine, *auto, *batch, *warmDir, *explainFlag); err != nil {
+	workersSet := false
+	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "batch-workers" })
+	if err := checkEngine(*engine, *auto, *batch, workersSet, *warmDir, *explainFlag); err != nil {
 		return err
 	}
 	if *fuzzN > 0 {
@@ -217,25 +222,35 @@ func run() error {
 	return nil
 }
 
-// checkEngine rejects an -engine value other than inline and rhs, and each
-// flag the rhs engine does not implement: it answers the program's explicit
-// query statements only, one at a time and cold.
-func checkEngine(engine string, auto, batch bool, warmDir string, explain bool) error {
+// checkEngine rejects every flag the run would ignore: an -engine value
+// other than inline and rhs; each flag the rhs engine does not implement (it
+// answers the program's explicit query statements only, one at a time and
+// cold); and, without -auto, the flags that apply to generated queries only.
+// workersSet reports whether -batch-workers was given.
+func checkEngine(engine string, auto, batch, workersSet bool, warmDir string, explain bool) error {
+	type named struct {
+		name string
+		set  bool
+	}
 	switch engine {
 	case "inline":
-		return nil
 	case "rhs":
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{{"auto", auto}, {"batch", batch}, {"warm-dir", warmDir != ""}, {"explain", explain}} {
+		for _, f := range []named{{"auto", auto}, {"batch", batch}, {"warm-dir", warmDir != ""}, {"explain", explain}} {
 			if f.set {
 				return fmt.Errorf("-engine rhs answers explicit query statements only; it does not support -%s", f.name)
 			}
 		}
-		return nil
+	default:
+		return fmt.Errorf("unknown -engine %q: want inline or rhs", engine)
 	}
-	return fmt.Errorf("unknown -engine %q: want inline or rhs", engine)
+	if !auto {
+		for _, f := range []named{{"batch", batch}, {"batch-workers", workersSet}, {"warm-dir", warmDir != ""}} {
+			if f.set {
+				return fmt.Errorf("-%s applies to generated queries only; it needs -auto", f.name)
+			}
+		}
+	}
+	return nil
 }
 
 // runFuzz cross-checks the CEGAR loop against the brute-force oracle on

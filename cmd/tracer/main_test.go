@@ -6,14 +6,16 @@ import (
 )
 
 // TestCheckEngine: an unknown -engine value is rejected, and so is each
-// flag the rhs engine would otherwise ignore; every error names the flag.
+// flag the run would otherwise ignore: those the rhs engine does not
+// implement, and those for generated queries without -auto. Every error
+// names the flag.
 func TestCheckEngine(t *testing.T) {
 	type flags struct {
-		auto, batch bool
-		warmDir     string
-		explain     bool
+		auto, batch, workers bool
+		warmDir              string
+		explain              bool
 	}
-	all := flags{auto: true, batch: true, warmDir: "w", explain: true}
+	all := flags{auto: true, batch: true, workers: true, warmDir: "w", explain: true}
 	for _, c := range []struct {
 		name, engine string
 		flags
@@ -26,9 +28,13 @@ func TestCheckEngine(t *testing.T) {
 		{"rhs-batch", "rhs", flags{batch: true}, "-batch"},
 		{"rhs-warm-dir", "rhs", flags{warmDir: "w"}, "-warm-dir"},
 		{"rhs-explain", "rhs", flags{explain: true}, "-explain"},
+		{"inline-explain", "inline", flags{explain: true}, ""},
+		{"batch-without-auto", "inline", flags{batch: true}, "-batch"},
+		{"batch-workers-without-auto", "inline", flags{workers: true}, "-batch-workers"},
+		{"warm-dir-without-auto", "inline", flags{warmDir: "w"}, "-warm-dir"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkEngine(c.engine, c.auto, c.batch, c.warmDir, c.explain)
+			err := checkEngine(c.engine, c.auto, c.batch, c.workers, c.warmDir, c.explain)
 			switch {
 			case c.reject == "" && err != nil:
 				t.Fatalf("rejected: %v", err)

@@ -96,7 +96,7 @@ func (v *verbose) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 
 func (v *verbose) Backward(_ *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
 	dI := v.a.Initial()
-	states := dataflow.StatesAlong(t, dI, v.a.Transfer(p))
+	states := dataflow.StatesAlong(t, dI, dataflow.At(v.a.Step, p))
 	ann := meta.RunAnnotated(v.job.Client(p), t, states, v.a.NotQ(v.job.Q))
 	fmt.Println("  counterexample trace (α = forward state, ψ = failure condition):")
 	fmt.Printf("    %-16s α %-24s ψ %s\n", "", v.a.Format(states[0]), ann[0])

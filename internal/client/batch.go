@@ -247,7 +247,7 @@ func (r *run[D, Q, A]) solve(i int) *partRun[D, A] {
 			pr.ch = dataflow.NewChain[D](r.b.g)
 		}
 		pr.donor = nil
-		pr.res = pr.ch.Solve(r.p, pr.a.Initial(), pr.a.TransferDep(r.p), r.bud)
+		pr.res = pr.ch.Solve(r.p, pr.a.Initial(), pr.a.Step, r.bud)
 		resumed, reused, invalid := pr.ch.Stats()
 		r.mu.Lock()
 		r.steps += pr.res.Steps

@@ -1,15 +1,16 @@
 // Package client states once the contract a parametric dataflow analysis
-// implements to be solved by TRACER — a forward transfer function indexed by
-// the abstraction and a backward meta-analysis of weakest preconditions
-// (§3.2, §4) — and writes the solver plumbing once against it: the
-// single-query problem on the inlined CFG (Job) and the multi-query problem
-// of §6 (Batch), in which each query names the part of the program its
-// analysis tracks (the allocation site for type-state, one shared part for
-// a query-independent analysis); the tabulation twin of Job is
-// driver.RHSJob. A client package supplies its analysis, theory and WP, plus
-// the few adapter methods of Analysis; the hot loops stay in dataflow, rhs,
-// meta and formula, so the generic layer costs one indirect call per CEGAR
-// phase.
+// implements to be solved by TRACER — one forward transfer function (Step)
+// that reads the abstraction through a recording reader, and a backward
+// meta-analysis of weakest preconditions whose parameter literals mean only
+// what ParamLit says (§3.2, §4) — and writes the solver plumbing once
+// against it: the single-query problem on the inlined CFG (Job) and the
+// multi-query problem of §6 (Batch), in which each query names the part of
+// the program its analysis tracks (the allocation site for type-state, one
+// shared part for a query-independent analysis); the tabulation twin of Job
+// is driver.RHSJob. A client package supplies its analysis, theory and WP,
+// plus the few adapter methods of Analysis; the hot loops stay in dataflow,
+// rhs, meta and formula, so the generic layer costs one indirect call per
+// CEGAR phase.
 package client
 
 import (
@@ -44,12 +45,12 @@ type Analysis[D comparable, Q Query] interface {
 
 	// Initial is the initial abstract state dI.
 	Initial() D
-	// Transfer instantiates the forward transfer function at abstraction p.
-	Transfer(p uset.Set) dataflow.Transfer[D]
-	// TransferDep is Transfer that also returns, per application, the
-	// signed literal of the parameter it read (dataflow.DepLit), which the
-	// delta engines use to reuse transfer results across abstraction flips.
-	TransferDep(p uset.Set) dataflow.DepTransfer[D]
+	// Step is the forward transfer function [at]p(d) (a dataflow.Step): it
+	// reads the abstraction only through p, at most one parameter per
+	// application. The reader records that parameter, which the delta
+	// engines use to reuse transfer results across abstraction flips;
+	// dataflow.At instantiates Step at a fixed abstraction.
+	Step(p *dataflow.Params, at lang.Atom, d D) D
 	// Holds reports whether the abstract state d satisfies query q.
 	Holds(q Q, d D) bool
 
@@ -59,12 +60,23 @@ type Analysis[D comparable, Q Query] interface {
 	WP(at lang.Atom, prim formula.Prim) formula.Formula
 	// NotQ is the failure condition ¬q the backward pass starts from.
 	NotQ(q Q) formula.Formula
-	// EvalLit evaluates literal l at abstraction p and state d.
-	EvalLit(l formula.Lit, p uset.Set, d D) bool
+	// EvalLit evaluates a state literal l at state d; parameter literals
+	// evaluate through ParamLit (see the package's EvalLit).
+	EvalLit(l formula.Lit, d D) bool
 	// ParamLit maps a parameter primitive to its parameter index and to
 	// whether the positive literal asks for the parameter to be on; ok is
-	// false for state primitives.
+	// false for state primitives. It is the only place a client gives its
+	// parameter primitives a meaning.
 	ParamLit(pr formula.Prim) (param int, on, ok bool)
+}
+
+// EvalLit evaluates literal l at abstraction p and state d: a parameter
+// literal through a.ParamLit, a state literal through a.EvalLit.
+func EvalLit[D comparable, Q Query, A Analysis[D, Q]](a A, l formula.Lit, p uset.Set, d D) bool {
+	if k, on, ok := a.ParamLit(l.P); ok {
+		return (p.Has(k) == on) != l.Neg
+	}
+	return a.EvalLit(l, d)
 }
 
 // Job poses one query of client analysis A on one CFG as a core.Problem. K
@@ -114,13 +126,13 @@ func (j *Job[D, Q, A]) ParamName(i int) string { return j.A.ParamName(i) }
 // cannot be trusted as a proof).
 func (j *Job[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	if j.NoDelta {
-		return j.outcome(b, dataflow.SolveBudget(j.G, j.A.Initial(), j.A.Transfer(p), b))
+		return j.outcome(b, dataflow.SolveBudget(j.G, j.A.Initial(), dataflow.At(j.A.Step, p), b))
 	}
 	ch := j.chain.Swap(nil)
 	if ch == nil {
 		ch = dataflow.NewChain[D](j.G)
 	}
-	out := j.outcome(b, ch.Solve(p, j.A.Initial(), j.A.TransferDep(p), b))
+	out := j.outcome(b, ch.Solve(p, j.A.Initial(), j.A.Step, b))
 	out.Resumed, out.Reused, out.Invalidated = ch.Stats()
 	j.chain.Store(ch)
 	return out
@@ -170,7 +182,7 @@ func (j *Job[D, Q, A]) Client(p uset.Set) *meta.Client[D] {
 	return &meta.Client[D]{
 		WP:    a.WP,
 		U:     j.Uni,
-		Eval:  func(l formula.Lit, d D) bool { return a.EvalLit(l, p, d) },
+		Eval:  func(l formula.Lit, d D) bool { return EvalLit(a, l, p, d) },
 		K:     j.K,
 		Cache: j.WPC,
 	}
@@ -188,7 +200,7 @@ func (j *Job[D, Q, A]) FlushObs(rec obs.Recorder) {
 // trip mid-walk yields nil (a truncated condition is not sound).
 func (j *Job[D, Q, A]) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
 	dI := j.A.Initial()
-	states := dataflow.StatesAlong(t, dI, j.A.Transfer(p))
+	states := dataflow.StatesAlong(t, dI, dataflow.At(j.A.Step, p))
 	c := j.Client(p)
 	c.Budget = b
 	dnf := meta.Run(c, t, states, j.A.NotQ(j.Q))
@@ -218,7 +230,7 @@ func (j *Job[D, Q, A]) Cubes(dnf formula.DNF, dI D) []core.ParamCube {
 				continue
 			}
 			// State literal: its truth at dI is independent of p'.
-			if !j.A.EvalLit(l, nil, dI) {
+			if !j.A.EvalLit(l, dI) {
 				ok = false
 				break
 			}

@@ -16,11 +16,72 @@ import (
 
 	"tracer/internal/budget"
 	"tracer/internal/lang"
+	"tracer/internal/uset"
 )
 
 // Transfer is an instantiated transfer function λa,d. [a]p(d): the
-// abstraction p has already been supplied by the analysis instance.
+// abstraction p has already been supplied (see At).
 type Transfer[D comparable] func(a lang.Atom, d D) D
+
+// Step is a client's transfer function [a]p(d), reading the abstraction p
+// through r. An application may read at most one parameter, any number of
+// times; r records which one and in which polarity, so every consumer that
+// needs the dependency (the delta chains) reads it off the application
+// instead of trusting a second statement of it.
+type Step[D comparable] func(r *Params, a lang.Atom, d D) D
+
+// Params is the abstraction as a Step reads it: a bitset of the parameters
+// that are on, and the signed literal of the parameter the current
+// application read. A reader belongs to one run at a time.
+type Params struct {
+	w   uset.Words
+	lit int32
+}
+
+// NewParams returns a reader of the abstraction whose bitset is pw (see
+// ParamWords).
+func NewParams(pw uset.Words) *Params { return &Params{w: pw} }
+
+// Has reports whether parameter k is on, and records the read: +(k+1) when
+// k is on, -(k+1) when it is off. A read of a second, different parameter
+// within one application panics and names both.
+func (r *Params) Has(k int) bool {
+	on := r.w.Has(uint32(k))
+	lit := int32(k) + 1
+	if !on {
+		lit = -lit
+	}
+	if r.lit != lit && r.lit != 0 {
+		prev := r.lit
+		if prev < 0 {
+			prev = -prev
+		}
+		panic(fmt.Sprintf("dataflow: one transfer application read parameters %d and %d; a Step may read at most one", prev-1, k))
+	}
+	r.lit = lit
+	return on
+}
+
+// Apply applies step to atom a and state d under r's abstraction. It
+// returns the successor and the signed literal of the parameter the
+// application read: 0 when it read none, +(k+1) when it read parameter k on,
+// -(k+1) when it read k off. Applying a to d under any abstraction that
+// agrees with the literal gives the same successor.
+func Apply[D comparable](r *Params, step Step[D], a lang.Atom, d D) (D, int32) {
+	r.lit = 0
+	next := step(r, a, d)
+	return next, r.lit
+}
+
+// At instantiates step at abstraction p. The Transfer owns one reader, so
+// like the analysis instance behind step it is not safe for concurrent use.
+func At[D comparable](step Step[D], p uset.Set) Transfer[D] {
+	r := NewParams(ParamWords(p))
+	return func(a lang.Atom, d D) D {
+		next, _ := Apply(r, step, a, d)
+		return next
+	}
+}
 
 // EvalProg evaluates Fp[s](D0) per Fig 3, directly on the structured
 // program. Loops are least fixpoints in the powerset order. It is the
@@ -163,19 +224,15 @@ func (r *Result[D]) Witness(n int, d D) lang.Trace {
 	return out
 }
 
-// Solve runs the disjunctive forward analysis over the CFG from the initial
-// state at the entry node. ε edges propagate states unchanged. The solver
-// is a chaotic worklist iteration; since D is finite for the analyses in
-// this repository, it terminates.
-func Solve[D comparable](g *lang.CFG, init D, tr Transfer[D]) *Result[D] {
-	return SolveBudget(g, init, tr, nil)
-}
-
-// SolveBudget is Solve under a cooperative budget: the worklist polls b once
-// per dequeued item and stops early when the budget trips, returning the
-// partial fixpoint computed so far. A partial result under-approximates the
-// reachable states, so callers must check b.Tripped() before trusting a
-// "no failing state found" scan of it. A nil budget never trips.
+// SolveBudget runs the disjunctive forward analysis over the CFG from the
+// initial state at the entry node. ε edges propagate states unchanged. The
+// solver is a chaotic worklist iteration; since D is finite for the analyses
+// in this repository, it terminates. It runs under a cooperative budget: the
+// worklist polls b once per dequeued item and stops early when the budget
+// trips, returning the partial fixpoint computed so far. A partial result
+// under-approximates the reachable states, so callers must check
+// b.Tripped() before trusting a "no failing state found" scan of it. A nil
+// budget never trips.
 func SolveBudget[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.Budget) *Result[D] {
 	r := newResult[D](g)
 	r.seen[nodeState[D]{g.Entry, init}] = origin[D]{root: true}

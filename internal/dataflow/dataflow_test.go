@@ -2,9 +2,11 @@ package dataflow
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tracer/internal/lang"
+	"tracer/internal/uset"
 )
 
 // The mock analysis: states are small ints; atoms act as functions chosen
@@ -53,7 +55,7 @@ func TestSolveMatchesEvalProg(t *testing.T) {
 		p := randProg(rng, 4)
 		g := lang.BuildCFG(p)
 		want := EvalProg(p, map[int]bool{0: true}, mockTransfer)
-		res := Solve(g, 0, mockTransfer)
+		res := SolveBudget(g, 0, mockTransfer, nil)
 		got := map[int]bool{}
 		for _, d := range res.States(g.Exit) {
 			got[d] = true
@@ -77,7 +79,7 @@ func TestWitnessReplay(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		p := randProg(rng, 4)
 		g := lang.BuildCFG(p)
-		res := Solve(g, 0, mockTransfer)
+		res := SolveBudget(g, 0, mockTransfer, nil)
 		for n := 0; n < g.Nodes; n++ {
 			for _, d := range res.States(n) {
 				tr := res.Witness(n, d)
@@ -97,7 +99,7 @@ func TestWitnessIsProgramTrace(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		p := randProg(rng, 3)
 		g := lang.BuildCFG(p)
-		res := Solve(g, 0, mockTransfer)
+		res := SolveBudget(g, 0, mockTransfer, nil)
 		for _, d := range res.States(g.Exit) {
 			tr := res.Witness(g.Exit, d)
 			// The trace must be spelled by some entry→exit CFG path.
@@ -201,7 +203,7 @@ func TestStatesAlong(t *testing.T) {
 // is a programming error and must fail loudly.
 func TestWitnessPanicsOnUnreached(t *testing.T) {
 	g := lang.BuildCFG(lang.Atoms(lang.MoveNull{V: "a"}))
-	res := Solve(g, 0, mockTransfer)
+	res := SolveBudget(g, 0, mockTransfer, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -215,7 +217,7 @@ func TestWitnessPanicsOnUnreached(t *testing.T) {
 func TestStepsCountsDiscoveries(t *testing.T) {
 	p := lang.Choice{Left: lang.Atoms(lang.MoveNull{V: "a"}), Right: lang.Atoms(lang.MoveNull{V: "b"})}
 	g := lang.BuildCFG(p)
-	res := Solve(g, 1, mockTransfer)
+	res := SolveBudget(g, 1, mockTransfer, nil)
 	total := 0
 	for n := 0; n < g.Nodes; n++ {
 		total += len(res.States(n))
@@ -223,4 +225,66 @@ func TestStepsCountsDiscoveries(t *testing.T) {
 	if res.Steps != total {
 		t.Fatalf("Steps = %d, want %d", res.Steps, total)
 	}
+}
+
+// reads returns a step that reads parameters ks in order and returns how
+// many of them were on.
+func reads(ks ...int) Step[int] {
+	return func(r *Params, _ lang.Atom, _ int) int {
+		on := 0
+		for _, k := range ks {
+			if r.Has(k) {
+				on++
+			}
+		}
+		return on
+	}
+}
+
+// TestParamsRecordsRead: the reader records the signed literal of the one
+// parameter an application reads, and nothing when it reads none.
+func TestParamsRecordsRead(t *testing.T) {
+	r := NewParams(ParamWords(uset.New(2)))
+	for _, c := range []struct {
+		name string
+		step Step[int]
+		next int
+		lit  int32
+	}{
+		{"on", reads(2), 1, 3},
+		{"off", reads(1), 0, -2},
+		{"same-twice", reads(2, 2), 2, 3},
+		{"none", reads(), 0, 0},
+		{"beyond-top", reads(70), 0, -71},
+	} {
+		next, lit := Apply(r, c.step, lang.MoveNull{V: "x"}, 0)
+		if next != c.next || lit != c.lit {
+			t.Errorf("%s: Apply = (%d, %d), want (%d, %d)", c.name, next, lit, c.next, c.lit)
+		}
+	}
+}
+
+// TestParamsSecondReadPanics: an application that reads a second, different
+// parameter panics and names both. Each application starts afresh, so one
+// Transfer may read a different parameter on every atom.
+func TestParamsSecondReadPanics(t *testing.T) {
+	perAtom := func(r *Params, a lang.Atom, d int) int {
+		if a.(lang.MoveNull).V == "x" {
+			r.Has(1)
+		} else {
+			r.Has(3)
+		}
+		return d
+	}
+	tr := At(perAtom, uset.New(1))
+	tr(lang.MoveNull{V: "x"}, 0)
+	tr(lang.MoveNull{V: "y"}, 0)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "parameters 1 and 3") {
+			t.Fatalf("panic %q; want one naming parameters 1 and 3", msg)
+		}
+	}()
+	At(reads(1, 3), uset.New(1))(lang.MoveNull{V: "x"}, 0)
+	t.Fatal("a read of a second parameter did not panic")
 }

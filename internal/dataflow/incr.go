@@ -3,10 +3,10 @@
 // The CEGAR loop re-solves one CFG dozens of times under abstractions that
 // differ in a handful of parameters. A Chain keeps a per-(node, state)
 // expansion memo across its solves: the successor state and dependency
-// literal of every out-edge, the literal naming the abstraction parameter
-// the transfer application consulted. It also keeps the Result of its last
-// complete solve and that run's dependency signature. Solve then works in
-// one of two ways:
+// literal of every out-edge, the literal the chain's reader (Params)
+// recorded for the parameter the Step application read. It also keeps the
+// Result of its last complete solve and that run's dependency signature.
+// Solve then works in one of two ways:
 //
 //   - If no parameter the last run consulted changed polarity, the retained
 //     Result is returned as-is: an O(params/64) check serves the whole solve.
@@ -16,10 +16,12 @@
 //     recomputed in place otherwise.
 //
 // Determinism argument. The chain runs SolveBudget's iteration, and it serves
-// a record only when the record's literals agree with p; by the DepTransfer
-// contract, that record is what the transfer would return. So a solve makes
-// the discoveries of SolveBudget in the same order: same Steps, same
-// provenance, same Witness traces. The fast path returns the Result of
+// a record only when the record's literals agree with p. Each literal is
+// what the reader saw the application read, and a Step that read a second
+// parameter would have panicked, so the application reads nothing else of
+// p: under an agreeing p the record is what the step would return. So a
+// solve makes the discoveries of SolveBudget in the same order: same Steps,
+// same provenance, same Witness traces. The fast path returns the Result of
 // exactly that execution.
 package dataflow
 
@@ -28,28 +30,6 @@ import (
 	"tracer/internal/lang"
 	"tracer/internal/uset"
 )
-
-// DepTransfer is a Transfer that additionally reports which abstraction
-// parameter the application consulted, as a signed dependency literal:
-// 0 when the result is independent of the abstraction, +(k+1) when
-// parameter k was consulted and was ON in the instantiating abstraction,
-// -(k+1) when parameter k was consulted and was OFF. The contract is exact:
-// applying the same atom to the same state under any abstraction p' that
-// agrees with the literal (p'.Has(k) iff the literal is positive) must
-// produce the same result. Both analysis clients consult at most one
-// parameter per application, which is what makes a single literal
-// sufficient; a client that consulted several would need the rhs-style
-// literal lists instead.
-type DepTransfer[D comparable] func(a lang.Atom, d D) (D, int32)
-
-// DepLit encodes "parameter param was consulted under p" as a dependency
-// literal for a DepTransfer result.
-func DepLit(p uset.Set, param int) int32 {
-	if p.Has(param) {
-		return int32(param) + 1
-	}
-	return -(int32(param) + 1)
-}
 
 // ParamWords converts an abstraction to a bitset for O(1) membership. Bits
 // beyond the top parameter read as unset, matching Has.
@@ -64,7 +44,8 @@ func ParamWords(p uset.Set) uset.Words {
 	return w
 }
 
-// LitAgrees reports whether a dependency literal agrees with abstraction pw.
+// LitAgrees reports whether a dependency literal (see Apply) agrees with
+// abstraction pw.
 func LitAgrees(lit int32, pw uset.Words) bool {
 	switch {
 	case lit == 0:
@@ -77,7 +58,7 @@ func LitAgrees(lit int32, pw uset.Words) bool {
 }
 
 // DepSig is the dependency signature of a run: every parameter some transfer
-// application of the run consulted, split by the polarity it observed. The
+// application of the run read, split by the polarity it observed. The
 // run is valid as-is under every abstraction the signature agrees with. Both
 // delta chains keep one.
 type DepSig struct{ on, off uset.Words }
@@ -99,8 +80,7 @@ func (s *DepSig) Add(lit int32) {
 }
 
 // Agrees reports whether no parameter of the signature changed polarity
-// under pw: every consulted-ON parameter is in pw and no consulted-OFF one
-// is.
+// under pw: every parameter read ON is in pw and no parameter read OFF is.
 func (s *DepSig) Agrees(pw uset.Words) bool {
 	for i, w := range s.on {
 		var pv uint64
@@ -135,7 +115,7 @@ type Chain[D comparable] struct {
 
 	// Persistent expansion memo, valid across runs and abstractions. The
 	// expansion of (node, state) — successor state and dependency literal
-	// per out-edge, in CFG edge order — is a pure fact about the transfer
+	// per out-edge, in CFG edge order — is a pure fact about the step
 	// function, guarded by its literals. expIdx maps the pair to the offset
 	// of its record in the recNext/recLit arenas; the record holds one entry
 	// per out-edge of the node. A record whose literals disagree with the
@@ -163,14 +143,14 @@ func NewChain[D comparable](g *lang.CFG) *Chain[D] {
 	return &Chain[D]{g: g, expIdx: make(map[nodeState[D]]int32, 64)}
 }
 
-// Solve runs the forward analysis under abstraction p from init, serving it
-// from the retained run when no parameter that run consulted changed
+// Solve runs the forward analysis of step under abstraction p from init,
+// serving it from the retained run when no parameter that run read changed
 // polarity and replaying it through the expansion memo otherwise. The result
-// is byte-equivalent to SolveBudget with the instantiated transfer function:
-// same discoveries in the same order, same Steps, same provenance. A budget
-// trip returns the partial fixpoint, which then owns its maps; the chain
-// keeps only the expansion memo, so the next Solve replays from the root.
-func (c *Chain[D]) Solve(p uset.Set, init D, tr DepTransfer[D], b *budget.Budget) *Result[D] {
+// is byte-equivalent to SolveBudget with At(step, p): same discoveries in the
+// same order, same Steps, same provenance. A budget trip returns the partial
+// fixpoint, which then owns its maps; the chain keeps only the expansion
+// memo, so the next Solve replays from the root.
+func (c *Chain[D]) Solve(p uset.Set, init D, step Step[D], b *budget.Budget) *Result[D] {
 	pw := ParamWords(p)
 	resumed := c.complete && init == c.init
 	if resumed && c.sig.Agrees(pw) {
@@ -196,6 +176,7 @@ func (c *Chain[D]) Solve(p uset.Set, init D, tr DepTransfer[D], b *budget.Budget
 	res.byNode[g.Entry] = append(res.byNode[g.Entry], init)
 	res.Steps = 1
 	work := append(c.work[:0], root)
+	r := NewParams(pw)
 	for len(work) > 0 {
 		if !b.Poll() {
 			// The partial Result escapes with sole ownership of its maps.
@@ -205,7 +186,7 @@ func (c *Chain[D]) Solve(p uset.Set, init D, tr DepTransfer[D], b *budget.Budget
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
 		out := g.Out[it.node]
-		start := c.expand(it, len(out), pw, tr)
+		start := c.expand(it, len(out), r, step)
 		for i, ei := range out {
 			e := g.Edges[ei]
 			c.sig.Add(c.recLit[start+i])
@@ -225,16 +206,16 @@ func (c *Chain[D]) Solve(p uset.Set, init D, tr DepTransfer[D], b *budget.Budget
 }
 
 // expand returns the arena offset of the record of it, whose node has n
-// out-edges. The record is served when every literal in it agrees with pw,
-// and computed otherwise: in place when it exists, appended to the arenas
-// when it is new.
-func (c *Chain[D]) expand(it nodeState[D], n int, pw uset.Words, tr DepTransfer[D]) int {
+// out-edges. The record is served when every literal in it agrees with r's
+// abstraction, and computed through r otherwise: in place when it exists,
+// appended to the arenas when it is new.
+func (c *Chain[D]) expand(it nodeState[D], n int, r *Params, step Step[D]) int {
 	s, known := c.expIdx[it]
 	start := int(s)
 	if known {
 		clean := true
 		for _, lit := range c.recLit[start : start+n] {
-			if !LitAgrees(lit, pw) {
+			if !LitAgrees(lit, r.w) {
 				clean = false
 				break
 			}
@@ -257,7 +238,7 @@ func (c *Chain[D]) expand(it nodeState[D], n int, pw uset.Words, tr DepTransfer[
 		e := c.g.Edges[ei]
 		next, lit := it.state, int32(0)
 		if e.A != nil {
-			next, lit = tr(e.A, it.state)
+			next, lit = Apply(r, step, e.A, it.state)
 		}
 		c.recNext[start+i], c.recLit[start+i] = next, lit
 	}

@@ -31,9 +31,9 @@ func TestChainFlipChainNullness(t *testing.T) {
 			ch := dataflow.NewChain[nullness.State](g)
 			for step := 0; step < 12; step++ {
 				p := randAbs(rng, nullnessChainCells())
-				got := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
-				want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), a.Transfer(p))
+				got := ch.Solve(p, a.Initial(), a.Step, nil)
+				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
+				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
 			}
 		})
 	}
@@ -58,9 +58,9 @@ func TestChainSingleBitWalkNullness(t *testing.T) {
 		} else {
 			cur = cur.Add(k)
 		}
-		got := ch.Solve(cur, a.Initial(), a.TransferDep(cur), nil)
-		want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(cur), nil)
-		checkEquiv(t, g, got, want, a.Initial(), a.Transfer(cur))
+		got := ch.Solve(cur, a.Initial(), a.Step, nil)
+		want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, cur), nil)
+		checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, cur))
 	}
 }
 
@@ -77,14 +77,14 @@ func TestChainRepeatedAbstractionNullness(t *testing.T) {
 	a := nullness.New(chainLocals, chainFields)
 	ch := dataflow.NewChain[nullness.State](g)
 	p := uset.New(0, 3)
-	first := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
-	second := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	first := ch.Solve(p, a.Initial(), a.Step, nil)
+	second := ch.Solve(p, a.Initial(), a.Step, nil)
 	if resumed, _, invalidated := ch.Stats(); !resumed || invalidated != 0 {
 		t.Fatalf("repeat solve: resumed=%v invalidated=%d, want a clean resume", resumed, invalidated)
 	}
 	if second != first {
 		t.Fatalf("repeat solve did not serve the retained result")
 	}
-	want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
-	checkEquiv(t, g, second, want, a.Initial(), a.Transfer(p))
+	want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
+	checkEquiv(t, g, second, want, a.Initial(), dataflow.At(a.Step, p))
 }

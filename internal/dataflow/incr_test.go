@@ -89,9 +89,9 @@ func TestChainFlipChainEscape(t *testing.T) {
 			ch := dataflow.NewChain[escape.State](g)
 			for step := 0; step < 12; step++ {
 				p := randAbs(rng, len(chainSites))
-				got := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
-				want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), a.Transfer(p))
+				got := ch.Solve(p, a.Initial(), a.Step, nil)
+				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
+				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
 			}
 		})
 	}
@@ -111,9 +111,9 @@ func TestChainFlipChainTypestate(t *testing.T) {
 			ch := dataflow.NewChain[typestate.State](g)
 			for step := 0; step < 12; step++ {
 				p := randAbs(rng, len(chainVars))
-				got := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
-				want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), a.Transfer(p))
+				got := ch.Solve(p, a.Initial(), a.Step, nil)
+				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
+				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
 			}
 		})
 	}
@@ -139,9 +139,9 @@ func TestChainSingleBitWalk(t *testing.T) {
 		} else {
 			cur = cur.Add(k)
 		}
-		got := ch.Solve(cur, a.Initial(), a.TransferDep(cur), nil)
-		want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(cur), nil)
-		checkEquiv(t, g, got, want, a.Initial(), a.Transfer(cur))
+		got := ch.Solve(cur, a.Initial(), a.Step, nil)
+		want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, cur), nil)
+		checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, cur))
 	}
 }
 
@@ -158,16 +158,16 @@ func TestChainRepeatedAbstraction(t *testing.T) {
 	a := escape.New(chainLocals, chainFields, chainSites)
 	ch := dataflow.NewChain[escape.State](g)
 	p := uset.New(0, 2)
-	first := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
-	second := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	first := ch.Solve(p, a.Initial(), a.Step, nil)
+	second := ch.Solve(p, a.Initial(), a.Step, nil)
 	if resumed, _, invalidated := ch.Stats(); !resumed || invalidated != 0 {
 		t.Fatalf("repeat solve: resumed=%v invalidated=%d, want a clean resume", resumed, invalidated)
 	}
 	if second != first {
 		t.Fatalf("repeat solve did not serve the retained result")
 	}
-	want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(p), nil)
-	checkEquiv(t, g, second, want, a.Initial(), a.Transfer(p))
+	want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
+	checkEquiv(t, g, second, want, a.Initial(), dataflow.At(a.Step, p))
 }
 
 // chainAccountingFixture is an escape program that allocates site h2, then
@@ -195,9 +195,9 @@ func TestChainFastPath(t *testing.T) {
 	g, a := chainAccountingFixture()
 	ch := dataflow.NewChain[escape.State](g)
 	p := uset.New(0, 1)
-	first := ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	first := ch.Solve(p, a.Initial(), a.Step, nil)
 	for _, q := range []uset.Set{p, uset.New(0, 1, 3)} {
-		got := ch.Solve(q, a.Initial(), a.TransferDep(q), nil)
+		got := ch.Solve(q, a.Initial(), a.Step, nil)
 		if got != first {
 			t.Fatalf("abstraction %v did not serve the retained result", q)
 		}
@@ -205,8 +205,8 @@ func TestChainFastPath(t *testing.T) {
 			t.Fatalf("abstraction %v: stats = (%v, %d, %d), want (true, %d, 0)",
 				q, resumed, reused, invalidated, first.Steps)
 		}
-		want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(q), nil)
-		checkEquiv(t, g, got, want, a.Initial(), a.Transfer(q))
+		want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, q), nil)
+		checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, q))
 	}
 }
 
@@ -217,11 +217,11 @@ func TestChainInvalidation(t *testing.T) {
 	g, a := chainAccountingFixture()
 	ch := dataflow.NewChain[escape.State](g)
 	p := uset.New(1)
-	ch.Solve(p, a.Initial(), a.TransferDep(p), nil)
+	ch.Solve(p, a.Initial(), a.Step, nil)
 	q := uset.New(0, 1)
-	got := ch.Solve(q, a.Initial(), a.TransferDep(q), nil)
-	want := dataflow.SolveBudget(g, a.Initial(), a.Transfer(q), nil)
-	checkEquiv(t, g, got, want, a.Initial(), a.Transfer(q))
+	got := ch.Solve(q, a.Initial(), a.Step, nil)
+	want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, q), nil)
+	checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, q))
 	if resumed, reused, invalidated := ch.Stats(); !resumed || reused == 0 || invalidated == 0 {
 		t.Fatalf("flip of a consulted parameter: stats = (%v, %d, %d), want a resume with reuse and invalidations",
 			resumed, reused, invalidated)

@@ -6,6 +6,7 @@ import (
 	"tracer/internal/budget"
 	"tracer/internal/client"
 	"tracer/internal/core"
+	"tracer/internal/dataflow"
 	"tracer/internal/lang"
 	"tracer/internal/obs"
 	"tracer/internal/rhs"
@@ -26,7 +27,7 @@ type RHSJob[D comparable, Q client.Query, A client.Analysis[D, Q]] struct {
 	NoDelta bool
 
 	// rec, when set, receives the tabulation solver's per-run counters and
-	// timings (see rhs.SolveObs).
+	// timings (see rhs.SolveBudget).
 	rec   obs.Recorder
 	chain atomic.Pointer[rhs.Chain[D]]
 }
@@ -45,13 +46,13 @@ func (j *RHSJob[D, Q, A]) Observe(rec obs.Recorder) { j.rec = rec }
 func (j *RHSJob[D, Q, A]) Forward(b *budget.Budget, p uset.Set) core.Outcome {
 	a := j.Inner.A
 	if j.NoDelta {
-		return j.scan(rhs.SolveBudget(j.G, a.Initial(), a.Transfer(p), j.rec, b), b)
+		return j.scan(rhs.SolveBudget(j.G, a.Initial(), dataflow.At(a.Step, p), j.rec, b), b)
 	}
 	ch := j.chain.Swap(nil)
 	if ch == nil {
 		ch = rhs.NewChain[D](j.G)
 	}
-	out := j.scan(ch.Solve(p, a.Initial(), a.TransferDep(p), j.rec, b), b)
+	out := j.scan(ch.Solve(p, a.Initial(), a.Step, j.rec, b), b)
 	out.Resumed, out.Reused, out.Invalidated = ch.Stats()
 	j.chain.Store(ch)
 	return out

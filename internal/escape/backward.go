@@ -5,7 +5,6 @@ import (
 
 	"tracer/internal/formula"
 	"tracer/internal/lang"
-	"tracer/internal/uset"
 )
 
 // The primitive formulas of the thread-escape meta-analysis (§4.1):
@@ -101,24 +100,18 @@ func (Theory) Contradicts(a, b formula.Lit) bool {
 	return false
 }
 
-// EvalLit evaluates a literal at abstraction p (set of L-mapped site
-// indices) and state d.
-func (a *Analysis) EvalLit(l formula.Lit, p uset.Set, d State) bool {
-	v := a.evalPrim(l.P, p, d)
+// EvalLit evaluates a state literal at state d; a site literal h.o
+// evaluates through ParamLit.
+func (a *Analysis) EvalLit(l formula.Lit, d State) bool {
+	v := a.evalPrim(l.P, d)
 	if l.Neg {
 		return !v
 	}
 	return v
 }
 
-func (a *Analysis) evalPrim(pr formula.Prim, p uset.Set, d State) bool {
+func (a *Analysis) evalPrim(pr formula.Prim, d State) bool {
 	switch pr := pr.(type) {
-	case PSite:
-		mapped := E
-		if p.Has(a.Sites.ID(pr.H)) {
-			mapped = L
-		}
-		return mapped == pr.O
 	case PLocal:
 		return a.Local(d, pr.V) == pr.O
 	case PField:

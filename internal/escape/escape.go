@@ -257,31 +257,11 @@ func (a *Analysis) Format(d State) string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// Transfer instantiates the transfer function [a]p of Fig 5 at abstraction
-// p, the set of site indices mapped to L.
-func (a *Analysis) Transfer(p uset.Set) dataflow.Transfer[State] {
-	return func(at lang.Atom, d State) State {
-		return a.step(p, at, d)
-	}
-}
-
-// TransferDep is Transfer with dependency reporting for the incremental
-// solver (dataflow.Chain): each application also returns the dependency
-// literal naming the parameter it consulted. The escape transfer reads the
-// abstraction in exactly one place — Alloc consults p.Has(site) to pick L
-// or E for the fresh object; every other atom is a pure function of the
-// abstract state.
-func (a *Analysis) TransferDep(p uset.Set) dataflow.DepTransfer[State] {
-	return func(at lang.Atom, d State) (State, int32) {
-		lit := int32(0)
-		if al, ok := at.(lang.Alloc); ok {
-			lit = dataflow.DepLit(p, a.Sites.ID(al.H))
-		}
-		return a.step(p, at, d), lit
-	}
-}
-
-func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
+// Step is the transfer function [a]p of Fig 5, reading the abstraction p
+// (the set of site indices mapped to L) through the reader. It reads p in
+// exactly one place — Alloc reads its site to pick L or E for the fresh
+// object; every other atom is a pure function of the abstract state.
+func (a *Analysis) Step(p *dataflow.Params, at lang.Atom, d State) State {
 	switch at := at.(type) {
 	case lang.Alloc:
 		val := E

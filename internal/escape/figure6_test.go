@@ -46,7 +46,7 @@ func TestFigure6Forward(t *testing.T) {
 	if out.Proved {
 		t.Fatal("p = {} must fail local(u)")
 	}
-	states := dataflow.StatesAlong(out.Trace, a.Initial(), a.Transfer(nil))
+	states := dataflow.StatesAlong(out.Trace, a.Initial(), dataflow.At(a.Step, nil))
 	want := []string{
 		"[u↦N, v↦N, f↦N]",
 		"[u↦E, v↦N, f↦N]",
@@ -65,7 +65,7 @@ func TestFigure6Forward(t *testing.T) {
 	if out.Proved {
 		t.Fatal("p = {h1} must fail local(u)")
 	}
-	states = dataflow.StatesAlong(out.Trace, a.Initial(), a.Transfer(p))
+	states = dataflow.StatesAlong(out.Trace, a.Initial(), dataflow.At(a.Step, p))
 	want = []string{
 		"[u↦N, v↦N, f↦N]",
 		"[u↦L, v↦N, f↦N]",
@@ -137,7 +137,7 @@ func TestFigure6WithoutUnderApprox(t *testing.T) {
 
 	out := job.Forward(nil, nil)
 	dI := a.Initial()
-	states := dataflow.StatesAlong(out.Trace, dI, a.Transfer(nil))
+	states := dataflow.StatesAlong(out.Trace, dI, dataflow.At(a.Step, nil))
 	dnf := meta.Run(job.Client(nil), out.Trace, states, a.NotQ(q))
 	cubes := job.Cubes(dnf, dI)
 	if len(cubes) != 2 {
@@ -167,7 +167,7 @@ func TestFigure6FormulaAnnotations(t *testing.T) {
 	job := &Job{A: a, G: g, Q: q, K: 1}
 	out := job.Forward(nil, nil)
 	dI := a.Initial()
-	states := dataflow.StatesAlong(out.Trace, dI, a.Transfer(nil))
+	states := dataflow.StatesAlong(out.Trace, dI, dataflow.At(a.Step, nil))
 	ann := meta.RunAnnotated(job.Client(nil), out.Trace, states, a.NotQ(q))
 	if got := ann[len(ann)-1].String(); got != "u.E" {
 		t.Errorf("ψ at pc = %s, want u.E", got)

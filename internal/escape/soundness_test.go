@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -65,8 +66,8 @@ func TestWPRequirement2(t *testing.T) {
 			bad := meta.CheckWP(
 				atom, prim, a.WP, u,
 				abstractions, states,
-				func(p uset.Set, d State) State { return a.step(p, atom, d) },
-				func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+				func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
+				func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 			)
 			if len(bad) != 0 {
 				pi, di := bad[0][0], bad[0][1]
@@ -91,10 +92,10 @@ func TestNegLitPartitions(t *testing.T) {
 		}
 		for _, p := range a.AllAbstractions() {
 			for _, d := range a.AllStates() {
-				pos := a.EvalLit(l, p, d)
+				pos := client.EvalLit(a, l, p, d)
 				neg := false
 				for _, alt := range alts {
-					if a.EvalLit(alt, p, d) {
+					if client.EvalLit(a, alt, p, d) {
 						neg = true
 						break
 					}
@@ -146,22 +147,22 @@ func TestTheorem3RandomTraces(t *testing.T) {
 		}
 		p := abstractions[rng.Intn(len(abstractions))]
 		dI := a.Initial()
-		selfTr := a.Transfer(p)
+		selfTr := dataflow.At(a.Step, p)
 		final := dataflow.EvalTrace(tr, dI, selfTr)
-		failed := post.Eval(func(l formula.Lit) bool { return a.EvalLit(l, p, final) })
+		failed := post.Eval(func(l formula.Lit) bool { return client.EvalLit(a, l, p, final) })
 		for _, k := range []int{1, 3, 0} {
-			client := &meta.Client[State]{
+			mc := &meta.Client[State]{
 				WP:   a.WP,
 				U:    formula.NewUniverse(Theory{}),
-				Eval: func(l formula.Lit, d State) bool { return a.EvalLit(l, p, d) },
+				Eval: func(l formula.Lit, d State) bool { return client.EvalLit(a, l, p, d) },
 				K:    k,
 			}
 			c1, c2 := meta.CheckSoundness(
-				client, tr, dI, post, failed,
+				mc, tr, dI, post, failed,
 				abstractions, states,
-				func(p0 uset.Set) dataflow.Transfer[State] { return a.Transfer(p0) },
+				func(p0 uset.Set) dataflow.Transfer[State] { return dataflow.At(a.Step, p0) },
 				func(p0 uset.Set) func(l formula.Lit, d State) bool {
-					return func(l formula.Lit, d State) bool { return a.EvalLit(l, p0, d) }
+					return func(l formula.Lit, d State) bool { return client.EvalLit(a, l, p0, d) }
 				},
 				selfTr,
 			)

@@ -3,6 +3,8 @@ package escape
 import (
 	"testing"
 
+	"tracer/internal/client"
+	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/meta"
 	"tracer/internal/uset"
@@ -40,7 +42,7 @@ func TestHandwrittenWPMatchesSynthesized(t *testing.T) {
 	u := formula.NewUniverse(Theory{})
 	desc := meta.Descriptor[uset.Set, State]{
 		Describe: func(p uset.Set, d State) formula.Conj { return a.describe(u, p, d) },
-		Eval:     func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+		Eval:     func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 	}
 	abstractions := a.AllAbstractions()
 	states := a.AllStates()
@@ -48,7 +50,7 @@ func TestHandwrittenWPMatchesSynthesized(t *testing.T) {
 		for _, prim := range primsFor(a) {
 			bad := meta.CheckAgainstSynthesized(
 				atom, prim, a.WP,
-				func(p uset.Set, d State) State { return a.step(p, atom, d) },
+				func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
 				desc, u, abstractions, states,
 			)
 			if bad != 0 {

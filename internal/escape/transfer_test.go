@@ -3,6 +3,7 @@ package escape
 import (
 	"testing"
 
+	"tracer/internal/dataflow"
 	"tracer/internal/lang"
 	"tracer/internal/uset"
 )
@@ -54,7 +55,7 @@ func TestTransferRulesFig5(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := a.step(tc.p, tc.atom, tc.in)
+			got := dataflow.At(a.Step, tc.p)(tc.atom, tc.in)
 			if got != tc.want {
 				t.Fatalf("[%s]p(%s) = %s, want %s", tc.atom, a.Format(tc.in), a.Format(got), a.Format(tc.want))
 			}

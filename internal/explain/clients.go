@@ -14,7 +14,7 @@ import (
 // forJob narrates a client job: the forward and backward hooks come from
 // the job, the renderings from h.
 func forJob[D comparable, Q client.Query, A client.Analysis[D, Q]](job *client.Job[D, Q, A], w io.Writer, h Hooks[D]) *Problem[D] {
-	h.Initial, h.Transfer, h.Client = job.A.Initial(), job.A.Transfer, job.Client
+	h.Initial, h.Step, h.Client = job.A.Initial(), job.A.Step, job.Client
 	h.Post, h.Cubes = job.A.NotQ(job.Q), job.Cubes
 	return New[D](job, w, h)
 }

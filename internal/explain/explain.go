@@ -28,8 +28,8 @@ type coreCube = core.ParamCube
 type Hooks[D comparable] struct {
 	// Initial is dI.
 	Initial D
-	// Transfer instantiates the forward transfer function at p.
-	Transfer func(p uset.Set) dataflow.Transfer[D]
+	// Step is the forward transfer function.
+	Step dataflow.Step[D]
 	// Client builds the meta-analysis client for p.
 	Client func(p uset.Set) *meta.Client[D]
 	// Post is the failure condition not(q).
@@ -82,7 +82,7 @@ func (p *Problem[D]) Forward(b *budget.Budget, abs uset.Set) core.Outcome {
 // mismatched wrapper, a stateful inner problem, a drifted hook — an
 // explicit warning is printed instead of silently narrating the wrong pass.
 func (p *Problem[D]) Backward(b *budget.Budget, abs uset.Set, t lang.Trace) []core.ParamCube {
-	states := dataflow.StatesAlong(t, p.H.Initial, p.H.Transfer(abs))
+	states := dataflow.StatesAlong(t, p.H.Initial, dataflow.At(p.H.Step, abs))
 	ann := meta.RunAnnotated(p.H.Client(abs), t, states, p.H.Post)
 	fmt.Fprintf(p.W, "  counterexample trace (α = forward state, ψ = failure condition):\n")
 	fmt.Fprintf(p.W, "    %-28s α %-30s ψ %s\n", "", p.H.FormatState(states[0]), ann[0])

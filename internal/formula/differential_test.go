@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/escape"
 	"tracer/internal/formula"
 	"tracer/internal/typestate"
@@ -517,7 +518,7 @@ func TestDifferentialTypestate(t *testing.T) {
 	for _, p := range a.AllAbstractions() {
 		for _, d := range a.AllStates() {
 			p, d := p, d
-			evs = append(evs, func(l formula.Lit) bool { return a.EvalLit(l, p, d) })
+			evs = append(evs, func(l formula.Lit) bool { return client.EvalLit(a, l, p, d) })
 		}
 	}
 	runDifferential(t, typestate.Theory{}, pool, evs, 101, 300)
@@ -546,7 +547,7 @@ func TestDifferentialEscape(t *testing.T) {
 	for _, p := range a.AllAbstractions() {
 		for _, d := range a.AllStates() {
 			p, d := p, d
-			evs = append(evs, func(l formula.Lit) bool { return a.EvalLit(l, p, d) })
+			evs = append(evs, func(l formula.Lit) bool { return client.EvalLit(a, l, p, d) })
 		}
 	}
 	runDifferential(t, escape.Theory{}, pool, evs, 202, 300)

@@ -10,6 +10,7 @@ package formula_test
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/formula"
@@ -55,7 +56,7 @@ func BenchmarkApprox(b *testing.B) {
 	f := benchWPFormula(a)
 	dI := a.Initial()
 	holds := func(c formula.Conj) bool {
-		return c.Eval(func(l formula.Lit) bool { return a.EvalLit(l, nil, dI) })
+		return c.Eval(func(l formula.Lit) bool { return client.EvalLit(a, l, nil, dI) })
 	}
 	formula.Approx(f, u, 5, holds) // warm the universe and theory memos
 	b.ReportAllocs()
@@ -92,7 +93,7 @@ func benchWpDNF(b *testing.B, cold bool) {
 	cache := meta.NewWPCache()
 	tr := benchTrace()
 	dI := a.Initial()
-	states := dataflow.StatesAlong(tr, dI, a.Transfer(nil))
+	states := dataflow.StatesAlong(tr, dI, dataflow.At(a.Step, nil))
 	post := a.NotQ(escape.Query{V: "u"})
 	client := func() *meta.Client[escape.State] {
 		c := cache
@@ -102,7 +103,7 @@ func benchWpDNF(b *testing.B, cold bool) {
 		return &meta.Client[escape.State]{
 			WP:    a.WP,
 			U:     u,
-			Eval:  func(l formula.Lit, d escape.State) bool { return a.EvalLit(l, nil, d) },
+			Eval:  func(l formula.Lit, d escape.State) bool { return client.EvalLit(a, l, nil, d) },
 			K:     5,
 			Cache: c,
 		}

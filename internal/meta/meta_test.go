@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -79,19 +80,19 @@ func TestOptimizedDriverMatchesNaive(t *testing.T) {
 		}
 		p := abstractions[rng.Intn(len(abstractions))]
 		for _, k := range []int{1, 2, 0} {
-			client := &meta.Client[typestate.State]{
+			mc := &meta.Client[typestate.State]{
 				WP:   a.WP,
 				U:    formula.NewUniverse(typestate.Theory{}),
-				Eval: func(l formula.Lit, d typestate.State) bool { return a.EvalLit(l, p, d) },
+				Eval: func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, p, d) },
 				K:    k,
 			}
-			pre := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(p))
-			got := meta.RunAnnotated(client, tr, pre, post)
-			ref := naiveBackward(client, tr, pre, post)
+			pre := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, p))
+			got := meta.RunAnnotated(mc, tr, pre, post)
+			ref := naiveBackward(mc, tr, pre, post)
 			for i := range got {
 				for _, p0 := range abstractions {
 					for _, d0 := range states {
-						ev := func(l formula.Lit) bool { return a.EvalLit(l, p0, d0) }
+						ev := func(l formula.Lit) bool { return client.EvalLit(a, l, p0, d0) }
 						if got[i].Eval(ev) != ref[i].Eval(ev) {
 							t.Fatalf("k=%d trace %q point %d: optimized %s vs naive %s differ at p=%v d=%s",
 								k, tr, i, got[i], ref[i], p0, a.Format(d0))
@@ -106,16 +107,16 @@ func TestOptimizedDriverMatchesNaive(t *testing.T) {
 // TestRunAnnotatedLengths and the state-length contract.
 func TestRunAnnotatedLengths(t *testing.T) {
 	a, _ := testSetup()
-	client := &meta.Client[typestate.State]{
+	mc := &meta.Client[typestate.State]{
 		WP:   a.WP,
 		U:    formula.NewUniverse(typestate.Theory{}),
-		Eval: func(l formula.Lit, d typestate.State) bool { return a.EvalLit(l, nil, d) },
+		Eval: func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, nil, d) },
 		K:    1,
 	}
 	tr := lang.Trace{lang.MoveNull{V: "x"}}
-	states := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(nil))
+	states := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, nil))
 	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
-	ann := meta.RunAnnotated(client, tr, states, post)
+	ann := meta.RunAnnotated(mc, tr, states, post)
 	if len(ann) != 2 {
 		t.Fatalf("annotations = %d, want 2", len(ann))
 	}
@@ -124,7 +125,7 @@ func TestRunAnnotatedLengths(t *testing.T) {
 			t.Fatal("expected panic on mismatched states length")
 		}
 	}()
-	meta.RunAnnotated(client, tr, states[:1], post)
+	meta.RunAnnotated(mc, tr, states[:1], post)
 }
 
 // TestWPCacheShared: results are identical with and without a shared cache.
@@ -134,16 +135,16 @@ func TestWPCacheShared(t *testing.T) {
 	u := formula.NewUniverse(typestate.Theory{})
 	tr := lang.Trace{atoms[0], atoms[2], atoms[5], atoms[6]}
 	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
-	states := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(nil))
+	states := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, nil))
 	mk := func(c *meta.WPCache) formula.DNF {
-		client := &meta.Client[typestate.State]{
+		mc := &meta.Client[typestate.State]{
 			WP:    a.WP,
 			U:     u,
-			Eval:  func(l formula.Lit, d typestate.State) bool { return a.EvalLit(l, nil, d) },
+			Eval:  func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, nil, d) },
 			K:     1,
 			Cache: c,
 		}
-		return meta.Run(client, tr, states, post)
+		return meta.Run(mc, tr, states, post)
 	}
 	first := mk(cache)
 	second := mk(cache) // warm cache
@@ -172,15 +173,15 @@ func TestWPCacheConcurrent(t *testing.T) {
 		traces[i] = tr
 	}
 	run := func(tr lang.Trace) string {
-		client := &meta.Client[typestate.State]{
+		mc := &meta.Client[typestate.State]{
 			WP:    a.WP,
 			U:     u,
-			Eval:  func(l formula.Lit, d typestate.State) bool { return a.EvalLit(l, nil, d) },
+			Eval:  func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, nil, d) },
 			K:     2,
 			Cache: cache,
 		}
-		states := dataflow.StatesAlong(tr, a.Initial(), a.Transfer(nil))
-		return meta.Run(client, tr, states, post).String()
+		states := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, nil))
+		return meta.Run(mc, tr, states, post).String()
 	}
 	want := make([]string, len(traces))
 	for i, tr := range traces {

@@ -5,7 +5,6 @@ import (
 
 	"tracer/internal/formula"
 	"tracer/internal/lang"
-	"tracer/internal/uset"
 )
 
 // The primitive formulas of the nullness meta-analysis:
@@ -130,26 +129,22 @@ func (Theory) Contradicts(a, b formula.Lit) bool {
 	return false
 }
 
-// EvalLit evaluates a literal at abstraction p (set of tracked cell
-// indices) and state d.
-func (a *Analysis) EvalLit(l formula.Lit, p uset.Set, d State) bool {
-	v := a.evalPrim(l.P, p, d)
+// EvalLit evaluates a state literal at state d; track literals evaluate
+// through ParamLit.
+func (a *Analysis) EvalLit(l formula.Lit, d State) bool {
+	v := a.evalPrim(l.P, d)
 	if l.Neg {
 		return !v
 	}
 	return v
 }
 
-func (a *Analysis) evalPrim(pr formula.Prim, p uset.Set, d State) bool {
+func (a *Analysis) evalPrim(pr formula.Prim, d State) bool {
 	switch pr := pr.(type) {
 	case PVar:
 		return a.Local(d, pr.V) == pr.O
 	case PField:
 		return a.Field(d, pr.F) == pr.O
-	case PTrackVar:
-		return p.Has(a.localSlot(pr.V)) == pr.On
-	case PTrackField:
-		return p.Has(a.fieldSlot(pr.F)) == pr.On
 	}
 	panic(fmt.Sprintf("nullness: unknown primitive %T", pr))
 }

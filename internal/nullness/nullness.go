@@ -218,7 +218,7 @@ func combine(x, y Value) Value {
 
 // assign writes val into slot i, degraded to U when the cell is
 // untracked — the single point where precision is bought by a parameter.
-func (a *Analysis) assign(p uset.Set, d State, i int, val Value) State {
+func (a *Analysis) assign(p *dataflow.Params, d State, i int, val Value) State {
 	if !p.Has(i) {
 		val = U
 	}
@@ -253,44 +253,11 @@ func (a *Analysis) Format(d State) string {
 	return "[" + strings.Join(parts, ", ") + "]"
 }
 
-// Transfer instantiates the transfer function at abstraction p, the set
-// of tracked cell indices.
-func (a *Analysis) Transfer(p uset.Set) dataflow.Transfer[State] {
-	return func(at lang.Atom, d State) State {
-		return a.step(p, at, d)
-	}
-}
-
-// TransferDep is Transfer with dependency reporting for the incremental
-// solver (dataflow.Chain): each application also returns the dependency
-// literal naming the parameter it consulted. Every atom consults the
-// abstraction in at most one place — the tracked bit of the cell it
-// writes; reads and the allocation field-weakening are parameter-free.
-func (a *Analysis) TransferDep(p uset.Set) dataflow.DepTransfer[State] {
-	return func(at lang.Atom, d State) (State, int32) {
-		return a.step(p, at, d), a.dep(p, at)
-	}
-}
-
-func (a *Analysis) dep(p uset.Set, at lang.Atom) int32 {
-	switch at := at.(type) {
-	case lang.Alloc:
-		return dataflow.DepLit(p, a.localSlot(at.V))
-	case lang.Move:
-		return dataflow.DepLit(p, a.localSlot(at.Dst))
-	case lang.MoveNull:
-		return dataflow.DepLit(p, a.localSlot(at.V))
-	case lang.Load:
-		return dataflow.DepLit(p, a.localSlot(at.Dst))
-	case lang.Store:
-		return dataflow.DepLit(p, a.fieldSlot(at.F))
-	case lang.Invoke:
-		return dataflow.DepLit(p, a.localSlot(at.V))
-	}
-	return 0
-}
-
-func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
+// Step is the transfer function at abstraction p, the set of tracked cell
+// indices, read through the reader. Every atom reads p in at most one place
+// — the tracked bit of the cell it writes (assign); reads and the
+// allocation field-weakening are parameter-free.
+func (a *Analysis) Step(p *dataflow.Params, at lang.Atom, d State) State {
 	switch at := at.(type) {
 	case lang.Alloc:
 		return a.assign(p, a.weakenFields(d), a.localSlot(at.V), NN)

@@ -79,8 +79,8 @@ func TestEquivalenceWithInliner(t *testing.T) {
 				p = p.Add(aInl.Sites.ID(sites[i]))
 			}
 		}
-		inl := dataflow.Solve(low.G, aInl.Initial(), aInl.Transfer(p))
-		rhs := Solve(sp.G, aRHS.Initial(), aRHS.Transfer(p))
+		inl := dataflow.SolveBudget(low.G, aInl.Initial(), dataflow.At(aInl.Step, p), nil)
+		rhs := SolveBudget(sp.G, aRHS.Initial(), dataflow.At(aRHS.Step, p), nil, nil)
 
 		// Compare fact sets per source access statement.
 		inlByStmt := map[ir.Stmt]map[string]bool{}
@@ -129,11 +129,11 @@ func TestWitnessReplayEscape(t *testing.T) {
 	locals, fields, sites := universeOf(sp.G)
 	a := escape.New(locals, fields, sites)
 	p := uset.New(a.Sites.ID("hA"))
-	res := Solve(sp.G, a.Initial(), a.Transfer(p))
+	res := SolveBudget(sp.G, a.Initial(), dataflow.At(a.Step, p), nil, nil)
 	for _, fa := range sp.Accesses {
 		for _, d := range res.States(fa.At.Method, fa.At.Node) {
 			tr := res.Witness(fa.At.Method, fa.At.Node, d)
-			if got := dataflow.EvalTrace(tr, a.Initial(), a.Transfer(p)); got != d {
+			if got := dataflow.EvalTrace(tr, a.Initial(), dataflow.At(a.Step, p)); got != d {
 				t.Fatalf("witness at %v replays to %s, want %s", fa.Stmt.Position(), a.Format(got), a.Format(d))
 			}
 		}
@@ -221,7 +221,7 @@ func TestRecursiveProgram(t *testing.T) {
 		}
 	}
 	p := uset.New(fVar)
-	res := Solve(sp.G, a.Initial(), a.Transfer(p))
+	res := SolveBudget(sp.G, a.Initial(), dataflow.At(a.Step, p), nil, nil)
 	var qf *ExplicitQuery
 	for i := range sp.Queries {
 		if sp.Queries[i].Name == "qf" {

@@ -2,9 +2,11 @@
 //
 // A Chain retains the last tabulation Result together with its dependency
 // signature (a dataflow.DepSig: every abstraction parameter some transfer
-// application of the run consulted, split by the polarity it observed) and
-// a persistent apply-memo mapping (atom, fact) to (result, dependency
-// literal). When the CEGAR loop re-solves under a flipped abstraction:
+// application of the run read, split by the polarity it observed) and a
+// persistent apply-memo mapping (atom, fact) to (result, dependency
+// literal), the literal the chain's reader (dataflow.Params) recorded for
+// the parameter the Step application read. When the CEGAR loop re-solves
+// under a flipped abstraction:
 //
 //   - If no consulted parameter changed polarity, the retained Result is
 //     returned as-is: an O(params/64) check serves the whole solve.
@@ -18,9 +20,10 @@
 // (supergraph, transfer function, initial fact): its worklist is LIFO, edges
 // expand in supergraph order, summaries apply in discovery order, and
 // dedup is semantic. A memo entry is served only when its dependency literal
-// agrees with the current abstraction, in which case — by the DepTransfer
-// contract — its stored result equals what the transfer function would
-// return, so a replayed execution is indistinguishable from a cold one:
+// agrees with the current abstraction. The literal is what the reader saw
+// the application read, and a Step that read a second parameter would have
+// panicked, so the stored result equals what the step would return, and a
+// replayed execution is indistinguishable from a cold one:
 // same discoveries, same Steps, same provenance, same Witness traces. The
 // zero-work fast path returns the Result of exactly that execution.
 //
@@ -73,14 +76,13 @@ func NewChain[D comparable](g *Graph) *Chain[D] {
 	return &Chain[D]{g: g, memo: make(map[applyKey[D]]applyVal[D], 256)}
 }
 
-// Solve runs the tabulation under abstraction p from initial fact dI,
-// serving it from the retained run when the parameter delta allows. The
-// result is byte-equivalent to SolveBudget with the instantiated transfer
-// function. A budget trip returns the partial tabulation without retaining
-// it (the next Solve replays from the memo). rec receives the tabulation's
-// own telemetry (see SolveBudget); the delta accounting is read back with
-// Stats.
-func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.Recorder, b *budget.Budget) *Result[D] {
+// Solve runs the tabulation of step under abstraction p from initial fact
+// dI, serving it from the retained run when the parameter delta allows. The
+// result is byte-equivalent to SolveBudget with dataflow.At(step, p). A
+// budget trip returns the partial tabulation without retaining it (the next
+// Solve replays from the memo). rec receives the tabulation's own telemetry
+// (see SolveBudget); the delta accounting is read back with Stats.
+func (c *Chain[D]) Solve(p uset.Set, dI D, step dataflow.Step[D], rec obs.Recorder, b *budget.Budget) *Result[D] {
 	pw := dataflow.ParamWords(p)
 	resumed := c.complete && dI == c.dI
 	if resumed && c.sig.Agrees(pw) {
@@ -90,6 +92,7 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 	c.lastResumed, c.lastReused, c.lastInvalid = resumed, 0, 0
 	c.complete, c.dI = false, dI
 	c.sig.Reset()
+	r := dataflow.NewParams(pw)
 	wrapped := func(a lang.Atom, d D) D {
 		k := applyKey[D]{a, d}
 		if v, ok := c.memo[k]; ok {
@@ -100,7 +103,7 @@ func (c *Chain[D]) Solve(p uset.Set, dI D, tr dataflow.DepTransfer[D], rec obs.R
 			}
 			c.lastInvalid++
 		}
-		next, lit := tr(a, d)
+		next, lit := dataflow.Apply(r, step, a, d)
 		c.memo[k] = applyVal[D]{next, lit}
 		c.sig.Add(lit)
 		return next

@@ -20,46 +20,33 @@ import (
 // identical Steps, identical per-node discovery sequences, identical
 // witness traces.
 
-// paramMockTr instantiates the gated mock transfer under p: atom "a"
-// increments only when parameter 0 is on, "b" zeroes only under parameter
-// 1, "c" doubles only under parameter 2; off-parameters make the atom an
-// identity, exactly the shape of the clients' parameter gating.
-func paramMockTr(p uset.Set) dataflow.Transfer[int] {
-	return func(a lang.Atom, d int) int {
-		tr, _ := paramMockDep(p)(a, d)
-		return tr
+// paramMockStep is the gated mock transfer: atom "a" increments only when
+// parameter 0 is on, "b" zeroes only under parameter 1, "c" doubles only
+// under parameter 2; off-parameters make the atom an identity, exactly the
+// shape of the clients' parameter gating.
+func paramMockStep(p *dataflow.Params, a lang.Atom, d int) int {
+	mn, ok := a.(lang.MoveNull)
+	if !ok {
+		return d
 	}
-}
-
-// paramMockDep is paramMockTr with dependency literals.
-func paramMockDep(p uset.Set) dataflow.DepTransfer[int] {
-	return func(a lang.Atom, d int) (int, int32) {
-		mn, ok := a.(lang.MoveNull)
-		if !ok {
-			return d, 0
+	switch mn.V {
+	case "a":
+		if !p.Has(0) {
+			return d
 		}
-		switch mn.V {
-		case "a":
-			if !p.Has(0) {
-				return d, dataflow.DepLit(p, 0)
-			}
-			if d < 9 {
-				return d + 1, dataflow.DepLit(p, 0)
-			}
-			return 9, dataflow.DepLit(p, 0)
-		case "b":
-			if !p.Has(1) {
-				return d, dataflow.DepLit(p, 1)
-			}
-			return 0, dataflow.DepLit(p, 1)
-		case "c":
-			if !p.Has(2) {
-				return d, dataflow.DepLit(p, 2)
-			}
-			return (d * 2) % 10, dataflow.DepLit(p, 2)
+		return min(d+1, 9)
+	case "b":
+		if !p.Has(1) {
+			return d
 		}
-		return d, 0
+		return 0
+	case "c":
+		if !p.Has(2) {
+			return d
+		}
+		return (d * 2) % 10
 	}
+	return d
 }
 
 // flipGraph builds the shared fixture: main branches into two call contexts
@@ -137,9 +124,9 @@ func TestChainFlipChain(t *testing.T) {
 				}
 			}
 			p := uset.New(ks...)
-			got := ch.Solve(p, 1, paramMockDep(p), nil, nil)
-			want := SolveBudget(g, 1, paramMockTr(p), nil, nil)
-			checkChainEquiv(t, g, got, want, 1, paramMockTr(p))
+			got := ch.Solve(p, 1, paramMockStep, nil, nil)
+			want := SolveBudget(g, 1, dataflow.At(paramMockStep, p), nil, nil)
+			checkChainEquiv(t, g, got, want, 1, dataflow.At(paramMockStep, p))
 		}
 	}
 }
@@ -151,8 +138,8 @@ func TestChainFastPath(t *testing.T) {
 	g := flipGraph()
 	ch := NewChain[int](g)
 	p := uset.New(0, 2)
-	first := ch.Solve(p, 1, paramMockDep(p), nil, nil)
-	second := ch.Solve(p, 1, paramMockDep(p), nil, nil)
+	first := ch.Solve(p, 1, paramMockStep, nil, nil)
+	second := ch.Solve(p, 1, paramMockStep, nil, nil)
 	if second != first {
 		t.Fatalf("unchanged abstraction did not serve the retained result")
 	}
@@ -167,11 +154,11 @@ func TestChainInvalidation(t *testing.T) {
 	g := flipGraph()
 	ch := NewChain[int](g)
 	p := uset.New(0)
-	ch.Solve(p, 1, paramMockDep(p), nil, nil)
+	ch.Solve(p, 1, paramMockStep, nil, nil)
 	q := uset.New(0, 1)
-	got := ch.Solve(q, 1, paramMockDep(q), nil, nil)
-	want := SolveBudget(g, 1, paramMockTr(q), nil, nil)
-	checkChainEquiv(t, g, got, want, 1, paramMockTr(q))
+	got := ch.Solve(q, 1, paramMockStep, nil, nil)
+	want := SolveBudget(g, 1, dataflow.At(paramMockStep, q), nil, nil)
+	checkChainEquiv(t, g, got, want, 1, dataflow.At(paramMockStep, q))
 	resumed, _, invalidated := ch.Stats()
 	if !resumed || invalidated == 0 {
 		t.Fatalf("flip of a consulted parameter: stats = (%v, _, %d), want a resume with invalidations", resumed, invalidated)

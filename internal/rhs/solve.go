@@ -102,26 +102,16 @@ type Result[D comparable] struct {
 	rootDIn     D
 }
 
-// Solve runs the tabulation from the main method's entry with fact dI.
-func Solve[D comparable](g *Graph, dI D, tr dataflow.Transfer[D]) *Result[D] {
-	return SolveObs(g, dI, tr, nil)
-}
-
-// SolveObs is Solve with an observability recorder: the run reports its
-// wall time (timer "rhs.solve"), path-edge discoveries (counter
-// "rhs.path_edges" — equal to Result.Steps), discovered procedure-summary
-// contexts (counter "rhs.contexts"), and the worklist high-water mark
-// (gauge "rhs.worklist_peak"). A nil recorder is Solve.
-func SolveObs[D comparable](g *Graph, dI D, tr dataflow.Transfer[D], rec obs.Recorder) *Result[D] {
-	return SolveBudget(g, dI, tr, rec, nil)
-}
-
-// SolveBudget is SolveObs under a cooperative budget: the tabulation
-// worklist polls b once per dequeued path edge and stops early when the
-// budget trips, returning the partial tabulation computed so far. Partial
-// results under-approximate the reachable facts, so callers must check
-// b.Tripped() before trusting a "no failing state found" scan. A nil budget
-// never trips.
+// SolveBudget runs the tabulation from the main method's entry with fact
+// dI under a cooperative budget: the tabulation worklist polls b once per
+// dequeued path edge and stops early when the budget trips, returning the
+// partial tabulation computed so far. Partial results under-approximate the
+// reachable facts, so callers must check b.Tripped() before trusting a "no
+// failing state found" scan. A nil budget never trips. A non-nil recorder
+// receives the run's wall time (timer "rhs.solve"), path-edge discoveries
+// (counter "rhs.path_edges" — equal to Result.Steps), discovered
+// procedure-summary contexts (counter "rhs.contexts"), and the worklist
+// high-water mark (gauge "rhs.worklist_peak").
 func SolveBudget[D comparable](g *Graph, dI D, tr dataflow.Transfer[D], rec obs.Recorder, b *budget.Budget) *Result[D] {
 	r := &Result[D]{
 		g:         g,

@@ -50,7 +50,7 @@ func straightMethod(g *Graph, name string, atoms ...lang.Atom) int {
 func TestIntraOnly(t *testing.T) {
 	g := &Graph{}
 	g.Main = straightMethod(g, "main", inc(), inc(), dbl())
-	r := Solve(g, 0, mockTr)
+	r := SolveBudget(g, 0, mockTr, nil, nil)
 	exit := g.Methods[g.Main].Exit
 	states := r.States(g.Main, exit)
 	if len(states) != 1 || states[0] != 4 {
@@ -76,7 +76,7 @@ func TestCallAndSummary(t *testing.T) {
 	m.Entry, m.Exit = n0, n2
 	m.AddEdge(Edge{From: n0, To: n1, Call: &CallEdge{Callee: helper, Bind: []lang.Atom{dbl()}}})
 	m.AddEdge(Edge{From: n1, To: n2, Call: &CallEdge{Callee: helper, Ret: []lang.Atom{dbl()}}})
-	r := Solve(g, 1, mockTr)
+	r := SolveBudget(g, 1, mockTr, nil, nil)
 	// 1 → bind dbl → 2 → helper(+2) → 4 → call 2 → 6 → ret dbl → 12 mod 10 = 2.
 	states := r.States(mainIdx, n2)
 	if len(states) != 1 || states[0] != 2 {
@@ -113,7 +113,7 @@ func TestBranchingContexts(t *testing.T) {
 	m.AddEdge(Edge{From: nA, To: n1})
 	m.AddEdge(Edge{From: nB, To: n1})
 	m.AddEdge(Edge{From: n1, To: n2, Call: &CallEdge{Callee: helper}})
-	r := Solve(g, 3, mockTr)
+	r := SolveBudget(g, 3, mockTr, nil, nil)
 	got := map[int]bool{}
 	for _, d := range r.States(mainIdx, n2) {
 		got[d] = true
@@ -152,7 +152,7 @@ func TestRecursion(t *testing.T) {
 	mm.Entry, mm.Exit = a0, a1
 	mm.AddEdge(Edge{From: a0, To: a1, Call: &CallEdge{Callee: recIdx}})
 
-	r := Solve(g, 5, mockTr)
+	r := SolveBudget(g, 5, mockTr, nil, nil)
 	got := map[int]bool{}
 	for _, d := range r.States(mainIdx, a1) {
 		got[d] = true
@@ -178,7 +178,7 @@ func TestRecursion(t *testing.T) {
 func TestWitnessPanicsOnUnreached(t *testing.T) {
 	g := &Graph{}
 	g.Main = straightMethod(g, "main", inc())
-	r := Solve(g, 0, mockTr)
+	r := SolveBudget(g, 0, mockTr, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

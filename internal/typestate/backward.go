@@ -5,7 +5,6 @@ import (
 
 	"tracer/internal/formula"
 	"tracer/internal/lang"
-	"tracer/internal/uset"
 )
 
 // The primitive formulas of the type-state meta-analysis (Fig 9):
@@ -105,21 +104,20 @@ func (Theory) Contradicts(a, b formula.Lit) bool {
 	return false
 }
 
-// EvalLit evaluates a literal at abstraction p and state d.
-func (a *Analysis) EvalLit(l formula.Lit, p uset.Set, d State) bool {
-	v := a.evalPrim(l.P, p, d)
+// EvalLit evaluates a state literal at state d; param(x) evaluates through
+// ParamLit.
+func (a *Analysis) EvalLit(l formula.Lit, d State) bool {
+	v := a.evalPrim(l.P, d)
 	if l.Neg {
 		return !v
 	}
 	return v
 }
 
-func (a *Analysis) evalPrim(pr formula.Prim, p uset.Set, d State) bool {
+func (a *Analysis) evalPrim(pr formula.Prim, d State) bool {
 	switch pr := pr.(type) {
 	case PErr:
 		return d.Top
-	case PParam:
-		return p.Has(a.varID(pr.X))
 	case PVar:
 		return !d.Top && a.vsets.Value(d.VS).Has(a.varID(pr.X))
 	case PType:

@@ -90,7 +90,7 @@ func TestFigure1Iteration1Formulas(t *testing.T) {
 		t.Fatal("p = {} must fail to prove check1")
 	}
 	dI := a.Initial()
-	states := dataflow.StatesAlong(out.Trace, dI, a.Transfer(nil))
+	states := dataflow.StatesAlong(out.Trace, dI, dataflow.At(a.Step, nil))
 	final := states[len(states)-1]
 	if !final.Top {
 		t.Fatalf("final state = %s, want ⊤", a.Format(final))
@@ -153,7 +153,7 @@ func TestFigure1ForwardStates(t *testing.T) {
 
 	// Iteration 1, p = {}: weak updates everywhere, ending in ⊤.
 	out := job.Forward(nil, nil)
-	states := dataflow.StatesAlong(out.Trace, a.Initial(), a.Transfer(nil))
+	states := dataflow.StatesAlong(out.Trace, a.Initial(), dataflow.At(a.Step, nil))
 	if got := a.Format(states[0]); got != "({closed}, {})" {
 		t.Errorf("dI = %s", got)
 	}
@@ -177,7 +177,7 @@ func TestFigure1ForwardStates(t *testing.T) {
 	x, _ := a.Vars.Lookup("x")
 	p := uset.New(x)
 	out = job.Forward(nil, p)
-	states = dataflow.StatesAlong(out.Trace, a.Initial(), a.Transfer(p))
+	states = dataflow.StatesAlong(out.Trace, a.Initial(), dataflow.At(a.Step, p))
 	for i, at := range out.Trace {
 		if iv, ok := at.(lang.Invoke); ok && iv.M == "open" {
 			if got := a.Format(states[i+1]); got != "({opened}, {x})" {

@@ -3,7 +3,9 @@ package typestate
 import (
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/core"
+	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
 	"tracer/internal/meta"
@@ -116,8 +118,8 @@ func TestSocketWPSoundness(t *testing.T) {
 			bad := meta.CheckWP(
 				atom, prim, a.WP, u,
 				abstractions, states,
-				func(p uset.Set, d State) State { return a.step(p, atom, d) },
-				func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+				func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
+				func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 			)
 			if len(bad) != 0 {
 				t.Errorf("[%s]♭(%s): %d violations", atom, prim, len(bad))

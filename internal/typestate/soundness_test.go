@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"tracer/internal/client"
 	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
@@ -73,8 +74,8 @@ func TestWPRequirement2(t *testing.T) {
 					bad := meta.CheckWP(
 						atom, prim, a.WP, u,
 						abstractions, states,
-						func(p uset.Set, d State) State { return a.step(p, atom, d) },
-						func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+						func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
+						func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 					)
 					if len(bad) != 0 {
 						pi, di := bad[0][0], bad[0][1]
@@ -105,8 +106,8 @@ func TestWPRequirement2WithMayAlias(t *testing.T) {
 			bad := meta.CheckWP(
 				atom, prim, a.WP, u,
 				abstractions, states,
-				func(p uset.Set, d State) State { return a.step(p, atom, d) },
-				func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+				func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
+				func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 			)
 			if len(bad) != 0 {
 				t.Errorf("[%s]♭(%s): %d violations", atom, prim, len(bad))
@@ -136,22 +137,22 @@ func TestTheorem3RandomTraces(t *testing.T) {
 			}
 			p := abstractions[rng.Intn(len(abstractions))]
 			dI := a.Initial()
-			selfTr := a.Transfer(p)
+			selfTr := dataflow.At(a.Step, p)
 			final := dataflow.EvalTrace(tr, dI, selfTr)
-			failed := post.Eval(func(l formula.Lit) bool { return a.EvalLit(l, p, final) })
+			failed := post.Eval(func(l formula.Lit) bool { return client.EvalLit(a, l, p, final) })
 			for _, k := range []int{1, 2, 0} {
-				client := &meta.Client[State]{
+				mc := &meta.Client[State]{
 					WP:   a.WP,
 					U:    formula.NewUniverse(Theory{}),
-					Eval: func(l formula.Lit, d State) bool { return a.EvalLit(l, p, d) },
+					Eval: func(l formula.Lit, d State) bool { return client.EvalLit(a, l, p, d) },
 					K:    k,
 				}
 				c1, c2 := meta.CheckSoundness(
-					client, tr, dI, post, failed,
+					mc, tr, dI, post, failed,
 					abstractions, states,
-					func(p0 uset.Set) dataflow.Transfer[State] { return a.Transfer(p0) },
+					func(p0 uset.Set) dataflow.Transfer[State] { return dataflow.At(a.Step, p0) },
 					func(p0 uset.Set) func(l formula.Lit, d State) bool {
-						return func(l formula.Lit, d State) bool { return a.EvalLit(l, p0, d) }
+						return func(l formula.Lit, d State) bool { return client.EvalLit(a, l, p0, d) }
 					},
 					selfTr,
 				)
@@ -174,7 +175,7 @@ func TestTransferInvariant(t *testing.T) {
 	atoms := testAtoms(FileProperty())
 	for _, p := range a.AllAbstractions() {
 		d := a.Initial()
-		tr := a.Transfer(p)
+		tr := dataflow.At(a.Step, p)
 		for i := 0; i < 100; i++ {
 			d = tr(atoms[rng.Intn(len(atoms))], d)
 			if d.Top {

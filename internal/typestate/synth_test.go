@@ -3,6 +3,8 @@ package typestate
 import (
 	"testing"
 
+	"tracer/internal/client"
+	"tracer/internal/dataflow"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
 	"tracer/internal/meta"
@@ -41,7 +43,7 @@ func TestHandwrittenWPMatchesSynthesized(t *testing.T) {
 		u := formula.NewUniverse(Theory{})
 		desc := meta.Descriptor[uset.Set, State]{
 			Describe: func(p uset.Set, d State) formula.Conj { return a.describe(u, p, d) },
-			Eval:     func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+			Eval:     func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 		}
 		abstractions := a.AllAbstractions()
 		states := a.AllStates()
@@ -49,7 +51,7 @@ func TestHandwrittenWPMatchesSynthesized(t *testing.T) {
 			for _, prim := range primsFor(a) {
 				bad := meta.CheckAgainstSynthesized(
 					atom, prim, a.WP,
-					func(p uset.Set, d State) State { return a.step(p, atom, d) },
+					func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
 					desc, u, abstractions, states,
 				)
 				if bad != 0 {
@@ -67,18 +69,18 @@ func TestSynthesizedWPIsPrecondition(t *testing.T) {
 	u := formula.NewUniverse(Theory{})
 	desc := meta.Descriptor[uset.Set, State]{
 		Describe: func(p uset.Set, d State) formula.Conj { return a.describe(u, p, d) },
-		Eval:     func(l formula.Lit, p uset.Set, d State) bool { return a.EvalLit(l, p, d) },
+		Eval:     func(l formula.Lit, p uset.Set, d State) bool { return client.EvalLit(a, l, p, d) },
 	}
 	atom := lang.Move{Dst: "x", Src: "y"}
 	synth := meta.SynthesizeWP(
 		atom, PVar{"x"},
-		func(p uset.Set, d State) State { return a.step(p, atom, d) },
+		func(p uset.Set, d State) State { return dataflow.At(a.Step, p)(atom, d) },
 		desc, a.AllAbstractions(), a.AllStates(),
 	)
 	want := formula.ToDNF(formula.And(formula.L(PParam{"x"}), formula.L(PVar{"y"})), u)
 	for _, p := range a.AllAbstractions() {
 		for _, d := range a.AllStates() {
-			ev := func(l formula.Lit) bool { return a.EvalLit(l, p, d) }
+			ev := func(l formula.Lit) bool { return client.EvalLit(a, l, p, d) }
 			if synth.Eval(ev) != want.Eval(ev) {
 				t.Fatalf("synthesized %s disagrees with param(x)∧var(y) at p=%v d=%s", synth, p, a.Format(d))
 			}

@@ -3,6 +3,7 @@ package typestate
 import (
 	"testing"
 
+	"tracer/internal/dataflow"
 	"tracer/internal/lang"
 	"tracer/internal/uset"
 )
@@ -55,7 +56,7 @@ func TestTransferRulesFig4(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := a.step(tc.p, tc.atom, tc.in)
+			got := dataflow.At(a.Step, tc.p)(tc.atom, tc.in)
 			if got != tc.want {
 				t.Fatalf("[%s]p(%s) = %s, want %s", tc.atom, a.Format(tc.in), a.Format(got), a.Format(tc.want))
 			}
@@ -73,10 +74,10 @@ func TestOnlyWeakTransition(t *testing.T) {
 	untracked := a.MkState(init, nil)
 	call := lang.Invoke{V: "x", M: "m"}
 
-	if got := a.step(uset.New(x), call, tracked); got != tracked {
+	if got := dataflow.At(a.Step, uset.New(x))(call, tracked); got != tracked {
 		t.Fatalf("tracked receiver transitioned: %s", a.Format(got))
 	}
-	got := a.step(nil, call, untracked)
+	got := dataflow.At(a.Step, nil)(call, untracked)
 	if got.Top || !got.TS.Has(1) || !got.TS.Has(0) {
 		t.Fatalf("untracked receiver state = %s, want {init,error}", a.Format(got))
 	}
@@ -89,10 +90,10 @@ func TestMayAliasOracleGates(t *testing.T) {
 	a.MayPoint = func(v string) bool { return v == "x" }
 	opened := uset.Bits(2)
 	d := a.MkState(opened, nil)
-	if got := a.step(nil, lang.Invoke{V: "y", M: "open"}, d); got != d {
+	if got := dataflow.At(a.Step, nil)(lang.Invoke{V: "y", M: "open"}, d); got != d {
 		t.Fatalf("gated call changed state: %s", a.Format(got))
 	}
-	if got := a.step(nil, lang.Invoke{V: "x", M: "open"}, d); !got.Top {
+	if got := dataflow.At(a.Step, nil)(lang.Invoke{V: "x", M: "open"}, d); !got.Top {
 		t.Fatalf("ungated double open did not err: %s", a.Format(got))
 	}
 }

@@ -288,42 +288,14 @@ func (a *Analysis) mayPoint(v string) bool {
 	return a.MayPoint(v)
 }
 
-// Transfer instantiates the transfer function [a]p of Fig 4 at abstraction
-// p (a set of variable indices allowed in must-alias sets).
-func (a *Analysis) Transfer(p uset.Set) dataflow.Transfer[State] {
-	return func(at lang.Atom, d State) State {
-		return a.step(p, at, d)
-	}
-}
-
-// TransferDep is Transfer with dependency reporting for the incremental
-// solver (dataflow.Chain): each application also returns the dependency
-// literal naming the parameter it consulted. The type-state transfer reads
-// the abstraction in exactly two places, both guarded: Alloc consults
-// p.Has(x) only when the allocation is at the tracked site, and Move
-// consults p.Has(dst) only when the source is in the must-alias set. Every
-// other case — including Invoke, which reads the automaton, the may-point
-// oracle, and the must-alias set but never p — is abstraction-independent.
-func (a *Analysis) TransferDep(p uset.Set) dataflow.DepTransfer[State] {
-	return func(at lang.Atom, d State) (State, int32) {
-		lit := int32(0)
-		if !d.Top {
-			switch at := at.(type) {
-			case lang.Alloc:
-				if at.H == a.Site {
-					lit = dataflow.DepLit(p, a.varID(at.V))
-				}
-			case lang.Move:
-				if a.vsets.Value(d.VS).Has(a.varID(at.Src)) {
-					lit = dataflow.DepLit(p, a.varID(at.Dst))
-				}
-			}
-		}
-		return a.step(p, at, d), lit
-	}
-}
-
-func (a *Analysis) step(p uset.Set, at lang.Atom, d State) State {
+// Step is the transfer function [a]p of Fig 4, reading the abstraction p (a
+// set of variable indices allowed in must-alias sets) through the reader. It
+// reads p in exactly two places, both guarded: Alloc reads x only when the
+// allocation is at the tracked site, and Move reads dst only when the source
+// is in the must-alias set. Every other case — including Invoke, which reads
+// the automaton, the may-point oracle, and the must-alias set but never p —
+// is abstraction-independent.
+func (a *Analysis) Step(p *dataflow.Params, at lang.Atom, d State) State {
 	if d.Top {
 		return d
 	}

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Output determinism: runs each program under examples/, and tracer -auto on
-# a generated tsp program, twice, and fails when the two outputs differ once
-# wall times are masked. A verdict list printed in map order fails it.
+# Output determinism: runs each program under examples/, and tracer -auto and
+# tracer -auto -batch on a generated tsp program, twice, and fails when the
+# two outputs differ once wall times are masked. A verdict list printed in map
+# order fails it. The batch run's verdict lines, its [batch: ...] summaries
+# dropped, must also equal the per-query run's, in order.
 set -eu
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -32,3 +34,12 @@ done
 go build -o "$tmp/tracer" ./cmd/tracer
 go run ./cmd/benchgen -dir "$tmp" -name tsp >/dev/null
 twice "tracer -auto tsp.tir" "$tmp/tracer" -auto "$tmp/tsp.tir"
+cp "$tmp/a" "$tmp/solve"
+twice "tracer -auto -batch tsp.tir" "$tmp/tracer" -auto -batch -batch-workers 2 "$tmp/tsp.tir"
+grep -v '^\[batch: ' "$tmp/a" >"$tmp/batch" || true
+if ! cmp -s "$tmp/solve" "$tmp/batch"; then
+	echo "determinism: tracer -auto -batch printed other verdicts than tracer -auto:"
+	diff "$tmp/solve" "$tmp/batch" || true
+	exit 1
+fi
+echo "determinism: tracer -auto -batch: $(wc -l <"$tmp/batch") verdict lines, the same as tracer -auto"
