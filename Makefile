@@ -87,11 +87,14 @@ bench:
 	go test -bench=. -benchmem -run xxx .
 
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
+# forward kernels (the delta chain replaying a recorded per-query
+# abstraction sequence, and the cold reference solve, on avrora), the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
 # cache, Simplify), the minimum-model diagram on a CEGAR-shaped
 # blocking-cube sequence, the CEGAR loop's own overhead on a mock problem,
 # and opening a warm-start session on a full store.
 bench-micro:
+	go test -run=NONE -bench 'Forward' -benchmem .
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
 	go test -run=NONE -bench 'MinimumCEGAR' -benchmem ./internal/minsat/...
 	go test -run=NONE -bench 'SolveLoop' -benchmem ./internal/core/...

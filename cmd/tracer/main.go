@@ -21,7 +21,8 @@
 // blocking clauses that survive the IR delta, and saves what it learns back.
 //
 // -batch, -batch-workers and -warm-dir apply to the generated queries only,
-// so each is rejected without -auto.
+// so each is rejected without -auto; -batch-workers sizes the grouped
+// solver's pool only, so it is also rejected without -batch.
 //
 // With -engine rhs the explicit queries are answered by the summary-based
 // tabulation engine, which also handles recursive call graphs. It answers
@@ -225,7 +226,8 @@ func run() error {
 // checkEngine rejects every flag the run would ignore: an -engine value
 // other than inline and rhs; each flag the rhs engine does not implement (it
 // answers the program's explicit query statements only, one at a time and
-// cold); and, without -auto, the flags that apply to generated queries only.
+// cold); without -auto, the flags that apply to generated queries only; and
+// -batch-workers without -batch, since a one-query solve is sequential.
 // workersSet reports whether -batch-workers was given.
 func checkEngine(engine string, auto, batch, workersSet bool, warmDir string, explain bool) error {
 	type named struct {
@@ -249,6 +251,9 @@ func checkEngine(engine string, auto, batch, workersSet bool, warmDir string, ex
 				return fmt.Errorf("-%s applies to generated queries only; it needs -auto", f.name)
 			}
 		}
+	}
+	if workersSet && !batch {
+		return fmt.Errorf("-batch-workers sizes the grouped solver's pool; it needs -batch")
 	}
 	return nil
 }

@@ -31,6 +31,7 @@ func TestCheckEngine(t *testing.T) {
 		{"inline-explain", "inline", flags{explain: true}, ""},
 		{"batch-without-auto", "inline", flags{batch: true}, "-batch"},
 		{"batch-workers-without-auto", "inline", flags{workers: true}, "-batch-workers"},
+		{"batch-workers-without-batch", "inline", flags{auto: true, workers: true}, "-batch-workers"},
 		{"warm-dir-without-auto", "inline", flags{warmDir: "w"}, "-warm-dir"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,15 +9,17 @@ import (
 )
 
 // TestSolveMatchesBatch: Solve is the batch loop run over one query, and
-// grouping queries (§6) changes no query's refinement, so three paths must
-// agree on every client's every query: Solve on the query's Job, SolveBatch
-// on a batch of that query alone, and the query's row of SolveBatch over all
-// of the client's queries. All three must give the same status, iterations,
-// abstraction and learned clauses, and the first two the same forward steps
-// (the whole batch shares runs, so it charges steps differently). It runs at
-// MaxIters 100 and at 3, where a fifth of tsp's queries reach the cap.
-// Tier 1 runs it on tsp; SOLVE_DIFF_SUITE=all runs it on all seven programs
-// (make fuzz).
+// grouping queries (§6) changes no query's refinement, and the delta chain
+// makes the discoveries of a cold solve, so four paths must agree on every
+// client's every query: Solve on the query's Job, Solve on its NoDelta job
+// (the cold executor, which solves every forward run from scratch),
+// SolveBatch on a batch of that query alone, and the query's row of
+// SolveBatch over all of the client's queries. All four must give the same
+// status, iterations, abstraction and learned clauses, and the first three
+// the same forward steps (the whole batch shares runs, so it charges steps
+// differently). It runs at MaxIters 100 and at 3, where a fifth of tsp's
+// queries reach the cap. Tier 1 runs it on tsp; SOLVE_DIFF_SUITE=all runs it
+// on all seven programs (make fuzz).
 func TestSolveMatchesBatch(t *testing.T) {
 	progs := Suite()[:1] // tsp
 	if os.Getenv("SOLVE_DIFF_SUITE") == "all" {
@@ -51,10 +53,14 @@ func TestSolveMatchesBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					cold, err := core.Solve(spec.Batch(b.Prog, []int{i}, k).Job(0, true), opts)
+					if err != nil {
+						t.Fatalf("%s %s cold: %v", c.Name, q.ID, err)
+					}
 					for _, got := range []struct {
 						path string
 						r    core.Result
-					}{{"batch of one", one.Results[0]}, {"whole batch", whole.Results[i]}} {
+					}{{"cold executor", cold}, {"batch of one", one.Results[0]}, {"whole batch", whole.Results[i]}} {
 						r := got.r
 						if r.Status != want.Status || r.Iterations != want.Iterations ||
 							!r.Abstraction.Equal(want.Abstraction) || r.Clauses != want.Clauses {
@@ -62,6 +68,10 @@ func TestSolveMatchesBatch(t *testing.T) {
 								c.Name, q.ID, maxIters, got.path, r.Status, r.Iterations, r.Abstraction, r.Clauses,
 								want.Status, want.Iterations, want.Abstraction, want.Clauses)
 						}
+					}
+					if cold.ForwardSteps != want.ForwardSteps {
+						t.Errorf("%s %s MaxIters %d: cold executor took %d forward steps, Solve %d",
+							c.Name, q.ID, maxIters, cold.ForwardSteps, want.ForwardSteps)
 					}
 					if r := one.Results[0]; r.ForwardSteps != want.ForwardSteps {
 						t.Errorf("%s %s MaxIters %d: batch of one took %d forward steps, Solve %d",

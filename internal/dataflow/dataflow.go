@@ -152,28 +152,38 @@ func copySet[D comparable](s map[D]bool) map[D]bool {
 	return out
 }
 
-// origin records how a (node, state) pair was first discovered.
-type origin[D comparable] struct {
-	root      bool // true for the initial state at the entry node
-	pred      int  // predecessor node
-	predState D    // state at the predecessor
-	atom      lang.Atom
-}
-
-// nodeState is a discovered (node, state) pair, the key of the flat
-// provenance map.
+// nodeState is a (node, state) pair, the key of a pair table's numbering.
 type nodeState[D comparable] struct {
 	node  int
 	state D
 }
 
+// pair is one numbered (node, state) pair and its discovery record. The
+// record belongs to the run whose generation run holds; under any other
+// generation the pair is undiscovered.
+type pair[D comparable] struct {
+	state D
+	node  int32
+	run   uint32 // generation of the run that discovered the pair
+	pred  int32  // pair number it was discovered from; -1 at the root
+	edge  int32  // CFG edge it was discovered along; -1 at the root
+}
+
 // Result holds the states computed at every CFG node along with provenance.
-// Discoveries live in one flat map keyed by (node, state) — a solve touches
-// far fewer pairs than the CFG has nodes, so per-node maps would spend most
-// of their allocation on empty buckets — plus a per-node slice for O(states
-// at n) enumeration.
+// It numbers every (node, state) pair densely the first time it meets one,
+// in one map, and keeps each pair's key and discovery record in one slice
+// indexed by that number. A run's discoveries are the pairs stamped with its
+// generation, so starting a new run over the same table is a counter bump:
+// a Chain keeps one Result for its life, and its expansion memo addresses
+// successors by pair number, so it discovers without hashing. A per-node
+// slice gives O(states at n) enumeration. A Result that a Chain returns is
+// valid until the chain's next Solve; one that SolveBudget returns is the
+// caller's.
 type Result[D comparable] struct {
-	seen   map[nodeState[D]]origin[D]
+	g      *lang.CFG
+	id     map[nodeState[D]]int32
+	pairs  []pair[D]
+	run    uint32
 	byNode [][]D
 	// Steps counts (node, state) discoveries, a machine-independent cost
 	// measure used by the benchmark harness.
@@ -186,16 +196,74 @@ func (r *Result[D]) States(n int) []D {
 	return r.byNode[n]
 }
 
-// newResult returns an empty result over g. The discovery map's capacity is
-// a bounded guess from the CFG size.
+// newResult returns an empty pair table over g. Its capacity is a bounded
+// guess from the CFG size.
 func newResult[D comparable](g *lang.CFG) *Result[D] {
 	hint := max(min(g.Nodes, 1024), 64)
-	return &Result[D]{seen: make(map[nodeState[D]]origin[D], hint), byNode: make([][]D, g.Nodes)}
+	return &Result[D]{
+		g:      g,
+		id:     make(map[nodeState[D]]int32, hint),
+		pairs:  make([]pair[D], 0, hint),
+		byNode: make([][]D, g.Nodes),
+	}
+}
+
+// number returns the pair number of (n, d), numbering the pair when it is
+// new to the table, and reports whether it was.
+func (r *Result[D]) number(n int, d D) (int32, bool) {
+	k := nodeState[D]{n, d}
+	if i, ok := r.id[k]; ok {
+		return i, false
+	}
+	i := int32(len(r.pairs))
+	r.id[k] = i
+	r.pairs = append(r.pairs, pair[D]{state: d, node: int32(n)})
+	return i, true
+}
+
+// start begins a new run from init at the entry node and returns the root's
+// pair number. Advancing the generation retires every discovery of the
+// previous run; when the generation wraps, the stamps are cleared so that
+// none can match a later run.
+func (r *Result[D]) start(init D) int32 {
+	r.run++
+	if r.run == 0 {
+		for i := range r.pairs {
+			r.pairs[i].run = 0
+		}
+		r.run = 1
+	}
+	for i := range r.byNode {
+		r.byNode[i] = r.byNode[i][:0]
+	}
+	r.Steps = 0
+	root, _ := r.number(r.g.Entry, init)
+	r.discover(root, -1, -1)
+	return root
+}
+
+// discover records that this run reached pair i from pair pred along edge,
+// and reports whether i is new to the run.
+func (r *Result[D]) discover(i, pred, edge int32) bool {
+	p := &r.pairs[i]
+	if p.run == r.run {
+		return false
+	}
+	p.run, p.pred, p.edge = r.run, pred, edge
+	r.byNode[p.node] = append(r.byNode[p.node], p.state)
+	r.Steps++
+	return true
+}
+
+// lookup returns the pair number of (n, d) if this run discovered it.
+func (r *Result[D]) lookup(n int, d D) (int32, bool) {
+	i, ok := r.id[nodeState[D]{n, d}]
+	return i, ok && r.pairs[i].run == r.run
 }
 
 // Has reports whether state d reaches node n.
 func (r *Result[D]) Has(n int, d D) bool {
-	_, ok := r.seen[nodeState[D]{n, d}]
+	_, ok := r.lookup(n, d)
 	return ok
 }
 
@@ -203,23 +271,24 @@ func (r *Result[D]) Has(n int, d D) bool {
 // state d: a loop-free walk through the (node, state) discovery graph, as
 // guaranteed by Lemma 1. It panics if (n, d) was not reached.
 func (r *Result[D]) Witness(n int, d D) lang.Trace {
-	var rev []lang.Atom
-	for {
-		o, ok := r.seen[nodeState[D]{n, d}]
-		if !ok {
-			panic(fmt.Sprintf("dataflow: no witness for state %v at node %d", d, n))
-		}
-		if o.root {
-			break
-		}
-		if o.atom != nil {
-			rev = append(rev, o.atom)
-		}
-		n, d = o.pred, o.predState
+	i, ok := r.lookup(n, d)
+	if !ok {
+		panic(fmt.Sprintf("dataflow: no witness for state %v at node %d", d, n))
 	}
-	out := make(lang.Trace, len(rev))
-	for i, a := range rev {
-		out[len(rev)-1-i] = a
+	// Two walks back to the root: one to size the trace, one to fill it
+	// from its end.
+	k := 0
+	for p := r.pairs[i]; p.pred >= 0; p = r.pairs[p.pred] {
+		if r.g.Edges[p.edge].A != nil {
+			k++
+		}
+	}
+	out := make(lang.Trace, k)
+	for p := r.pairs[i]; p.pred >= 0; p = r.pairs[p.pred] {
+		if a := r.g.Edges[p.edge].A; a != nil {
+			k--
+			out[k] = a
+		}
 	}
 	return out
 }
@@ -227,7 +296,9 @@ func (r *Result[D]) Witness(n int, d D) lang.Trace {
 // SolveBudget runs the disjunctive forward analysis over the CFG from the
 // initial state at the entry node. ε edges propagate states unchanged. The
 // solver is a chaotic worklist iteration; since D is finite for the analyses
-// in this repository, it terminates. It runs under a cooperative budget: the
+// in this repository, it terminates. It is the cold reference the delta
+// chain is checked against: one pair table of its own, one transfer call and
+// one numbering lookup per out-edge. It runs under a cooperative budget: the
 // worklist polls b once per dequeued item and stops early when the budget
 // trips, returning the partial fixpoint computed so far. A partial result
 // under-approximates the reachable states, so callers must check
@@ -235,30 +306,26 @@ func (r *Result[D]) Witness(n int, d D) lang.Trace {
 // budget never trips.
 func SolveBudget[D comparable](g *lang.CFG, init D, tr Transfer[D], b *budget.Budget) *Result[D] {
 	r := newResult[D](g)
-	r.seen[nodeState[D]{g.Entry, init}] = origin[D]{root: true}
-	r.byNode[g.Entry] = append(r.byNode[g.Entry], init)
-	r.Steps++
-	work := []nodeState[D]{{g.Entry, init}}
+	work := []int32{r.start(init)}
 	for len(work) > 0 {
 		if !b.Poll() {
 			break
 		}
-		it := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
+		it := r.pairs[i]
 		for _, ei := range g.Out[it.node] {
 			e := g.Edges[ei]
 			next := it.state
 			if e.A != nil {
 				next = tr(e.A, it.state)
 			}
-			key := nodeState[D]{e.To, next}
-			if _, seen := r.seen[key]; seen {
-				continue
+			// The table is this run's own, so a pair is new to the run iff
+			// it is new to the table.
+			if j, fresh := r.number(e.To, next); fresh {
+				r.discover(j, i, int32(ei))
+				work = append(work, j)
 			}
-			r.seen[key] = origin[D]{pred: it.node, predState: it.state, atom: e.A}
-			r.byNode[e.To] = append(r.byNode[e.To], next)
-			r.Steps++
-			work = append(work, key)
 		}
 	}
 	return r

@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,4 +289,47 @@ func TestParamsSecondReadPanics(t *testing.T) {
 	}()
 	At(reads(1, 3), uset.New(1))(lang.MoveNull{V: "x"}, 0)
 	t.Fatal("a read of a second parameter did not panic")
+}
+
+// TestChainGenerationWrap: a chain keeps one pair table for its life and
+// tells its runs apart by a generation stamp. When the generation wraps, the
+// stamps of earlier runs are cleared, so a run after the wrap discovers what
+// a cold solve discovers and nothing an earlier run stamped. The test runs
+// generation 1, then the last generation, then wraps; clearing complete
+// makes each solve a replay rather than the fast path.
+func TestChainGenerationWrap(t *testing.T) {
+	// "a = null" steps the state only while parameter 0 is on.
+	step := func(r *Params, a lang.Atom, d int) int {
+		if m, ok := a.(lang.MoveNull); ok && m.V == "a" && !r.Has(0) {
+			return d
+		}
+		return mockTransfer(a, d)
+	}
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 100; trial++ {
+		g := lang.BuildCFG(randProg(rng, 4))
+		ch := NewChain[int](g)
+		for i, p := range []uset.Set{uset.New(0), nil, uset.New(0)} {
+			if i == 1 {
+				ch.res.run = math.MaxUint32 - 1
+			}
+			ch.complete = false
+			got := ch.Solve(p, 0, step, nil)
+			want := SolveBudget(g, 0, At(step, p), nil)
+			if got.Steps != want.Steps {
+				t.Fatalf("trial %d, solve %d: Steps = %d, cold %d", trial, i, got.Steps, want.Steps)
+			}
+			for n := 0; n < g.Nodes; n++ {
+				gs, ws := got.States(n), want.States(n)
+				if !slices.Equal(gs, ws) {
+					t.Fatalf("trial %d, solve %d: node %d states = %v, cold %v", trial, i, n, gs, ws)
+				}
+				for _, d := range ws {
+					if gw, ww := got.Witness(n, d), want.Witness(n, d); !slices.Equal(gw, ww) {
+						t.Fatalf("trial %d, solve %d: node %d fact %d witness %v, cold %v", trial, i, n, d, gw, ww)
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,25 +1,31 @@
 // Delta-driven incremental re-solving.
 //
 // The CEGAR loop re-solves one CFG dozens of times under abstractions that
-// differ in a handful of parameters. A Chain keeps a per-(node, state)
-// expansion memo across its solves: the successor state and dependency
-// literal of every out-edge, the literal the chain's reader (Params)
-// recorded for the parameter the Step application read. It also keeps the
-// Result of its last complete solve and that run's dependency signature.
+// differ in a handful of parameters. A Chain keeps one Result for its life:
+// a pair table that numbers every (node, state) pair the first time the
+// chain meets it, with each pair's discovery record stamped by the run that
+// made it. Over those pair numbers it keeps a per-pair expansion memo: the
+// successor pair and dependency literal of every out-edge, the literal the
+// chain's reader (Params) recorded for the parameter the Step application
+// read. It also keeps the dependency signature of its last complete run.
 // Solve then works in one of two ways:
 //
 //   - If no parameter the last run consulted changed polarity, the retained
 //     Result is returned as-is: an O(params/64) check serves the whole solve.
-//   - Otherwise SolveBudget's iteration runs from the root. Each dequeue's
-//     expansion is served from its (node, state) record when every literal
-//     of the record agrees with the new abstraction, and the record is
-//     recomputed in place otherwise.
+//   - Otherwise a new run starts (the generation advances, retiring every
+//     discovery of the last run) and SolveBudget's iteration runs from the
+//     root. Each dequeue's expansion is served from its pair's record when
+//     every literal of the record agrees with the new abstraction, and the
+//     record is recomputed in place otherwise. Serving a record and
+//     recording a discovery read and write slices only; the pair table's map
+//     is touched only when a record is computed, to number its successors.
 //
 // Determinism argument. The chain runs SolveBudget's iteration, and it serves
 // a record only when the record's literals agree with p. Each literal is
 // what the reader saw the application read, and a Step that read a second
 // parameter would have panicked, so the application reads nothing else of
-// p: under an agreeing p the record is what the step would return. So a
+// p: under an agreeing p the record is what the step would return, and its
+// pair numbers name exactly the successors SolveBudget would look up. So a
 // solve makes the discoveries of SolveBudget in the same order: same Steps,
 // same provenance, same Witness traces. The fast path returns the Result of
 // exactly that execution.
@@ -103,44 +109,48 @@ func setBit(w uset.Words, i uint32) uset.Words {
 }
 
 // Chain is a resumable forward solver over one CFG. It is bound to a single
-// analysis instance: memo records store interned abstract states, so serving
-// them through a different instance (different intern tables) is unsound —
-// retain the Chain and its analysis together, and drop both together.
+// analysis instance: memo records and the pair table store interned abstract
+// states, so serving them through a different instance (different intern
+// tables) is unsound — retain the Chain and its analysis together, and drop
+// both together.
 //
-// Each Solve returns a Result backed by the chain's retained maps, and the
-// next Solve on the same chain invalidates every previously returned Result.
-// A Chain is owned by one solve at a time and is not safe for concurrent use.
+// Every Solve returns the chain's one Result, which stays valid until the
+// chain's next Solve, tripped or not. A Chain is owned by one solve at a
+// time and is not safe for concurrent use.
 type Chain[D comparable] struct {
-	g *lang.CFG
+	g   *lang.CFG
+	res *Result[D]
 
 	// Persistent expansion memo, valid across runs and abstractions. The
-	// expansion of (node, state) — successor state and dependency literal
-	// per out-edge, in CFG edge order — is a pure fact about the step
-	// function, guarded by its literals. expIdx maps the pair to the offset
-	// of its record in the recNext/recLit arenas; the record holds one entry
-	// per out-edge of the node. A record whose literals disagree with the
-	// current abstraction is recomputed and overwritten in place, so the
-	// arenas never accumulate garbage.
-	expIdx  map[nodeState[D]]int32
-	recNext []D
-	recLit  []int32
+	// expansion of a pair — successor pair and dependency literal per
+	// out-edge, in CFG edge order — is a pure fact about the step function,
+	// guarded by its literals. rec[i] is the offset in memo of pair i's
+	// record, which holds one entry per out-edge of its node, or -1 while
+	// pair i has none. A record whose literals disagree with the current
+	// abstraction is recomputed and overwritten in place, so memo never
+	// accumulates garbage.
+	rec  []int32
+	memo []memoEdge
 
-	// The last run, kept only when it completed: its initial state, its
-	// Result and its dependency signature.
+	// The last run's initial state and dependency signature; complete
+	// reports whether it ran to its fixpoint.
 	complete bool
 	init     D
-	res      *Result[D]
 	sig      DepSig
 
-	work []nodeState[D] // worklist (scratch)
+	work []int32 // worklist of pair numbers (scratch)
 
 	lastResumed             bool
 	lastReused, lastInvalid int
 }
 
+// memoEdge is one out-edge of a memo record: the successor's pair number and
+// the application's dependency literal.
+type memoEdge struct{ next, lit int32 }
+
 // NewChain returns an empty chain for g.
 func NewChain[D comparable](g *lang.CFG) *Chain[D] {
-	return &Chain[D]{g: g, expIdx: make(map[nodeState[D]]int32, 64)}
+	return &Chain[D]{g: g, res: newResult[D](g)}
 }
 
 // Solve runs the forward analysis of step under abstraction p from init,
@@ -148,101 +158,89 @@ func NewChain[D comparable](g *lang.CFG) *Chain[D] {
 // polarity and replaying it through the expansion memo otherwise. The result
 // is byte-equivalent to SolveBudget with At(step, p): same discoveries in the
 // same order, same Steps, same provenance. A budget trip returns the partial
-// fixpoint, which then owns its maps; the chain keeps only the expansion
-// memo, so the next Solve replays from the root.
+// fixpoint; the next Solve replays from the root.
 func (c *Chain[D]) Solve(p uset.Set, init D, step Step[D], b *budget.Budget) *Result[D] {
 	pw := ParamWords(p)
+	res := c.res
 	resumed := c.complete && init == c.init
 	if resumed && c.sig.Agrees(pw) {
-		c.lastResumed, c.lastReused, c.lastInvalid = true, c.res.Steps, 0
-		return c.res
+		c.lastResumed, c.lastReused, c.lastInvalid = true, res.Steps, 0
+		return res
 	}
 	c.lastResumed, c.lastReused, c.lastInvalid = resumed, 0, 0
 	c.complete, c.init = false, init
 	c.sig.Reset()
-	g := c.g
-	res := c.res
-	c.res = nil
-	if res == nil {
-		res = newResult[D](g)
-	} else {
-		clear(res.seen)
-		for i := range res.byNode {
-			res.byNode[i] = res.byNode[i][:0]
-		}
-	}
-	root := nodeState[D]{g.Entry, init}
-	res.seen[root] = origin[D]{root: true}
-	res.byNode[g.Entry] = append(res.byNode[g.Entry], init)
-	res.Steps = 1
-	work := append(c.work[:0], root)
+	work := append(c.work[:0], res.start(init))
 	r := NewParams(pw)
 	for len(work) > 0 {
 		if !b.Poll() {
-			// The partial Result escapes with sole ownership of its maps.
 			c.work = work[:0]
 			return res
 		}
-		it := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := g.Out[it.node]
-		start := c.expand(it, len(out), r, step)
-		for i, ei := range out {
-			e := g.Edges[ei]
-			c.sig.Add(c.recLit[start+i])
-			key := nodeState[D]{e.To, c.recNext[start+i]}
-			if _, seen := res.seen[key]; seen {
-				continue
+		out := c.g.Out[res.pairs[i].node]
+		rec := c.expand(i, out, r, step)
+		for k, ei := range out {
+			m := rec[k]
+			c.sig.Add(m.lit)
+			if res.discover(m.next, i, int32(ei)) {
+				work = append(work, m.next)
 			}
-			res.seen[key] = origin[D]{pred: it.node, predState: it.state, atom: e.A}
-			res.byNode[e.To] = append(res.byNode[e.To], key.state)
-			res.Steps++
-			work = append(work, key)
 		}
 	}
 	c.work = work
-	c.res, c.complete = res, true
+	c.complete = true
 	return res
 }
 
-// expand returns the arena offset of the record of it, whose node has n
-// out-edges. The record is served when every literal in it agrees with r's
+// expand returns the memo record of pair i, whose node's out-edges are out.
+// The record is served when every literal in it agrees with r's
 // abstraction, and computed through r otherwise: in place when it exists,
-// appended to the arenas when it is new.
-func (c *Chain[D]) expand(it nodeState[D], n int, r *Params, step Step[D]) int {
-	s, known := c.expIdx[it]
-	start := int(s)
-	if known {
+// appended to memo when it is new. A new record is published only once it
+// is complete, so a Step that panics leaves no half-made record behind.
+func (c *Chain[D]) expand(i int32, out []int, r *Params, step Step[D]) []memoEdge {
+	if int(i) < len(c.rec) && c.rec[i] >= 0 {
+		rec := c.memo[c.rec[i]:][:len(out)]
 		clean := true
-		for _, lit := range c.recLit[start : start+n] {
-			if !LitAgrees(lit, r.w) {
+		for _, m := range rec {
+			if !LitAgrees(m.lit, r.w) {
 				clean = false
 				break
 			}
 		}
 		if clean {
 			c.lastReused++
-			return start
+			return rec
 		}
 		c.lastInvalid++
-	} else {
-		start = len(c.recNext)
-		c.expIdx[it] = int32(start)
-		var zero D
-		for range n {
-			c.recNext = append(c.recNext, zero)
-			c.recLit = append(c.recLit, 0)
-		}
+		c.fill(rec, i, out, r, step)
+		return rec
 	}
-	for i, ei := range c.g.Out[it.node] {
+	start := len(c.memo)
+	c.memo = append(c.memo, make([]memoEdge, len(out))...)
+	rec := c.memo[start:]
+	c.fill(rec, i, out, r, step)
+	for len(c.rec) <= int(i) {
+		c.rec = append(c.rec, -1)
+	}
+	c.rec[i] = int32(start)
+	return rec
+}
+
+// fill computes pair i's record through r: it applies step along every
+// out-edge and numbers each successor pair.
+func (c *Chain[D]) fill(rec []memoEdge, i int32, out []int, r *Params, step Step[D]) {
+	d := c.res.pairs[i].state
+	for k, ei := range out {
 		e := c.g.Edges[ei]
-		next, lit := it.state, int32(0)
+		next, lit := d, int32(0)
 		if e.A != nil {
-			next, lit = Apply(r, step, e.A, it.state)
+			next, lit = Apply(r, step, e.A, d)
 		}
-		c.recNext[start+i], c.recLit[start+i] = next, lit
+		j, _ := c.res.number(e.To, next)
+		rec[k] = memoEdge{j, lit}
 	}
-	return start
 }
 
 // Stats reports the delta accounting of the most recent Solve: whether a

@@ -23,20 +23,16 @@ func TestChainFlipChainNullness(t *testing.T) {
 		Vars: chainLocals, Sites: chainSites, Fields: chainFields,
 		Globals: []string{"G"}, Methods: []string{"m"},
 	})
+	trips := 0
 	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))
 			a := nullness.New(chainLocals, chainFields)
-			ch := dataflow.NewChain[nullness.State](g)
-			for step := 0; step < 12; step++ {
-				p := randAbs(rng, nullnessChainCells())
-				got := ch.Solve(p, a.Initial(), a.Step, nil)
-				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
-			}
+			trips += flipWalk(t, g, a.Initial(), a.Step, func() uset.Set { return randAbs(rng, nullnessChainCells()) })
 		})
 	}
+	requireTrips(t, trips)
 }
 
 // TestChainSingleBitWalkNullness flips exactly one cell per step (see

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
+	"tracer/internal/budget"
 	"tracer/internal/dataflow"
 	"tracer/internal/escape"
 	"tracer/internal/lang"
@@ -20,8 +22,10 @@ import (
 // random walk over the abstraction lattice — the access pattern the CEGAR
 // loop produces — and pins the Chain's advertised contract against a cold
 // solve at every step: same discoveries in the same order, same Steps, same
-// witness traces. The external test package avoids the dataflow ⇄ client
-// import cycle.
+// witness traces. Before every third checked solve the chain first solves
+// under a step quota that trips it mid-run, so the checked solve reuses pair
+// numbers, memo records and run stamps a tripped run left behind. The
+// external test package avoids the dataflow ⇄ client import cycle.
 
 var (
 	chainLocals = []string{"u", "v", "w"}
@@ -76,25 +80,55 @@ func checkEquiv[D comparable](t *testing.T, g *lang.CFG, got, want *dataflow.Res
 	}
 }
 
+// flipWalk is one flip suite's walk: twelve checked solves of one chain,
+// each under the abstraction next draws. Before every third one the chain
+// solves the same abstraction under a step quota of half the last run's
+// Steps, which trips the run mid-way unless the retained run serves it
+// as-is. It returns how many of those solves tripped.
+func flipWalk[D comparable](t *testing.T, g *lang.CFG, init D, step dataflow.Step[D], next func() uset.Set) int {
+	t.Helper()
+	ch := dataflow.NewChain[D](g)
+	trips, last := 0, 0
+	for i := 0; i < 12; i++ {
+		p := next()
+		if i%3 == 2 {
+			b := budget.New(nil, time.Time{}, int64(max(1, last/2)))
+			ch.Solve(p, init, step, b)
+			if b.Tripped() {
+				trips++
+			}
+		}
+		got := ch.Solve(p, init, step, nil)
+		want := dataflow.SolveBudget(g, init, dataflow.At(step, p), nil)
+		checkEquiv(t, g, got, want, init, dataflow.At(step, p))
+		last = got.Steps
+	}
+	return trips
+}
+
+// requireTrips fails a flip suite whose walks never tripped a run.
+func requireTrips(t *testing.T, trips int) {
+	t.Helper()
+	if trips == 0 {
+		t.Error("no solve tripped, so reuse after a trip is untested")
+	}
+}
+
 func TestChainFlipChainEscape(t *testing.T) {
 	pool := gen.Pool(gen.Universe{
 		Vars: chainLocals, Sites: chainSites, Fields: chainFields,
 		Globals: []string{"G"}, Methods: []string{"m"},
 	})
+	trips := 0
 	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))
 			a := escape.New(chainLocals, chainFields, chainSites)
-			ch := dataflow.NewChain[escape.State](g)
-			for step := 0; step < 12; step++ {
-				p := randAbs(rng, len(chainSites))
-				got := ch.Solve(p, a.Initial(), a.Step, nil)
-				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
-			}
+			trips += flipWalk(t, g, a.Initial(), a.Step, func() uset.Set { return randAbs(rng, len(chainSites)) })
 		})
 	}
+	requireTrips(t, trips)
 }
 
 func TestChainFlipChainTypestate(t *testing.T) {
@@ -103,20 +137,16 @@ func TestChainFlipChainTypestate(t *testing.T) {
 		Globals: []string{"G"},
 		Methods: []string{"open", "close", "connect", "send", "next", "hasNext"},
 	})
+	trips := 0
 	for seed := int64(0); seed < chainSeeds(6); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := lang.BuildCFG(gen.Program(rng, pool, gen.DefaultConfig(4+rng.Intn(8))))
 			a := typestate.New(typestate.FileProperty(), "h", chainVars)
-			ch := dataflow.NewChain[typestate.State](g)
-			for step := 0; step < 12; step++ {
-				p := randAbs(rng, len(chainVars))
-				got := ch.Solve(p, a.Initial(), a.Step, nil)
-				want := dataflow.SolveBudget(g, a.Initial(), dataflow.At(a.Step, p), nil)
-				checkEquiv(t, g, got, want, a.Initial(), dataflow.At(a.Step, p))
-			}
+			trips += flipWalk(t, g, a.Initial(), a.Step, func() uset.Set { return randAbs(rng, len(chainVars)) })
 		})
 	}
+	requireTrips(t, trips)
 }
 
 // TestChainSingleBitWalk flips exactly one parameter per step — the minimal
