@@ -47,9 +47,10 @@ chaos:
 # (no call may trip the node cap; it prints the largest diagram) and then
 # re-solving the queries exhausted at 100 iterations at 5000, where each
 # must end impossible, Solve against SolveBatch on every query of all seven
-# suite programs (also without -race; about 20 s), then a seeded CLI sweep
-# of the brute-force oracle on every client ("Ground truth & fuzzing" in
-# ARCHITECTURE.md).
+# suite programs and the harness's verdicts at paperbench's settings against
+# cmd/tracerbench's golden table (also without -race; about 25 s), then a
+# seeded CLI sweep of the brute-force oracle on every client ("Ground truth &
+# fuzzing" in ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
 FUZZ_SEED ?= 1
 FUZZ_N    ?= 5000
@@ -60,13 +61,13 @@ fuzz:
 	CHAIN_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestChainFlipChain' ./internal/dataflow/ ./internal/rhs/
 	MINSAT_FUZZ_N=$(FUZZ_N) go test -count=1 -run 'TestEngineMatchesReference|TestDiagramMatchesSearch' ./internal/minsat/ -v
 	MINSAT_REPLAY_SUITE=all go test -count=1 -run 'TestReplayMatchesReference' ./internal/minsat/ -v
-	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch' ./internal/bench/ -v
+	SOLVE_DIFF_SUITE=all go test -count=1 -run 'TestSolveMatchesBatch|TestVerdictsMatchGolden' ./internal/bench/ -v
 	go run ./cmd/tracer -fuzz-seed $(FUZZ_SEED) -fuzz-n $(FUZZ_N) -fuzz-meta
 
 # Output determinism (also a CI step): every example, tracer -auto and
-# tracer -auto -batch on a generated tsp program, run twice each; the outputs
-# must match once wall times are masked, and the batch run's verdict lines
-# must equal the per-query run's.
+# tracer -auto -batch on a generated tsp program, and paperbench's suite-run
+# tables, run twice each; the outputs must match once wall times are masked,
+# and the batch run's verdict lines must equal the per-query run's.
 determinism:
 	scripts/determinism.sh
 

@@ -1,16 +1,15 @@
 package tracer
 
-// Benchmarks regenerating the paper's evaluation (§6): one benchmark per
-// table and figure, plus ablations for the design choices DESIGN.md calls
-// out. Each testing.B iteration recomputes its experiment from scratch on a
-// scaled-down query budget so that `go test -bench=.` finishes in minutes;
-// `go run ./cmd/paperbench` runs the full-budget versions and prints the
-// complete tables.
+// Benchmarks regenerating the paper's evaluation (§6): Table 1, Figure 13's
+// k grid, and one suite run with the tables built from it; plus ablations
+// for the design choices DESIGN.md calls out. Each testing.B iteration
+// recomputes its experiment from scratch on a scaled-down query budget so
+// that `go test -bench=.` finishes in minutes; `go run ./cmd/paperbench`
+// runs the full-budget versions and prints the complete tables.
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"tracer/internal/bench"
 	"tracer/internal/budget"
@@ -33,13 +32,7 @@ func escapePrimFor(_ *escape.Analysis, st lang.Store) formula.Prim {
 
 // benchOpts is the scaled-down budget used inside testing.B loops.
 func benchOpts() bench.RunOptions {
-	return bench.RunOptions{
-		K:          5,
-		MaxIters:   100,
-		Timeout:    300 * time.Millisecond,
-		MaxQueries: 24,
-		Fresh:      true,
-	}
+	return bench.RunOptions{K: 5, MaxIters: 100, MaxQueries: 24}
 }
 
 // BenchmarkTable1 regenerates the benchmark-statistics table.
@@ -51,20 +44,6 @@ func BenchmarkTable1(b *testing.B) {
 		}
 		if i == 0 {
 			b.Log("\n" + bench.RenderTable1(rows))
-		}
-	}
-}
-
-// BenchmarkFigure12 regenerates the precision figure (proven / impossible /
-// unresolved per benchmark per client).
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure12(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure12(rows))
 		}
 	}
 }
@@ -83,56 +62,23 @@ func BenchmarkFigure13(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2 regenerates the scalability table (iterations and
-// thread-escape running times).
-func BenchmarkTable2(b *testing.B) {
+// BenchmarkSuiteTables runs the suite once, every client on every program,
+// and builds the tables that are functions of that run: the precision
+// figure (Fig 12), scalability (Table 2), cheapest-abstraction size and
+// reuse (Tables 3 and 4) and the thread-escape size histogram of the
+// largest three benchmarks (Fig 14).
+func BenchmarkSuiteTables(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table2(benchOpts())
+		runs, err := bench.RunSuite(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + bench.RenderTable2(rows))
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the cheapest-abstraction-size table.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderTable3(rows))
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates the abstraction-reuse table.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderTable4(rows))
-		}
-	}
-}
-
-// BenchmarkFigure14 regenerates the histogram of cheapest abstraction sizes
-// for the thread-escape client on the largest three benchmarks.
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure14(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bench.RenderFigure14(rows))
+			b.Log("\n" + bench.RenderFigure12(bench.Figure12(runs)) +
+				"\n" + bench.RenderTable2(bench.Table2(runs)) +
+				"\n" + bench.RenderTable3(bench.Table3(runs)) +
+				"\n" + bench.RenderTable4(bench.Table4(runs)) +
+				"\n" + bench.RenderFigure14(bench.Figure14(runs)))
 		}
 	}
 }
@@ -397,19 +343,9 @@ func BenchmarkSingleQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job := ts.Job(bm.Prog, i%n, 5)
-		if _, err := core.Solve(job, core.Options{MaxIters: 100, Timeout: time.Second}); err != nil {
+		if _, err := core.Solve(job, core.Options{MaxIters: 100, MaxSteps: 2_000_000}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// batchOpts is the budget for the batch-scheduler benchmarks. Unlike
-// benchOpts it sets no per-run timeout: SolveBatch enforces Timeout as a
-// whole-batch wall cap, and a 300ms cap would truncate the larger runs into
-// the Exhausted bucket instead of measuring them.
-func batchOpts(workers int) bench.RunOptions {
-	return bench.RunOptions{
-		K: 5, MaxIters: 100, MaxQueries: 24, Fresh: true, BatchWorkers: workers,
 	}
 }
 
@@ -432,7 +368,9 @@ func BenchmarkSolveBatch(b *testing.B) {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/%s/workers=%d", bm.Config.Name, tc.client, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := bench.RunBatch(bm, tc.client, batchOpts(workers))
+					opts := benchOpts()
+					opts.BatchWorkers = workers
+					res, err := bench.RunBatch(bm, tc.client, opts)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -3,21 +3,26 @@
 //
 // Usage:
 //
-//	paperbench [-k 5] [-timeout 2s] [-iters 200] [-only table1,fig12,...]
+//	paperbench [-k 5] [-iters 100] [-only table1,fig12,...]
 //
-// Without -only it runs everything, in the paper's order. Results that share
-// the same (benchmark, client, k) run are computed once and cached.
-// -warm-dir warm-starts the tables from a persistent clause store
-// (internal/warm).
+// The -k and -iters defaults are bench.DefaultRunOptions, cmd/tracerbench's
+// settings; every query also runs under tracerbench's constant quota of
+// 2,000,000 solver steps and no wall-clock budget, so every count it prints
+// is the same on every host. Figure 12, Tables 2–4 and Figure 14 are
+// functions of one suite run (every client on every program) and print
+// first, in that order, after Table 1; Figure 13 runs its own k grid and
+// prints last. Without -only it runs everything. -warm-dir warm-starts the
+// runs from a persistent clause store (internal/warm).
 //
-// The walls it prints are single-shot timings under a wall-clock budget;
-// the repository's performance record is cmd/tracerbench, whose batch and
-// edit workloads measure the grouped solver and the warm store.
+// The walls it prints are single-shot; the repository's performance record
+// is cmd/tracerbench.
 //
 // Observability (see internal/obs and ARCHITECTURE.md):
 //
 //	-trace events.ndjson   write the per-query structured event stream
-//	-metrics               print aggregated counters/gauges/timers at exit
+//	-metrics               print the counters/gauges/timers of each solving
+//	                       phase (the suite run, then Figure 13's k grid)
+//	                       after the output that phase produced
 //	-cpuprofile cpu.pprof  capture a pprof CPU profile of the whole run
 //	-memprofile mem.pprof  write a pprof heap profile at exit
 package main
@@ -46,14 +51,14 @@ func main() {
 }
 
 func run() error {
-	k := flag.Int("k", 5, "beam width k of the backward meta-analysis")
-	timeout := flag.Duration("timeout", 2*time.Second, "per-query wall-clock budget")
-	iters := flag.Int("iters", 200, "per-query CEGAR iteration cap")
+	def := bench.DefaultRunOptions()
+	k := flag.Int("k", def.K, "beam width k of the backward meta-analysis")
+	iters := flag.Int("iters", def.MaxIters, "per-query CEGAR iteration cap")
 	workers := flag.Int("workers", 1, "concurrent query resolutions (0/1 = sequential)")
-	only := flag.String("only", "", "comma-separated subset: table1,fig12,fig13,table2,table3,table4,fig14,nullness")
+	only := flag.String("only", "", "comma-separated subset: table1,fig12,table2,table3,table4,fig14,fig13")
 	warmDir := flag.String("warm-dir", "", "warm-start store directory for the table/figure runs (\"\" = cold)")
 	tracePath := flag.String("trace", "", "write NDJSON events of every CEGAR iteration to this file")
-	metrics := flag.Bool("metrics", false, "print aggregated counters/gauges/timers at exit")
+	metrics := flag.Bool("metrics", false, "print each solving phase's aggregated counters/gauges/timers after its output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
@@ -96,7 +101,7 @@ func run() error {
 		}()
 	}
 
-	var sinks []obs.Recorder
+	var trace obs.Recorder
 	if *tracePath != "" {
 		nd, err := obs.CreateNDJSON(*tracePath)
 		if err != nil {
@@ -107,21 +112,15 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "paperbench:", err)
 			}
 		}()
-		sinks = append(sinks, nd)
-	}
-	var agg *obs.Agg
-	if *metrics {
-		agg = obs.NewAgg()
-		sinks = append(sinks, agg)
+		trace = nd
 	}
 
-	// SIGINT cancels the in-flight experiment cooperatively; the loop below
-	// then stops scheduling new experiments, so the NDJSON trace and metrics
-	// of the completed ones are still written.
+	// SIGINT cancels the in-flight phase cooperatively; the phases after it
+	// are skipped, so the NDJSON trace and the metrics of the completed ones
+	// are still written.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opts := bench.RunOptions{K: *k, MaxIters: *iters, Timeout: *timeout, Workers: *workers,
-		Recorder: obs.Multi(sinks...), Context: ctx, WarmDir: *warmDir}
+	opts := bench.RunOptions{K: *k, MaxIters: *iters, Workers: *workers, Context: ctx, WarmDir: *warmDir}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, s := range strings.Split(*only, ",") {
@@ -130,92 +129,84 @@ func run() error {
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
-	type experiment struct {
-		name string
-		run  func() (string, error)
-	}
-	experiments := []experiment{
-		{"table1", func() (string, error) {
-			rows, err := bench.Table1()
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderTable1(rows), nil
-		}},
-		// nullness runs before fig12 so its wall measures the null-deref
-		// sweep cold; fig12's null-deref rows then reuse the shared run
-		// cache, as tables 2-4 reuse fig12's runs.
-		{"nullness", func() (string, error) {
-			rows, err := bench.NullnessTable(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderNullnessTable(rows), nil
-		}},
-		{"fig12", func() (string, error) {
-			rows, err := bench.Figure12(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderFigure12(rows), nil
-		}},
-		{"fig13", func() (string, error) {
-			rows, err := bench.Figure13(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderFigure13(rows), nil
-		}},
-		{"table2", func() (string, error) {
-			rows, err := bench.Table2(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderTable2(rows), nil
-		}},
-		{"table3", func() (string, error) {
-			rows, err := bench.Table3(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderTable3(rows), nil
-		}},
-		{"table4", func() (string, error) {
-			rows, err := bench.Table4(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderTable4(rows), nil
-		}},
-		{"fig14", func() (string, error) {
-			rows, err := bench.Figure14(opts)
-			if err != nil {
-				return "", err
-			}
-			return bench.RenderFigure14(rows), nil
-		}},
+	if sel("table1") {
+		rows, err := bench.Table1()
+		if err != nil {
+			return fmt.Errorf("table1: %w", err)
+		}
+		fmt.Println(bench.RenderTable1(rows))
 	}
 
-	for _, e := range experiments {
-		if !sel(e.name) {
-			continue
-		}
+	// Each solving phase records into the trace and, under -metrics, into an
+	// Agg of its own, printed after the phase's output.
+	phase := func(name, settings string, solve func(bench.RunOptions) error) error {
 		if ctx.Err() != nil {
-			fmt.Printf("[interrupted: skipping %s and later experiments]\n\n", e.name)
-			break
+			fmt.Printf("[interrupted: skipping %s]\n\n", name)
+			return nil
+		}
+		var agg *obs.Agg
+		o := opts
+		if *metrics {
+			agg = obs.NewAgg()
+			o.Recorder = obs.Multi(trace, agg)
+		} else {
+			o.Recorder = trace
 		}
 		start := time.Now()
-		out, err := e.run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+		if err := solve(o); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		wall := time.Since(start)
-		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %v with k=%d, timeout=%v]\n\n", e.name, wall.Round(time.Millisecond), *k, *timeout)
+		fmt.Printf("[%s in %v with %s]\n\n", name, time.Since(start).Round(time.Millisecond), settings)
+		if agg != nil {
+			fmt.Printf("[metrics: %s]\n%s\n", name, agg.Render())
+		}
+		return nil
 	}
 
-	if *metrics {
-		fmt.Print(agg.Render())
+	type table struct {
+		name   string
+		render func([]*bench.ClientResult) string
+	}
+	tables := []table{
+		{"fig12", func(runs []*bench.ClientResult) string { return bench.RenderFigure12(bench.Figure12(runs)) }},
+		{"table2", func(runs []*bench.ClientResult) string { return bench.RenderTable2(bench.Table2(runs)) }},
+		{"table3", func(runs []*bench.ClientResult) string { return bench.RenderTable3(bench.Table3(runs)) }},
+		{"table4", func(runs []*bench.ClientResult) string { return bench.RenderTable4(bench.Table4(runs)) }},
+		{"fig14", func(runs []*bench.ClientResult) string { return bench.RenderFigure14(bench.Figure14(runs)) }},
+	}
+	var picked []table
+	for _, t := range tables {
+		if sel(t.name) {
+			picked = append(picked, t)
+		}
+	}
+	if len(picked) > 0 {
+		err := phase("suite run", fmt.Sprintf("k=%d, iters=%d", *k, *iters), func(o bench.RunOptions) error {
+			runs, err := bench.RunSuite(o)
+			if err != nil {
+				return err
+			}
+			for _, t := range picked {
+				fmt.Println(t.render(runs))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if sel("fig13") {
+		err := phase("fig13", fmt.Sprintf("iters=%d", *iters), func(o bench.RunOptions) error {
+			rows, err := bench.Figure13(o)
+			if err != nil {
+				return err
+			}
+			fmt.Println(bench.RenderFigure13(rows))
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

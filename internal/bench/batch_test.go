@@ -31,8 +31,8 @@ func TestBatchMatchesIndividual(t *testing.T) {
 			if br.Status != o.Status {
 				t.Errorf("%s query %s: batch %v vs individual %v", cl, o.ID, br.Status, o.Status)
 			}
-			if o.Status == core.Proved && br.Abstraction.Len() != o.AbsSize {
-				t.Errorf("%s query %s: batch |p|=%d vs individual %d", cl, o.ID, br.Abstraction.Len(), o.AbsSize)
+			if o.Status == core.Proved && br.Abstraction.Len() != o.Abstraction.Len() {
+				t.Errorf("%s query %s: batch |p|=%d vs individual %d", cl, o.ID, br.Abstraction.Len(), o.Abstraction.Len())
 			}
 			totalIndividualIters += o.Iterations
 		}

@@ -9,6 +9,7 @@ import (
 	"tracer/internal/core"
 	"tracer/internal/driver"
 	"tracer/internal/obs"
+	"tracer/internal/uset"
 	"tracer/internal/warm"
 )
 
@@ -34,11 +35,9 @@ func Clients() []Client {
 
 // RunOptions tunes a client run over one benchmark.
 type RunOptions struct {
-	K          int           // beam width (the paper's k; 5 in the evaluation)
-	MaxIters   int           // CEGAR iteration cap per query
-	Timeout    time.Duration // wall-clock cap per query (paper: 1,000 min)
-	MaxQueries int           // 0 = all queries
-	Fresh      bool          // bypass the result cache (for testing.B loops)
+	K          int // beam width (the paper's k; 5 in the evaluation)
+	MaxIters   int // CEGAR iteration cap per query
+	MaxQueries int // 0 = all queries
 	// Workers resolves queries concurrently (queries are independent; each
 	// job owns its analysis instance). 0 or 1 means sequential. Per-query
 	// timings remain meaningful; total wall time shrinks.
@@ -55,8 +54,7 @@ type RunOptions struct {
 	Context context.Context
 	// Recorder receives the TRACER loop's structured telemetry, tagged with
 	// each query's ID (see internal/obs). It must be safe for concurrent
-	// use when Workers > 1. Note the run cache: cached results replay no
-	// events — set Fresh to re-record a previously computed run.
+	// use when Workers > 1.
 	Recorder obs.Recorder
 	// WarmDir, when non-empty, names a warm-start store directory
 	// (internal/warm): Run solves each query through warm.Session.Solve and
@@ -65,9 +63,16 @@ type RunOptions struct {
 	WarmDir string
 }
 
-// DefaultRunOptions are the settings used to regenerate the paper's tables.
+// stepsPerQuery is every query's work quota (core.Options.MaxSteps), as in
+// cmd/tracerbench: a machine-independent budget, so a run does the same work
+// and reaches the same verdicts on every host. RunBatch grants it once per
+// query of the batch.
+const stepsPerQuery = 2_000_000
+
+// DefaultRunOptions are the settings of the paper's tables, cmd/tracerbench's
+// own: k = 5 and 100 CEGAR iterations per query.
 func DefaultRunOptions() RunOptions {
-	return RunOptions{K: 5, MaxIters: 200, Timeout: 5 * time.Second}
+	return RunOptions{K: 5, MaxIters: 100}
 }
 
 // QueryOutcome records the resolution of one query.
@@ -75,8 +80,7 @@ type QueryOutcome struct {
 	ID          string
 	Status      core.Status
 	Iterations  int
-	AbsSize     int    // |cheapest abstraction| when proved
-	Abstraction string // canonical key of the cheapest abstraction
+	Abstraction uset.Set // the cheapest abstraction, when proved
 	Millis      float64
 	Steps       int
 }
@@ -106,19 +110,8 @@ func (r *ClientResult) count(s core.Status) int {
 }
 
 // Run executes every generated query of the given client individually
-// through TRACER, mirroring the paper's per-query resolution. Results are
-// cached per (benchmark, client, k, query cap).
+// through TRACER, mirroring the paper's per-query resolution.
 func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
-	key := fmt.Sprintf("%s/%s/k=%d/max=%d/cap=%d/to=%s/warm=%s", b.Config.Name, client, opts.K, opts.MaxIters, opts.MaxQueries, opts.Timeout, opts.WarmDir)
-	if !opts.Fresh {
-		runMu.Lock()
-		if r, ok := runCache[key]; ok {
-			runMu.Unlock()
-			return r, nil
-		}
-		runMu.Unlock()
-	}
-
 	spec := specOf(client)
 	if spec == nil {
 		return nil, fmt.Errorf("bench: unknown client %q", client)
@@ -137,23 +130,35 @@ func Run(b *Benchmark, client Client, opts RunOptions) (*ClientResult, error) {
 		return nil, fmt.Errorf("bench: saving warm snapshot: %w", err)
 	}
 	res.WallMilli = float64(time.Since(start).Microseconds()) / 1000
-
-	if !opts.Fresh {
-		runMu.Lock()
-		runCache[key] = res
-		runMu.Unlock()
-	}
 	return res, nil
 }
 
-var (
-	runMu    sync.Mutex
-	runCache = map[string]*ClientResult{}
-)
+// RunSuite runs every registered client over every suite program: one Run
+// per (program, client), in suite and registry order. Figure 12, Tables 2–4
+// and Figure 14 are functions of its results.
+func RunSuite(opts RunOptions) ([]*ClientResult, error) {
+	var out []*ClientResult
+	for _, cfg := range Suite() {
+		b, err := Load(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for _, cl := range Clients() {
+			r, err := Run(b, cl, opts)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
 
+// coreOpts are the solver options of one query; RunBatch scales MaxSteps by
+// its query count.
 func coreOpts(opts RunOptions) core.Options {
 	return core.Options{
-		MaxIters: opts.MaxIters, Timeout: opts.Timeout, Context: opts.Context,
+		MaxIters: opts.MaxIters, MaxSteps: stepsPerQuery, Context: opts.Context,
 		Recorder: opts.Recorder,
 		Workers:  opts.BatchWorkers,
 	}
@@ -252,8 +257,7 @@ func solveOne(id, key string, job core.Problem, opts RunOptions, sess *warm.Sess
 		Steps:      r.ForwardSteps,
 	}
 	if r.Status == core.Proved {
-		o.AbsSize = r.Abstraction.Len()
-		o.Abstraction = r.Abstraction.Key()
+		o.Abstraction = r.Abstraction
 	}
 	return o, nil
 }
@@ -275,7 +279,9 @@ func RunBatch(b *Benchmark, client Client, opts RunOptions) (*core.BatchResult, 
 		idx[i] = i
 	}
 	sess := warmSession(b, spec, opts)
-	res, err := sess.SolveBatch(keys, spec.Batch(b.Prog, idx, opts.K), coreOpts(opts))
+	copts := coreOpts(opts)
+	copts.MaxSteps *= int64(len(queries))
+	res, err := sess.SolveBatch(keys, spec.Batch(b.Prog, idx, opts.K), copts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,10 @@ import "testing"
 // outcomes.
 func TestParallelRace(t *testing.T) {
 	b := MustLoad(Suite()[0])
-	// No wall-clock timeout: outcomes must be deterministic regardless of
-	// scheduling, which a timeout under contention would break.
-	opts := RunOptions{K: 5, MaxIters: 300, Workers: 8, Fresh: true}
+	// The step quota, not a wall budget, bounds each query: outcomes must be
+	// deterministic regardless of scheduling, which a wall budget under
+	// contention would break.
+	opts := RunOptions{K: 5, MaxIters: 300, Workers: 8}
 	seq := opts
 	seq.Workers = 1
 	par, err := Run(b, Escape, opts)

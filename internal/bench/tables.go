@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"tracer/internal/core"
 )
 
 // This file regenerates every table and figure of §6. Each experiment
 // returns both structured rows (consumed by tests) and a rendered text
-// table (printed by cmd/paperbench and the testing.B benchmarks).
+// table (printed by cmd/paperbench and the testing.B benchmarks). Figure 12,
+// Tables 2–4 and Figure 14 solve nothing: they are functions of one
+// RunSuite result, with one row per (program, client) run in its order.
 
 // ---------- shared statistics helpers ----------
 
@@ -104,7 +105,7 @@ func absSizes(r *ClientResult) []int {
 	var out []int
 	for _, o := range r.Outcomes {
 		if o.Status == core.Proved {
-			out = append(out, o.AbsSize)
+			out = append(out, o.Abstraction.Len())
 		}
 	}
 	return out
@@ -183,27 +184,16 @@ type Figure12Row struct {
 	Unresolved int
 }
 
-// Figure12 resolves all queries of every registered client on the whole
-// suite.
-func Figure12(opts RunOptions) ([]Figure12Row, error) {
+// Figure12 counts the verdicts of every (program, client) run of a suite run.
+func Figure12(runs []*ClientResult) []Figure12Row {
 	var rows []Figure12Row
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, cl := range Clients() {
-			r, err := Run(b, cl, opts)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Figure12Row{
-				Name: cfg.Name, Client: cl, Total: len(r.Outcomes),
-				Proven: r.Proven(), Impossible: r.Impossible(), Unresolved: r.Unresolved(),
-			})
-		}
+	for _, r := range runs {
+		rows = append(rows, Figure12Row{
+			Name: r.Benchmark, Client: r.Client, Total: len(r.Outcomes),
+			Proven: r.Proven(), Impossible: r.Impossible(), Unresolved: r.Unresolved(),
+		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure12 renders the precision figure as a text bar chart.
@@ -252,20 +242,15 @@ func Figure13(opts RunOptions) ([]Figure13Row, error) {
 		for _, k := range []int{1, 5, 10} {
 			o := opts
 			o.K = k
-			start := time.Now()
 			r, err := Run(b, Escape, o)
 			if err != nil {
 				return nil, err
-			}
-			wall := r.WallMilli
-			if wall == 0 {
-				wall = float64(time.Since(start).Microseconds()) / 1000
 			}
 			totalIters := 0
 			for _, o := range r.Outcomes {
 				totalIters += o.Iterations
 			}
-			rows = append(rows, Figure13Row{Name: cfg.Name, K: k, WallMilli: wall, Unresolved: r.Unresolved(), TotalIters: totalIters})
+			rows = append(rows, Figure13Row{Name: cfg.Name, K: k, WallMilli: r.WallMilli, Unresolved: r.Unresolved(), TotalIters: totalIters})
 		}
 	}
 	return rows, nil
@@ -284,118 +269,90 @@ func RenderFigure13(rows []Figure13Row) string {
 
 // ---------- Table 2: scalability ----------
 
-// Table2Row is one benchmark's scalability summary.
+// Table2Row is one (benchmark, client) scalability summary: iterations and
+// per-query running times, by resolution.
 type Table2Row struct {
-	Name string
-	// Iteration statistics per client and resolution.
-	TSProvenIters, TSImpossibleIters   summary
-	EscProvenIters, EscImpossibleIters summary
-	// Thread-escape per-query running times.
-	EscProvenMs, EscImpossibleMs msSummary
+	Name                         string
+	Client                       Client
+	ProvenIters, ImpossibleIters summary
+	ProvenMs, ImpossibleMs       msSummary
 }
 
-// Table2 gathers iteration and running-time statistics (k = opts.K).
-func Table2(opts RunOptions) ([]Table2Row, error) {
+// Table2 gathers the iteration and running-time statistics of a suite run.
+func Table2(runs []*ClientResult) []Table2Row {
 	var rows []Table2Row
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := Run(b, Typestate, opts)
-		if err != nil {
-			return nil, err
-		}
-		esc, err := Run(b, Escape, opts)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range runs {
 		rows = append(rows, Table2Row{
-			Name:               cfg.Name,
-			TSProvenIters:      summarize(iters(ts, core.Proved)),
-			TSImpossibleIters:  summarize(iters(ts, core.Impossible)),
-			EscProvenIters:     summarize(iters(esc, core.Proved)),
-			EscImpossibleIters: summarize(iters(esc, core.Impossible)),
-			EscProvenMs:        summarizeMs(timesMs(esc, core.Proved)),
-			EscImpossibleMs:    summarizeMs(timesMs(esc, core.Impossible)),
+			Name: r.Benchmark, Client: r.Client,
+			ProvenIters:     summarize(iters(r, core.Proved)),
+			ImpossibleIters: summarize(iters(r, core.Impossible)),
+			ProvenMs:        summarizeMs(timesMs(r, core.Proved)),
+			ImpossibleMs:    summarizeMs(timesMs(r, core.Impossible)),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable2 renders the scalability table.
 func RenderTable2(rows []Table2Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2. Scalability: iterations (min max avg) and thread-escape per-query times.\n")
-	fmt.Fprintf(&b, "%-9s | %-30s | %-30s | %-40s\n",
-		"", "type-state iterations", "thread-escape iterations", "thread-escape running time")
-	fmt.Fprintf(&b, "%-9s | %-14s  %-14s | %-14s  %-14s | %-19s  %-19s\n",
-		"", "proven", "impossible", "proven", "impossible", "proven", "impossible")
+	fmt.Fprintf(&b, "Table 2. Scalability: iterations (min max avg) and per-query running times (min max avg).\n")
+	fmt.Fprintf(&b, "%-9s %-13s | %-30s | %s\n", "", "client", "iterations", "running time")
+	fmt.Fprintf(&b, "%-9s %-13s | %-14s  %-14s | %-19s  %s\n",
+		"", "", "proven", "impossible", "proven", "impossible")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s | %-14s  %-14s | %-14s  %-14s | %-19s  %-19s\n",
-			r.Name, r.TSProvenIters, r.TSImpossibleIters,
-			r.EscProvenIters, r.EscImpossibleIters,
-			r.EscProvenMs, r.EscImpossibleMs)
+		fmt.Fprintf(&b, "%-9s %-13s | %-14s  %-14s | %-19s  %s\n",
+			r.Name, r.Client, r.ProvenIters, r.ImpossibleIters, r.ProvenMs, r.ImpossibleMs)
 	}
 	return b.String()
 }
 
 // ---------- Table 3: cheapest abstraction sizes ----------
 
-// Table3Row summarizes cheapest-abstraction sizes for proven queries.
+// Table3Row summarizes one (benchmark, client)'s cheapest-abstraction sizes
+// for proven queries.
 type Table3Row struct {
-	Name    string
-	TS, Esc summary
+	Name   string
+	Client Client
+	Size   summary
 }
 
-// Table3 gathers cheapest-abstraction size statistics.
-func Table3(opts RunOptions) ([]Table3Row, error) {
+// Table3 gathers the cheapest-abstraction sizes of a suite run.
+func Table3(runs []*ClientResult) []Table3Row {
 	var rows []Table3Row
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := Run(b, Typestate, opts)
-		if err != nil {
-			return nil, err
-		}
-		esc, err := Run(b, Escape, opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table3Row{Name: cfg.Name, TS: summarize(absSizes(ts)), Esc: summarize(absSizes(esc))})
+	for _, r := range runs {
+		rows = append(rows, Table3Row{Name: r.Benchmark, Client: r.Client, Size: summarize(absSizes(r))})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable3 renders the cheapest-abstraction size table.
 func RenderTable3(rows []Table3Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3. Cheapest abstraction size for proven queries (min max avg).\n")
-	fmt.Fprintf(&b, "%-9s | %-16s | %-16s\n", "", "type-state", "thread-escape")
+	fmt.Fprintf(&b, "%-9s %-13s | %s\n", "", "client", "size")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s | %-16s | %-16s\n", r.Name, r.TS, r.Esc)
+		fmt.Fprintf(&b, "%-9s %-13s | %s\n", r.Name, r.Client, r.Size)
 	}
 	return b.String()
 }
 
 // ---------- Table 4: cheapest abstraction reuse ----------
 
-// Table4Row summarizes how many proven queries share a cheapest abstraction.
+// Table4Row summarizes how many of one (benchmark, client)'s proven queries
+// share a cheapest abstraction.
 type Table4Row struct {
-	Name         string
-	TSGroups     int
-	TSGroupSize  summary
-	EscGroups    int
-	EscGroupSize summary
+	Name      string
+	Client    Client
+	Groups    int
+	GroupSize summary
 }
 
 func groupSizes(r *ClientResult) (int, summary) {
 	counts := map[string]int{}
 	for _, o := range r.Outcomes {
 		if o.Status == core.Proved {
-			counts[o.Abstraction]++
+			counts[o.Abstraction.Key()]++
 		}
 	}
 	var sizes []int
@@ -406,39 +363,24 @@ func groupSizes(r *ClientResult) (int, summary) {
 	return len(counts), summarize(sizes)
 }
 
-// Table4 gathers abstraction-reuse statistics.
-func Table4(opts RunOptions) ([]Table4Row, error) {
+// Table4 gathers the abstraction-reuse statistics of a suite run.
+func Table4(runs []*ClientResult) []Table4Row {
 	var rows []Table4Row
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := Run(b, Typestate, opts)
-		if err != nil {
-			return nil, err
-		}
-		esc, err := Run(b, Escape, opts)
-		if err != nil {
-			return nil, err
-		}
-		row := Table4Row{Name: cfg.Name}
-		row.TSGroups, row.TSGroupSize = groupSizes(ts)
-		row.EscGroups, row.EscGroupSize = groupSizes(esc)
+	for _, r := range runs {
+		row := Table4Row{Name: r.Benchmark, Client: r.Client}
+		row.Groups, row.GroupSize = groupSizes(r)
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable4 renders the reuse table.
 func RenderTable4(rows []Table4Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 4. Cheapest abstraction reuse for proven queries (#groups; group size min max avg).\n")
-	fmt.Fprintf(&b, "%-9s | %-26s | %-26s\n", "", "type-state", "thread-escape")
-	fmt.Fprintf(&b, "%-9s | %8s %-16s | %8s %-16s\n", "", "#groups", "min max avg", "#groups", "min max avg")
+	fmt.Fprintf(&b, "%-9s %-13s | %8s %s\n", "", "client", "#groups", "min max avg")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s | %8d %-16s | %8d %-16s\n",
-			r.Name, r.TSGroups, r.TSGroupSize, r.EscGroups, r.EscGroupSize)
+		fmt.Fprintf(&b, "%-9s %-13s | %8d %s\n", r.Name, r.Client, r.Groups, r.GroupSize)
 	}
 	return b.String()
 }
@@ -453,28 +395,26 @@ type Figure14Row struct {
 	Hist map[int]int
 }
 
-// Figure14 builds the histograms for the largest three benchmarks.
-func Figure14(opts RunOptions) ([]Figure14Row, error) {
+// Figure14 builds the thread-escape histograms of the largest three
+// benchmarks from a suite run.
+func Figure14(runs []*ClientResult) []Figure14Row {
 	suite := Suite()
 	var rows []Figure14Row
 	for _, cfg := range suite[len(suite)-3:] {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Run(b, Escape, opts)
-		if err != nil {
-			return nil, err
-		}
-		hist := map[int]int{}
-		for _, o := range r.Outcomes {
-			if o.Status == core.Proved {
-				hist[o.AbsSize]++
+		for _, r := range runs {
+			if r.Benchmark != cfg.Name || r.Client != Escape {
+				continue
 			}
+			hist := map[int]int{}
+			for _, o := range r.Outcomes {
+				if o.Status == core.Proved {
+					hist[o.Abstraction.Len()]++
+				}
+			}
+			rows = append(rows, Figure14Row{Name: cfg.Name, Hist: hist})
 		}
-		rows = append(rows, Figure14Row{Name: cfg.Name, Hist: hist})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure14 renders the histograms.
@@ -491,62 +431,6 @@ func RenderFigure14(rows []Figure14Row) string {
 		for _, s := range sizes {
 			fmt.Fprintf(&b, "  %3d L-mapped site(s): %4d queries  %s\n", s, r.Hist[s], strings.Repeat("#", r.Hist[s]))
 		}
-	}
-	return b.String()
-}
-
-// ---------- Nullness: null-dereference precision and cost ----------
-
-// NullnessRow summarizes the null-deref client on one benchmark: precision
-// split plus iteration and per-query time statistics by resolution.
-type NullnessRow struct {
-	Name       string
-	Queries    int
-	Proven     int
-	Impossible int
-	Unresolved int
-
-	ProvenIters, ImpossibleIters summary
-	AbsSize                      summary
-	ProvenMs, ImpossibleMs       msSummary
-}
-
-// NullnessTable runs the null-deref client over the whole suite.
-func NullnessTable(opts RunOptions) ([]NullnessRow, error) {
-	var rows []NullnessRow
-	for _, cfg := range Suite() {
-		b, err := Load(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Run(b, Nullness, opts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, NullnessRow{
-			Name: cfg.Name, Queries: len(r.Outcomes),
-			Proven: r.Proven(), Impossible: r.Impossible(), Unresolved: r.Unresolved(),
-			ProvenIters:     summarize(iters(r, core.Proved)),
-			ImpossibleIters: summarize(iters(r, core.Impossible)),
-			AbsSize:         summarize(absSizes(r)),
-			ProvenMs:        summarizeMs(timesMs(r, core.Proved)),
-			ImpossibleMs:    summarizeMs(timesMs(r, core.Impossible)),
-		})
-	}
-	return rows, nil
-}
-
-// RenderNullnessTable renders the null-deref experiment.
-func RenderNullnessTable(rows []NullnessRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Null-deref client: precision, iterations, cheapest tracked-cell sets.\n")
-	fmt.Fprintf(&b, "%-9s | %7s %6s %6s %6s | %-14s  %-14s | %-16s | %-19s  %-19s\n",
-		"", "queries", "prov", "imposs", "unres",
-		"proven iters", "imposs iters", "cells min max avg", "proven time", "imposs time")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s | %7d %6d %6d %6d | %-14s  %-14s | %-16s | %-19s  %-19s\n",
-			r.Name, r.Queries, r.Proven, r.Impossible, r.Unresolved,
-			r.ProvenIters, r.ImpossibleIters, r.AbsSize, r.ProvenMs, r.ImpossibleMs)
 	}
 	return b.String()
 }

@@ -2,13 +2,27 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
-// quickOpts keeps the experiment tests fast: few queries, short budget.
+// quickOpts keeps the experiment tests fast: few queries, few iterations.
+// The step quota, not a wall budget, bounds each query, so the outcomes do
+// not depend on host load.
 func quickOpts() RunOptions {
-	return RunOptions{K: 5, MaxIters: 60, Timeout: 250 * time.Millisecond, MaxQueries: 8, Workers: 4}
+	return RunOptions{K: 5, MaxIters: 60, MaxQueries: 8, Workers: 4}
+}
+
+// quickSuite is one suite run at quickOpts, shared by the table tests.
+var quickSuite = sync.OnceValues(func() ([]*ClientResult, error) { return RunSuite(quickOpts()) })
+
+func quickRuns(t *testing.T) []*ClientResult {
+	t.Helper()
+	runs, err := quickSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
 }
 
 func TestTable1Structure(t *testing.T) {
@@ -49,20 +63,37 @@ func TestTable1Structure(t *testing.T) {
 	}
 }
 
+// checkRowOrder requires a table built from the suite run to have one row
+// per (program, client), in suite and registry order.
+func checkRowOrder(t *testing.T, table string, n int, row func(i int) (string, Client)) {
+	t.Helper()
+	if want := len(Clients()) * len(Suite()); n != want {
+		t.Fatalf("%s: %d rows, want %d", table, n, want)
+	}
+	for i := 0; i < n; i++ {
+		name, cl := row(i)
+		if wantName, wantCl := Suite()[i/len(Clients())].Name, Clients()[i%len(Clients())]; name != wantName || cl != wantCl {
+			t.Errorf("%s row %d: %s/%s, want %s/%s", table, i, name, cl, wantName, wantCl)
+		}
+	}
+}
+
 func TestFigure12Structure(t *testing.T) {
-	rows, err := Figure12(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Clients())*len(Suite()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Clients())*len(Suite()))
-	}
+	rows := Figure12(quickRuns(t))
+	checkRowOrder(t, "fig12", len(rows), func(i int) (string, Client) { return rows[i].Name, rows[i].Client })
+	resolved := map[Client]int{}
 	for _, r := range rows {
 		if r.Proven+r.Impossible+r.Unresolved != r.Total {
 			t.Errorf("%s/%s: buckets %d+%d+%d ≠ %d", r.Name, r.Client, r.Proven, r.Impossible, r.Unresolved, r.Total)
 		}
 		if r.Total == 0 {
 			t.Errorf("%s/%s: no queries", r.Name, r.Client)
+		}
+		resolved[r.Client] += r.Proven + r.Impossible
+	}
+	for _, cl := range Clients() {
+		if resolved[cl] == 0 {
+			t.Errorf("no %s query resolved anywhere in the suite", cl)
 		}
 	}
 	out := RenderFigure12(rows)
@@ -94,46 +125,39 @@ func TestFigure13Structure(t *testing.T) {
 }
 
 func TestTables234Structure(t *testing.T) {
-	opts := quickOpts()
-	t2, err := Table2(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := Table3(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t4, err := Table4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t2) != len(Suite()) || len(t3) != len(Suite()) || len(t4) != len(Suite()) {
-		t.Fatalf("row counts: %d %d %d", len(t2), len(t3), len(t4))
-	}
-	for i := range t2 {
-		if t2[i].TSProvenIters.N > 0 && (t2[i].TSProvenIters.Min > t2[i].TSProvenIters.Max) {
-			t.Errorf("%s: min > max", t2[i].Name)
+	runs := quickRuns(t)
+	fig12, t2, t3, t4 := Figure12(runs), Table2(runs), Table3(runs), Table4(runs)
+	checkRowOrder(t, "table2", len(t2), func(i int) (string, Client) { return t2[i].Name, t2[i].Client })
+	checkRowOrder(t, "table3", len(t3), func(i int) (string, Client) { return t3[i].Name, t3[i].Client })
+	checkRowOrder(t, "table4", len(t4), func(i int) (string, Client) { return t4[i].Name, t4[i].Client })
+	for i, f := range fig12 {
+		if n := t2[i].ProvenIters.N + t2[i].ImpossibleIters.N; n != f.Proven+f.Impossible {
+			t.Errorf("%s/%s: %d iteration counts for %d resolved queries", f.Name, f.Client, n, f.Proven+f.Impossible)
 		}
-		if t3[i].TS.N > 0 && t3[i].TS.Min < 0 {
-			t.Errorf("%s: negative abstraction size", t3[i].Name)
+		if t2[i].ProvenIters.N > 0 && t2[i].ProvenIters.Min > t2[i].ProvenIters.Max {
+			t.Errorf("%s/%s: min > max", f.Name, f.Client)
 		}
-		// Groups cannot outnumber proven queries.
-		if t4[i].TSGroups > 0 && t4[i].TSGroupSize.N != t4[i].TSGroups {
-			t.Errorf("%s: group summary inconsistent", t4[i].Name)
+		if t3[i].Size.N != f.Proven {
+			t.Errorf("%s/%s: %d abstraction sizes for %d proven queries", f.Name, f.Client, t3[i].Size.N, f.Proven)
+		}
+		if t3[i].Size.N > 0 && t3[i].Size.Min < 0 {
+			t.Errorf("%s/%s: negative abstraction size", f.Name, f.Client)
+		}
+		// Every proven query is in one group, so groups cannot outnumber
+		// proven queries.
+		if t4[i].GroupSize.N != t4[i].Groups || t4[i].Groups > f.Proven {
+			t.Errorf("%s/%s: %d groups (summary over %d) for %d proven queries", f.Name, f.Client, t4[i].Groups, t4[i].GroupSize.N, f.Proven)
 		}
 	}
 	for _, s := range []string{RenderTable2(t2), RenderTable3(t3), RenderTable4(t4)} {
-		if !strings.Contains(s, "tsp") {
-			t.Error("render missing benchmark rows")
+		if !strings.Contains(s, "tsp") || !strings.Contains(s, string(Nullness)) {
+			t.Error("render missing benchmark or client rows")
 		}
 	}
 }
 
 func TestFigure14Structure(t *testing.T) {
-	rows, err := Figure14(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Figure14(quickRuns(t))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (largest three benchmarks)", len(rows))
 	}
@@ -149,36 +173,6 @@ func TestFigure14Structure(t *testing.T) {
 		}
 	}
 	_ = RenderFigure14(rows)
-}
-
-func TestNullnessTableStructure(t *testing.T) {
-	rows, err := NullnessTable(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Suite()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Suite()))
-	}
-	resolved := 0
-	for _, r := range rows {
-		if r.Queries == 0 {
-			t.Errorf("%s: no nullness queries", r.Name)
-		}
-		if r.Proven+r.Impossible+r.Unresolved != r.Queries {
-			t.Errorf("%s: buckets %d+%d+%d ≠ %d", r.Name, r.Proven, r.Impossible, r.Unresolved, r.Queries)
-		}
-		if r.AbsSize.N != r.Proven {
-			t.Errorf("%s: %d abstraction sizes for %d proven queries", r.Name, r.AbsSize.N, r.Proven)
-		}
-		resolved += r.Proven + r.Impossible
-	}
-	if resolved == 0 {
-		t.Error("no nullness query resolved anywhere in the suite")
-	}
-	out := RenderNullnessTable(rows)
-	if !strings.Contains(out, "tsp") || !strings.Contains(out, "Null-deref") {
-		t.Errorf("render missing content:\n%s", out)
-	}
 }
 
 // TestSummaryHelpers covers the statistics plumbing.

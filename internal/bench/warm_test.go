@@ -2,13 +2,12 @@ package bench
 
 import (
 	"testing"
-	"time"
 
 	"tracer/internal/core"
 )
 
 func warmTestOpts() RunOptions {
-	return RunOptions{K: 5, MaxIters: 100, Timeout: 2 * time.Second, MaxQueries: 40, Fresh: true}
+	return RunOptions{K: 5, MaxIters: 100, MaxQueries: 40}
 }
 
 // A warm re-run of an unchanged program must reproduce the cold verdicts and
@@ -37,8 +36,8 @@ func TestRunWarmMatchesCold(t *testing.T) {
 		}
 		for i, c := range cold.Outcomes {
 			w := warm.Outcomes[i]
-			if c.Status != w.Status || c.Abstraction != w.Abstraction {
-				t.Errorf("%s %s: cold %s/%q vs warm %s/%q", cl, c.ID, c.Status, c.Abstraction, w.Status, w.Abstraction)
+			if c.Status != w.Status || !c.Abstraction.Equal(w.Abstraction) {
+				t.Errorf("%s %s: cold %s/%v vs warm %s/%v", cl, c.ID, c.Status, c.Abstraction, w.Status, w.Abstraction)
 			}
 			if w.Status != core.Exhausted && w.Iterations > 2 {
 				t.Errorf("%s %s: warm run took %d iterations", cl, w.ID, w.Iterations)
@@ -54,7 +53,6 @@ func TestRunBatchWarmMatchesCold(t *testing.T) {
 	for _, cl := range []Client{Typestate, Escape} {
 		dir := t.TempDir()
 		opts := warmTestOpts()
-		opts.Timeout = 30 * time.Second // batch budget is whole-run
 		cold, err := RunBatch(b, cl, opts)
 		if err != nil {
 			t.Fatal(err)

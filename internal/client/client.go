@@ -106,9 +106,12 @@ type Job[D comparable, Q Query, A Analysis[D, Q]] struct {
 	// chain is the resumable forward solver retained across CEGAR
 	// iterations. It is checked out with an atomic swap for the duration of
 	// a solve, so concurrent Forward calls on one job fall back to a fresh
-	// chain instead of racing, and stored back only after a solve returns
-	// normally (after a trip the chain keeps only its memo; a panic abandons
-	// the chain entirely, so the next solve starts cold).
+	// chain instead of racing, and stored back whenever a solve returns,
+	// tripped or not: a tripped chain keeps its memo and its pair table, and
+	// its next Solve replays from the root. The Result a solve returns stays
+	// valid only until the chain's next Solve, so Forward reads what it
+	// needs before storing the chain back. A panic abandons the chain, so
+	// the next solve starts cold.
 	chain atomic.Pointer[dataflow.Chain[D]]
 }
 

@@ -334,9 +334,6 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 	// there only for the entry: consuming it turns its future exact hits
 	// into misses.
 	dbp, _ := bp.(DeltaBatchProblem)
-	if opts.NoDelta {
-		dbp = nil
-	}
 	const maxFlip = 2
 	// A query never re-picks an abstraction it has blocked, so in a batch of
 	// one a memo entry can only serve as a donor. Without donors the memo

@@ -222,12 +222,6 @@ type Options struct {
 	// of one shared root group. nil (or all-empty) keeps the cold batch
 	// path unchanged. Solve replaces it with Seed.
 	SeedBatch func(q int) []ParamCube
-	// NoDelta disables SolveBatch's delta-resume path: evicted or near-miss
-	// forward runs are never resumed across an abstraction flip, so every
-	// cache miss is a cold whole-program solve. Per-problem delta behavior
-	// (the single-query jobs' retained chains) is controlled on the problem
-	// itself; this knob only governs the batch scheduler's donor selection.
-	NoDelta bool
 	// OnLearn, when non-nil, observes every successful backward pass: the
 	// abstraction p that was eliminated, its counterexample trace, and the
 	// accepted (non-contradictory) cubes that were blocked. q is the batch

@@ -124,8 +124,13 @@ func resolutions(rs []core.Result) []resolution {
 	return out
 }
 
+// coldBatch embeds only core.BatchProblem, hiding a batch's
+// core.DeltaBatchProblem side: SolveBatch cannot resume a donor's run, so
+// every forward run it misses in the memo solves cold.
+type coldBatch struct{ core.BatchProblem }
+
 // TestDeltaMatchesColdBatch sweeps the batch scheduler's worker grid with
-// the delta engine on and off. The reference is the sequential cold run;
+// donor resumption on and off. The reference is the sequential cold run;
 // every variant must produce the same per-query resolutions and the same
 // phase-event stream (modulo step accounting, which donor consumption
 // shifts between forward runs without changing any verdict).
@@ -136,11 +141,13 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		run := func(workers int, noDelta bool) ([]resolution, []obs.Event) {
+		run := func(workers int, cold bool) ([]resolution, []obs.Event) {
+			var bp core.BatchProblem = spec.Batch(p, all, 1)
+			if cold {
+				bp = coldBatch{bp}
+			}
 			cap := obs.NewCapture()
-			res, err := core.SolveBatch(spec.Batch(p, all, 1), core.Options{
-				Workers: workers, NoDelta: noDelta, Recorder: cap,
-			})
+			res, err := core.SolveBatch(bp, core.Options{Workers: workers, Recorder: cap})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,9 +155,9 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 		}
 		wantRes, wantEvs := run(1, true)
 		for _, workers := range []int{1, 2, 4} {
-			for _, noDelta := range []bool{false, true} {
-				label := fmt.Sprintf("%s workers=%d nodelta=%t", spec.Name, workers, noDelta)
-				gotRes, gotEvs := run(workers, noDelta)
+			for _, cold := range []bool{false, true} {
+				label := fmt.Sprintf("%s workers=%d cold=%t", spec.Name, workers, cold)
+				gotRes, gotEvs := run(workers, cold)
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("%s: resolutions %+v, reference %+v", label, gotRes, wantRes)
 				}

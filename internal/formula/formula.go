@@ -685,77 +685,14 @@ func (d DNF) And(e DNF) DNF {
 	// whole row/column is skipped outright.
 	var sdBuf, seBuf [8]andSide
 	sd, se := prepAndSides(sdBuf[:0], u, v, d), prepAndSides(seBuf[:0], u, v, e)
-	out, _ := andCore(u, v, d, sd, e, se, nil)
-	return out
+	return andCore(u, v, d, sd, e, se)
 }
 
-// AndChain folds d ∧ subs[0] ∧ subs[1] ∧ … into DNF, stopping early when
-// the accumulator collapses to false or poll (if non-nil) reports the budget
-// tripped — in which case the partial conjunction computed so far is
-// returned, exactly as a caller-side And loop would.
-//
-// The point of the dedicated entry is incremental reuse: And derives each
-// operand disjunct's filter state (capability signatures plus an internal
-// satisfiability check) from scratch on every call, so a fold over And
-// re-derives the accumulator's state once per link. AndChain instead carries
-// the survivors' state across links — a product's capability signature is
-// the union of its parents' (an over-approximation after literal reduction,
-// which can only cost a redundant scan, never an unsound skip), and a
-// survivor is contradiction-free by construction. A view change mid-chain
-// (new literals interned) invalidates carried signatures; the fold detects
-// that and re-derives the state for the next link.
-func (d DNF) AndChain(subs []DNF, poll func() bool) DNF {
-	acc := d
-	var accSides []andSide
-	// Two survivor-side buffers, alternated per link: the incoming accSides
-	// may occupy the one the previous link wrote, so the next link must
-	// append into the other.
-	var accBuf, seBuf, outA, outB [8]andSide
-	outBufs := [2][]andSide{outA[:0], outB[:0]}
-	flip := 0
-	var u *Universe
-	var v *uview
-	for _, s := range subs {
-		if poll != nil && !poll() {
-			break
-		}
-		if len(acc) == 0 || len(s) == 0 {
-			return nil
-		}
-		if u == nil {
-			u = acc.universe()
-			if u == nil {
-				u = s.universe()
-			}
-			if u != nil {
-				v = u.view.Load()
-			}
-		}
-		if u != nil {
-			if cur := u.view.Load(); cur != v {
-				v = cur
-				accSides = nil
-			}
-			u.products.Add(int64(len(acc)) * int64(len(s)))
-		}
-		if accSides == nil {
-			accSides = prepAndSides(accBuf[:0], u, v, acc)
-		}
-		se := prepAndSides(seBuf[:0], u, v, s)
-		acc, accSides = andCore(u, v, acc, accSides, s, se, outBufs[flip][:0])
-		flip = 1 - flip
-	}
-	return acc
-}
-
-// andCore is the product loop shared by And and AndChain: conjoin every
-// (d, e) disjunct pair under the precomputed filter states sd and se. When
-// sideBuf is non-nil it also returns each survivor's filter state (appended
-// into sideBuf), aligned with the returned DNF.
-func andCore(u *Universe, v *uview, d DNF, sd []andSide, e DNF, se []andSide, sideBuf []andSide) (DNF, []andSide) {
+// andCore is And's product loop: conjoin every (d, e) disjunct pair under
+// the precomputed filter states sd and se.
+func andCore(u *Universe, v *uview, d DNF, sd []andSide, e DNF, se []andSide) DNF {
 	var skips int64
 	var out DNF
-	outSides := sideBuf
 	// A lone product cannot collide with anything, so the dedup set — and its
 	// hashing — is bypassed entirely for 1×1 conjunctions, the bulk of the
 	// backward walk's And traffic.
@@ -851,23 +788,12 @@ func andCore(u *Universe, v *uview, d DNF, sd []andSide, e DNF, se []andSide, si
 				out = make(DNF, 0, n)
 			}
 			out = append(out, c)
-			if outSides != nil {
-				// A survivor is contradiction-free by construction (both
-				// parents are, and their cross pairs were just checked); its
-				// capability signature is the union of its parents', which
-				// over-approximates after literal reduction — safe for a
-				// skip gate.
-				outSides = append(outSides, andSide{
-					impCap: s1.impCap | s2.impCap,
-					conCap: s1.conCap | s2.conCap,
-				})
-			}
 		}
 	}
 	if skips > 0 {
 		u.sigSkips.Add(skips)
 	}
-	return out, outSides
+	return out
 }
 
 // andSide is one operand disjunct's precomputed filter state for And.

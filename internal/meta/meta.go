@@ -441,9 +441,20 @@ supScan:
 		if wide {
 			keep = func(i int) bool { return identity[i] }
 		}
-		// AndChain carries the accumulator's And filter state across the
-		// fold, instead of re-deriving it once per substituted literal.
-		acc := formula.DNF{conj.Retain(keep)}.AndChain(subs, c.Budget.Poll)
+		// Conjoin the substituted literals, polling the budget before each
+		// link; a trip leaves the partial conjunction, and a false link ends
+		// the fold.
+		acc := formula.DNF{conj.Retain(keep)}
+		for _, sub := range subs {
+			if !c.Budget.Poll() {
+				break
+			}
+			if len(acc) == 0 || len(sub) == 0 {
+				acc = nil
+				break
+			}
+			acc = acc.And(sub)
+		}
 		for _, nc := range acc {
 			if seen.Add(nc) {
 				out = append(out, nc)

@@ -225,16 +225,22 @@ func compareDelta(base core.Result, cold core.Problem) string {
 	return ""
 }
 
-// batchVariants is the worker-count × delta-engine grid every batch
-// metamorphic check sweeps. NoDelta forces every forward run to solve cold.
-var batchVariants = []core.Options{
-	{Workers: 1},
-	{Workers: 4},
-	{Workers: 4, NoDelta: true},
+// batchVariant is one cell of the worker-count × donor grid every batch
+// metamorphic check sweeps. A cold variant passes the batch behind
+// coldBatch, so every forward run it misses in the memo solves cold.
+type batchVariant struct {
+	workers int
+	cold    bool
 }
 
+var batchVariants = []batchVariant{{workers: 1}, {workers: 4}, {workers: 4, cold: true}}
+
+// coldBatch embeds only core.BatchProblem, hiding a batch's
+// core.DeltaBatchProblem side: SolveBatch cannot resume a donor's run.
+type coldBatch struct{ core.BatchProblem }
+
 // checkBatch cross-checks SolveBatch against per-query Solve on the case's
-// query variants, across the worker/delta grid.
+// query variants, across the worker/donor grid.
 func checkBatch(c Case) []string {
 	solo, _ := c.variants()
 	want := make([]core.Result, len(solo))
@@ -242,14 +248,17 @@ func checkBatch(c Case) []string {
 		want[i], _ = core.Solve(pr, core.Options{})
 	}
 	var v []string
-	for _, opts := range batchVariants {
+	for _, bv := range batchVariants {
 		_, bp := c.variants()
-		res, err := core.SolveBatch(bp, opts)
+		if bv.cold {
+			bp = coldBatch{bp}
+		}
+		res, err := core.SolveBatch(bp, core.Options{Workers: bv.workers})
 		if err != nil {
-			v = append(v, fmt.Sprintf("batch (workers=%d nodelta=%t) failed: %v", opts.Workers, opts.NoDelta, err))
+			v = append(v, fmt.Sprintf("batch (workers=%d cold=%t) failed: %v", bv.workers, bv.cold, err))
 			continue
 		}
-		v = append(v, compareBatch(want, res, opts)...)
+		v = append(v, compareBatch(want, res, bv)...)
 	}
 	return v
 }
@@ -257,13 +266,13 @@ func checkBatch(c Case) []string {
 // compareBatch requires each batch query to resolve exactly like its solo
 // solve: same verdict and same cost (the minimum abstraction itself is also
 // unique-cost-deterministic, so compare it outright).
-func compareBatch(solo []core.Result, batch *core.BatchResult, opts core.Options) []string {
+func compareBatch(solo []core.Result, batch *core.BatchResult, bv batchVariant) []string {
 	var v []string
 	for q, want := range solo {
 		got := batch.Results[q]
 		if got.Status != want.Status || !got.Abstraction.Equal(want.Abstraction) {
-			v = append(v, fmt.Sprintf("batch (workers=%d nodelta=%t) query %d resolved %s/%s, solo %s/%s",
-				opts.Workers, opts.NoDelta, q,
+			v = append(v, fmt.Sprintf("batch (workers=%d cold=%t) query %d resolved %s/%s, solo %s/%s",
+				bv.workers, bv.cold, q,
 				got.Status, got.Abstraction, want.Status, want.Abstraction))
 		}
 	}
