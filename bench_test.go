@@ -353,7 +353,8 @@ func BenchmarkSingleQuery(b *testing.B) {
 // counts. The scheduler's results are identical for every worker count (see
 // TestSolveBatchWorkerDeterminism); only wall time may differ, so the
 // speedup at Workers=4 over Workers=1 is the parallelism win on the host.
-// Forward-run phases and memo hits are reported from the first iteration.
+// Forward runs and the group iterations that shared a run of their round
+// are reported from the first iteration.
 func BenchmarkSolveBatch(b *testing.B) {
 	cases := []struct {
 		idx    int
@@ -376,7 +377,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 					}
 					if i == 0 {
 						b.ReportMetric(float64(res.Stats.ForwardRuns), "forward-runs")
-						b.ReportMetric(float64(res.Stats.FwdCacheHits), "memo-hits")
+						b.ReportMetric(float64(res.Stats.FwdCacheHits), "shared-runs")
 					}
 				}
 			})

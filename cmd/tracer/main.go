@@ -27,7 +27,8 @@
 // With -engine rhs the explicit queries are answered by the summary-based
 // tabulation engine, which also handles recursive call graphs. It answers
 // nothing else, so -auto, -batch, -warm-dir and -explain are rejected with
-// it, as is any -engine value other than inline and rhs.
+// it, as is any -engine value other than inline and rhs. -chaos-rate is
+// rejected without a nonzero -chaos-seed, which it tunes.
 //
 // The -property flag selects the automaton for explicit type-state queries:
 // "file" (open/close protocol) or "stress" (the paper's fictitious
@@ -66,10 +67,12 @@
 //
 // runs the brute-force oracle of internal/oracle on that many generated
 // programs per client (type-state, thread-escape, and nullness) instead of
-// analyzing a program file. Case i derives from seed+i, so every reported discrepancy
-// replays in isolation; -fuzz-meta adds the metamorphic checks (parameter
-// permutation, padding, batch worker/cache invariance). Exit status is
-// nonzero iff a discrepancy survived shrinking.
+// analyzing a program file. Case i derives from seed+i, so every reported
+// discrepancy replays in isolation; -fuzz-meta adds the metamorphic checks
+// (parameter permutation, padding, batch worker/donor invariance). Exit
+// status is nonzero iff a discrepancy survived shrinking. A fuzz run reads
+// no other flag and no program, so it rejects both; without a positive
+// -fuzz-n, -fuzz-seed and -fuzz-meta are rejected.
 package main
 
 import (
@@ -80,6 +83,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
@@ -121,9 +125,11 @@ func run() error {
 	fuzzMeta := flag.Bool("fuzz-meta", false, "also run the metamorphic checks (permutation, padding, batch invariance) on every fuzz case")
 	flag.Parse()
 
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "batch-workers" })
-	if err := checkEngine(*engine, *auto, *batch, workersSet, *warmDir, *explainFlag); err != nil {
+	cl := cliFlags{engine: *engine, auto: *auto, batch: *batch, explain: *explainFlag,
+		warmDir: *warmDir, chaos: *chaosSeed != 0, fuzzN: *fuzzN,
+		nargs: flag.NArg()}
+	flag.Visit(func(f *flag.Flag) { cl.set = append(cl.set, f.Name) })
+	if err := checkEngine(cl); err != nil {
 		return err
 	}
 	if *fuzzN > 0 {
@@ -223,37 +229,71 @@ func run() error {
 	return nil
 }
 
-// checkEngine rejects every flag the run would ignore: an -engine value
-// other than inline and rhs; each flag the rhs engine does not implement (it
-// answers the program's explicit query statements only, one at a time and
-// cold); without -auto, the flags that apply to generated queries only; and
-// -batch-workers without -batch, since a one-query solve is sequential.
-// workersSet reports whether -batch-workers was given.
-func checkEngine(engine string, auto, batch, workersSet bool, warmDir string, explain bool) error {
+// cliFlags is what checkEngine reads of the command line.
+type cliFlags struct {
+	engine               string
+	auto, batch, explain bool
+	warmDir              string
+	chaos                bool // -chaos-seed is nonzero
+	fuzzN                int
+	set                  []string // the flags given, in flag.Visit's order
+	nargs                int      // program arguments
+}
+
+// checkEngine rejects every flag the run would ignore: with a positive
+// -fuzz-n, every other flag but -fuzz-seed and -fuzz-meta, and a program
+// argument, since a fuzz run analyzes generated cases only; without it,
+// -fuzz-seed and -fuzz-meta; an -engine value other than inline and rhs;
+// each flag the rhs engine does not implement (it answers the program's
+// explicit query statements only, one at a time and cold); without -auto,
+// the flags that apply to generated queries only; -batch-workers without
+// -batch, since a one-query solve is sequential; and -chaos-rate without a
+// nonzero -chaos-seed.
+func checkEngine(cl cliFlags) error {
 	type named struct {
 		name string
 		set  bool
 	}
-	switch engine {
+	given := func(name string) bool { return slices.Contains(cl.set, name) }
+	if cl.fuzzN > 0 {
+		for _, name := range cl.set {
+			if name != "fuzz-n" && name != "fuzz-seed" && name != "fuzz-meta" {
+				return fmt.Errorf("-fuzz-n runs the differential oracle on generated cases; it does not use -%s", name)
+			}
+		}
+		if cl.nargs > 0 {
+			return fmt.Errorf("-fuzz-n runs the differential oracle on generated cases; it takes no program")
+		}
+		return nil
+	}
+	for _, name := range []string{"fuzz-seed", "fuzz-meta"} {
+		if given(name) {
+			return fmt.Errorf("-%s applies to the differential oracle only; it needs a positive -fuzz-n", name)
+		}
+	}
+	switch cl.engine {
 	case "inline":
 	case "rhs":
-		for _, f := range []named{{"auto", auto}, {"batch", batch}, {"warm-dir", warmDir != ""}, {"explain", explain}} {
+		for _, f := range []named{{"auto", cl.auto}, {"batch", cl.batch}, {"warm-dir", cl.warmDir != ""}, {"explain", cl.explain}} {
 			if f.set {
 				return fmt.Errorf("-engine rhs answers explicit query statements only; it does not support -%s", f.name)
 			}
 		}
 	default:
-		return fmt.Errorf("unknown -engine %q: want inline or rhs", engine)
+		return fmt.Errorf("unknown -engine %q: want inline or rhs", cl.engine)
 	}
-	if !auto {
-		for _, f := range []named{{"batch", batch}, {"batch-workers", workersSet}, {"warm-dir", warmDir != ""}} {
+	if !cl.auto {
+		for _, f := range []named{{"batch", cl.batch}, {"batch-workers", given("batch-workers")}, {"warm-dir", cl.warmDir != ""}} {
 			if f.set {
 				return fmt.Errorf("-%s applies to generated queries only; it needs -auto", f.name)
 			}
 		}
 	}
-	if workersSet && !batch {
+	if given("batch-workers") && !cl.batch {
 		return fmt.Errorf("-batch-workers sizes the grouped solver's pool; it needs -batch")
+	}
+	if given("chaos-rate") && !cl.chaos {
+		return fmt.Errorf("-chaos-rate tunes fault injection; it needs a nonzero -chaos-seed")
 	}
 	return nil
 }
@@ -415,7 +455,7 @@ func runBatch(prog *driver.Program, k int, opts core.Options, rec obs.Recorder, 
 		if err := sess.Save(); err != nil {
 			return err
 		}
-		fmt.Printf("[batch: %d queries, %d forward phases (%d memo hits), %d groups, %d rounds, %v]\n",
+		fmt.Printf("[batch: %d queries, %d forward runs (%d shared), %d groups, %d rounds, %v]\n",
 			len(res.Results), res.Stats.ForwardRuns, res.Stats.FwdCacheHits,
 			res.Stats.TotalGroups, res.Stats.Rounds, wall.Round(time.Millisecond))
 	}

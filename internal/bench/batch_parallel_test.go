@@ -9,8 +9,8 @@ import (
 
 // TestRunBatchWorkerDeterminism: on a real benchmark, the parallel batch
 // scheduler is bit-identical to the sequential run — same Results and same
-// BatchStats for every worker count — and the forward-run memo gets real
-// hits. Runs under the tier-1 -race gate, so it also exercises the
+// BatchStats for every worker count — and groups of one round share runs.
+// Runs under the tier-1 -race gate, so it also exercises the
 // concurrent Check/Backward paths of both drivers.
 func TestRunBatchWorkerDeterminism(t *testing.T) {
 	b := MustLoad(Suite()[0]) // tsp
@@ -26,7 +26,7 @@ func TestRunBatchWorkerDeterminism(t *testing.T) {
 		}
 		base := run(1)
 		if base.Stats.FwdCacheHits == 0 {
-			t.Errorf("%s: forward-run memo saw no hits on tsp", cl)
+			t.Errorf("%s: no two groups of a round shared a run on tsp", cl)
 		}
 		for _, workers := range []int{2, 4} {
 			got := run(workers)

@@ -6,6 +6,7 @@ import (
 
 	"tracer/internal/core"
 	"tracer/internal/driver"
+	"tracer/internal/obs"
 )
 
 // TestSolveMatchesBatch: Solve is the batch loop run over one query, and
@@ -17,9 +18,11 @@ import (
 // SolveBatch over all of the client's queries. All four must give the same
 // status, iterations, abstraction and learned clauses, and the first three
 // the same forward steps (the whole batch shares runs, so it charges steps
-// differently). It runs at MaxIters 100 and at 3, where a fifth of tsp's
-// queries reach the cap. Tier 1 runs it on tsp; SOLVE_DIFF_SUITE=all runs it
-// on all seven programs (make fuzz).
+// differently). The batch of one resumes each run from its last one, as the
+// job's chain does, so it also reports the job's forward.delta_resumes,
+// forward.delta_reused and forward.delta_invalidated. It runs at MaxIters
+// 100 and at 3, where a fifth of tsp's queries reach the cap. Tier 1 runs it
+// on tsp; SOLVE_DIFF_SUITE=all runs it on all seven programs (make fuzz).
 func TestSolveMatchesBatch(t *testing.T) {
 	progs := Suite()[:1] // tsp
 	if os.Getenv("SOLVE_DIFF_SUITE") == "all" {
@@ -42,16 +45,23 @@ func TestSolveMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, q := range queries {
-					want, err := core.Solve(spec.Job(b.Prog, i, k), opts)
+					wantAgg, oneAgg := obs.NewAgg(), obs.NewAgg()
+					want, err := core.Solve(spec.Job(b.Prog, i, k), core.Options{MaxIters: maxIters, Recorder: wantAgg})
 					if err != nil {
 						t.Fatalf("%s %s: %v", c.Name, q.ID, err)
 					}
 					if maxIters == 3 && want.Status == core.Exhausted {
 						capped++
 					}
-					one, err := core.SolveBatch(spec.Batch(b.Prog, []int{i}, k), opts)
+					one, err := core.SolveBatch(spec.Batch(b.Prog, []int{i}, k), core.Options{MaxIters: maxIters, Recorder: oneAgg})
 					if err != nil {
 						t.Fatal(err)
+					}
+					for _, name := range []string{obs.ForwardDeltaResumes, obs.ForwardDeltaReused, obs.ForwardDeltaInvalidated} {
+						if got, w := oneAgg.Counter(name), wantAgg.Counter(name); got != w {
+							t.Errorf("%s %s MaxIters %d: batch of one counts %s %d, Solve %d",
+								c.Name, q.ID, maxIters, name, got, w)
+						}
 					}
 					cold, err := core.Solve(spec.Batch(b.Prog, []int{i}, k).Job(0, true), opts)
 					if err != nil {

@@ -72,12 +72,17 @@ func summarizeMs(xs []float64) msSummary {
 	return s
 }
 
+// fmtMs renders a wall time in at most five characters below 100 minutes,
+// with one decimal below 10 ms, so that sub-millisecond times do not all
+// read 0ms. Each bound is the value that rounds up to the next unit.
 func fmtMs(ms float64) string {
 	switch {
-	case ms >= 60_000:
+	case ms >= 59_950:
 		return fmt.Sprintf("%.1fm", ms/60_000)
-	case ms >= 1_000:
+	case ms >= 999.5:
 		return fmt.Sprintf("%.1fs", ms/1_000)
+	case ms < 9.95:
+		return fmt.Sprintf("%.1fms", ms)
 	default:
 		return fmt.Sprintf("%.0fms", ms)
 	}

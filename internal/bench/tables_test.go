@@ -188,7 +188,10 @@ func TestSummaryHelpers(t *testing.T) {
 	if ms.Min != 10 || ms.Max != 20 || ms.Avg != 15 {
 		t.Fatalf("summarizeMs = %+v", ms)
 	}
-	for in, want := range map[float64]string{500: "500ms", 1500: "1.5s", 90000: "1.5m"} {
+	for in, want := range map[float64]string{
+		0: "0.0ms", 0.44: "0.4ms", 9.94: "9.9ms", 9.96: "10ms", 12.4: "12ms",
+		500: "500ms", 999.6: "1.0s", 1500: "1.5s", 59960: "1.0m", 90000: "1.5m",
+	} {
 		if got := fmtMs(in); got != want {
 			t.Errorf("fmtMs(%v) = %q, want %q", in, got, want)
 		}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -167,8 +168,7 @@ func (b *Batch[D, Q, A]) NumQueries() int { return len(b.queries) }
 // partial fixpoint and the scheduler discards that round's outcomes.
 //
 // Parts solve through a dataflow.Chain so they retain resumable state: the
-// scheduler may later hand the run back as a donor (RunForwardFrom), turning
-// the forward memo into a second-level cache over resumable executions.
+// scheduler hands the run to the next run of its group (RunForwardFrom).
 func (b *Batch[D, Q, A]) RunForward(bud *budget.Budget, p uset.Set) core.BatchRun {
 	return b.start(b.newRun(bud, p))
 }
@@ -180,16 +180,19 @@ func (b *Batch[D, Q, A]) RunForward(bud *budget.Budget, p uset.Set) core.BatchRu
 // part across a whole lineage of donations until the part is asked again.
 // The donor is consumed: each chain (and analysis instance, whose intern
 // table the chain's memo is bound to) moves to the new run, and the donor's
-// results are dead.
+// results are dead. A donor that is not a run of this batch panics, naming
+// its type: a wrapper must hand over the run it wraps.
 func (b *Batch[D, Q, A]) RunForwardFrom(bud *budget.Budget, p uset.Set, donor core.BatchRun, donorP uset.Set) core.BatchRun {
+	d, ok := donor.(*run[D, Q, A])
+	if !ok || d.b != b {
+		panic(fmt.Sprintf("client: donor %T is not a run of this batch", donor))
+	}
 	r := b.newRun(bud, p)
-	if d, ok := donor.(*run[D, Q, A]); ok {
-		for i := range r.parts {
-			if own := &d.parts[i]; own.res != nil {
-				r.parts[i].donor = own
-			} else {
-				r.parts[i].donor = own.donor
-			}
+	for i := range r.parts {
+		if own := &d.parts[i]; own.res != nil {
+			r.parts[i].donor = own
+		} else {
+			r.parts[i].donor = own.donor
 		}
 	}
 	return b.start(r)

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracer/internal/client"
@@ -49,5 +50,37 @@ func TestRunForwardFromHandsOverUnusedParts(t *testing.T) {
 	wantProved, wantTrace := b.RunForward(nil, p2).Check(qg)
 	if proved != wantProved || !reflect.DeepEqual(trace, wantTrace) {
 		t.Fatalf("resumed check (%t, %v), cold check (%t, %v)", proved, trace, wantProved, wantTrace)
+	}
+}
+
+// foreignRun is a BatchRun that no batch produced.
+type foreignRun struct{}
+
+func (foreignRun) Check(int) (bool, lang.Trace) { return true, nil }
+func (foreignRun) Steps() int                   { return 0 }
+
+// TestRunForwardFromRejectsForeignDonor: a donor the batch did not produce,
+// a wrapper's or another batch's run, panics, naming its type.
+func TestRunForwardFromRejectsForeignDonor(t *testing.T) {
+	g := lang.BuildCFG(lang.Atoms(lang.Alloc{V: "x", H: "h"}, lang.Invoke{V: "x", M: "open"}))
+	prop := typestate.FileProperty()
+	vars := typestate.CollectVars(g)
+	fresh := func(site string) *typestate.Analysis { return typestate.New(prop, site, vars) }
+	qs := []typestate.Query{{Nodes: []int{g.Exit}, Want: uset.Bits(0).Add(prop.MustState("closed"))}}
+	newBatch := func() *client.Batch[typestate.State, typestate.Query, *typestate.Analysis] {
+		return client.NewBatch(g, fresh, qs, nil, 1, client.NewCaches(typestate.Theory{}))
+	}
+	b, other := newBatch(), newBatch()
+	for _, donor := range []core.BatchRun{foreignRun{}, other.RunForward(nil, uset.New())} {
+		func() {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if want := reflect.TypeOf(donor).String(); !strings.Contains(msg, want) {
+					t.Errorf("donor %T: panic %v, want one naming %s", donor, r, want)
+				}
+			}()
+			b.RunForwardFrom(nil, uset.New(0), donor, uset.New())
+		}()
 	}
 }

@@ -57,11 +57,11 @@ type BatchRun interface {
 // state (see dataflow.Chain): RunForwardFrom seeds a fresh solve under p with
 // a donor run previously produced under donorP, so the solve replays through
 // the donor's expansion memo instead of starting cold. The donor is CONSUMED
-// — resuming invalidates the donor's result, so the scheduler removes the
-// donor from the forward-run memo before donating and never lets it serve
-// another Check. The returned run must be
-// byte-equivalent to RunForward(b, p): same check verdicts, same traces, same
-// step counts.
+// — resuming invalidates the donor's result, so the scheduler donates a run
+// only after its round has closed, and to one successor only. The donor must
+// be a run this problem returned; a foreign donor panics. The returned run
+// must be byte-equivalent to RunForward(b, p): same check verdicts, same
+// traces, same step counts.
 type DeltaBatchProblem interface {
 	BatchProblem
 	RunForwardFrom(b *budget.Budget, p uset.Set, donor BatchRun, donorP uset.Set) BatchRun
@@ -69,17 +69,16 @@ type DeltaBatchProblem interface {
 
 // DeltaRun is implemented by runs that account path-edge reuse. The counts
 // are cumulative over the run's lifetime (lazy runs keep accruing inside
-// Check), mirroring Steps; the scheduler charges per-round deltas.
+// Check), mirroring Steps; the scheduler reads them once, when the run's
+// round closes.
 type DeltaRun interface {
 	DeltaStats() (resumes, reused, invalidated int)
 }
 
 // BatchStats aggregates runner-level statistics.
 type BatchStats struct {
-	// ForwardRuns counts forward-run phases: one per distinct abstraction
-	// used per scheduling round (== the number of ForwardDone events). It
-	// equals the number of whole-program forward executions except when the
-	// cross-round memo serves a phase from an earlier round.
+	// ForwardRuns counts forward runs: one per distinct abstraction used
+	// per scheduling round (== the number of ForwardDone events).
 	ForwardRuns int
 	PeakGroups  int
 	TotalGroups int // groups ever created (Table 4's "# groups" analogue)
@@ -88,9 +87,9 @@ type BatchStats struct {
 	// one CEGAR iteration.
 	Rounds int
 	// FwdCacheHits / FwdCacheMisses count, per group iteration, whether the
-	// group's chosen abstraction was served by an already-available forward
-	// run (shared within the round or memoized from an earlier one) or
-	// required a fresh whole-program solve.
+	// group shared a run an earlier group of the same round had asked for,
+	// or needed a fresh one. A run lives for one round, so FwdCacheMisses
+	// equals ForwardRuns unless a forward run panicked.
 	FwdCacheHits   int
 	FwdCacheMisses int
 	// DeltaResumes / PEReused / PEInvalidated aggregate the delta-incremental
@@ -119,6 +118,10 @@ type BatchResult struct {
 type group struct {
 	solver  *minsat.Solver
 	queries []int
+	// parent is the task the group's queries were checked against last
+	// round (nil in the first round): its run is the one a fresh run of the
+	// group resumes.
+	parent *fwdTask
 }
 
 // groupPlan is the per-round scheduling state of one live group.
@@ -140,24 +143,24 @@ type groupPlan struct {
 	unitLo  int // index of this group's first unit in the round's unit list
 }
 
-// fwdTask is one forward-run phase of a round: a distinct abstraction chosen
-// by one or more groups, resolved to a fresh or memoized BatchRun.
+// fwdTask is one forward run of a round: a distinct abstraction chosen by
+// one or more groups.
 type fwdTask struct {
-	p     uset.Set
-	key   string
-	run   BatchRun
-	entry *fwdEntry // non-nil when served by the cross-round memo
-	donor *fwdEntry // non-nil when a fresh run resumes a consumed memo entry
-	fresh bool      // true when this phase executes RunForward
-	// panicked is set when the RunForward phase panicked; every query in
-	// every group sharing the task resolves Failed, and the task is neither
-	// charged nor memoized.
-	panicked  *panicInfo
-	ordinal   int   // ordinal of the first group using the run
-	queries   int   // queries checked against the run this round
-	stepDelta int   // steps charged to this phase at task close
-	execNS    int64 // RunForward wall time (fresh tasks, recording only)
-	checkNS   int64 // summed Check wall time (recording only)
+	p   uset.Set
+	key string
+	run BatchRun
+	// donor is the run the task resumes, produced under donorP: the parent
+	// run of the first group that asked for the task (nil: a cold run).
+	donor  BatchRun
+	donorP uset.Set
+	// panicked is set when the forward run panicked; every query in every
+	// group sharing the task resolves Failed, and the task is not charged.
+	panicked *panicInfo
+	ordinal  int   // ordinal of the first group using the run
+	queries  int   // queries checked against the run this round
+	steps    int   // the run's steps, charged at task close
+	execNS   int64 // RunForward wall time (recording only)
+	checkNS  int64 // summed Check wall time (recording only)
 }
 
 // unit is one (group, query) check-and-refine step scheduled in a round.
@@ -217,10 +220,14 @@ type unitOut struct {
 //
 // Scheduling is round-based: each round snapshots the live groups in sorted
 // signature order, computes their minimum abstractions concurrently, dedupes
-// the needed forward runs through an LRU memo keyed by the abstraction,
-// executes the missing runs concurrently, then checks every (group, query)
-// pair and runs its backward meta-analysis concurrently. All cross-query
-// interaction — cache lookups, event emission, stats, and regrouping — is
+// the needed forward runs by abstraction, executes them concurrently, then
+// checks every (group, query) pair and runs its backward meta-analysis
+// concurrently. A run lives for one round. With a DeltaBatchProblem, a fresh
+// run resumes its group's last run (the parent), whatever the number of
+// flipped parameters, so a group's runs form one lineage; when sibling
+// groups split from one run, the first of them in signature order that needs
+// a fresh run takes the parent, and the others run cold. All cross-query
+// interaction — donor choice, event emission, stats, and regrouping — is
 // confined to sequential merge passes in signature order, so Results, Stats,
 // and the recorded event stream are identical for every Workers value (the
 // one exception: a budget tripping mid-round is observed at a
@@ -325,20 +332,8 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		}
 		addTo(s, q)
 	}
-	cache := newFwdCache(fwdCacheCap)
 	ordinal := 0 // global group-iteration counter
-	// Donor-seeded resumption: on a memo miss, a DeltaBatchProblem's fresh
-	// run may resume a consumed memo entry whose abstraction is within
-	// maxFlip flipped parameters. A donor replays through its expansion memo
-	// and never makes more transfer calls than a cold solve, so the cap is
-	// there only for the entry: consuming it turns its future exact hits
-	// into misses.
 	dbp, _ := bp.(DeltaBatchProblem)
-	const maxFlip = 2
-	// A query never re-picks an abstraction it has blocked, so in a batch of
-	// one a memo entry can only serve as a donor. Without donors the memo
-	// stays empty: every iteration is a miss, and no run is kept.
-	memoize := !oneQuery || dbp != nil
 
 	for len(groups) > 0 {
 		res.Stats.Rounds++
@@ -411,24 +406,12 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		}
 
 		// Sequential pass (signature order): resolve panicked and
-		// unsatisfiable groups, assign iteration ordinals, and map each
-		// surviving group to a forward-run task via the abstraction-keyed
-		// memo.
+		// unsatisfiable groups, assign iteration ordinals, map each surviving
+		// group to the round's task for its abstraction, and give each new
+		// task its group's parent run to resume unless a sibling took it.
 		var tasks []*fwdTask // distinct runs used this round, first-use order
 		roundTask := map[string]*fwdTask{}
-		var fresh []*fwdTask
 		var units []unit
-		// Abstractions wanted as-is this round are never donated: consuming
-		// one would turn a later group's exact memo hit into a miss.
-		var wanted map[string]bool
-		if dbp != nil {
-			wanted = make(map[string]bool, len(plans))
-			for i := range plans {
-				if plans[i].panicked == nil && plans[i].sat {
-					wanted[plans[i].p.Key()] = true
-				}
-			}
-		}
 		for i := range plans {
 			pl := &plans[i]
 			if recording && pl.minBuf != nil {
@@ -457,27 +440,19 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			}
 			key := pl.p.Key()
 			t := roundTask[key]
-			hit := true
-			if t == nil {
-				if e := cache.get(key); e != nil {
-					t = &fwdTask{p: pl.p, key: key, run: e.run, entry: e, ordinal: pl.ordinal}
-				} else {
-					hit = false
-					t = &fwdTask{p: pl.p, key: key, fresh: true, ordinal: pl.ordinal}
-					if dbp != nil {
-						t.donor = cache.takeDonor(pl.p, wanted, maxFlip)
-					}
-					fresh = append(fresh, t)
-				}
-				roundTask[key] = t
-				tasks = append(tasks, t)
-			}
-			if hit {
+			if t != nil {
 				res.Stats.FwdCacheHits++
 				if recording {
 					rec.Count(obs.BatchFwdCacheHit, 1)
 				}
 			} else {
+				t = &fwdTask{p: pl.p, key: key, ordinal: pl.ordinal}
+				if par := pl.g.parent; dbp != nil && par != nil && par.run != nil {
+					t.donor, t.donorP = par.run, par.p
+					par.run = nil // a run resumes into one successor only
+				}
+				roundTask[key] = t
+				tasks = append(tasks, t)
 				res.Stats.FwdCacheMisses++
 				if recording {
 					rec.Count(obs.BatchFwdCacheMiss, 1)
@@ -492,10 +467,10 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			}
 		}
 
-		// Phase B (parallel): execute the missing forward runs. A panicking
+		// Phase B (parallel): execute the round's forward runs. A panicking
 		// run marks only its own task.
-		parallelFor(workers, len(fresh), func(i int) {
-			t := fresh[i]
+		parallelFor(workers, len(tasks), func(i int) {
+			t := tasks[i]
 			defer func() {
 				if r := recover(); r != nil {
 					t.panicked = capturePanic(r)
@@ -509,7 +484,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 				inj.At(bud, faultinject.SiteForward, fmt.Sprintf("r%d.%s", round, t.key))
 			}
 			if t.donor != nil {
-				t.run = dbp.RunForwardFrom(bud, t.p, t.donor.run, t.donor.p)
+				t.run = dbp.RunForwardFrom(bud, t.p, t.donor, t.donorP)
 			} else {
 				t.run = bp.RunForward(bud, t.p)
 			}
@@ -531,17 +506,16 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			})
 		}
 
-		// Close the round's forward-run phases in first-use order: charge
-		// each run's step delta (lazy runs accrue steps inside Check, so this
-		// runs after phase C), refresh the memo, and report forward panics
-		// once per task. Every query sharing a run is charged the run's
-		// step delta, as if it had run alone.
+		// Close the round's forward runs in first-use order: charge each
+		// run's steps and reuse (lazy runs accrue them inside Check, so this
+		// runs after phase C), and report forward panics once per task.
+		// Every query sharing a run is charged the run's steps, as if it had
+		// run alone.
 		for i := range units {
 			if outs != nil {
 				units[i].pl.task.checkNS += outs[i].checkNS
 			}
 		}
-		trippedRound := bud.Tripped()
 		for _, t := range tasks {
 			if t.panicked != nil {
 				recordPanic("", t.ordinal, t.panicked)
@@ -550,33 +524,19 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 			if t.run == nil {
 				continue
 			}
-			steps := t.run.Steps()
-			prev := 0
-			if t.entry != nil {
-				prev = t.entry.lastSteps
-			}
-			t.stepDelta = steps - prev
-			res.Stats.TotalSteps += t.stepDelta
+			t.steps = t.run.Steps()
+			res.Stats.TotalSteps += t.steps
 			res.Stats.ForwardRuns++
-			// Delta accounting mirrors the lazy step accounting: runs report
-			// cumulative counts, the phase charges the delta since the memo
-			// entry's last round.
-			var delta [3]int
 			var dr, du, di int
 			if dl, ok := t.run.(DeltaRun); ok {
-				delta[0], delta[1], delta[2] = dl.DeltaStats()
-				var prevD [3]int
-				if t.entry != nil {
-					prevD = t.entry.lastDelta
-				}
-				dr, du, di = delta[0]-prevD[0], delta[1]-prevD[1], delta[2]-prevD[2]
+				dr, du, di = dl.DeltaStats()
 				res.Stats.DeltaResumes += dr
 				res.Stats.PEReused += du
 				res.Stats.PEInvalidated += di
 			}
 			if recording {
 				rec.Record(obs.Event{Kind: obs.ForwardDone, Iter: t.ordinal,
-					AbsSize: t.p.Len(), Steps: t.stepDelta, Queries: t.queries,
+					AbsSize: t.p.Len(), Steps: t.steps, Queries: t.queries,
 					Reused: du, WallNS: t.execNS + t.checkNS})
 				if dr > 0 {
 					rec.Count(obs.ForwardDeltaResumes, int64(dr))
@@ -588,17 +548,6 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 					rec.Count(obs.ForwardDeltaInvalidated, int64(di))
 				}
 			}
-			// A partial (tripped) run must not poison later rounds or a
-			// future batch round via the memo.
-			if trippedRound {
-				continue
-			}
-			if t.entry != nil {
-				t.entry.lastSteps = steps
-				t.entry.lastDelta = delta
-			} else if memoize {
-				cache.put(t.key, &fwdEntry{run: t.run, p: t.p, lastSteps: steps, lastDelta: delta})
-			}
 		}
 		for i := range plans {
 			pl := &plans[i]
@@ -606,7 +555,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 				continue
 			}
 			for _, q := range pl.g.queries {
-				res.Results[q].ForwardSteps += pl.task.stepDelta
+				res.Results[q].ForwardSteps += pl.task.steps
 			}
 		}
 
@@ -614,7 +563,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 		// outcomes (partial runs can look proved, partial cube sets look
 		// like no progress): resolve every live query Exhausted — except
 		// those whose phase genuinely panicked, which stay Failed.
-		if trippedRound {
+		if bud.Tripped() {
 			tripEvent()
 			for i := range plans {
 				pl := &plans[i]
@@ -684,7 +633,7 @@ func SolveBatch(bp BatchProblem, opts Options) (*BatchResult, error) {
 					planSigs[o.sig] = true
 					g2 := next[o.sig]
 					if g2 == nil {
-						g2 = &group{solver: o.next}
+						g2 = &group{solver: o.next, parent: pl.task}
 						next[o.sig] = g2
 						res.Stats.TotalGroups++
 						born++

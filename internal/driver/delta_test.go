@@ -20,10 +20,9 @@ import (
 // Measurement records (counters, gauges, timings) are dropped: they report
 // how much internal work ran, which the delta path intentionally changes
 // (and the delta counters exist only on one side). WallNS and the Reused
-// annotation are zeroed everywhere; zeroSteps additionally clears Steps,
-// which batch donor consumption legitimately shifts between runs (a
-// consumed donor turns a future cache hit into a resumed solve).
-func phaseStream(evs []obs.Event, zeroSteps bool) []obs.Event {
+// annotation are zeroed everywhere; Steps stays, since a resumed run makes
+// the discoveries of a cold one.
+func phaseStream(evs []obs.Event) []obs.Event {
 	var out []obs.Event
 	for _, e := range evs {
 		switch e.Kind {
@@ -32,9 +31,6 @@ func phaseStream(evs []obs.Event, zeroSteps bool) []obs.Event {
 		}
 		e.WallNS = 0
 		e.Reused = 0
-		if zeroSteps {
-			e.Steps = 0
-		}
 		out = append(out, e)
 	}
 	return out
@@ -65,8 +61,7 @@ func solveCaptured(t *testing.T, job core.Problem) (core.Result, []obs.Event) {
 }
 
 // checkDeltaPair runs a cold and a delta instance of the same query and
-// requires identical resolutions. The single-query engines replay
-// step-identically, so Steps stays in the comparison.
+// requires identical results and phase events.
 func checkDeltaPair(t *testing.T, label string, cold, delta core.Problem) {
 	t.Helper()
 	wantRes, wantEvs := solveCaptured(t, cold)
@@ -74,7 +69,7 @@ func checkDeltaPair(t *testing.T, label string, cold, delta core.Problem) {
 	if !reflect.DeepEqual(gotRes, wantRes) {
 		t.Fatalf("%s: delta result %+v, cold %+v", label, gotRes, wantRes)
 	}
-	diffStreams(t, label, phaseStream(gotEvs, false), phaseStream(wantEvs, false))
+	diffStreams(t, label, phaseStream(gotEvs), phaseStream(wantEvs))
 }
 
 // TestDeltaMatchesColdInlining covers every registered client on the inlining
@@ -106,34 +101,15 @@ func TestDeltaMatchesColdRHS(t *testing.T) {
 	}
 }
 
-// resolution is the cache-independent projection of a batch query's result:
-// donor resumption changes step accounting but may not change how any
-// query resolves.
-type resolution struct {
-	Status  core.Status
-	Abs     string
-	Iters   int
-	Clauses int
-}
-
-func resolutions(rs []core.Result) []resolution {
-	out := make([]resolution, len(rs))
-	for i, r := range rs {
-		out[i] = resolution{r.Status, r.Abstraction.String(), r.Iterations, r.Clauses}
-	}
-	return out
-}
-
 // coldBatch embeds only core.BatchProblem, hiding a batch's
 // core.DeltaBatchProblem side: SolveBatch cannot resume a donor's run, so
-// every forward run it misses in the memo solves cold.
+// every forward run solves cold.
 type coldBatch struct{ core.BatchProblem }
 
 // TestDeltaMatchesColdBatch sweeps the batch scheduler's worker grid with
 // donor resumption on and off. The reference is the sequential cold run;
-// every variant must produce the same per-query resolutions and the same
-// phase-event stream (modulo step accounting, which donor consumption
-// shifts between forward runs without changing any verdict).
+// every variant must produce the same results, forward steps included, and
+// the same phase-event stream.
 func TestDeltaMatchesColdBatch(t *testing.T) {
 	p := load(t)
 	for _, spec := range Clients() {
@@ -141,7 +117,7 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 		for i := range all {
 			all[i] = i
 		}
-		run := func(workers int, cold bool) ([]resolution, []obs.Event) {
+		run := func(workers int, cold bool) ([]core.Result, []obs.Event) {
 			var bp core.BatchProblem = spec.Batch(p, all, 1)
 			if cold {
 				bp = coldBatch{bp}
@@ -151,7 +127,7 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return resolutions(res.Results), phaseStream(cap.Events(), true)
+			return res.Results, phaseStream(cap.Events())
 		}
 		wantRes, wantEvs := run(1, true)
 		for _, workers := range []int{1, 2, 4} {
@@ -159,7 +135,7 @@ func TestDeltaMatchesColdBatch(t *testing.T) {
 				label := fmt.Sprintf("%s workers=%d cold=%t", spec.Name, workers, cold)
 				gotRes, gotEvs := run(workers, cold)
 				if !reflect.DeepEqual(gotRes, wantRes) {
-					t.Fatalf("%s: resolutions %+v, reference %+v", label, gotRes, wantRes)
+					t.Fatalf("%s: results %+v, reference %+v", label, gotRes, wantRes)
 				}
 				diffStreams(t, label, gotEvs, wantEvs)
 			}

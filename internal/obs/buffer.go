@@ -20,11 +20,10 @@ const (
 	ForwardDeltaInvalidated = "forward.delta_invalidated"
 )
 
-// Counter names recorded by core.SolveBatch's forward-run memo (see the
-// "Concurrency model" section of ARCHITECTURE.md). A hit means a group's
-// chosen abstraction was served by an already-available forward run (shared
-// within the round or memoized from an earlier round); a miss means a fresh
-// whole-program forward solve was executed.
+// Counter names recorded by core.SolveBatch per group iteration (see the
+// "Concurrency model" section of ARCHITECTURE.md). A hit means the group
+// shared a forward run an earlier group of the same round asked for; a miss
+// means a fresh whole-program forward run, one per BatchStats.ForwardRuns.
 const (
 	BatchFwdCacheHit  = "batch.fwd_cache_hit"
 	BatchFwdCacheMiss = "batch.fwd_cache_miss"

@@ -101,7 +101,7 @@ func (f Fuzzer) Fuzz(o FuzzOptions) []Discrepancy {
 
 // Check verifies one case: the three oracle properties, and (with meta)
 // permutation invariance, monotone padding, delta/cold agreement, batch
-// worker/cache invariance, and the warm-seed contract.
+// worker/donor invariance, and the warm-seed contract.
 func Check(c Case, meta bool) []string {
 	v := CheckSolve(func() core.Problem { return c.problem(false) }, core.Options{})
 	if !meta {
@@ -227,7 +227,7 @@ func compareDelta(base core.Result, cold core.Problem) string {
 
 // batchVariant is one cell of the worker-count × donor grid every batch
 // metamorphic check sweeps. A cold variant passes the batch behind
-// coldBatch, so every forward run it misses in the memo solves cold.
+// coldBatch, so every forward run solves cold.
 type batchVariant struct {
 	workers int
 	cold    bool

@@ -17,7 +17,7 @@
 //     Theorem 3 clause 1).
 //
 // On top sit metamorphic checks (parameter permutation invariance, monotone
-// padding, batch worker-count and forward-cache invariance) and a fuzz
+// padding, batch worker-count and donor invariance) and a fuzz
 // driver that minimizes every failing program with the deterministic
 // shrinker of internal/oracle/gen before reporting. See the "Ground truth &
 // fuzzing" section of ARCHITECTURE.md.

@@ -153,7 +153,7 @@ func TestFuzzProperties(t *testing.T) {
 }
 
 // TestFuzzMetamorphic runs the metamorphic suite (permutation, padding,
-// delta-vs-cold, batch worker/cache invariance, warm seeding) on fixed-seed
+// delta-vs-cold, batch worker/donor invariance, warm seeding) on fixed-seed
 // cases of every client.
 func TestFuzzMetamorphic(t *testing.T) {
 	for _, f := range Fuzzers {

@@ -162,7 +162,7 @@ func TestKeyCanonical(t *testing.T) {
 }
 
 // TestKeyBytes pins the exact key and string forms: fault-injection keys,
-// the batch's forward-run memo and the intern tables all depend on them.
+// the batch's per-round run table and the intern tables all depend on them.
 func TestKeyBytes(t *testing.T) {
 	for _, c := range []struct {
 		s         Set

@@ -5,7 +5,10 @@
 # times are masked. A verdict list printed in map order fails it, and so does
 # a table count (Table 2's iterations, Table 4's groups) that changes between
 # runs. The batch run's verdict lines, its [batch: ...] summaries dropped,
-# must also equal the per-query run's, in order.
+# must also equal the per-query run's, in order. Each table pasted into
+# EXPERIMENTS.md from that paperbench run (the fenced blocks that open with
+# "Figure 12.", "Table 2.", "Table 3.", "Table 4." or "Figure 14.") must
+# appear in its output, times masked on both sides.
 set -eu
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -50,3 +53,37 @@ echo "determinism: tracer -auto -batch: $(wc -l <"$tmp/batch") verdict lines, th
 go build -o "$tmp/paperbench" ./cmd/paperbench
 twice "paperbench -only fig12,table2,table3,table4,fig14" \
 	"$tmp/paperbench" -only fig12,table2,table3,table4,fig14
+
+# Pull each pasted block out of EXPERIMENTS.md, then look for its masked lines,
+# trailing spaces dropped, as a contiguous run of the masked output.
+awk -v dir="$tmp" '
+/^```/ { if (inb) { inb = 0; if (f != "") close(f) } else { inb = 1; first = 1 }; next }
+inb && first { first = 0; f = ""; if ($0 ~ /^(Figure 12|Table 2|Table 3|Table 4|Figure 14)\./) f = dir "/pasted" ++n }
+inb && f != "" { print > f }
+' EXPERIMENTS.md
+blocks=0
+for f in "$tmp"/pasted*; do
+	[ -e "$f" ] || continue
+	blocks=$((blocks + 1))
+	mask <"$f" >"$f.masked"
+	if ! awk '
+		{ sub(/ +$/, "") }
+		NR == FNR { want[++n] = $0; next }
+		{ got[++m] = $0 }
+		END {
+			for (i = 1; i + n - 1 <= m; i++) {
+				for (j = 1; j <= n && got[i + j - 1] == want[j]; j++) {}
+				if (j > n) exit 0
+			}
+			exit 1
+		}' "$f.masked" "$tmp/a"; then
+		echo "determinism: EXPERIMENTS.md's \"$(head -n 1 "$f")\" block is not in paperbench's output; masked, it reads:"
+		cat "$f.masked"
+		exit 1
+	fi
+done
+if [ "$blocks" != 5 ]; then
+	echo "determinism: found $blocks of the 5 pasted paperbench blocks in EXPERIMENTS.md"
+	exit 1
+fi
+echo "determinism: EXPERIMENTS.md: the $blocks pasted paperbench blocks match its output"
