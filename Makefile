@@ -47,8 +47,9 @@ chaos:
 # (no call may trip the node cap; it prints the largest diagram) and then
 # re-solving the queries exhausted at 100 iterations at 5000, where each
 # must end impossible, Solve against SolveBatch on every query of all seven
-# suite programs and the harness's verdicts at paperbench's settings against
-# cmd/tracerbench's golden table (also without -race; about 25 s), then a
+# suite programs and the harness's verdicts at paperbench's settings, per
+# query and through a batch of 4 workers, against cmd/tracerbench's golden
+# table (also without -race; about 15 s), then a
 # seeded CLI sweep of the brute-force oracle on every client ("Ground truth &
 # fuzzing" in ARCHITECTURE.md).
 # Override for longer hunts, e.g.:  make fuzz FUZZ_SEED=900000 FUZZ_N=100000
@@ -90,12 +91,14 @@ bench:
 # Perf-kernel microbenchmarks with allocs/op — the regression gate for the
 # forward kernels (the delta chain replaying a recorded per-query
 # abstraction sequence, and the cold reference solve, on avrora), the
+# backward walk replaying a recorded per-query sequence of (abstraction,
+# trace) pairs on avrora, the
 # interned DNF kernel's hot paths (Approx, WpDNF on a warm and on a cold WP
 # cache, Simplify), the minimum-model diagram on a CEGAR-shaped
 # blocking-cube sequence, the CEGAR loop's own overhead on a mock problem,
 # and opening a warm-start session on a full store.
 bench-micro:
-	go test -run=NONE -bench 'Forward' -benchmem .
+	go test -run=NONE -bench 'Forward|Backward' -benchmem .
 	go test -run=NONE -bench 'Approx|WpDNF|Simplify' -benchmem ./internal/formula/...
 	go test -run=NONE -bench 'MinimumCEGAR' -benchmem ./internal/minsat/...
 	go test -run=NONE -bench 'SolveLoop' -benchmem ./internal/core/...

@@ -237,18 +237,54 @@ func BenchmarkForwardChain(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardMeta measures one backward meta-analysis pass over a
-// counterexample trace (k = 5).
-func BenchmarkBackwardMeta(b *testing.B) {
-	bm := bench.MustLoad(bench.Suite()[3]) // weblech
-	job := driver.ClientByName("escape").Job(bm.Prog, 0, 5)
-	out := job.Forward(nil, nil)
-	if out.Proved {
-		b.Skip("query proven under the empty abstraction")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job.Backward(nil, nil, out.Trace)
+// backwardLog records the abstraction and counterexample trace of every
+// backward pass of a problem.
+type backwardLog struct {
+	core.Problem
+	walks []backwardWalk
+}
+
+type backwardWalk struct {
+	p uset.Set
+	t lang.Trace
+}
+
+func (l *backwardLog) Backward(b *budget.Budget, p uset.Set, t lang.Trace) []core.ParamCube {
+	l.walks = append(l.walks, backwardWalk{p, t})
+	return l.Problem.Backward(b, p, t)
+}
+
+// BenchmarkBackwardChain measures the backward path of a per-query solve:
+// each iteration replays, through Backward on one fresh job that shares the
+// program's warm caches, the (abstraction, trace) pairs that a recorded
+// solve of the query walked. The query is the client's one with the most
+// backward passes among its first 16 on the largest benchmark.
+func BenchmarkBackwardChain(b *testing.B) {
+	bm := bench.MustLoad(bench.Suite()[5]) // avrora
+	opts := core.Options{MaxIters: 100, MaxSteps: 2_000_000}
+	for _, spec := range driver.Clients() {
+		var walks []backwardWalk
+		best := 0
+		for i := range min(16, len(spec.Queries(bm.Prog))) {
+			log := &backwardLog{Problem: spec.Job(bm.Prog, i, 5)}
+			if _, err := core.Solve(log, opts); err != nil {
+				b.Fatal(err)
+			}
+			if len(log.walks) > len(walks) {
+				walks, best = log.walks, i
+			}
+		}
+		b.Run(spec.Name, func(b *testing.B) {
+			job := spec.Job(bm.Prog, best, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.ReportMetric(float64(len(walks)), "walks")
+			for i := 0; i < b.N; i++ {
+				for _, w := range walks {
+					job.Backward(nil, w.p, w.t)
+				}
+			}
+		})
 	}
 }
 

@@ -12,7 +12,9 @@
 // functions of one suite run (every client on every program) and print
 // first, in that order, after Table 1; Figure 13 runs its own k grid and
 // prints last. Without -only it runs everything. -warm-dir warm-starts the
-// runs from a persistent clause store (internal/warm).
+// runs from a persistent clause store (internal/warm). An unknown -only
+// name is an error, and so is a flag that no selected section reads: every
+// solving flag with Table 1 alone, and -k without a suite-run table.
 //
 // The walls it prints are single-shot; the repository's performance record
 // is cmd/tracerbench.
@@ -36,6 +38,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,13 +58,19 @@ func run() error {
 	k := flag.Int("k", def.K, "beam width k of the backward meta-analysis")
 	iters := flag.Int("iters", def.MaxIters, "per-query CEGAR iteration cap")
 	workers := flag.Int("workers", 1, "concurrent query resolutions (0/1 = sequential)")
-	only := flag.String("only", "", "comma-separated subset: table1,fig12,table2,table3,table4,fig14,fig13")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	warmDir := flag.String("warm-dir", "", "warm-start store directory for the table/figure runs (\"\" = cold)")
 	tracePath := flag.String("trace", "", "write NDJSON events of every CEGAR iteration to this file")
 	metrics := flag.Bool("metrics", false, "print each solving phase's aggregated counters/gauges/timers after its output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	want, err := checkSections(*only, given)
+	if err != nil {
+		return err
+	}
 
 	// paperbench is a batch tool over an almost entirely transient heap: the
 	// solver allocates short-lived DNF cubes and worklist entries at a high
@@ -121,15 +130,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	opts := bench.RunOptions{K: *k, MaxIters: *iters, Workers: *workers, Context: ctx, WarmDir: *warmDir}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-
-	if sel("table1") {
+	if want["table1"] {
 		rows, err := bench.Table1()
 		if err != nil {
 			return fmt.Errorf("table1: %w", err)
@@ -176,7 +177,7 @@ func run() error {
 	}
 	var picked []table
 	for _, t := range tables {
-		if sel(t.name) {
+		if want[t.name] {
 			picked = append(picked, t)
 		}
 	}
@@ -195,7 +196,7 @@ func run() error {
 			return err
 		}
 	}
-	if sel("fig13") {
+	if want["fig13"] {
 		err := phase("fig13", fmt.Sprintf("iters=%d", *iters), func(o bench.RunOptions) error {
 			rows, err := bench.Figure13(o)
 			if err != nil {
@@ -209,4 +210,42 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// sections are the -only names, in print order.
+var sections = []string{"table1", "fig12", "table2", "table3", "table4", "fig14", "fig13"}
+
+// checkSections returns the sections -only selects, every one when it names
+// none (empty elements are skipped), and rejects what the run would ignore:
+// an unknown name; a solving flag when the only section selected is Table 1,
+// which solves nothing; and -k unless a suite-run table is selected, since
+// Figure 13 sets k itself. given holds the flags set on the command line.
+func checkSections(only string, given map[string]bool) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, s := range strings.Split(only, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !slices.Contains(sections, s) {
+			return nil, fmt.Errorf("-only: unknown section %q (valid: %s)", s, strings.Join(sections, ","))
+		}
+		want[s] = true
+	}
+	if len(want) == 0 {
+		for _, s := range sections {
+			want[s] = true
+		}
+	}
+	suite := want["fig12"] || want["table2"] || want["table3"] || want["table4"] || want["fig14"]
+	for _, name := range []string{"k", "iters", "workers", "warm-dir", "trace", "metrics"} {
+		switch {
+		case !given[name]:
+		case !suite && !want["fig13"]:
+			return nil, fmt.Errorf("-only table1 solves nothing; it does not use -%s", name)
+		case name == "k" && !suite:
+			return nil, fmt.Errorf("-k sets the beam width of the suite-run tables (fig12,table2,table3,table4,fig14); fig13 runs its own k grid")
+		}
+	}
+	return want, nil
 }

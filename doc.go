@@ -35,7 +35,9 @@
 //     minsat.incremental_reuse for the min-cost solver,
 //     formula.subsumption_checks / formula.sig_filtered / formula.sig_skips
 //     for the signature-screened kernel scans, and
-//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo, and
+//     meta.wp_formula_memo_hits/_misses for the whole-formula WP memo,
+//     meta.walk_atoms/_changed for the backward walk's share of atoms that
+//     change its formula, and
 //     forward.delta_resumes/_reused/_invalidated for the delta-incremental
 //     forward engines; README.md has the full reference table
 //

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"tracer/internal/core"
 	"tracer/internal/driver"
+	"tracer/internal/uset"
 )
 
 // goldenPath is cmd/tracerbench's verdict table: one row per query of the
@@ -55,16 +57,19 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestVerdictsMatchGolden solves every suite query through the harness at
-// DefaultRunOptions, the settings of paperbench's tables, and requires each
-// verdict (status, cost and the abstraction's sorted parameter names) to
-// equal its row of cmd/tracerbench's golden table. Tier 1 runs it on tsp;
-// SOLVE_DIFF_SUITE=all runs it on all seven programs (make fuzz).
+// DefaultRunOptions, the settings of paperbench's tables, once per query and
+// once through a batch of 4 workers, and requires each verdict (status,
+// cost and the abstraction's sorted parameter names) to equal its row of
+// cmd/tracerbench's golden table. Tier 1 runs it on tsp; SOLVE_DIFF_SUITE=all
+// runs it on all seven programs (make fuzz).
 func TestVerdictsMatchGolden(t *testing.T) {
 	golden := readGolden(t)
 	progs := Suite()[:1] // tsp
 	if os.Getenv("SOLVE_DIFF_SUITE") == "all" {
 		progs = Suite()
 	}
+	batchOpts := DefaultRunOptions()
+	batchOpts.BatchWorkers = 4
 	for _, c := range progs {
 		b := MustLoad(c)
 		for _, spec := range driver.Clients() {
@@ -72,7 +77,24 @@ func TestVerdictsMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			br, err := RunBatch(b, Client(spec.BenchName), batchOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(br.Results) != len(r.Outcomes) {
+				t.Fatalf("%s %s: batch of 4 workers resolved %d queries, per-query %d", c.Name, spec.Name, len(br.Results), len(r.Outcomes))
+			}
 			queries, params := spec.Queries(b.Prog), spec.ParamNames(b.Prog)
+			verdict := func(s core.Status, abs uset.Set) string {
+				var names []string
+				if s == core.Proved {
+					for _, p := range abs.Elems() {
+						names = append(names, params[p])
+					}
+				}
+				sort.Strings(names)
+				return fmt.Sprintf("%s\t%d\t%s", s, len(names), strings.Join(names, ","))
+			}
 			for i, o := range r.Outcomes {
 				key := c.Name + "\t" + spec.Name + "\t" + queries[i].Key
 				want, ok := golden[key]
@@ -81,14 +103,11 @@ func TestVerdictsMatchGolden(t *testing.T) {
 					continue
 				}
 				delete(golden, key)
-				var names []string
-				for _, p := range o.Abstraction.Elems() {
-					names = append(names, params[p])
-				}
-				sort.Strings(names)
-				got := fmt.Sprintf("%s\t%d\t%s", o.Status, len(names), strings.Join(names, ","))
-				if got != want {
+				if got := verdict(o.Status, o.Abstraction); got != want {
 					t.Errorf("%s %s %s: verdict %q, golden %q", c.Name, spec.Name, o.ID, got, want)
+				}
+				if got := verdict(br.Results[i].Status, br.Results[i].Abstraction); got != want {
+					t.Errorf("%s %s %s: batch of 4 workers: verdict %q, golden %q", c.Name, spec.Name, o.ID, got, want)
 				}
 			}
 		}

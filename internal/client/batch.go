@@ -156,8 +156,14 @@ func (b *Batch[D, Q, A]) job(q int) *Job[D, Q, A] {
 	return b.jobs[q]
 }
 
-// FlushObs implements core.ObsFlusher for the shared literal universe.
-func (b *Batch[D, Q, A]) FlushObs(rec obs.Recorder) { meta.FlushUniverseObs(rec, b.uni) }
+// FlushObs implements core.ObsFlusher for the shared literal universe and
+// the parts' WP caches.
+func (b *Batch[D, Q, A]) FlushObs(rec obs.Recorder) {
+	meta.FlushUniverseObs(rec, b.uni)
+	for _, w := range b.wpc {
+		meta.FlushWPObs(rec, w)
+	}
+}
 
 func (b *Batch[D, Q, A]) NumParams() int  { return b.n }
 func (b *Batch[D, Q, A]) NumQueries() int { return len(b.queries) }

@@ -112,6 +112,31 @@ func TestJobsShareProgramCaches(t *testing.T) {
 	t.Fatal("no tsp escape query memoized a weakest precondition")
 }
 
+// TestBatchFlushesWPCounters: a batch reports the walk and formula-memo
+// counters of its parts' WP caches, as a per-query job reports its own, on
+// every client (type-state has one part per tracked site).
+func TestBatchFlushesWPCounters(t *testing.T) {
+	p, err := driver.Load(bench.Generate(bench.Suite()[0])) // tsp
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range driver.Clients() {
+		idx := make([]int, len(spec.Queries(p)))
+		for i := range idx {
+			idx[i] = i
+		}
+		agg := obs.NewAgg()
+		if _, err := core.SolveBatch(spec.Batch(p, idx, 5), core.Options{MaxIters: 100, Recorder: agg}); err != nil {
+			t.Fatal(err)
+		}
+		atoms, changed := agg.Counter(obs.MetaWalkAtoms), agg.Counter(obs.MetaWalkChanged)
+		memo := agg.Counter(obs.MetaWPFormulaMemoHits) + agg.Counter(obs.MetaWPFormulaMemoMisses)
+		if atoms == 0 || changed == 0 || changed > atoms || memo != changed {
+			t.Errorf("%s: batch recorded meta.walk_atoms %d, meta.walk_changed %d, %d formula-memo lookups", spec.Name, atoms, changed, memo)
+		}
+	}
+}
+
 // TestRHSJobsShareProgramCaches: the tabulation jobs of generated queries
 // take their literal universe and WP cache from the program, per client and,
 // for type-state, per tracked site.

@@ -970,34 +970,34 @@ func (d DNF) Simplify() DNF {
 // DropK implements dropk of Fig 8: keep the first k−1 disjuncts by size plus
 // the shortest disjunct that holds at the current (p, d) — supplied as the
 // holds predicate. If no disjunct holds, the first k disjuncts are kept
-// (the retention condition of approx is vacuous in that case).
+// (the retention condition of approx is vacuous in that case). When the
+// kept disjuncts are a prefix of d, the result is that prefix with its
+// capacity clipped, so appending to it never writes into d; only a holding
+// disjunct past the first k is copied out.
 func (d DNF) DropK(k int, holds func(Conj) bool) DNF {
 	if len(d) <= k {
 		return d
 	}
-	keep := k - 1
-	if keep < 0 {
-		keep = 0
-	}
-	out := append(DNF{}, d[:keep]...)
-	for _, c := range d {
-		if holds(c) {
-			// Already kept?
-			dup := false
-			for _, o := range out {
-				if o.Equal(c) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, c)
-			}
-			return out
+	keep := max(k-1, 0)
+	for i, c := range d {
+		if !holds(c) {
+			continue
 		}
+		for _, o := range d[:keep] {
+			if o.Equal(c) { // already kept
+				return d[:keep:keep]
+			}
+		}
+		if i == keep {
+			return d[: keep+1 : keep+1]
+		}
+		out := make(DNF, keep+1)
+		copy(out, d[:keep])
+		out[keep] = c
+		return out
 	}
 	// No disjunct holds at (p, d); keep the first k.
-	return append(out, d[keep:k]...)
+	return d[:k:k]
 }
 
 // Approx is the generic under-approximation operator of §4.1:

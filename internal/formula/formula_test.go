@@ -92,6 +92,84 @@ func TestSimplifyEquivalence(t *testing.T) {
 	}
 }
 
+// copyingDropK is DropK as it was before it returned prefixes of its
+// input: every result is a fresh copy. TestDropKMatchesCopying checks the
+// current DropK against it.
+func copyingDropK(d DNF, k int, holds func(Conj) bool) DNF {
+	if len(d) <= k {
+		return d
+	}
+	keep := k - 1
+	if keep < 0 {
+		keep = 0
+	}
+	out := append(DNF{}, d[:keep]...)
+	for _, c := range d {
+		if holds(c) {
+			dup := false
+			for _, o := range out {
+				if o.Equal(c) {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				out = append(out, c)
+			}
+			return out
+		}
+	}
+	return append(out, d[keep:k]...)
+}
+
+// TestDropKMatchesCopying: on random DNFs, some with repeated disjuncts, and
+// random holds predicates, DropK returns the copying implementation's
+// disjuncts in the same order, clips a shortened result's capacity, and
+// never lets an append to its result change its input. One predicate
+// answers by call count, so both sides must also ask in the same order.
+func TestDropKMatchesCopying(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const nv = 5
+	u := newU()
+	for trial := 0; trial < 2000; trial++ {
+		d := ToDNF(randFormula(rng, nv, 5), u)
+		if rng.Intn(2) == 0 {
+			d = d.Simplify()
+		}
+		if len(d) > 0 && rng.Intn(3) == 0 {
+			d = append(d, d[rng.Intn(len(d))])
+		}
+		env := uint(rng.Intn(1 << nv))
+		salt := rng.Uint64()
+		nth := rng.Intn(len(d) + 2)
+		preds := []func() func(Conj) bool{
+			func() func(Conj) bool { return func(c Conj) bool { return c.Eval(evalEnv(env)) } },
+			func() func(Conj) bool { return func(c Conj) bool { return (c.Hash()^salt)%3 == 0 } },
+			func() func(Conj) bool {
+				calls := 0
+				return func(Conj) bool { calls++; return calls == nth }
+			},
+		}
+		for pi, pred := range preds {
+			for k := 0; k <= 4; k++ {
+				in := append(DNF(nil), d...)
+				want := copyingDropK(in, k, pred())
+				got := in.DropK(k, pred())
+				if !got.Equal(want) {
+					t.Fatalf("trial %d pred %d k=%d: DropK(%s) = %s, copying = %s", trial, pi, k, in, got, want)
+				}
+				if len(in) > k && cap(got) != len(got) {
+					t.Fatalf("trial %d pred %d k=%d: result has cap %d > len %d", trial, pi, k, cap(got), len(got))
+				}
+				_ = append(got, Conj{})
+				if !in.Equal(d) {
+					t.Fatalf("trial %d pred %d k=%d: appending to the result changed the input to %s, was %s", trial, pi, k, in, d)
+				}
+			}
+		}
+	}
+}
+
 // TestDropKUnderApproximates: DropK keeps a subset of disjuncts (so its
 // denotation is contained in the input's) and, when some disjunct holds at
 // the probe, retains one that holds.

@@ -34,7 +34,8 @@ type Client[D comparable] struct {
 	// and batch on it; it is safe for concurrent use.
 	U *formula.Universe
 	// Eval evaluates a literal at (p, d) where p is the abstraction the
-	// client was built for (captured in the closure).
+	// client was built for (captured in the closure). It must be pure: a
+	// beam cut evaluates each literal at most once.
 	Eval func(l formula.Lit, d D) bool
 	// K is the beam width for dropk; K ≤ 0 disables under-approximation.
 	K int
@@ -81,9 +82,11 @@ type WPCache struct {
 	mu sync.RWMutex
 	m  map[lang.Atom]*atomWP
 
-	// Formula-memo telemetry, flushed as the meta.wp_formula_memo_* obs
-	// counters by FlushWPObs.
-	fmHits, fmMisses atomic.Int64
+	// Formula-memo and walk telemetry, flushed as the meta.wp_formula_memo_*
+	// and meta.walk_* obs counters by FlushWPObs. A walk adds its atom counts
+	// once, when it ends.
+	fmHits, fmMisses       atomic.Int64
+	walkAtoms, walkChanged atomic.Int64
 }
 
 // atomWP holds one atom's per-literal entries, indexed by interned ID. The
@@ -100,10 +103,10 @@ type atomWP struct {
 
 	// idbm records every literal whose precondition has been computed:
 	// known marks it, and ident marks those whose wp is the identity. It is
-	// the only record of an identity literal, and it serves wpDNF's
-	// unchanged fast path with one pointer load plus two bit tests. Published
-	// copy-on-write; fills are once per (atom, literal), so the copies are
-	// rare.
+	// the only record of an identity literal, and it serves the walk's
+	// unchanged test with one pointer load plus a mask test per footprint
+	// word. Published copy-on-write; fills are once per (atom, literal), so
+	// the copies are rare.
 	idbm atomic.Pointer[idBits]
 
 	// Formula-level memo: wp applied to a whole DNF, keyed by the formula's
@@ -112,36 +115,32 @@ type atomWP struct {
 	// structure, and a hit skips the entire per-cube substitution including
 	// its And chain. Like the per-literal entries, results depend only on
 	// the atom and the formula (never on the abstraction or the forward
-	// state), so entries are valid forever.
+	// state), so entries are valid forever. Only formulas the atom changes
+	// reach it: the walk answers the rest from idbm.
 	fmu     sync.RWMutex
 	fm      map[uint64][]fmEntry
 	fmCount int
 }
 
-// fmEntry is one memoized wpDNF result. For unchanged formulas out is nil
-// and the caller returns its own input, avoiding a redundant retained ref.
-type fmEntry struct {
-	in        formula.DNF
-	out       formula.DNF
-	unchanged bool
-}
+// fmEntry is one memoized wpDNF result.
+type fmEntry struct{ in, out formula.DNF }
 
 // fmMaxEntries bounds one atom's formula memo; beyond it new results are
 // simply not stored (the per-literal cache below still serves them).
 const fmMaxEntries = 1 << 14
 
-func (w *atomWP) getFM(key uint64, d formula.DNF) (formula.DNF, bool, bool) {
+func (w *atomWP) getFM(key uint64, d formula.DNF) (formula.DNF, bool) {
 	w.fmu.RLock()
 	defer w.fmu.RUnlock()
 	for _, e := range w.fm[key] {
 		if e.in.Equal(d) {
-			return e.out, e.unchanged, true
+			return e.out, true
 		}
 	}
-	return nil, false, false
+	return nil, false
 }
 
-func (w *atomWP) putFM(key uint64, d, out formula.DNF, unchanged bool) {
+func (w *atomWP) putFM(key uint64, d, out formula.DNF) {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
 	if w.fmCount >= fmMaxEntries {
@@ -155,7 +154,7 @@ func (w *atomWP) putFM(key uint64, d, out formula.DNF, unchanged bool) {
 	if w.fm == nil {
 		w.fm = map[uint64][]fmEntry{}
 	}
-	w.fm[key] = append(w.fm[key], fmEntry{in: d, out: out, unchanged: unchanged})
+	w.fm[key] = append(w.fm[key], fmEntry{in: d, out: out})
 	w.fmCount++
 }
 
@@ -177,6 +176,17 @@ func (b *idBits) has(lid uint32) (known, ident bool) {
 	}
 	bit := uint64(1) << (lid & 63)
 	return b.known[w]&bit != 0, b.ident[w]&bit != 0
+}
+
+// covers reports whether every literal of ws is known to be the identity.
+// ident marks only known literals, so its words alone decide.
+func (b *idBits) covers(ws []wordMask) bool {
+	for _, x := range ws {
+		if b == nil || x.w >= len(b.ident) || b.ident[x.w]&x.mask != x.mask {
+			return false
+		}
+	}
+	return true
 }
 
 // mark publishes literal lid's identity flag into w.idbm.
@@ -318,85 +328,23 @@ func (c *Client[D]) wpLitDNF(aw *atomWP, a lang.Atom, lid uint32) (d formula.DNF
 	return d, false
 }
 
-// wpDNF applies [a]♭ to a whole DNF formula, returning DNF directly and a
-// flag telling whether the formula is unchanged (the atom does not affect
-// any literal — the overwhelmingly common case on long inlined traces,
-// which lets the driver skip the approx step entirely). For each disjunct
-// it splits literals into the unchanged majority (retained in one sorted
-// pass) and the few literals the atom actually affects (whose preconditions
-// are conjoined in).
-func (c *Client[D]) wpDNF(a lang.Atom, d formula.DNF) (formula.DNF, bool) {
-	if c.Cache == nil {
-		c.Cache = NewWPCache()
-	}
-	aw := c.Cache.atom(a) // one interface-keyed lookup for the whole DNF
-	// Fast path: most atoms on an inlined trace touch none of the formula's
-	// literals. Literals repeat heavily across cubes, so test identity once
-	// per distinct literal of the whole formula instead of once per
-	// (cube, literal) pair; only a changed formula pays the per-cube pass.
-	var sup [64]uint32
-	ns := 0
-	bounded := true
-supScan:
-	for _, conj := range d {
-		for _, lid := range conj.IDs() {
-			dup := false
-			for _, s := range sup[:ns] {
-				if s == lid {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if ns == len(sup) {
-				bounded = false
-				break supScan
-			}
-			sup[ns] = lid
-			ns++
-		}
-	}
-	if bounded {
-		unchanged := true
-		bm := aw.idbm.Load()
-		for _, lid := range sup[:ns] {
-			if known, ident := bm.has(lid); known {
-				if !ident {
-					unchanged = false
-					break
-				}
-				continue
-			}
-			if _, ident := c.wpLitDNF(aw, a, lid); !ident {
-				unchanged = false
-				break
-			}
-		}
-		if unchanged {
-			return d, true
-		}
-	}
-	// The formula changes (or is too wide for the scan above): consult the
-	// per-atom formula memo before paying for the per-cube substitution.
-	// Unchanged formulas are answered above and stay out of the memo, so it
-	// holds only the expensive cases.
+// wpDNF applies [a]♭ to a formula at least one of whose literals the atom
+// changes (the walk's footprint test rules out the rest), returning it
+// simplified. It consults the per-atom formula memo first; on a miss, each
+// disjunct keeps its identity literals (retained in one sorted pass) and
+// conjoins in the preconditions of the few the atom affects.
+func (c *Client[D]) wpDNF(aw *atomWP, a lang.Atom, d formula.DNF) formula.DNF {
 	key := d.Fingerprint()
-	if mout, munchanged, ok := aw.getFM(key, d); ok {
+	if out, ok := aw.getFM(key, d); ok {
 		c.Cache.fmHits.Add(1)
-		if munchanged {
-			return d, true
-		}
-		return mout, false
+		return out
 	}
 	c.Cache.fmMisses.Add(1)
-	var out formula.DNF
+	out := make(formula.DNF, 0, len(d))
 	var seen formula.ConjSet
-	allIdentity := true
 	var subs []formula.DNF
 	var identity []bool // only allocated for cubes wider than the bitmask
-	for ci, conj := range d {
+	for _, conj := range d {
 		ids := conj.IDs()
 		subs = subs[:0]
 		// Cubes virtually never exceed 64 literals, so the per-literal
@@ -411,7 +359,6 @@ supScan:
 				clear(identity)
 			}
 		}
-		allID := true
 		for i, lid := range ids {
 			sub, ident := c.wpLitDNF(aw, a, lid)
 			if ident {
@@ -421,21 +368,14 @@ supScan:
 					idBits |= 1 << uint(i)
 				}
 			} else {
-				allID = false
 				subs = append(subs, sub)
 			}
 		}
-		if allID && allIdentity {
-			// Still on the unchanged fast path: defer any copying.
-			continue
-		}
-		if allIdentity {
-			// First changed disjunct: materialize the prefix.
-			allIdentity = false
-			out = append(make(formula.DNF, 0, len(d)), d[:ci]...)
-			for _, pc := range d[:ci] {
-				seen.Add(pc)
+		if len(subs) == 0 {
+			if seen.Add(conj) {
+				out = append(out, conj)
 			}
+			continue
 		}
 		keep := func(i int) bool { return idBits&(1<<uint(i)) != 0 }
 		if wide {
@@ -461,10 +401,6 @@ supScan:
 			}
 		}
 	}
-	if allIdentity {
-		aw.putFM(key, d, nil, true)
-		return d, true
-	}
 	// Simplify here rather than in the walk's approx step: the memo then
 	// serves already-simplified formulas, so a hit skips the subsumption
 	// pass along with everything else (the walk keeps only the beam
@@ -474,9 +410,9 @@ supScan:
 	// is fine to return (the walk is being abandoned) but must never be
 	// memoized as the true value.
 	if !c.Budget.Tripped() {
-		aw.putFM(key, d, out, false)
+		aw.putFM(key, d, out)
 	}
-	return out, false
+	return out
 }
 
 // approxAt runs the approx operator relative to the abstract state d that
@@ -488,53 +424,185 @@ func (c *Client[D]) approxAt(f formula.DNF, d D) formula.DNF {
 	return formula.ApproxDNF(f, c.K, holds)
 }
 
-// dropAt is approxAt minus the simplification: the beam truncation (dropk)
-// for formulas wpDNF already returns simplified. Composing wpDNF's Simplify
-// with dropAt yields exactly approxAt's dropk ∘ simplify.
-func (c *Client[D]) dropAt(f formula.DNF, d D) formula.DNF {
-	if c.K <= 0 || len(f) <= c.K {
-		return f
-	}
-	holds := func(conj formula.Conj) bool {
-		return conj.Eval(func(l formula.Lit) bool { return c.Eval(l, d) })
-	}
-	return f.DropK(c.K, holds)
-}
-
 // Run computes B[t](p, dI, not(q)): the sufficient condition for failure at
 // the start of trace t. states must be the pre-state sequence returned by
 // dataflow.StatesAlong(t, dI, tr) — states[i] is the forward state before
-// atom t[i], and states[len(t)] the failing final state. post is not(q).
+// atom t[i], and states[len(t)] the failing final state. post is not(q). A
+// budget trip before the walk reaches the start of t yields nil.
 func Run[D comparable](c *Client[D], t lang.Trace, states []D, post formula.Formula) formula.DNF {
-	ann := RunAnnotated(c, t, states, post)
-	return ann[0]
+	return walk(c, t, states, post, nil)
 }
 
 // RunAnnotated is Run but returns the formula at every point of the trace:
 // result[i] is the condition before atom t[i] (so result[0] is B[t]'s value
 // and result[len(t)] the approximated not(q)). These per-point formulas are
-// the ψ annotations of Figs 1 and 6.
+// the ψ annotations of Figs 1 and 6. A budget trip leaves the points the
+// walk did not reach nil.
 func RunAnnotated[D comparable](c *Client[D], t lang.Trace, states []D, post formula.Formula) []formula.DNF {
+	ann := make([]formula.DNF, len(t)+1)
+	walk(c, t, states, post, ann)
+	return ann
+}
+
+// walk is the backward walk of Run and RunAnnotated; it stores the formula
+// at each point it reaches into ann when ann is non-nil. Most atoms of an
+// inlined trace leave the formula as it is, so the walk keeps the formula's
+// footprint and pays one mask test per footprint word for such an atom; the
+// per-literal work runs once per formula change.
+func walk[D comparable](c *Client[D], t lang.Trace, states []D, post formula.Formula, ann []formula.DNF) formula.DNF {
 	if len(states) != len(t)+1 {
 		panic("meta: states must have length len(t)+1")
 	}
-	out := make([]formula.DNF, len(t)+1)
+	if c.Cache == nil {
+		c.Cache = NewWPCache()
+	}
+	w := walker[D]{c: c}
 	cur := c.approxAt(formula.ToDNF(post, c.U), states[len(t)])
-	out[len(t)] = cur
+	w.track(cur)
+	if ann != nil {
+		ann[len(t)] = cur
+	}
+	var visited, changed int64
 	for i := len(t) - 1; i >= 0; i-- {
 		if !c.Budget.Poll() {
+			cur = nil
 			break
 		}
-		pre, unchanged := c.wpDNF(t[i], cur)
-		if !unchanged {
-			// approx is idempotent, so unchanged formulas (already
-			// simplified and within the beam width) skip it; changed ones
-			// come back simplified from wpDNF and need only the beam cut.
-			pre = c.dropAt(pre, states[i])
+		visited++
+		aw := c.Cache.atom(t[i]) // one interface-keyed lookup per atom
+		if !w.unchangedBy(aw, t[i]) {
+			// wpDNF returns the formula simplified, and approx is
+			// idempotent, so a changed formula needs only the beam cut and
+			// an unchanged one (already simplified and within the beam
+			// width) needs neither.
+			changed++
+			cur = w.cut(c.wpDNF(aw, t[i], cur), states[i])
+			w.track(cur)
 		}
-		cur = pre
-		out[i] = cur
+		if ann != nil {
+			ann[i] = cur
+		}
 	}
+	c.Cache.walkAtoms.Add(visited)
+	c.Cache.walkChanged.Add(changed)
+	return cur
+}
+
+// walker is one walk's record of its current formula and its scratch. A
+// walk owns its walker, so concurrent walks over one WPCache share nothing
+// here.
+type walker[D comparable] struct {
+	c *Client[D]
+	// lits are the current formula's distinct literal IDs in first-
+	// appearance order, and words the same set as (word, mask) pairs over
+	// the ID space.
+	lits  []uint32
+	words []wordMask
+	// Bitsets over the ID space, all zero between uses: seen marks the
+	// literals track's pass has met or a cut has evaluated, and val those a
+	// cut found true; touched lists the words a cut set.
+	seen, val []uint64
+	touched   []int
+}
+
+// wordMask is one word of a footprint: the bits of word w of the ID space
+// that the formula's literals occupy.
+type wordMask struct {
+	w    int
+	mask uint64
+}
+
+// grow returns bitset s extended with zero words to cover every literal ID
+// of universe u. A formula's literals are interned before it is built, so
+// its IDs are below the universe's length when a walk reads them.
+func grow(s []uint64, u *formula.Universe) []uint64 {
+	if n := u.Len()>>6 + 1; n > len(s) {
+		return append(s, make([]uint64, n-len(s))...)
+	}
+	return s
+}
+
+// track makes f the walk's footprint.
+func (w *walker[D]) track(f formula.DNF) {
+	seen := grow(w.seen, w.c.U)
+	lits, words := w.lits[:0], w.words[:0]
+	for _, conj := range f {
+		for _, lid := range conj.IDs() {
+			i, bit := lid>>6, uint64(1)<<(lid&63)
+			if seen[i]&bit != 0 {
+				continue
+			}
+			if seen[i] == 0 {
+				words = append(words, wordMask{w: int(i)})
+			}
+			seen[i] |= bit
+			lits = append(lits, lid)
+		}
+	}
+	for j := range words {
+		m := &words[j]
+		m.mask, seen[m.w] = seen[m.w], 0
+	}
+	w.seen, w.lits, w.words = seen, lits, words
+}
+
+// unchangedBy reports whether atom a leaves every literal of the footprint
+// as it is. When the atom's row already marks them all identity, that is
+// one mask test per footprint word. Otherwise the literals are visited in
+// first-appearance order, filling unknown rows, up to the first one the
+// atom changes.
+func (w *walker[D]) unchangedBy(aw *atomWP, a lang.Atom) bool {
+	bm := aw.idbm.Load()
+	if bm.covers(w.words) {
+		return true
+	}
+	for _, lid := range w.lits {
+		if known, ident := bm.has(lid); known {
+			if !ident {
+				return false
+			}
+			continue
+		}
+		if _, ident := w.c.wpLitDNF(aw, a, lid); !ident {
+			return false
+		}
+	}
+	return true
+}
+
+// cut is the beam truncation (dropk) at the forward state d, for a formula
+// wpDNF returned simplified: wpDNF's Simplify and then cut are approx's
+// dropk ∘ simplify. The client's Eval is pure, so each literal is evaluated
+// at most once per cut and the disjunct DropK keeps is the same.
+func (w *walker[D]) cut(f formula.DNF, d D) formula.DNF {
+	c := w.c
+	if c.K <= 0 || len(f) <= c.K {
+		return f
+	}
+	seen, val := grow(w.seen, c.U), grow(w.val, c.U)
+	holds := func(conj formula.Conj) bool {
+		for _, lid := range conj.IDs() {
+			i, bit := lid>>6, uint64(1)<<(lid&63)
+			if seen[i]&bit == 0 {
+				if seen[i] == 0 {
+					w.touched = append(w.touched, int(i))
+				}
+				seen[i] |= bit
+				if c.Eval(c.U.Lit(lid), d) {
+					val[i] |= bit
+				}
+			}
+			if val[i]&bit == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	out := f.DropK(c.K, holds)
+	for _, i := range w.touched {
+		seen[i], val[i] = 0, 0
+	}
+	w.seen, w.val, w.touched = seen, val, w.touched[:0]
 	return out
 }
 

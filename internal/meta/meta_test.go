@@ -5,9 +5,14 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"tracer/internal/bench"
+	"tracer/internal/budget"
 	"tracer/internal/client"
+	"tracer/internal/core"
 	"tracer/internal/dataflow"
+	"tracer/internal/driver"
 	"tracer/internal/formula"
 	"tracer/internal/lang"
 	"tracer/internal/meta"
@@ -126,6 +131,177 @@ func TestRunAnnotatedLengths(t *testing.T) {
 		}
 	}()
 	meta.RunAnnotated(mc, tr, states[:1], post)
+}
+
+// wideSetup is a type-state analysis over 40 variables and a not(q)-shaped
+// post whose DNF has more than 64 distinct literals, with atoms that change
+// some of them and leave the rest alone.
+func wideSetup() (*typestate.Analysis, formula.Formula, []lang.Atom) {
+	vars := make([]string, 40)
+	for i := range vars {
+		vars[i] = fmt.Sprintf("v%d", i)
+	}
+	a := typestate.New(typestate.FileProperty(), "h", vars)
+	disjuncts := []formula.Formula{a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})}
+	for i, v := range vars {
+		disjuncts = append(disjuncts, formula.And(
+			formula.L(typestate.PVar{X: v}),
+			formula.L(typestate.PParam{X: vars[(i+1)%len(vars)]}),
+		))
+	}
+	atoms := []lang.Atom{
+		lang.Move{Dst: "v1", Src: "v2"},
+		lang.MoveNull{V: "v3"},
+		lang.Alloc{V: "v4", H: "h"},
+		lang.Invoke{V: "v5", M: "open"},
+		lang.Alloc{V: "w", H: "g"}, // untracked: identity on every literal
+		lang.Store{Dst: "v6", F: "f", Src: "v7"},
+	}
+	return a, formula.Or(disjuncts...), atoms
+}
+
+// TestRunMatchesAnnotated: Run returns RunAnnotated's formula at the start
+// of the trace on the same walk, on a cold and then a warm WP cache: on a
+// formula with more than 64 distinct literals, and on a walk whose budget
+// trips, where both are nil.
+func TestRunMatchesAnnotated(t *testing.T) {
+	a, post, atoms := wideSetup()
+	rng := rand.New(rand.NewSource(11))
+	tr := make(lang.Trace, 24)
+	for i := range tr {
+		tr[i] = atoms[rng.Intn(len(atoms))]
+	}
+	p := uset.New(0, 2, 5)
+	states := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, p))
+	u := formula.NewUniverse(typestate.Theory{})
+	distinct := map[uint32]bool{}
+	for _, conj := range formula.ToDNF(post, u).Simplify() {
+		for _, id := range conj.IDs() {
+			distinct[id] = true
+		}
+	}
+	if len(distinct) <= 64 {
+		t.Fatalf("post has %d distinct literals, want more than 64", len(distinct))
+	}
+	client := func(k int, cache *meta.WPCache, b *budget.Budget) *meta.Client[typestate.State] {
+		return &meta.Client[typestate.State]{
+			WP:     a.WP,
+			U:      u,
+			Eval:   func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, p, d) },
+			K:      k,
+			Cache:  cache,
+			Budget: b,
+		}
+	}
+	for _, k := range []int{0, 20} {
+		runCache, annCache := meta.NewWPCache(), meta.NewWPCache()
+		var first formula.DNF
+		for _, pass := range []string{"cold", "warm"} {
+			got := meta.Run(client(k, runCache, nil), tr, states, post)
+			ann := meta.RunAnnotated(client(k, annCache, nil), tr, states, post)
+			if !got.Equal(ann[0]) {
+				t.Fatalf("k=%d %s: Run = %s, RunAnnotated[0] = %s", k, pass, got, ann[0])
+			}
+			if first == nil {
+				first = got
+			} else if !got.Equal(first) {
+				t.Fatalf("k=%d: warm walk %s, cold walk %s", k, got, first)
+			}
+		}
+		if first.IsFalse() {
+			t.Fatalf("k=%d: the walk's condition is false", k)
+		}
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		cache := meta.NewWPCache()
+		if pass == "warm" {
+			meta.Run(client(1, cache, nil), tr, states, post)
+		}
+		rb, ab := budget.New(nil, time.Time{}, 3), budget.New(nil, time.Time{}, 3)
+		got := meta.Run(client(1, cache, rb), tr, states, post)
+		ann := meta.RunAnnotated(client(1, cache, ab), tr, states, post)
+		if !rb.Tripped() || !ab.Tripped() {
+			t.Fatalf("%s: a quota of 3 steps did not trip", pass)
+		}
+		if got != nil || ann[0] != nil {
+			t.Fatalf("%s: tripped walk: Run = %v, RunAnnotated[0] = %v, want both nil", pass, got, ann[0])
+		}
+		if ann[len(tr)] == nil {
+			t.Fatalf("%s: tripped walk lost the post-condition", pass)
+		}
+	}
+}
+
+// TestWalkBudgetSteps pins the budget steps backward walks charge (one per
+// atom visited and one per substitution link), at the values of the walk
+// that applied wp and approx at every atom: the first walk of each of the
+// first 8 queries per client on tsp, and a fixed type-state trace. It also
+// checks the walk counters: every visited atom counts on meta.walk_atoms,
+// and a strict minority changes the formula.
+func TestWalkBudgetSteps(t *testing.T) {
+	bm := bench.MustLoad(bench.Suite()[0]) // tsp
+	for _, tc := range []struct {
+		client       string
+		walks, atoms int
+		steps        int64
+	}{
+		{"typestate", 2, 68, 78},
+		{"escape", 8, 508, 655},
+		{"nullness", 8, 508, 560},
+	} {
+		spec := driver.ClientByName(tc.client)
+		var steps int64
+		var walks, atoms int
+		agg := obs.NewAgg()
+		for i := range min(8, len(spec.Queries(bm.Prog))) {
+			job := spec.Job(bm.Prog, i, 5)
+			out := job.Forward(nil, nil)
+			if out.Proved {
+				continue
+			}
+			b := budget.New(nil, time.Time{}, 0)
+			job.Backward(b, nil, out.Trace)
+			job.(core.ObsFlusher).FlushObs(agg)
+			steps += b.Steps()
+			walks++
+			atoms += len(out.Trace)
+		}
+		if walks != tc.walks || atoms != tc.atoms || steps != tc.steps {
+			t.Errorf("%s: %d walks over %d atoms charged %d steps, want %d over %d charging %d",
+				tc.client, walks, atoms, steps, tc.walks, tc.atoms, tc.steps)
+		}
+		visited, changed := agg.Counter(obs.MetaWalkAtoms), agg.Counter(obs.MetaWalkChanged)
+		if visited != int64(atoms) || changed <= 0 || 2*changed >= visited {
+			t.Errorf("%s: meta.walk_atoms %d, meta.walk_changed %d over %d atoms", tc.client, visited, changed, atoms)
+		}
+	}
+
+	a, atoms := testSetup()
+	rng := rand.New(rand.NewSource(5))
+	tr := make(lang.Trace, 40)
+	for i := range tr {
+		tr[i] = atoms[rng.Intn(len(atoms))]
+	}
+	p := uset.New(0)
+	post := a.NotQ(typestate.Query{Want: uset.Bits(0).Add(0)})
+	states := dataflow.StatesAlong(tr, a.Initial(), dataflow.At(a.Step, p))
+	for _, tc := range []struct {
+		k     int
+		steps int64
+	}{{1, 42}, {2, 46}} {
+		b := budget.New(nil, time.Time{}, 0)
+		mc := &meta.Client[typestate.State]{
+			WP:     a.WP,
+			U:      formula.NewUniverse(typestate.Theory{}),
+			Eval:   func(l formula.Lit, d typestate.State) bool { return client.EvalLit(a, l, p, d) },
+			K:      tc.k,
+			Budget: b,
+		}
+		meta.Run(mc, tr, states, post)
+		if b.Steps() != tc.steps {
+			t.Errorf("k=%d: fixed trace charged %d steps, want %d", tc.k, b.Steps(), tc.steps)
+		}
+	}
 }
 
 // TestWPCacheShared: results are identical with and without a shared cache.

@@ -25,10 +25,10 @@ func FlushUniverseObs(rec obs.Recorder, u *formula.Universe) {
 	rec.Count(obs.FormulaTheoryMemoFills, s.TheoryMemoFills)
 }
 
-// FlushWPObs records a WP cache's formula-memo telemetry as the
-// meta.wp_formula_memo_* counters, consuming the deltas accumulated since
-// the previous flush. Like FlushUniverseObs it is called by the jobs'
-// core.ObsFlusher implementations.
+// FlushWPObs records a WP cache's formula-memo and walk telemetry as the
+// meta.wp_formula_memo_* and meta.walk_* counters, consuming the deltas
+// accumulated since the previous flush. Like FlushUniverseObs it is called
+// by the jobs' and batches' core.ObsFlusher implementations.
 func FlushWPObs(rec obs.Recorder, c *WPCache) {
 	if c == nil || rec == nil || !rec.Enabled() {
 		return
@@ -38,5 +38,11 @@ func FlushWPObs(rec obs.Recorder, c *WPCache) {
 	}
 	if m := c.fmMisses.Swap(0); m != 0 {
 		rec.Count(obs.MetaWPFormulaMemoMisses, m)
+	}
+	if n := c.walkAtoms.Swap(0); n != 0 {
+		rec.Count(obs.MetaWalkAtoms, n)
+	}
+	if n := c.walkChanged.Swap(0); n != 0 {
+		rec.Count(obs.MetaWalkChanged, n)
 	}
 }

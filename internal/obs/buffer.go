@@ -84,10 +84,15 @@ const (
 // had to compute (and then stored their result). Backward walks of
 // successive CEGAR iterations revisit the same (atom, formula) pairs
 // whenever counterexample traces share structure, so the hit rate tracks
-// trace similarity across iterations.
+// trace similarity across iterations. MetaWalkAtoms counts the trace atoms
+// backward walks visited, and MetaWalkChanged those at which some literal of
+// the walk's formula had a non-identity precondition, so the walk recomputed
+// the formula; every other atom costs the walk one footprint mask test.
 const (
 	MetaWPFormulaMemoHits   = "meta.wp_formula_memo_hits"
 	MetaWPFormulaMemoMisses = "meta.wp_formula_memo_misses"
+	MetaWalkAtoms           = "meta.walk_atoms"
+	MetaWalkChanged         = "meta.walk_changed"
 )
 
 // Counter names for warm-start solving. CoreWarmSeededClauses is recorded by
